@@ -6,7 +6,8 @@ Subcommands
     measure     log2 cylinder mass with a per-chain breakdown
     experiment  density/lower/telescope/hoeffding/ldev2/cover/boxdim runs
 
-Exit codes: 0 success, 1 certification failure, 2 usage error.  Stochastic
+Exit codes: 0 success, 1 certification failure, 2 usage error (every bad
+input, reported in one line on stderr).  Stochastic
 experiments require --seed; reports embed the full config and library
 version, and rerunning a config reproduces the report body byte for byte.
 """
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Optional
 
@@ -55,6 +57,19 @@ STOCHASTIC_KINDS = ("density", "lower", "telescope", "hoeffding", "ldev2")
 
 class UsageError(Exception):
     pass
+
+
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise UsageError(message)
+
+
+def _checked(build, *args, **kwargs):
+    """Call a constructor whose ValueError means a bad command-line value."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _interval_dict(ci: CertifiedInterval) -> dict:
@@ -103,8 +118,8 @@ def _csv_text(rows: list[tuple], config: dict) -> str:
 
 
 def cmd_dims(args) -> int:
-    if args.tol <= 0:
-        raise UsageError("--tol must be positive")
+    _require(math.isfinite(args.tol) and args.tol > 0,
+             f"--tol must be positive and finite, got {args.tol}")
     p = solve_p()
     s = hausdorff_dim()
     dm_val, dm_tail = dim_minkowski(args.tol)
@@ -168,13 +183,13 @@ def cmd_measure(args) -> int:
         raise UsageError(f"word must be a nonempty 0/1 string, got {word_str!r}")
     u = BinaryWord.from_string(word_str)
     if args.mu is not None:
-        params = MarkovParams(args.mu)
+        params = _checked(MarkovParams, args.mu)
         lp = markov_cylinder_logprob(params, u)
         breakdown = [{"i": 1, "restriction": word_str, "parameter": params.r,
                       "log2_mass": None if lp.is_zero else lp.value}]
         label = f"golden Markov measure, r = {params.r}"
     else:
-        assign = BlockAssignment(delta=args.pdelta if args.pdelta is not None else 0.0)
+        assign = _checked(BlockAssignment, delta=args.pdelta if args.pdelta is not None else 0.0)
         lp = pdelta_logprob(assign, u)
         breakdown = []
         for i in range(1, len(u) + 1, 2):
@@ -223,35 +238,63 @@ def cmd_measure(args) -> int:
 # -- experiments -------------------------------------------------------------------
 
 
-def _parse_grid(text: str) -> list[int]:
+# smallest prefix length each experiment accepts on its grid
+GRID_MIN = {"density": 4, "lower": 4, "ldev2": 1, "cover": 4, "boxdim": 2}
+
+
+def _parse_grid(text: str, least: int) -> list[int]:
     try:
-        return [int(v) for v in text.split(",") if v]
+        grid = [int(v) for v in text.split(",") if v]
     except ValueError as exc:
         raise UsageError(f"bad grid {text!r}: {exc}") from None
+    _require(bool(grid), f"empty grid {text!r}")
+    _require(len(set(grid)) == len(grid), f"duplicate points in grid {text!r}")
+    _require(min(grid) >= least, f"grid {text!r} must have every n >= {least}")
+    return grid
+
+
+def _parse_floats(text: str) -> list[float]:
+    try:
+        values = [float(v) for v in text.split(",")]
+    except ValueError as exc:
+        raise UsageError(f"bad threshold list {text!r}: {exc}") from None
+    _require(all(math.isfinite(v) for v in values), f"thresholds must be finite, got {text!r}")
+    return values
+
+
+def _check_experiment_args(args) -> None:
+    for flag, value, least in (("--seeds", args.seeds, 1), ("--trials", args.trials, 1),
+                               ("--n", args.n, 1), ("--k", args.k, 1), ("--ell-max", args.ell_max, 2)):
+        _require(value >= least, f"{flag} must be >= {least}, got {value}")
+    for flag in ("delta", "c", "theta", "gamma", "epsilon"):
+        value = getattr(args, flag)
+        _require(math.isfinite(value), f"--{flag} must be finite, got {value}")
 
 
 def cmd_experiment(args) -> int:
     kind = args.kind
     if kind in STOCHASTIC_KINDS and args.seed is None:
         raise UsageError(f"experiment {kind!r} is stochastic: --seed is required")
-    n_grid = _parse_grid(args.n_grid) if args.n_grid else list(DEFAULT_N_GRID)
+    _check_experiment_args(args)
+    n_grid = _parse_grid(args.n_grid, GRID_MIN.get(kind, 1)) if args.n_grid else list(DEFAULT_N_GRID)
     seeds = (list(range(args.seed, args.seed + args.seeds))
              if args.seed is not None else list(DEFAULT_SEEDS))
 
     if kind == "density":
-        measure = BlockAssignment(delta=args.delta)
+        measure = _checked(BlockAssignment, delta=args.delta)
         if args.gauge == "pure":
             gauge = Gauge.pure()
         elif args.gauge == "phi":
-            gauge = Gauge.phi(args.c)
+            gauge = _checked(Gauge.phi, args.c)
         elif args.gauge == "psi":
             gauge = Gauge.psi_theta(args.theta)
         elif args.gauge == "phi_gamma":
-            gauge = Gauge.phi_gamma(args.c, args.gamma)
+            gauge = _checked(Gauge.phi_gamma, args.c, args.gamma)
         else:
             raise UsageError(f"unknown gauge {args.gauge!r}")
         report = density_trajectory(measure, gauge, n_grid, seeds)
     elif kind == "lower":
+        _checked(BlockAssignment, delta=args.delta)
         report = lower_bound_trajectory(args.delta, args.c, n_grid, seeds)
     elif kind == "telescope":
         g, label = _telescope_g(args.g)
@@ -264,15 +307,15 @@ def cmd_experiment(args) -> int:
         else:
             raise UsageError(f"unknown distribution {args.distribution!r}")
         if args.t_grid:
-            t_grid = [float(v) for v in args.t_grid.split(",")]
+            t_grid = _parse_floats(args.t_grid)
         elif args.distribution == "logmass":
             # sub-linear deviation event S_n >= n^(1-epsilon)
-            t_grid = [deviation_threshold(args.n, args.epsilon)]
+            t_grid = [_checked(deviation_threshold, args.n, args.epsilon)]
         else:
             t_grid = [0.1, 0.3, 0.5]
         report = hoeffding_check(dist, t_grid, args.n, args.trials, args.seed)
     elif kind == "ldev2":
-        t_grid = [float(v) for v in args.t_grid.split(",")] if args.t_grid else None
+        t_grid = _parse_floats(args.t_grid) if args.t_grid else None
         kwargs = {"trials": args.trials, "seed": args.seed}
         if t_grid:
             kwargs["t_grid"] = t_grid
@@ -282,7 +325,8 @@ def cmd_experiment(args) -> int:
     elif kind == "cover":
         s_val = dim_minkowski(1e-9).value if args.exponent == "dimm" else None
         gauge = Gauge.pure(s_val) if args.gauge == "pure" else (
-            Gauge.psi_theta(args.theta, s_val) if args.gauge == "psi" else Gauge.phi(args.c, s_val))
+            Gauge.psi_theta(args.theta, s_val) if args.gauge == "psi"
+            else _checked(Gauge.phi, args.c, s_val))
         values = {n: covering_sum(gauge, n) for n in n_grid}
         return _emit_plain_series("cover", values, args, extra={"gauge": gauge.describe()})
     elif kind == "boxdim":
@@ -312,6 +356,7 @@ def _telescope_g(spec: str):
             e = float(spec[2:])
         except ValueError:
             raise UsageError(f"bad g spec {spec!r}") from None
+        _require(math.isfinite(e), f"bad g spec {spec!r}: exponent must be finite")
         return (lambda t: t**e), spec
     raise UsageError(f"bad g spec {spec!r}; use t, t^2, or t^<exponent>")
 

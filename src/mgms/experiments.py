@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .analytics import (
     Gauge,
@@ -87,6 +86,20 @@ DEFAULT_N_GRID = tuple(2**j for j in range(4, 21))
 DEFAULT_SEEDS = tuple(range(100))
 DEFAULT_EPSILON = 0.25
 _TRIAL_CHUNK = 4096
+
+
+class _LazyStats:
+    """`scipy.stats`, imported on first use: it costs about 1 s, and only the
+    trend verdict (`theilslopes`) and the ldev2 fit (`linregress`, `t.ppf`)
+    need it."""
+
+    def __getattr__(self, name):
+        from scipy import stats as module
+
+        return getattr(module, name)
+
+
+stats = _LazyStats()
 
 
 def deviation_threshold(n: int, epsilon: float = DEFAULT_EPSILON) -> float:

@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mgms
 from mgms.analytics import CertificationError
 from mgms.cli import main
 
@@ -191,6 +196,43 @@ class TestExperimentCommand:
             assert payload["verdict"] == verdict
         assert payload["slope"] == pytest.approx(slope)
         assert payload["schema_version"] == 1
+
+
+@pytest.mark.parametrize("argv", [
+    "measure --mu 1.5 0101",
+    "measure --pdelta 0.5 0101",
+    "experiment telescope --seed 1 --ell-max 1",
+    "experiment hoeffding --seed 1 --trials 0",
+    "experiment ldev2 --seed 1 --trials 0",
+    "experiment cover --n-grid 2",
+    "experiment boxdim --n-grid 1",
+    "experiment density --seed 1 --n-grid 2,4",
+    "dims --tol nan",
+    "dims --tol inf",
+    "experiment lower --seed 1 --seeds 0",
+    "experiment hoeffding --seed 1 --n 0",
+    "experiment boxdim --n-grid 16,16,1024",
+    "experiment lower --seed 1 --delta 0.5",
+    "experiment hoeffding --seed 1 --t-grid nan",
+    "experiment telescope --seed 1 --g t^nan",
+])
+def test_bad_input_is_one_line_usage_error(capsys, argv):
+    code = main(argv.split())
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["-c", "import mgms, mgms.cli"], ["-m", "mgms.cli", "dims"]])
+def test_cold_path_does_not_import_scipy(argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(mgms.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-X", "importtime", *argv],
+                          capture_output=True, text=True, env=env, check=True)
+    loaded = [line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+              if line.startswith("import time:") and "|" in line]
+    assert "mgms.experiments" in loaded
+    assert not [m for m in loaded if m == "scipy" or m.startswith("scipy.")]
 
 
 def test_version_flag(capsys):
