@@ -32,7 +32,6 @@ from typing import Callable, NamedTuple, Optional
 from .core import chain_length_counts, fibonacci
 from .intervals import (
     CertifiedInterval,
-    iv_entropy_bits,
     iv_entropy_nat,
     iv_ln_ratio,
     iv_log2,
@@ -90,14 +89,6 @@ def entropy_nat(r: float) -> float:
     """Natural-log entropy -r ln r - (1-r) ln(1-r); equals ln(2) * binary_entropy."""
     r = _check_unit_open(r)
     return -r * math.log(r) - (1 - r) * math.log(1 - r)
-
-
-def binary_entropy_interval(ci: CertifiedInterval) -> CertifiedInterval:
-    return iv_entropy_bits(ci)
-
-
-def entropy_nat_interval(ci: CertifiedInterval) -> CertifiedInterval:
-    return iv_entropy_nat(ci)
 
 
 def partition_entropy(r: float, k: int) -> float:
@@ -238,7 +229,7 @@ def hf_derivative_at(k: int, x: CertifiedInterval) -> CertifiedInterval:
     if k < 1:
         raise ValueError(f"series index must be >= 1, got {k}")
     F = entropy_poly(k - 1)
-    return entropy_nat_interval(x) * F.evaluate_derivative(x) + iv_ln_ratio(x) * F.evaluate(x)
+    return iv_entropy_nat(x) * F.evaluate_derivative(x) + iv_ln_ratio(x) * F.evaluate(x)
 
 
 @lru_cache(maxsize=None)

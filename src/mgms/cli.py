@@ -297,7 +297,7 @@ def cmd_experiment(args) -> int:
         _checked(BlockAssignment, delta=args.delta)
         report = lower_bound_trajectory(args.delta, args.c, n_grid, seeds)
     elif kind == "telescope":
-        g, label = _telescope_g(args.g)
+        g, label = _telescope_g(args.g, args.ell_max)
         report = upper_bound_telescoping(g, args.ell_max, args.seed, g_label=label)
     elif kind == "hoeffding":
         if args.distribution == "rademacher":
@@ -346,19 +346,30 @@ def cmd_experiment(args) -> int:
     return 0
 
 
-def _telescope_g(spec: str):
+def _telescope_g(spec: str, ell_max: int):
+    """Parse the g spec and check g(j) for j = 1..ell_max, the scales the run uses."""
     if spec == "t":
-        return (lambda t: t), "t"
-    if spec == "t^2":
-        return (lambda t: t * t), "t^2"
-    if spec.startswith("t^"):
+        g, label = (lambda t: t), "t"
+    elif spec == "t^2":
+        g, label = (lambda t: t * t), "t^2"
+    elif spec.startswith("t^"):
         try:
             e = float(spec[2:])
         except ValueError:
             raise UsageError(f"bad g spec {spec!r}") from None
         _require(math.isfinite(e), f"bad g spec {spec!r}: exponent must be finite")
-        return (lambda t: t**e), spec
-    raise UsageError(f"bad g spec {spec!r}; use t, t^2, or t^<exponent>")
+        g, label = (lambda t: t**e), spec
+    else:
+        raise UsageError(f"bad g spec {spec!r}; use t, t^2, or t^<exponent>")
+    for j in range(1, ell_max + 1):
+        try:
+            value = g(float(j))
+        except OverflowError:
+            raise UsageError(f"bad g spec {spec!r}: g({j}) overflows") from None
+        _require(math.isfinite(value) and value > 0 and math.isfinite(1.0 / value),
+                 f"bad g spec {spec!r}: g({j}) = {value!r} must be positive, "
+                 "finite and have a finite reciprocal")
+    return g, label
 
 
 def _emit_plain_series(kind: str, values: dict, args, extra: dict) -> int:

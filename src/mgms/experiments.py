@@ -86,6 +86,9 @@ DEFAULT_N_GRID = tuple(2**j for j in range(4, 21))
 DEFAULT_SEEDS = tuple(range(100))
 DEFAULT_EPSILON = 0.25
 _TRIAL_CHUNK = 4096
+# the trend verdict uses the grid points beyond the floor, or the whole grid
+# when fewer than this many lie beyond it
+MIN_TREND_POINTS = 3
 
 
 class _LazyStats:
@@ -197,11 +200,16 @@ class TrajectoryReport:
         return rows
 
     def summary_line(self) -> str:
+        floor = self.verdict_floor
+        if sum(n > floor for n in self.n_grid) >= MIN_TREND_POINTS:
+            points = f"n > {floor}"
+        else:  # the fallback of _trend_verdict
+            points = f"whole grid n >= {min(self.n_grid)}: < {MIN_TREND_POINTS} points beyond {floor}"
         return (
             f"{self.experiment}: verdict {self.verdict} "
             f"(Theil-Sen slope {self.slope:.4g} per log2 n, "
             f"95% CI [{self.slope_ci[0]:.4g}, {self.slope_ci[1]:.4g}], "
-            f"n > {self.verdict_floor}, {len(self.seeds)} seeds)"
+            f"{points}, {len(self.seeds)} seeds)"
         )
 
 
@@ -216,7 +224,7 @@ def _trend_verdict(
     n_grid: Sequence[int], medians: Sequence[float], floor: int
 ) -> tuple[str, float, tuple[float, float], bool]:
     idx = [j for j, n in enumerate(n_grid) if n > floor]
-    if len(idx) < 3:
+    if len(idx) < MIN_TREND_POINTS:
         idx = list(range(len(n_grid)))
     ns = [n_grid[j] for j in idx]
     ys = [medians[j] for j in idx]

@@ -1,7 +1,10 @@
 """Rational-endpoint interval arithmetic with certified transcendentals.
 
 Ring operations (+, -, *) on `CertifiedInterval` are exact: endpoints are
-`fractions.Fraction`, so no rounding happens at all.  Only transcendental
+`fractions.Fraction`, so no rounding happens at all.  Polynomial evaluation
+(`iv_polyval`) is exact too: it runs the same Horner recurrence on integer
+numerators over one common denominator and yields the same rationals as
+step-by-step `CertifiedInterval` arithmetic.  Only transcendental
 maps (ln, log2, the entropy functions) round, and those are delegated to
 mpmath's interval context at 120 bits with outward rounding; the resulting
 dyadic endpoints convert back to Fraction exactly.  Every operation's
@@ -10,6 +13,7 @@ output therefore encloses the true image of its input interval.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -118,6 +122,36 @@ class CertifiedInterval:
 
     def hull(self, other: "CertifiedInterval") -> "CertifiedInterval":
         return CertifiedInterval(min(self.lo, other.lo), max(self.hi, other.hi))
+
+
+def iv_polyval(coeffs, x: CertifiedInterval) -> CertifiedInterval:
+    """Interval Horner evaluation of sum_j coeffs[j] x^j with integer coefficients.
+
+    The recurrence acc = acc * x + c is the one `CertifiedInterval` arithmetic
+    performs, with the same four endpoint products and the same min/max at
+    each step, so the endpoints are the same rationals.  Here they are kept as
+    integer numerators over d^m, where d = lcm(den(lo), den(hi)) and m is the
+    step count, and reduced to a `Fraction` once at the end instead of being
+    normalised by a gcd at every step.
+    """
+    ints = []
+    for c in coeffs:
+        q = _to_fraction(c)
+        if q.denominator != 1:
+            raise ValueError(f"iv_polyval needs integer coefficients, got {c}")
+        ints.append(q.numerator)
+    if not ints:
+        raise ValueError("iv_polyval needs at least one coefficient")
+    d = math.lcm(x.lo.denominator, x.hi.denominator)
+    x_lo = x.lo.numerator * (d // x.lo.denominator)
+    x_hi = x.hi.numerator * (d // x.hi.denominator)
+    lo = hi = ints[-1]
+    scale = 1
+    for c in reversed(ints[:-1]):
+        scale *= d
+        products = (lo * x_lo, lo * x_hi, hi * x_lo, hi * x_hi)
+        lo, hi = min(products) + c * scale, max(products) + c * scale
+    return CertifiedInterval(Fraction(lo, scale), Fraction(hi, scale))
 
 
 # -- mpmath bridge ------------------------------------------------------------

@@ -8,9 +8,10 @@ also admits the closed form
     F_k(x) = ((x-1)^{k+2} - (k+2) x + (2k+3)) / (x-2)^2,
 
 which is checked against the recurrence coefficient-by-coefficient in the
-tests.  Coefficients are exact rationals; evaluation is generic over any
-type supporting + and * with Fraction (floats, Fractions, certified
-intervals).
+tests.  Coefficients are exact rationals (integers, by the recurrence);
+evaluation is generic over any type supporting + and * with Fraction
+(floats, Fractions), and certified intervals go through the exact
+integer-numerator Horner `intervals.iv_polyval`.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+
+from .intervals import CertifiedInterval, iv_polyval
 
 
 @dataclass(frozen=True)
@@ -33,25 +36,26 @@ class EntropyPolynomial:
 
     def evaluate(self, x):
         """Horner evaluation; works for float, Fraction, CertifiedInterval."""
-        acc = self.coeffs[-1] * 1  # copy / coerce
-        if isinstance(x, float):
-            acc = float(acc)
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * x + (float(c) if isinstance(x, float) else c)
-        return acc
+        return _horner(self.coeffs, x)
 
     @property
     def derivative_coeffs(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(j) * c for j, c in enumerate(self.coeffs))[1:] or (Fraction(0),)
 
     def evaluate_derivative(self, x):
-        d = self.derivative_coeffs
-        acc = d[-1] * 1
-        if isinstance(x, float):
-            acc = float(acc)
-        for c in reversed(d[:-1]):
-            acc = acc * x + (float(c) if isinstance(x, float) else c)
-        return acc
+        return _horner(self.derivative_coeffs, x)
+
+
+def _horner(coeffs: tuple[Fraction, ...], x):
+    """sum_j coeffs[j] x^j by Horner; an interval x of degree >= 1 goes to `iv_polyval`."""
+    if isinstance(x, CertifiedInterval) and len(coeffs) > 1:
+        return iv_polyval(coeffs, x)
+    acc = coeffs[-1] * 1  # copy / coerce
+    if isinstance(x, float):
+        acc = float(acc)
+    for c in reversed(coeffs[:-1]):
+        acc = acc * x + (float(c) if isinstance(x, float) else c)
+    return acc
 
 
 @lru_cache(maxsize=None)

@@ -1,5 +1,6 @@
 """Dimension constants, entropy identities, series certification, gauges."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -15,14 +16,12 @@ from mgms.analytics import (
     Gauge,
     GaugeFamily,
     binary_entropy,
-    binary_entropy_interval,
     derivative_series_at_p,
     dim_minkowski,
     dim_minkowski_enclosure,
     dims_certified_ordering,
     dyadic_power_tail,
     entropy_nat,
-    entropy_nat_interval,
     expected_zero_count_chain,
     expected_zero_count_prefix,
     gauge_log2,
@@ -37,7 +36,7 @@ from mgms.analytics import (
     tau_gamma,
 )
 from mgms.core import chain_partition, iter_golden_words, iter_multiplicative_prefixes
-from mgms.intervals import iv_ln_ratio
+from mgms.intervals import iv_entropy_bits, iv_entropy_nat, iv_ln_ratio
 from mgms.measures import MarkovParams, markov_cylinder_logprob, pmu_logprob
 
 
@@ -84,7 +83,7 @@ class TestEntropy:
 
     def test_natural_log_value_at_p(self):
         # the certified natural-log entropy at p sits at ~0.68336, below 0.7
-        enc = entropy_nat_interval(solve_p())
+        enc = iv_entropy_nat(solve_p())
         assert abs(enc.mid_float - 0.68336) < 1e-5
         assert enc.hi < Fraction(7, 10)
         assert entropy_nat(p_float()) == pytest.approx(enc.mid_float, abs=1e-12)
@@ -93,7 +92,7 @@ class TestEntropy:
         # A(p) = s forces H2(p) = s (3 - p) / 2
         H2 = binary_entropy(p_float())
         assert H2 == pytest.approx(s_float() * (3 - p_float()) / 2, abs=1e-12)
-        enc = binary_entropy_interval(solve_p())
+        enc = iv_entropy_bits(solve_p())
         assert abs(enc.mid_float - H2) < 1e-12
 
     @pytest.mark.parametrize("r", [0.3, 0.5, None, 0.7])
@@ -202,6 +201,20 @@ class TestDerivativeSeries:
             enc = derivative_series_at_p(K)
             tails.append(float(enc.width))
         assert tails[0] > tails[1] > tails[2]
+
+
+def endpoint_digest(ci) -> str:
+    text = f"{ci.lo.numerator}/{ci.lo.denominator}\n{ci.hi.numerator}/{ci.hi.denominator}\n"
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_enclosure_endpoints_are_frozen():
+    # sha256 of the exact num/den endpoints as step-by-step CertifiedInterval
+    # Horner produced them; any change of representation must keep them
+    assert endpoint_digest(derivative_series_at_p(80)) == (
+        "2d5171d059d0be4037a01628d3e9e600718d9e959b74f51fcca6f9a780052138")
+    assert endpoint_digest(tau_certify().partial_12) == (
+        "910fc9b4f0bbf9841657aa304e091b449d1676552dac301813eb97d1928ab4cb")
 
 
 class TestDyadicTails:

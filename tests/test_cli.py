@@ -138,6 +138,16 @@ class TestExperimentCommand:
         assert code == 0
         assert "verdict" in out and "Theil-Sen" in out
 
+    def test_summary_names_the_points_the_verdict_used(self, capsys):
+        # both grid points lie below the 4096 floor, so the verdict used the whole grid
+        argv = ("experiment", "lower", "--seed", "-1", "--seeds", "2", "--n-grid", "16,64")
+        code, out = run(capsys, *argv)
+        assert code == 0
+        assert "whole grid n >= 16: < 3 points beyond 4096" in out and "n > 4096" not in out
+        code, out = run(capsys, "experiment", "lower", "--seed", "-1", "--seeds", "2",
+                        "--n-grid", "16,8192,16384,32768")
+        assert code == 0 and "n > 4096," in out and "whole grid" not in out
+
     def test_telescope_flags(self, capsys):
         code, out = run(
             capsys, "experiment", "telescope", "--seed", "1", "--g", "t^2", "--ell-max", "10"
@@ -215,6 +225,8 @@ class TestExperimentCommand:
     "experiment lower --seed 1 --delta 0.5",
     "experiment hoeffding --seed 1 --t-grid nan",
     "experiment telescope --seed 1 --g t^nan",
+    "experiment telescope --seed 1 --ell-max 4 --g t^1000",
+    "experiment telescope --seed 1 --ell-max 4 --g t^-1000",
 ])
 def test_bad_input_is_one_line_usage_error(capsys, argv):
     code = main(argv.split())

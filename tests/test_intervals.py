@@ -14,6 +14,7 @@ from mgms.intervals import (
     iv_log2,
     iv_log2_int,
     iv_log2_ratio,
+    iv_polyval,
     ln2_interval,
 )
 
@@ -99,3 +100,19 @@ def test_entropy_derivative_enclosures():
     assert abs(c.mid_float - math.log((1 - 0.57) / 0.57)) < 1e-15
     c2 = iv_log2_ratio(box(Fraction(1, 2), Fraction(1, 2)))
     assert c2.contains(0)  # log2(1) = 0 exactly
+
+
+def test_polyval_matches_exact_values():
+    # 2 - 3x + x^3 at x in [-1/2, 1/3]: Horner ((x) x - 3) x + 2 on the box
+    ci = iv_polyval((2, -3, 0, 1), box(Fraction(-1, 2), Fraction(1, 3)))
+    for v in (Fraction(-1, 2), Fraction(0), Fraction(1, 3)):
+        assert ci.contains(2 - 3 * v + v**3)
+    point = iv_polyval((Fraction(2), Fraction(-3), Fraction(0), Fraction(1)), box(Fraction(1, 3), Fraction(1, 3)))
+    assert point.lo == point.hi == 2 - 1 + Fraction(1, 27)
+    assert iv_polyval((5,), box(-1, 1)) == box(5, 5)
+
+
+@pytest.mark.parametrize("coeffs", [(Fraction(1, 2), 1), (1, 0.25), ()])
+def test_polyval_rejects_non_integral_or_empty_coefficients(coeffs):
+    with pytest.raises(ValueError):
+        iv_polyval(coeffs, box(0, 1))

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from mgms.intervals import CertifiedInterval
+from mgms.analytics import solve_p
+from mgms.intervals import CertifiedInterval, iv_polyval
 from mgms.polynomials import entropy_poly, entropy_poly_closed_form
 
 
@@ -96,6 +97,55 @@ def test_evaluation_type_dispatch():
     assert abs(poly.evaluate(0.5) - float(exact)) < 1e-15
     box = poly.evaluate(CertifiedInterval(Fraction(1, 2), Fraction(1, 2)))
     assert box.contains(exact)
+
+
+def object_horner(coeffs, x):
+    """Oracle: Horner one CertifiedInterval operation at a time, Fractions normalised each step."""
+    acc = coeffs[-1] * 1
+    for c in reversed(coeffs[:-1]):
+        acc = acc * x + c
+    return acc if isinstance(acc, CertifiedInterval) else CertifiedInterval.point(acc)
+
+
+def float_horner(coeffs, x: float) -> float:
+    acc = float(coeffs[-1])
+    for c in reversed(coeffs[:-1]):
+        acc = acc * x + float(c)
+    return acc
+
+
+ORACLE_POINTS = {
+    "p": solve_p,
+    "straddles_zero": lambda: CertifiedInterval(Fraction(-3, 7), Fraction(5, 11)),
+    "negative": lambda: CertifiedInterval(Fraction(-13, 9), Fraction(-2, 3)),
+    "point": lambda: CertifiedInterval.point(Fraction(7, 12)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_POINTS))
+def test_iv_polyval_equals_object_horner(name):
+    # the integer-numerator Horner yields the same rationals, endpoint for endpoint
+    x = ORACLE_POINTS[name]()
+    for k in range(41):
+        poly = entropy_poly(k)
+        for coeffs, via_method in ((poly.coeffs, poly.evaluate),
+                                   (poly.derivative_coeffs, poly.evaluate_derivative)):
+            ref = object_horner(coeffs, x)
+            fast = iv_polyval(coeffs, x)
+            assert (fast.lo, fast.hi) == (ref.lo, ref.hi), (name, k)
+            got = via_method(x)
+            if len(coeffs) > 1:
+                assert (got.lo, got.hi) == (ref.lo, ref.hi), (name, k)
+            else:  # degree 0 returns the constant itself, as it always has
+                assert got == coeffs[0]
+
+
+@pytest.mark.parametrize("x", [0.3, 0.5683, -1.25])
+def test_float_evaluation_is_plain_horner(x):
+    for k in range(41):
+        poly = entropy_poly(k)
+        assert poly.evaluate(x) == float_horner(poly.coeffs, x)
+        assert poly.evaluate_derivative(x) == float_horner(poly.derivative_coeffs, x)
 
 
 def test_negative_index_rejected():
