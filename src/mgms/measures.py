@@ -16,8 +16,16 @@ around n ~ 1300.
 Sampling is deterministic: every symbol is a pure function of
 (seed, trial, chain index, position along the chain), so words extend
 monotonically in n and chain-parallel evaluation is schedule-independent.
-The vectorized batch sampler is bit-for-bit identical to the scalar
-per-chain walk (tests pin this).
+
+The batch path works on uint8 matrices of sampled symbols.
+`sample_bits_batch` draws position i 2^t of every chain J(i) at once,
+one level t at a time, through strided column slices; it is bit-for-bit
+identical to the scalar per-chain walk of `sample_point`.
+`logprob_prefix_grid` is the one vectorized log-mass kernel: a single
+gather from a per-block cost table, then a cumulative sum, so every
+prefix length of a grid costs one pass.  The scalar walks
+(`markov_cylinder_logprob`, `pdelta_logprob`) stay as the readable
+definitions that tests and benchmark checks compare against.
 """
 
 from __future__ import annotations
@@ -36,7 +44,6 @@ from .core import (
     block_of,
     chain_length,
     is_multiplicative_prefix,
-    restrict_to_chain,
 )
 from .intervals import CertifiedInterval
 from .rng import RandomStream, uniform_grid
@@ -49,7 +56,6 @@ __all__ = [
     "markov_cylinder_logprob",
     "pmu_logprob",
     "pdelta_logprob",
-    "pdelta_logprob_level_indexed",
     "pmu_identity_gap",
     "sample_chain",
     "sample_point",
@@ -226,30 +232,6 @@ def pdelta_logprob(assign: BlockAssignment, u: BinaryWord) -> LogProb:
     return total
 
 
-def pdelta_logprob_level_indexed(assign: BlockAssignment, u: BinaryWord) -> LogProb:
-    """Diagnostic: the literal level-indexed product (not Kolmogorov-consistent).
-
-    With 2^(l-1) < n <= 2^l, a chain of length k (odd i in (n/2^k, n/2^(k-1)])
-    gets parameter index l - k.  The index of a fixed chain changes as n
-    grows across block boundaries, which breaks P[u] = P[u0] + P[u1] there,
-    and when n is an exact power of two the k <= l products miss chain i=1
-    entirely.  Kept only to exhibit the difference from `pdelta_logprob`.
-    """
-    n = len(u)
-    if n == 0:
-        return LogProb.one()
-    level = (n - 1).bit_length()  # l with 2^(l-1) < n <= 2^l  (l=0 for n=1)
-    total = LogProb.one()
-    for k in range(1, level + 1):
-        lo, hi = n >> k, n >> (k - 1)  # floor(n/2^k) < i <= floor(n/2^(k-1)) picks the odds
-        for i in range(lo + 1 + (lo % 2 == 1), hi + 1, 2):
-            params = MarkovParams(assign.param(level - k))
-            total = total + markov_cylinder_logprob(params, restrict_to_chain(u, i))
-            if total.is_zero:
-                return total
-    return total
-
-
 def pmu_identity_gap(u: BinaryWord, p: Optional[float] = None) -> float:
     """Gap in the half-word zero-count identity for even admissible words.
 
@@ -323,42 +305,17 @@ def sample_point(assign: BlockAssignment, n: int, seed: int) -> SampledPoint:
 
 
 @lru_cache(maxsize=4)
-def _position_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Odd part and dyadic block of every position 1..n (index 0 unused)."""
-    m = np.arange(n + 1, dtype=np.int64)
-    low = m & -m
-    odd = np.ones(n + 1, dtype=np.int64)
-    odd[1:] = m[1:] // low[1:]
-    block = np.zeros(n + 1, dtype=np.int64)
-    block[1:] = np.frexp(odd[1:].astype(np.float64))[1] - 1
-    odd.flags.writeable = False
-    block.flags.writeable = False
-    return odd, block
+def _block_table(n: int) -> np.ndarray:
+    """Dyadic block floor(log2 i) of the chain J(i) through each position 0..n.
 
-
-def _walk_costs(assign: BlockAssignment, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-position log2 cost and forbidden-pair indicator for a bits batch.
-
-    The cost of position m never depends on the prefix length (the chain
-    walk is Kolmogorov-consistent), so prefix log-masses are cumulative
-    sums of this vector.
+    i is the odd part of the position; entry 0 is unused (0).  Blocks are
+    below 64, so uint8 holds them and 4 * block + 3 as well.
     """
-    n_max = bits.shape[1] - 1
-    _, block = _position_tables(n_max)
-    params = assign.params_for_blocks(int(block[1:].max()) if n_max else 0)
-    log_r = np.log2(params)
-    log_q = np.log2(1.0 - params)
-    x = bits[:, 1:]
-    lb = block[1:]
-    m = np.arange(1, n_max + 1)
-    has_pred = m % 2 == 0
-    pred = np.where(has_pred, m // 2, 0)
-    forced = np.zeros(bits.shape, dtype=bool)[:, 1:]
-    forced[:, has_pred] = bits[:, pred[has_pred]] == 1
-    cost = np.where(x == 1, log_q[lb][None, :], log_r[lb][None, :])
-    cost[forced] = 0.0
-    forbidden = forced & (x == 1)
-    return cost, forbidden
+    m = np.arange(1, n + 1, dtype=np.int64)
+    block = np.zeros(n + 1, dtype=np.uint8)
+    block[1:] = np.frexp((m // (m & -m)).astype(np.float64))[1] - 1
+    block.flags.writeable = False
+    return block
 
 
 def logprob_prefix_grid(
@@ -366,18 +323,41 @@ def logprob_prefix_grid(
 ) -> np.ndarray:
     """log2 measure mass at several prefix lengths in one pass.
 
-    Returns shape (rows, len(n_list)); -inf rows mark forbidden pairs
-    inside the corresponding prefix.
+    Vectorizes the per-chain Markov walk: position m in block b costs
+    log2(1-p_b) for a 1 and log2 p_b for a 0, except that a 0 forced by a 1
+    at its chain predecessor m/2 costs nothing.  That cost never depends on
+    the prefix length (the walk is Kolmogorov-consistent), so prefix
+    log-masses are cumulative sums of one cost vector.  `bits` holds 0/1
+    symbols in columns 1..n, as sample_bits_batch returns them.
+
+    Returns shape (rows, len(n_list)); -inf marks a prefix that contains a
+    forbidden pair x_{m/2} = x_m = 1.
     """
     ns = [int(n) for n in n_list]
-    if not ns or min(ns) < 1 or max(ns) > bits.shape[1] - 1:
+    n_max = bits.shape[1] - 1
+    if not ns or min(ns) < 1 or max(ns) > n_max:
         raise ValueError("grid outside the sampled range")
-    cost, forbidden = _walk_costs(assign, bits)
-    cums = np.cumsum(cost, axis=1)
-    bad = np.cumsum(forbidden, axis=1) > 0
-    idx = np.array(ns) - 1
-    out = cums[:, idx].astype(np.float64)
-    out[bad[:, idx]] = -np.inf
+    block = _block_table(n_max)[1:]
+    params = assign.params_for_blocks(int(block.max()))
+    # cost of x_m in block b sits at 4b + 2 x_{m/2} + x_m (x_{m/2} = 0 at odd m);
+    # a 1 at the predecessor forces x_m, which then costs 0 (a forced 1 is flagged below)
+    table = np.zeros(4 * len(params))
+    table[0::4] = np.log2(params)
+    table[1::4] = np.log2(1.0 - params)
+    x = bits[:, 1:].astype(np.uint8, copy=False)  # no copy for sampled bits
+    half = n_max // 2
+    idx = 4 * block + x
+    idx[:, 1::2] += 2 * x[:, :half]  # column 2j-1 is position 2j, its predecessor j is column j-1
+    cost = table[idx.astype(np.intp)]
+    np.cumsum(cost, axis=1, out=cost)
+    first_bad = np.full(len(x), n_max + 1)  # position of each row's first forbidden pair
+    if half:
+        forbidden = x[:, :half] & x[:, 1::2]
+        hit = forbidden.any(axis=1)
+        first_bad[hit] = 2 * forbidden[hit].argmax(axis=1) + 2
+    grid = np.array(ns)
+    out = cost[:, grid - 1]
+    out[first_bad[:, None] <= grid] = -np.inf
     return out
 
 
@@ -389,27 +369,26 @@ def sample_bits_batch(
     Returns a uint8 array of shape (len(trials), n+1); column m holds
     symbol x_m (column 0 is padding).  Row t reproduces the scalar
     sample_point word when trials[t] = 0, and more generally the chain
-    walk with streams (seed, trials[t], i).
+    walk with streams (seed, trials[t], i).  Level t draws the positions
+    i 2^t of the chains with i <= n / 2^t, which are the columns
+    step::2*step with step = 2^t; their chain predecessors i 2^(t-1) are
+    the columns step/2::step.  The chains of a level are a prefix of the
+    chains of level 0, and so are their parameters.
     """
     if n < 1:
         raise ValueError(f"prefix length must be >= 1, got {n}")
     trials = np.asarray(trials, dtype=np.uint64)
-    _, block = _position_tables(n)
-    params = assign.params_for_blocks(int(block.max()))
-    one_prob = 1.0 - params  # per block
+    odds = np.arange(1, n + 1, 2, dtype=np.int64)
+    block = _block_table(n)[1::2]  # the block of chain i = 2j+1 at index j
+    one_prob = (1.0 - assign.params_for_blocks(int(block.max())))[block]
     bits = np.zeros((len(trials), n + 1), dtype=np.uint8)
-    t = 0
-    while (1 << t) <= n:
-        odds = np.arange(1, (n >> t) + 1, 2, dtype=np.int64)
-        pos = odds << t
-        u = uniform_grid(seed, trials, odds, t)
-        pone = one_prob[block[pos]][None, :]
-        draw = (u < pone).astype(np.uint8)
-        if t == 0:
-            bits[:, pos] = draw
-        else:
-            bits[:, pos] = draw & (1 - bits[:, pos >> 1])
-        t += 1
+    for t in range(int(n).bit_length()):
+        step = 1 << t
+        c = ((n >> t) + 1) // 2  # chains reaching level t
+        draw = uniform_grid(seed, trials, odds[:c], t) < one_prob[:c]
+        if t:  # a 1 at the chain predecessor forces a 0
+            draw &= bits[:, step >> 1 :: step][:, :c] == 0
+        bits[:, step :: 2 * step] = draw
     return bits
 
 

@@ -40,7 +40,11 @@ class EntropyPolynomial:
 
     @property
     def derivative_coeffs(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(j) * c for j, c in enumerate(self.coeffs))[1:] or (Fraction(0),)
+        # integer coefficients (as the recurrence makes them) give j * c without a gcd
+        if any(c.denominator != 1 for c in self.coeffs):
+            raise ValueError(f"F_{self.index} has a non-integral coefficient")
+        out = tuple(Fraction(j * c.numerator) for j, c in enumerate(self.coeffs[1:], 1))
+        return out or (Fraction(0),)
 
     def evaluate_derivative(self, x):
         return _horner(self.derivative_coeffs, x)

@@ -80,14 +80,14 @@ _NP_MIX2 = _U(_MIX2)
 
 
 def _np_mix64(z: np.ndarray) -> np.ndarray:
-    z = z + _NP_GOLDEN
-    z = (z ^ (z >> _U(30))) * _NP_MIX1
-    z = (z ^ (z >> _U(27))) * _NP_MIX2
-    return z ^ (z >> _U(31))
-
-
-def _np_fold(h: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return _np_mix64(h ^ (v * _NP_SPREAD))
+    """SplitMix64 finalizer in place on a uint64 array; returns z."""
+    z += _NP_GOLDEN
+    z ^= z >> _U(30)
+    z *= _NP_MIX1
+    z ^= z >> _U(27)
+    z *= _NP_MIX2
+    z ^= z >> _U(31)
+    return z
 
 
 def uniform_grid(seed: int, trials: np.ndarray, chains: np.ndarray, pos: int) -> np.ndarray:
@@ -95,9 +95,19 @@ def uniform_grid(seed: int, trials: np.ndarray, chains: np.ndarray, pos: int) ->
 
     Returns an array of shape (len(trials), len(chains)) whose (a, b)
     entry equals RandomStream(seed, trials[a], chains[b]).uniform(pos).
+    The folds run in place on arrays allocated here; the caller's
+    `trials` and `chains` are never written.
     """
     h0 = fold(0, seed & _MASK)  # scalar folds in exact Python ints
-    ht = _np_fold(np.full(len(trials), h0, dtype=_U), trials.astype(_U))  # (T,)
-    hc = _np_fold(ht[:, None], chains.astype(_U)[None, :])                # (T, C)
-    hp = _np_fold(hc, np.full(hc.shape, pos, dtype=_U))
-    return (hp >> _U(11)).astype(np.float64) * 2.0**-53
+    ht = trials.astype(_U)  # a fresh copy, mixed in place
+    ht *= _NP_SPREAD
+    ht ^= _U(h0)
+    _np_mix64(ht)  # (T,)
+    hc = ht[:, None] ^ (chains.astype(_U) * _NP_SPREAD)[None, :]
+    _np_mix64(hc)  # (T, C)
+    hc ^= _U((int(pos) * _SPREAD) & _MASK)  # the position fold in Python ints: no overflow warning
+    _np_mix64(hc)
+    hc >>= _U(11)
+    u = hc.astype(np.float64)
+    u *= 2.0**-53
+    return u

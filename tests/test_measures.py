@@ -1,5 +1,6 @@
 """Measures: Markov cylinder masses, chain products, perturbation, sampling."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -24,16 +25,108 @@ from mgms.measures import (
     logprob_prefix_grid,
     markov_cylinder_logprob,
     pdelta_logprob,
-    pdelta_logprob_level_indexed,
     pmu_identity_gap,
     pmu_logprob,
     sample_bits_batch,
     sample_chain,
     sample_point,
 )
-from mgms.rng import RandomStream
+from mgms.experiments import DEFAULT_N_GRID
+from mgms.rng import RandomStream, uniform_grid
 
 from conftest import word
+
+
+def pdelta_logprob_level_indexed(assign: BlockAssignment, u: BinaryWord) -> LogProb:
+    """The literal level-indexed product (not Kolmogorov-consistent).
+
+    With 2^(l-1) < n <= 2^l, a chain of length k (odd i in (n/2^k, n/2^(k-1)])
+    gets parameter index l - k.  The index of a fixed chain changes as n
+    grows across block boundaries, which breaks P[u] = P[u0] + P[u1] there,
+    and when n is an exact power of two the k <= l products miss chain i=1
+    entirely.  Kept only to exhibit the difference from `pdelta_logprob`.
+    """
+    n = len(u)
+    if n == 0:
+        return LogProb.one()
+    level = (n - 1).bit_length()  # l with 2^(l-1) < n <= 2^l  (l=0 for n=1)
+    total = LogProb.one()
+    for k in range(1, level + 1):
+        lo, hi = n >> k, n >> (k - 1)  # floor(n/2^k) < i <= floor(n/2^(k-1)) picks the odds
+        for i in range(lo + 1 + (lo % 2 == 1), hi + 1, 2):
+            params = MarkovParams(assign.param(level - k))
+            total = total + markov_cylinder_logprob(params, restrict_to_chain(u, i))
+            if total.is_zero:
+                return total
+    return total
+
+
+# Fancy-index forms of the batch sampler and the log-mass grid, kept as
+# oracles: sample_bits_batch and logprob_prefix_grid must equal them bit for bit.
+
+
+def _reference_blocks(n: int) -> np.ndarray:
+    m = np.arange(n + 1, dtype=np.int64)
+    low = m & -m
+    odd = np.ones(n + 1, dtype=np.int64)
+    odd[1:] = m[1:] // low[1:]
+    block = np.zeros(n + 1, dtype=np.int64)
+    block[1:] = np.frexp(odd[1:].astype(np.float64))[1] - 1
+    return block
+
+
+def reference_sample_bits_batch(assign, n, seed, trials):
+    trials = np.asarray(trials, dtype=np.uint64)
+    block = _reference_blocks(n)
+    one_prob = 1.0 - assign.params_for_blocks(int(block.max()))
+    bits = np.zeros((len(trials), n + 1), dtype=np.uint8)
+    t = 0
+    while (1 << t) <= n:
+        odds = np.arange(1, (n >> t) + 1, 2, dtype=np.int64)
+        pos = odds << t
+        u = uniform_grid(seed, trials, odds, t)
+        draw = (u < one_prob[block[pos]][None, :]).astype(np.uint8)
+        if t == 0:
+            bits[:, pos] = draw
+        else:
+            bits[:, pos] = draw & (1 - bits[:, pos >> 1])
+        t += 1
+    return bits
+
+
+def reference_logprob_prefix_grid(assign, bits, n_list):
+    n_max = bits.shape[1] - 1
+    block = _reference_blocks(n_max)
+    params = assign.params_for_blocks(int(block[1:].max()))
+    log_r = np.log2(params)
+    log_q = np.log2(1.0 - params)
+    x = bits[:, 1:]
+    lb = block[1:]
+    m = np.arange(1, n_max + 1)
+    has_pred = m % 2 == 0
+    pred = np.where(has_pred, m // 2, 0)
+    forced = np.zeros(bits.shape, dtype=bool)[:, 1:]
+    forced[:, has_pred] = bits[:, pred[has_pred]] == 1
+    cost = np.where(x == 1, log_q[lb][None, :], log_r[lb][None, :])
+    cost[forced] = 0.0
+    forbidden = forced & (x == 1)
+    cums = np.cumsum(cost, axis=1)
+    bad = np.cumsum(forbidden, axis=1) > 0
+    idx = np.array([int(n) for n in n_list]) - 1
+    out = cums[:, idx].astype(np.float64)
+    out[bad[:, idx]] = -np.inf
+    return out
+
+
+def _sloped(b: int) -> float:
+    return 0.4 if b == 0 else 0.4 + 0.2 / (b + 1)
+
+
+ORACLE_MEASURES = [
+    BlockAssignment(0.0),
+    BlockAssignment(0.05),
+    BlockAssignment(0.03, param_fn=_sloped),
+]
 
 
 class TestLogProb:
@@ -356,3 +449,50 @@ class TestSampling:
         mean = n0.mean()
         se = n0.std(ddof=1) / math.sqrt(trials)
         assert abs(mean - expected_zero_count_prefix(n)) <= 3 * se
+
+
+class TestBatchKernels:
+    @pytest.mark.parametrize("assign", ORACLE_MEASURES, ids=["mu", "delta", "param_fn"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 33, 1000, 1001])
+    def test_prefix_grid_equals_reference(self, assign, n):
+        rng = np.random.default_rng(n)
+        bits = np.zeros((8, n + 1), dtype=np.uint8)
+        bits[1, 1:] = 1  # forbidden pair at m = 2
+        bits[2:5, 1:] = rng.random((3, n)) < 0.15
+        bits[5:, 1:] = rng.random((3, n)) < 0.5
+        grids = [[1], [n], sorted({1, max(1, n // 3), max(1, n // 2), n})]
+        for grid in grids:
+            got = logprob_prefix_grid(assign, bits, grid)
+            assert np.array_equal(got, reference_logprob_prefix_grid(assign, bits, grid))
+            assert np.array_equal(logprob_prefix_grid(assign, bits.astype(bool), grid), got)
+        assert np.isfinite(got[0]).all()
+        assert np.isneginf(got[1, -1]) == (n >= 2)
+
+    @pytest.mark.parametrize("assign", ORACLE_MEASURES, ids=["mu", "delta", "param_fn"])
+    @pytest.mark.parametrize("n", [1, 2, 255, 1024])
+    @pytest.mark.parametrize("trials", [1, 7, 4096])
+    def test_sampler_equals_reference(self, assign, n, trials):
+        idx = np.arange(trials) + 3
+        got = sample_bits_batch(assign, n, 17, idx)
+        assert np.array_equal(got, reference_sample_bits_batch(assign, n, 17, idx))
+
+    # sha256 of the 2^20-symbol trajectories and their log-mass grids, as
+    # computed by the fancy-index kernels: (delta, seed, bits, grid)
+    FROZEN = [
+        (0.05, 0, "b0b64218c7ed5b93090903e21e51194aba91f34448ccd38b234228d762f18360",
+         "5158d23c484a52256fc8b3dd04fd0f01ce625f9e859c4a38b8af1287088ad539"),
+        (0.05, 1, "4b5f0c87930eb7a7c7f8d09875c4f276c939ff1579221dca9e5b562279367590",
+         "d5d0cbdb767bb6eaae23a9716843d62a814f2f03c14844a98182ec2862ffc30f"),
+        (0.0, 0, "8e34108ef5ceabe36b7b08d3721926dce42d1b027d33bff405cf21503c0766f6",
+         "f42c28d8b3aa360d56bb6133ba2727c79a8407f97e04a12bd133698a3acda1bd"),
+        (0.0, 1, "9c983c1d2de8de45763d666733cbb67e9d7543dcb058feadab61e5d816e4137f",
+         "1eb9a867a66b8edb30db6c9e110c429c2c07a3e77a88c05037c4745a60d43d78"),
+    ]
+
+    @pytest.mark.parametrize("delta, seed, bits_sha, grid_sha", FROZEN)
+    def test_trajectory_digests_are_frozen(self, delta, seed, bits_sha, grid_sha):
+        a = BlockAssignment(delta)
+        bits = sample_bits_batch(a, 2**20, seed, [0])
+        assert hashlib.sha256(bits.tobytes()).hexdigest() == bits_sha
+        grid = logprob_prefix_grid(a, bits, DEFAULT_N_GRID)
+        assert hashlib.sha256(grid.tobytes()).hexdigest() == grid_sha

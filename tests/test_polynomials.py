@@ -7,7 +7,7 @@ import sympy
 
 from mgms.analytics import solve_p
 from mgms.intervals import CertifiedInterval, iv_polyval
-from mgms.polynomials import entropy_poly, entropy_poly_closed_form
+from mgms.polynomials import EntropyPolynomial, entropy_poly, entropy_poly_closed_form
 
 
 def sympy_family(kmax: int):
@@ -88,6 +88,15 @@ def test_derivative_matches_sympy():
             [sympy.Rational(c) for c in reversed(poly.derivative_coeffs)], x
         ).as_expr()
         assert sympy.expand(ours - dexpr) == 0
+
+
+def test_derivative_coefficients_are_j_times_c():
+    for k in range(122):
+        coeffs = entropy_poly(k).coeffs
+        expect = tuple(Fraction(j) * c for j, c in enumerate(coeffs))[1:] or (Fraction(0),)
+        assert entropy_poly(k).derivative_coeffs == expect
+    with pytest.raises(ValueError):
+        EntropyPolynomial(2, (Fraction(1), Fraction(1, 2), Fraction(1))).derivative_coeffs
 
 
 def test_evaluation_type_dispatch():

@@ -1,5 +1,7 @@
 """Counter-based stream: determinism, scalar/vector agreement, stability."""
 
+import warnings
+
 import numpy as np
 
 from mgms.rng import RandomStream, key_of, mix64, uniform_grid, unit_double, fold
@@ -28,7 +30,7 @@ def test_substream_matches_flat_key():
 def test_vector_grid_matches_scalar():
     trials = np.array([0, 1, 17], dtype=np.uint64)
     chains = np.array([1, 3, 999], dtype=np.int64)
-    for pos in (0, 5):
+    for pos in (0, 5, 2**40 + 3):
         grid = uniform_grid(42, trials, chains, pos)
         for a, tr in enumerate(trials):
             for b, ch in enumerate(chains):
@@ -46,3 +48,14 @@ def test_stream_values_are_frozen():
 def test_key_of_composes_folds():
     assert key_of(4, 5, 6) == fold(fold(fold(0, 4), 5), 6)
     assert unit_double(2**64 - 1) < 1.0
+
+
+def test_grid_leaves_its_inputs_alone_and_warns_nothing():
+    trials = np.array([0, 5, 2**63 + 1], dtype=np.uint64)
+    chains = np.array([1, 7, 2**40 + 1], dtype=np.uint64)
+    before = (trials.copy(), chains.copy())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grid = uniform_grid(2026, trials, chains, 2**40 + 3)
+    assert np.array_equal(trials, before[0]) and np.array_equal(chains, before[1])
+    assert grid[1, 2] == RandomStream(2026, 5, 2**40 + 1).uniform(2**40 + 3)
