@@ -18,12 +18,12 @@ Sampling is deterministic: every symbol is a pure function of
 monotonically in n and chain-parallel evaluation is schedule-independent.
 
 The batch path works on uint8 matrices of sampled symbols.
-`sample_bits_batch` draws position i 2^t of every chain J(i) at once,
-one level t at a time, through strided column slices; it is bit-for-bit
-identical to the scalar per-chain walk of `sample_point`.
-`logprob_prefix_grid` is the one vectorized log-mass kernel: a single
-gather from a per-block cost table, then a cumulative sum, so every
-prefix length of a grid costs one pass.  The scalar walks
+`sample_bits_batch` draws position i 2^t of the chains J(i), one level t
+at a time, through strided column slices, bit-for-bit as the scalar walk
+of `sample_point`.  `logprob_prefix_grid` is the one vectorized log-mass
+kernel: a gather from a per-block cost table, then a cumulative sum.  Both
+work in blocks of at most `_CHUNK` cells, so temporaries stay in cache
+whatever n is.  The scalar walks
 (`markov_cylinder_logprob`, `pdelta_logprob`) stay as the readable
 definitions that tests and benchmark checks compare against.
 """
@@ -304,6 +304,11 @@ def sample_point(assign: BlockAssignment, n: int, seed: int) -> SampledPoint:
 # -- vectorized twin (experiments engine) ----------------------------------------
 
 
+# Cells per temporary array of the batch kernels (512 KB of float64), so no
+# call allocates and frees megabytes of heap that the next one faults back in.
+_CHUNK = 1 << 16
+
+
 @lru_cache(maxsize=4)
 def _block_table(n: int) -> np.ndarray:
     """Dyadic block floor(log2 i) of the chain J(i) through each position 0..n.
@@ -345,18 +350,29 @@ def logprob_prefix_grid(
     table[0::4] = np.log2(params)
     table[1::4] = np.log2(1.0 - params)
     x = bits[:, 1:].astype(np.uint8, copy=False)  # no copy for sampled bits
-    half = n_max // 2
-    idx = 4 * block + x
-    idx[:, 1::2] += 2 * x[:, :half]  # column 2j-1 is position 2j, its predecessor j is column j-1
-    cost = table[idx.astype(np.intp)]
-    np.cumsum(cost, axis=1, out=cost)
-    first_bad = np.full(len(x), n_max + 1)  # position of each row's first forbidden pair
-    if half:
-        forbidden = x[:, :half] & x[:, 1::2]
-        hit = forbidden.any(axis=1)
-        first_bad[hit] = 2 * forbidden[hit].argmax(axis=1) + 2
+    rows = len(x)
     grid = np.array(ns)
-    out = cost[:, grid - 1]
+    out = np.empty((rows, len(ns)))
+    first_bad = np.full(rows, n_max + 1)  # position of each row's first forbidden pair
+    carry = np.zeros(rows)
+    # columns lo..hi-1 (positions lo+1..hi) at a time; the running sum enters
+    # as the first term, so every prefix sum adds in the same order as one cumsum
+    width = max(256, _CHUNK // max(rows, 1) & ~1)
+    for lo in range(0, n_max, width):
+        hi = min(lo + width, n_max)
+        pred = x[:, lo // 2 : lo // 2 + (hi - lo) // 2]  # x_j for the positions 2j in lo+1..hi
+        idx = 4 * block[lo:hi] + x[:, lo:hi]
+        idx[:, 1::2] += 2 * pred
+        cost = table[idx]
+        cost[:, 0] += carry  # exact: 0.0 + c is c in the first block
+        np.cumsum(cost, axis=1, out=cost)
+        carry = cost[:, -1]
+        bad = pred & x[:, lo + 1 : hi : 2]
+        hit = (first_bad > n_max) & bad.any(axis=1)
+        if hit.any():
+            first_bad[hit] = lo + 2 + 2 * bad[hit].argmax(axis=1)
+        here = (lo < grid) & (grid <= hi)
+        out[:, here] = cost[:, grid[here] - 1 - lo]
     out[first_bad[:, None] <= grid] = -np.inf
     return out
 
@@ -372,23 +388,26 @@ def sample_bits_batch(
     walk with streams (seed, trials[t], i).  Level t draws the positions
     i 2^t of the chains with i <= n / 2^t, which are the columns
     step::2*step with step = 2^t; their chain predecessors i 2^(t-1) are
-    the columns step/2::step.  The chains of a level are a prefix of the
-    chains of level 0, and so are their parameters.
+    the columns step/2::step.  A level is drawn a block of chains at a
+    time, at most _CHUNK cells per draw.
     """
     if n < 1:
         raise ValueError(f"prefix length must be >= 1, got {n}")
     trials = np.asarray(trials, dtype=np.uint64)
-    odds = np.arange(1, n + 1, 2, dtype=np.int64)
     block = _block_table(n)[1::2]  # the block of chain i = 2j+1 at index j
-    one_prob = (1.0 - assign.params_for_blocks(int(block.max())))[block]
+    one_prob = 1.0 - assign.params_for_blocks(int(block.max()))  # per block
     bits = np.zeros((len(trials), n + 1), dtype=np.uint8)
+    width = max(1, _CHUNK // max(len(trials), 1))  # chains per draw
     for t in range(int(n).bit_length()):
         step = 1 << t
-        c = ((n >> t) + 1) // 2  # chains reaching level t
-        draw = uniform_grid(seed, trials, odds[:c], t) < one_prob[:c]
-        if t:  # a 1 at the chain predecessor forces a 0
-            draw &= bits[:, step >> 1 :: step][:, :c] == 0
-        bits[:, step :: 2 * step] = draw
+        level = bits[:, step :: 2 * step]  # one column per chain reaching level t
+        pred = bits[:, step >> 1 :: step]
+        for a in range(0, level.shape[1], width):
+            b = min(a + width, level.shape[1])
+            draw = uniform_grid(seed, trials, np.arange(2 * a + 1, 2 * b, 2), t) < one_prob[block[a:b]]
+            if t:  # a 1 at the chain predecessor forces a 0
+                draw &= pred[:, a:b] == 0
+            level[:, a:b] = draw
     return bits
 
 

@@ -31,6 +31,7 @@ from mgms.measures import (
     sample_chain,
     sample_point,
 )
+from mgms import measures
 from mgms.experiments import DEFAULT_N_GRID
 from mgms.rng import RandomStream, uniform_grid
 
@@ -475,6 +476,26 @@ class TestBatchKernels:
         idx = np.arange(trials) + 3
         got = sample_bits_batch(assign, n, 17, idx)
         assert np.array_equal(got, reference_sample_bits_batch(assign, n, 17, idx))
+
+    @pytest.mark.parametrize("assign", ORACLE_MEASURES, ids=["mu", "delta", "param_fn"])
+    @pytest.mark.parametrize("n", [1000, 1001])
+    def test_blocked_kernels_equal_reference(self, assign, n, monkeypatch):
+        # a small block size splits both kernels into several blocks per call
+        monkeypatch.setattr(measures, "_CHUNK", 64)
+        rng = np.random.default_rng(n)
+        bits = np.zeros((8, n + 1), dtype=np.uint8)
+        bits[1, [128, 256]] = 1  # first forbidden pair ends a block (positions 1..256)
+        bits[2, [129, 258]] = 1  # ... or sits in the second one
+        bits[3, [300, 600]] = 1  # ... or in the third
+        bits[4:, 1:] = rng.random((4, n)) < 0.15
+        grid = [1, 255, 256, 257, 511, 512, 600, n - 1, n]
+        got = logprob_prefix_grid(assign, bits, grid)
+        assert np.array_equal(got, reference_logprob_prefix_grid(assign, bits, grid))
+        assert np.isneginf(got[1]).tolist() == [g >= 256 for g in grid]
+        assert np.isneginf(got[3]).tolist() == [g >= 600 for g in grid]
+        idx = np.arange(7) + 3
+        assert np.array_equal(sample_bits_batch(assign, n, 17, idx),
+                              reference_sample_bits_batch(assign, n, 17, idx))
 
     # sha256 of the 2^20-symbol trajectories and their log-mass grids, as
     # computed by the fancy-index kernels: (delta, seed, bits, grid)
