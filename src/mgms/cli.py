@@ -48,7 +48,7 @@ from .experiments import (
     upper_bound_telescoping,
     zero_count_deviation_check,
 )
-from .measures import BlockAssignment, MarkovParams, markov_cylinder_logprob, pdelta_logprob
+from .measures import BlockAssignment, LogProb, MarkovParams, markov_cylinder_logprob
 from .intervals import CertifiedInterval
 
 EXPERIMENT_KINDS = ("density", "lower", "telescope", "hoeffding", "ldev2", "cover", "boxdim")
@@ -190,13 +190,14 @@ def cmd_measure(args) -> int:
         label = f"golden Markov measure, r = {params.r}"
     else:
         assign = _checked(BlockAssignment, delta=args.pdelta if args.pdelta is not None else 0.0)
-        lp = pdelta_logprob(assign, u)
+        lp = LogProb.one()
         breakdown = []
         for i in range(1, len(u) + 1, 2):
             rest = restrict_to_chain(u, i)
             b = block_of(i)
             r = assign.param(b)
             part = markov_cylinder_logprob(MarkovParams(r), rest)
+            lp = lp + part  # the chain-order sum pdelta_logprob forms
             breakdown.append({
                 "i": i,
                 "restriction": str(rest),

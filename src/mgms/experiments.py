@@ -28,7 +28,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -51,7 +51,6 @@ from .measures import (
     BlockAssignment,
     MarkovParams,
     markov_cylinder_logprob,
-    logprob_from_bits,
     logprob_prefix_grid,
     sample_bits_batch,
     zero_count_from_bits,
@@ -355,24 +354,8 @@ def lower_bound_trajectory(
     verdict = report.verdict if not reason else Verdict.INCONCLUSIVE
     config = dict(report.config)
     config.update({"experiment": "lower", "delta": delta, "c": c})
-    return TrajectoryReport(
-        experiment="lower",
-        n_grid=report.n_grid,
-        seeds=report.seeds,
-        measure=report.measure,
-        gauge=report.gauge,
-        series=report.series,
-        medians=report.medians,
-        q1=report.q1,
-        q3=report.q3,
-        verdict=verdict,
-        slope=report.slope,
-        slope_ci=report.slope_ci,
-        verdict_floor=verdict_floor,
-        monotone_beyond_floor=report.monotone_beyond_floor,
-        config=config,
-        inconclusive_reason=reason,
-    )
+    return replace(report, experiment="lower", verdict=verdict, config=config,
+                   inconclusive_reason=reason)
 
 
 # -- telescoping upper-bound diagnostic ------------------------------------------
@@ -465,6 +448,8 @@ def upper_bound_telescoping(
     n0[0] = float(zero_count_from_bits(bits, 1)[0])
 
     gauge = Gauge.psi_g(g, label=g_label)
+    # log-masses at n = 4..2^ell (gauge domain; j = 1 is covered by the closed form)
+    lps = logprob_prefix_grid(measure, bits, [2**j for j in range(2, ell_max + 1)])[0]
     b = []
     direct_gaps = []
     for j in range(1, ell_max + 1):
@@ -473,9 +458,8 @@ def upper_bound_telescoping(
         if gj <= 0:
             raise ValueError(f"g({j}) must be positive, got {gj}")
         b.append((s / 2.0) * (n0[j] / 2**j - n0[j - 1] / 2 ** (j - 1)) + 1.0 / (ln2 * gj))
-        if nj >= 4:  # gauge domain; the j = 1 increment is covered by the closed form
-            lp = logprob_from_bits(measure, bits, nj)[0]
-            direct_gaps.append(abs(b[-1] - (lp - gauge_log2(gauge, nj)) / nj))
+        if j >= 2:
+            direct_gaps.append(abs(b[-1] - (lps[j - 2] - gauge_log2(gauge, nj)) / nj))
     partials = np.cumsum(b)
     closed = []
     inv_g = []
@@ -646,19 +630,18 @@ class CenteredChainLogMass:
 
     def sample_sums(self, seed: int, trials: np.ndarray, n: int) -> np.ndarray:
         """Sum of n independent centered log-masses per trial."""
-        log_r, log_q = math.log2(self.r), math.log2(1.0 - self.r)
+        # cost of a symbol at 2 prev + sym: free 0, free 1, 0 forced by a 1
+        table = np.array([math.log2(self.r), math.log2(1.0 - self.r), 0.0])
         one_prob = 1.0 - self.r
         out = np.zeros(len(trials), dtype=np.float64)
         for start in range(0, n, 2048):
             cols = np.arange(start, min(n, start + 2048), dtype=np.int64)
             mass = np.zeros((len(trials), len(cols)), dtype=np.float64)
-            prev = np.zeros((len(trials), len(cols)), dtype=bool)
+            prev = np.zeros((len(trials), len(cols)), dtype=np.uint8)
             for t in range(self.k):
-                u = uniform_grid(seed, trials, cols, t)
-                one = (~prev) & (u < one_prob)
-                zero_free = (~prev) & ~one
-                mass += np.where(one, log_q, np.where(zero_free, log_r, 0.0))
-                prev = one
+                one = (uniform_grid(seed, trials, cols, t) < one_prob) & (prev == 0)
+                mass += table[2 * prev + one]
+                prev = one.view(np.uint8)
             out += (mass + self.entropy).sum(axis=1)
         return out
 

@@ -209,10 +209,6 @@ def iv_log2_int(n: int) -> CertifiedInterval:
     return iv_log2(CertifiedInterval.point(n))
 
 
-def _one_minus(ci: CertifiedInterval) -> CertifiedInterval:
-    return CertifiedInterval(1 - ci.hi, 1 - ci.lo)
-
-
 def iv_entropy_nat(ci: CertifiedInterval) -> CertifiedInterval:
     """Enclosure of -x ln x - (1-x) ln(1-x); requires interval inside (0,1)."""
     if not (0 < ci.lo and ci.hi < 1):

@@ -23,9 +23,10 @@ at a time, through strided column slices, bit-for-bit as the scalar walk
 of `sample_point`.  `logprob_prefix_grid` is the one vectorized log-mass
 kernel: a gather from a per-block cost table, then a cumulative sum.  Both
 work in blocks of at most `_CHUNK` cells, so temporaries stay in cache
-whatever n is.  The scalar walks
-(`markov_cylinder_logprob`, `pdelta_logprob`) stay as the readable
-definitions that tests and benchmark checks compare against.
+whatever n is.  There is one scalar walk, `_walk`, over a list of
+symbols: `markov_cylinder_logprob` runs it on a word and `pdelta_logprob`
+on each chain restriction.  They stay as the readable definitions that
+tests and benchmark checks compare against.
 """
 
 from __future__ import annotations
@@ -60,7 +61,6 @@ __all__ = [
     "sample_chain",
     "sample_point",
     "sample_bits_batch",
-    "logprob_from_bits",
     "logprob_prefix_grid",
     "zero_count_from_bits",
 ]
@@ -124,25 +124,30 @@ class MarkovParams:
         return ((self.r, 1.0 - self.r), (1.0, 0.0))
 
 
+def _walk(r: float, symbols: Sequence[int]) -> float:
+    """log2 golden Markov mass of a list of 0/1 symbols; -inf at a pair 11."""
+    log_r = math.log2(r)
+    log_q = math.log2(1.0 - r)
+    total = 0.0
+    prev = 0
+    for sym in symbols:
+        if prev == 1:
+            if sym == 1:
+                return float("-inf")
+            # forced 0 after a 1: probability one
+        else:
+            total += log_q if sym else log_r
+        prev = sym
+    return total
+
+
 def markov_cylinder_logprob(params: MarkovParams, u: BinaryWord) -> LogProb:
     """log2 of the golden Markov mass of the cylinder [u].
 
     Equivalent closed form: (1-r)^(N1(u)) * r^(N0(u) - N1(u_1..u_{k-1})).
     Words containing 11 get the zero sentinel (legal input, zero mass).
     """
-    log_r = math.log2(params.r)
-    log_q = math.log2(1.0 - params.r)
-    total = 0.0
-    prev = 0
-    for sym in u.array:
-        if prev == 1:
-            if sym == 1:
-                return LogProb.zero()
-            # forced 0 after a 1: probability one
-        else:
-            total += log_q if sym else log_r
-        prev = sym
-    return LogProb(total)
+    return LogProb(_walk(params.r, u.array.tolist()))
 
 
 @dataclass(frozen=True)
@@ -210,26 +215,14 @@ def pdelta_logprob(assign: BlockAssignment, u: BinaryWord) -> LogProb:
     construction (the parameter of a chain never changes as the word grows).
     """
     n = len(u)
-    total = LogProb.one()
-    arr = u.array
+    word = u.array.tolist()
+    total = 0.0
     for i in range(1, n + 1, 2):
-        params = MarkovParams(assign.param(block_of(i)))
-        log_r = math.log2(params.r)
-        log_q = math.log2(1.0 - params.r)
-        acc = 0.0
-        prev = 0
-        m = i
-        while m <= n:
-            sym = arr[m - 1]
-            if prev == 1:
-                if sym == 1:
-                    return LogProb.zero()
-            else:
-                acc += log_q if sym else log_r
-            prev = sym
-            m <<= 1
-        total = total + LogProb(acc)
-    return total
+        chain = [word[(i << t) - 1] for t in range((n // i).bit_length())]  # chain_length(n, i)
+        total += _walk(assign.param(block_of(i)), chain)
+        if total == -math.inf:  # a pair 11: zero mass whatever the later chains hold
+            break
+    return LogProb(total)
 
 
 def pmu_identity_gap(u: BinaryWord, p: Optional[float] = None) -> float:
@@ -409,18 +402,6 @@ def sample_bits_batch(
                 draw &= pred[:, a:b] == 0
             level[:, a:b] = draw
     return bits
-
-
-def logprob_from_bits(assign: BlockAssignment, bits: np.ndarray, n: int) -> np.ndarray:
-    """log2 measure mass of the first n symbols, per row of a bits batch.
-
-    Vectorizes the per-chain Markov walk: position m in block b costs
-    log2(1-p_b) for a 1 and log2 p_b for a 0, except that a 0 forced by a 1
-    at its chain predecessor m/2 costs nothing.  Rows containing a
-    forbidden pair (x_{m/2} = x_m = 1) come back as -inf.  Matches
-    pdelta_logprob on every word.
-    """
-    return logprob_prefix_grid(assign, bits, [n])[:, 0]
 
 
 def zero_count_from_bits(bits: np.ndarray, n: int) -> np.ndarray:

@@ -1,5 +1,6 @@
 """CLI contract: output shapes, exit codes, determinism of report bodies."""
 
+import hashlib
 import json
 import math
 import os
@@ -105,6 +106,21 @@ class TestMeasure:
     def test_malformed_word(self, capsys):
         code, _ = run(capsys, "measure", "--pmu", "01a")
         assert code == 2
+
+    # sha256 of the `measure --pdelta 0.05 <word> --format json` stdout, as
+    # computed when the total and the chain breakdown were two walks
+    FROZEN = [
+        ("0100100010", "1ef09d2851b4146e4552c4a687adae62a1c2fceebd962794214d0d9a797f6b2a"),
+        ("0101", "756f5035ce844c371f84acb51fe3d30c776fb3f6baab9d41407ad3e32efdaa6b"),
+        ("0100100010001001001010000010",
+         "a5f0fe601b6b065293894822a19c873524ce4c34ac2ccf879fa4fee993392c54"),
+    ]
+
+    @pytest.mark.parametrize("word, digest", FROZEN)
+    def test_pdelta_json_is_frozen(self, capsys, word, digest):
+        code, out = run(capsys, "measure", "--pdelta", "0.05", word, "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestExperimentCommand:

@@ -1,12 +1,20 @@
 """Experiment harness: trends, telescoping, deviation bounds, reports."""
 
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
 
-from mgms.analytics import Gauge, dim_minkowski, gauge_log2, s_float, tau_bits_lower_bound
+from mgms.analytics import (
+    Gauge,
+    dim_minkowski,
+    gauge_log2,
+    p_float,
+    s_float,
+    tau_bits_lower_bound,
+)
 from mgms.core import BinaryWord
 from mgms.experiments import (
     CenteredChainLogMass,
@@ -148,6 +156,19 @@ class TestTelescoping:
                 lambda t: t, ell_max=6, seed=0, word=BinaryWord.from_bits([0] * 8)
             )
 
+    # sha256 of json.dumps(to_json_dict(), sort_keys=True), as computed with
+    # one log-mass kernel pass per dyadic scale: (g, ell_max, seed, digest)
+    FROZEN = [
+        (lambda t: t, 12, 3, "b89d21c02ebc7d81dd4b78b90366fd8ef323d339b9283b65f2b26c24a42af8cc"),
+        (lambda t: t * t, 16, 5, "ee2e3fefc015022ab00bb6c07b664cbb718375aa8367051557389e8dac7a1abf"),
+    ]
+
+    @pytest.mark.parametrize("g, ell_max, seed, digest", FROZEN)
+    def test_report_bytes_are_frozen(self, g, ell_max, seed, digest):
+        rep = upper_bound_telescoping(g, ell_max, seed, g_label="x")
+        text = json.dumps(rep.to_json_dict(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
 
 class TestHoeffding:
     def test_zero_threshold_is_trivial(self):
@@ -185,6 +206,24 @@ class TestHoeffding:
         sums = dist.sample_sums(7, np.arange(4000, dtype=np.uint64), 64)
         # E[S_64] = 0; sd ~ sqrt(64) * sd_per_chain
         assert abs(sums.mean()) < 5 * sums.std(ddof=1) / math.sqrt(len(sums))
+
+    # sha256 of sample_sums(7, trials 0..63, n) at r = p, as computed from two
+    # masks and a nested np.where per level: (k, n, digest)
+    FROZEN_SUMS = [
+        (1, 1, "73d9f8ea0a78923f0d51000636ade2cebb9cc0824bab4bfe4ec2da96599d9a7d"),
+        (1, 2049, "64dd532a77ad368cf836a18af1dd429a72d17fb05499b03c0c9efe1086f1d08c"),
+        (2, 77, "2e707c2bf0cfa549e62761f129947752b00d469edb9d236d1c3ef5e2eab59d3e"),
+        (3, 2048, "0672bdb6cb6d408539a46c6b6fddf140b87ee1e6e32ddc562ba1f981e094726b"),
+        (3, 2049, "23aac233a69a1a81ea7bcc8313a8dbbace38c65e140c15b95755446d4960dacf"),
+        (5, 5000, "c31181b71758651525bc6319cbbb32100763d51cb8cc778a6ad6cde6af0f2cbb"),
+        (8, 77, "0acae4b2fbdc2d3b161ae50fb5a01dc9866c8928b7890572ea37435043796446"),
+        (8, 2049, "e756f30ba8294a77cae5f65b87128dcf6954e6084086065fc6954fc02bfe59a8"),
+    ]
+
+    @pytest.mark.parametrize("k, n, digest", FROZEN_SUMS)
+    def test_logmass_sums_are_frozen(self, k, n, digest):
+        sums = CenteredChainLogMass(k, p_float()).sample_sums(7, np.arange(64, dtype=np.uint64), n)
+        assert hashlib.sha256(sums.tobytes()).hexdigest() == digest
 
     def test_logmass_cells_respect_bound(self, p_val):
         dist = CenteredChainLogMass(3, p_val)

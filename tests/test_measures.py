@@ -21,7 +21,6 @@ from mgms.measures import (
     BlockAssignment,
     LogProb,
     MarkovParams,
-    logprob_from_bits,
     logprob_prefix_grid,
     markov_cylinder_logprob,
     pdelta_logprob,
@@ -59,6 +58,33 @@ def pdelta_logprob_level_indexed(assign: BlockAssignment, u: BinaryWord) -> LogP
             total = total + markov_cylinder_logprob(params, restrict_to_chain(u, i))
             if total.is_zero:
                 return total
+    return total
+
+
+def inline_pdelta_logprob(assign: BlockAssignment, u: BinaryWord) -> LogProb:
+    """`pdelta_logprob` as it was written before it shared the scalar walk:
+    the golden Markov loop inlined once per chain.  pdelta_logprob must equal
+    it exactly, floats and summation order included."""
+    n = len(u)
+    total = LogProb.one()
+    arr = u.array
+    for i in range(1, n + 1, 2):
+        params = MarkovParams(assign.param(block_of(i)))
+        log_r = math.log2(params.r)
+        log_q = math.log2(1.0 - params.r)
+        acc = 0.0
+        prev = 0
+        m = i
+        while m <= n:
+            sym = arr[m - 1]
+            if prev == 1:
+                if sym == 1:
+                    return LogProb.zero()
+            else:
+                acc += log_q if sym else log_r
+            prev = sym
+            m <<= 1
+        total = total + LogProb(acc)
     return total
 
 
@@ -278,6 +304,24 @@ class TestChainProducts:
             rhs = sum(pdelta_logprob(a, word(str(u) + c)).to_probability() for c in "01")
             assert lhs == pytest.approx(rhs, abs=1e-14)
 
+    @pytest.mark.parametrize("delta", [0.0, 0.05])
+    def test_pdelta_equals_inline_walk_exactly(self, delta):
+        a = BlockAssignment(delta=delta)
+        rng = np.random.default_rng(11)
+        words = [
+            BinaryWord.from_array((rng.random(n) < density).astype(np.uint8))
+            for n in (1, 2, 3, 7, 33, 100, 1000)
+            for density in (0.5, 0.1, 0.02)
+            for _ in range(4)
+        ]
+        words += [sample_point(a, n, seed).word for n in (1, 5, 64, 1000, 4097) for seed in (0, 1)]
+        zero = 0
+        for u in words:
+            got = pdelta_logprob(a, u)
+            assert got.value == inline_pdelta_logprob(a, u).value
+            zero += got.is_zero
+        assert 0 < zero < len(words)  # forbidden pairs and admissible words both occur
+
     def test_level_indexed_form_breaks_consistency_at_block_boundary(self):
         # chain J(3) switches parameter index between n=5 and n=6
         a = BlockAssignment(delta=0.1)
@@ -425,7 +469,7 @@ class TestSampling:
         for _ in range(40):
             rows.append(rng.integers(0, 2, size=33, dtype=np.uint8))
         bits = np.concatenate([np.zeros((40, 1), np.uint8), np.array(rows)], axis=1)
-        lp = logprob_from_bits(a, bits, 33)
+        lp = logprob_prefix_grid(a, bits, [33])[:, 0]
         grid = logprob_prefix_grid(a, bits, [8, 16, 33])
         for r in range(40):
             u = BinaryWord.from_array(bits[r, 1:34])
