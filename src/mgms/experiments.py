@@ -48,6 +48,7 @@ from .core import (
     log2_count_cylinders,
 )
 from .measures import (
+    _CHUNK,
     BlockAssignment,
     MarkovParams,
     markov_cylinder_logprob,
@@ -55,7 +56,7 @@ from .measures import (
     sample_bits_batch,
     zero_count_from_bits,
 )
-from .rng import uniform_grid
+from .rng import chain_keys, threshold, uniform_grid
 
 __all__ = [
     "Verdict",
@@ -239,22 +240,27 @@ def _trend_verdict(
     return verdict, slope, (lo, hi), monotone
 
 
-def _check_half_word_identity(
-    lp: np.ndarray, bits: np.ndarray, n: int, s: float
-) -> None:
+def _check_half_word_identity(lp: float, n0_full: int, n0_half: int, n: int, s: float) -> None:
     """log2 P_mu[x_1^n] + n s must equal s (N0(x_1^n)/2 - N0(x_1^(n/2))) for even n.
 
     Tolerance is 1e-8 relative to the n s scale of the two cancelling
     terms (the identity is exact in real arithmetic; the log-mass reaches
     ~ -0.81 n, so absolute float error grows with n).
     """
-    n0_full = zero_count_from_bits(bits, n).astype(np.float64)
-    n0_half = zero_count_from_bits(bits, n // 2).astype(np.float64)
     lhs = lp + n * s
     rhs = s * (n0_full / 2.0 - n0_half)
-    tol = 1e-8 * max(1.0, n * s)
-    if not np.all(np.abs(lhs - rhs) <= tol):
+    if not abs(lhs - rhs) <= 1e-8 * max(1.0, n * s):
         raise AssertionError("half-word zero-count identity violated beyond tolerance")
+
+
+def _zero_counts(x: np.ndarray, points: Sequence[int]) -> dict:
+    """N0(x_1^m) for each m of the sorted `points`, from one row of symbols
+    (x_m in column m), summing each symbol once."""
+    counts, ones, last = {}, 0, 0
+    for m in points:
+        ones += int(x[last + 1 : m + 1].sum(dtype=np.int64))
+        counts[m], last = m - ones, m
+    return counts
 
 
 def density_trajectory(
@@ -279,15 +285,17 @@ def density_trajectory(
     gauges = np.array([gauge_log2(gauge, n) for n in n_grid])
     s = s_float()
     rows = np.empty((len(seeds), len(n_grid)), dtype=np.float64)
+    half_word_points = sorted({m for n in n_grid if n % 2 == 0 for m in (n, n // 2)})
     for row, seed in enumerate(seeds):
         bits = sample_bits_batch(measure, n_max, seed, np.array([0]))
         lp = logprob_prefix_grid(measure, bits, n_grid)[0]
         if not np.all(np.isfinite(lp)):
             raise AssertionError("sampled point has zero measure; sampler broken")
         if measure.delta == 0 and measure.param_fn is None:
+            zeros = _zero_counts(bits[0], half_word_points)
             for j, n in enumerate(n_grid):
                 if n % 2 == 0:
-                    _check_half_word_identity(lp[j : j + 1], bits, n, s)
+                    _check_half_word_identity(lp[j], zeros[n], zeros[n // 2], n, s)
         rows[row] = lp - gauges
     med, q1, q3 = _summaries(rows)
     verdict, slope, ci, monotone = _trend_verdict(n_grid, med, verdict_floor)
@@ -583,11 +591,12 @@ class Rademacher:
         return {"distribution": "rademacher", "C": 1.0}
 
     def sample_sums(self, seed: int, trials: np.ndarray, n: int) -> np.ndarray:
+        half = threshold(0.5)
         out = np.zeros(len(trials), dtype=np.float64)
-        for start in range(0, n, 8192):
-            cols = np.arange(start, min(n, start + 8192), dtype=np.int64)
-            u = uniform_grid(seed, trials, cols, 0)
-            out += (np.where(u < 0.5, 1.0, -1.0)).sum(axis=1)
+        for rows, cols in _sum_blocks(len(trials), n, 8192):
+            keys = chain_keys(seed, trials[rows], cols)
+            ones = np.count_nonzero(uniform_grid(keys, 0) < half, axis=1)
+            out[rows] += 2 * ones - len(cols)  # the exact sum of the +-1 summands
         return out
 
 
@@ -632,18 +641,29 @@ class CenteredChainLogMass:
         """Sum of n independent centered log-masses per trial."""
         # cost of a symbol at 2 prev + sym: free 0, free 1, 0 forced by a 1
         table = np.array([math.log2(self.r), math.log2(1.0 - self.r), 0.0])
-        one_prob = 1.0 - self.r
+        one_below = threshold(1.0 - self.r)
+        H = self.entropy
         out = np.zeros(len(trials), dtype=np.float64)
-        for start in range(0, n, 2048):
-            cols = np.arange(start, min(n, start + 2048), dtype=np.int64)
-            mass = np.zeros((len(trials), len(cols)), dtype=np.float64)
-            prev = np.zeros((len(trials), len(cols)), dtype=np.uint8)
+        for rows, cols in _sum_blocks(len(trials), n, 2048):
+            keys = chain_keys(seed, trials[rows], cols)
+            mass = np.zeros(keys.shape, dtype=np.float64)
+            prev = np.zeros(keys.shape, dtype=np.uint8)
             for t in range(self.k):
-                one = (uniform_grid(seed, trials, cols, t) < one_prob) & (prev == 0)
+                one = (uniform_grid(keys, t) < one_below) & (prev == 0)
                 mass += table[2 * prev + one]
                 prev = one.view(np.uint8)
-            out += (mass + self.entropy).sum(axis=1)
+            out[rows] += (mass + H).sum(axis=1)
         return out
+
+
+def _sum_blocks(trials: int, n: int, width: int):
+    """(rows, cols) blocks of the trial-by-summand grid, at most _CHUNK cells
+    each: row slices of trials, then column chunks of at most `width`
+    summands; each row meets its chunks in order."""
+    height = max(1, _CHUNK // max(1, min(n, width)))
+    for r0 in range(0, trials, height):
+        for start in range(0, n, width):
+            yield slice(r0, r0 + height), np.arange(start, min(n, start + width), dtype=np.int64)
 
 
 def hoeffding_check(

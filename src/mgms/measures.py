@@ -18,14 +18,16 @@ Sampling is deterministic: every symbol is a pure function of
 monotonically in n and chain-parallel evaluation is schedule-independent.
 
 The batch path works on uint8 matrices of sampled symbols.
-`sample_bits_batch` draws position i 2^t of the chains J(i), one level t
-at a time, through strided column slices, bit-for-bit as the scalar walk
-of `sample_point`.  `logprob_prefix_grid` is the one vectorized log-mass
-kernel: a gather from a per-block cost table, then a cumulative sum.  Both
-work in blocks of at most `_CHUNK` cells, so temporaries stay in cache
-whatever n is.  There is one scalar walk, `_walk`, over a list of
-symbols: `markov_cylinder_logprob` runs it on a word and `pdelta_logprob`
-on each chain restriction.  They stay as the readable definitions that
+`sample_bits_batch` works in blocks of rows (trials) by chains: it folds
+each chain's key once, then draws position i 2^t of the chains J(i) one
+level t at a time inside the block, through strided column slices,
+bit-for-bit as the scalar walk of `sample_point`; a draw is one mix and
+one integer compare against an exact threshold.  `logprob_prefix_grid` is
+the one vectorized log-mass kernel: a gather from a per-block cost table,
+then a cumulative sum.  Both work in blocks of at most `_CHUNK` cells, so
+temporaries stay in cache whatever n is.  There is one scalar walk,
+`_walk`, over a list of symbols: `markov_cylinder_logprob` runs it on a
+word and `pdelta_logprob` on each chain restriction.  They stay as the readable definitions that
 tests and benchmark checks compare against.
 """
 
@@ -47,7 +49,7 @@ from .core import (
     is_multiplicative_prefix,
 )
 from .intervals import CertifiedInterval
-from .rng import RandomStream, uniform_grid
+from .rng import RandomStream, chain_keys, threshold, uniform_grid
 
 __all__ = [
     "LogProb",
@@ -378,29 +380,41 @@ def sample_bits_batch(
     Returns a uint8 array of shape (len(trials), n+1); column m holds
     symbol x_m (column 0 is padding).  Row t reproduces the scalar
     sample_point word when trials[t] = 0, and more generally the chain
-    walk with streams (seed, trials[t], i).  Level t draws the positions
-    i 2^t of the chains with i <= n / 2^t, which are the columns
-    step::2*step with step = 2^t; their chain predecessors i 2^(t-1) are
-    the columns step/2::step.  A level is drawn a block of chains at a
-    time, at most _CHUNK cells per draw.
+    walk with streams (seed, trials[t], i).
+
+    The work runs in blocks of rows (trials) by chains, at most _CHUNK
+    cells each.  A block folds the keys of its chains once, then walks
+    levels t = 0, 1, ... for as long as its first chain reaches level t:
+    chain i reaches it when i 2^t <= n, so the chains at level t are a
+    prefix of the block.  Position i 2^t of the chain i = 2j+1 is column j
+    of the strided slice step::2*step with step = 2^t, and its chain
+    predecessor i 2^(t-1) is column j of step/2::step.
     """
     if n < 1:
         raise ValueError(f"prefix length must be >= 1, got {n}")
     trials = np.asarray(trials, dtype=np.uint64)
     block = _block_table(n)[1::2]  # the block of chain i = 2j+1 at index j
-    one_prob = 1.0 - assign.params_for_blocks(int(block.max()))  # per block
+    params = assign.params_for_blocks(int(block.max()))
+    one_below = np.array([threshold(1.0 - r) for r in params])  # per block
     bits = np.zeros((len(trials), n + 1), dtype=np.uint8)
-    width = max(1, _CHUNK // max(len(trials), 1))  # chains per draw
-    for t in range(int(n).bit_length()):
-        step = 1 << t
-        level = bits[:, step :: 2 * step]  # one column per chain reaching level t
-        pred = bits[:, step >> 1 :: step]
-        for a in range(0, level.shape[1], width):
-            b = min(a + width, level.shape[1])
-            draw = uniform_grid(seed, trials, np.arange(2 * a + 1, 2 * b, 2), t) < one_prob[block[a:b]]
-            if t:  # a 1 at the chain predecessor forces a 0
-                draw &= pred[:, a:b] == 0
-            level[:, a:b] = draw
+    chains = len(block)
+    width = min(chains, _CHUNK)  # chains per block
+    height = _CHUNK // width  # rows per block
+    for r0 in range(0, len(trials), height):
+        rows = bits[r0 : r0 + height]
+        for a in range(0, chains, width):
+            b = min(a + width, chains)
+            keys = chain_keys(seed, trials[r0 : r0 + height], np.arange(2 * a + 1, 2 * b, 2))
+            below = one_below[block[a:b]]
+            t = 0
+            while (2 * a + 1) << t <= n:  # the block's first chain reaches level t
+                step = 1 << t
+                m = min(b, (n // step + 1) >> 1) - a  # its chains 2j+1 <= n / step
+                one = uniform_grid(keys[:, :m], t) < below[:m]
+                if t:  # a 1 at the chain predecessor forces a 0
+                    one &= rows[:, step >> 1 :: step][:, a : a + m] == 0
+                rows[:, step :: 2 * step][:, a : a + m] = one
+                t += 1
     return bits
 
 

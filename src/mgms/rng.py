@@ -9,12 +9,20 @@ Every uniform draw is a pure function of an integer key tuple, typically
   * the stream is stable across platforms and library versions (pure
     64-bit integer arithmetic, SplitMix64 finalizer).
 
-The scalar path (`RandomStream`) and the vectorized path (`uniform_grid`)
-share the same key-folding arithmetic; tests pin them against each other
-and against frozen reference values.
+The scalar path (`RandomStream`) and the vectorized path share the same
+key-folding arithmetic; tests pin them against each other and against
+frozen reference values.  The vectorized path splits the folds where the
+samplers reuse them: `chain_keys` folds (seed, trial, chain) once per
+chain, and `uniform_grid` folds in one position with one mix.  It returns
+the 53-bit numerators k of the uniforms k 2^-53 rather than the doubles,
+and `threshold(q)` turns a probability into the integer K with
+k < K exactly when k 2^-53 < q, so a draw is one mix and one integer
+compare.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -90,13 +98,12 @@ def _np_mix64(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def uniform_grid(seed: int, trials: np.ndarray, chains: np.ndarray, pos: int) -> np.ndarray:
-    """Uniforms in [0,1) for the (trial, chain) grid at one position.
+def chain_keys(seed: int, trials: np.ndarray, chains: np.ndarray) -> np.ndarray:
+    """Substream keys of the (trial, chain) grid, as a fresh uint64 array.
 
-    Returns an array of shape (len(trials), len(chains)) whose (a, b)
-    entry equals RandomStream(seed, trials[a], chains[b]).uniform(pos).
-    The folds run in place on arrays allocated here; the caller's
-    `trials` and `chains` are never written.
+    Returns shape (len(trials), len(chains)); the (a, b) entry equals
+    key_of(seed, trials[a], chains[b]).  `trials` and `chains` are never
+    written.
     """
     h0 = fold(0, seed & _MASK)  # scalar folds in exact Python ints
     ht = trials.astype(_U)  # a fresh copy, mixed in place
@@ -104,10 +111,30 @@ def uniform_grid(seed: int, trials: np.ndarray, chains: np.ndarray, pos: int) ->
     ht ^= _U(h0)
     _np_mix64(ht)  # (T,)
     hc = ht[:, None] ^ (chains.astype(_U) * _NP_SPREAD)[None, :]
-    _np_mix64(hc)  # (T, C)
-    hc ^= _U((int(pos) * _SPREAD) & _MASK)  # the position fold in Python ints: no overflow warning
-    _np_mix64(hc)
-    hc >>= _U(11)
-    u = hc.astype(np.float64)
-    u *= 2.0**-53
-    return u
+    return _np_mix64(hc)  # (T, C)
+
+
+def uniform_grid(keys: np.ndarray, pos: int) -> np.ndarray:
+    """53-bit numerators of the uniforms at one position of keyed substreams.
+
+    Returns a fresh uint64 array k of the shape of `keys` (as `chain_keys`
+    builds them) with RandomStream(seed, trial, chain).uniform(pos) equal
+    to k * 2**-53 exactly.  One mix per entry; `keys` is never written.
+    """
+    h = keys ^ _U((int(pos) * _SPREAD) & _MASK)  # the position fold in Python ints: no overflow warning
+    _np_mix64(h)
+    h >>= _U(11)
+    return h
+
+
+def threshold(q: float) -> np.uint64:
+    """The integer K = ceil(q 2^53), so that a numerator k of `uniform_grid`
+    has k < K exactly when k * 2**-53 < q.
+
+    Exact: q 2^53 is q scaled by a power of two, and for an integer k,
+    k < ceil(x) holds exactly when k < x.
+    """
+    q = float(q)
+    if not 0.0 <= q <= 1.0:  # NaN fails too
+        raise ValueError(f"probability must lie in [0, 1], got {q}")
+    return _U(math.ceil(q * 2.0**53))

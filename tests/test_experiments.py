@@ -7,11 +7,13 @@ import math
 import numpy as np
 import pytest
 
+from mgms import experiments
 from mgms.analytics import (
     Gauge,
     dim_minkowski,
     gauge_log2,
     p_float,
+    partition_entropy,
     s_float,
     tau_bits_lower_bound,
 )
@@ -82,6 +84,28 @@ class TestDensityTrajectory:
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             density_trajectory(BlockAssignment(0.0), Gauge.pure(), n_grid=[2, 8], seeds=[0])
+
+    def test_half_word_counts_on_an_irregular_grid(self, monkeypatch):
+        # odd points, halves inside and outside the grid, a repeated point
+        grid = [4, 6, 7, 12, 12, 99, 100, 200, 1000]
+        seen = []
+        check = experiments._check_half_word_identity
+        monkeypatch.setattr(experiments, "_check_half_word_identity",
+                            lambda lp, full, half, n, s: seen.append((n, full, half)) or check(lp, full, half, n, s))
+        density_trajectory(BlockAssignment(0.0), Gauge.pure(), n_grid=grid, seeds=[4, 9])
+        expect = []
+        for seed in (4, 9):
+            w = sample_point(BlockAssignment(0.0), 1000, seed).word
+            expect += [(n, w.prefix(n).count_zeros(), w.prefix(n // 2).count_zeros()) for n in grid if n % 2 == 0]
+        assert seen == expect
+
+    def test_half_word_check_fires(self, monkeypatch):
+        grid = [16, 64, 100]
+        real = experiments.logprob_prefix_grid
+        monkeypatch.setattr(experiments, "logprob_prefix_grid",
+                            lambda a, bits, ns: real(a, bits, ns) + (np.array(ns) == 100) * 1e-3)
+        with pytest.raises(AssertionError, match="half-word"):
+            density_trajectory(BlockAssignment(0.0), Gauge.pure(), n_grid=grid, seeds=[0])
 
 
 class TestLowerBoundTrajectory:
@@ -224,6 +248,32 @@ class TestHoeffding:
     def test_logmass_sums_are_frozen(self, k, n, digest):
         sums = CenteredChainLogMass(k, p_float()).sample_sums(7, np.arange(64, dtype=np.uint64), n)
         assert hashlib.sha256(sums.tobytes()).hexdigest() == digest
+
+    # sha256 of sample_sums(7, trials 0..T-1, n), as computed from float
+    # uniforms in one (T, columns) array per chunk: (distribution, T, n, digest);
+    # 4096 trials is the chunk hoeffding_check passes
+    FROZEN_BLOCKED_SUMS = [
+        ("rademacher", 64, 1, "c388d738047381015a74d6f43195b07fa3cbbdb1e46e2f75218b1310a0b0a70c"),
+        ("rademacher", 64, 77, "3c818a6ccd78f55f493667b3b6442ed382cf5679e14b10f0fc6c343e27b9b83c"),
+        ("rademacher", 64, 8192, "89e13bd02ecf5ce12479cb1de56e2cd5944c73aa8ca3453ff9ddd490c66fd8e9"),
+        ("rademacher", 64, 8193, "25aace2fb6d2946614b09178bb81accfe9a72864252211744a54b1c72c06530a"),
+        ("rademacher", 64, 20000, "b774cce8fe7b156eb46250c8c37bc1a32c092594432941395b58af2d62b5acd6"),
+        ("rademacher", 4096, 100, "abc540276bb877b497345e9bd0bf93a23413682d447db520e4cb6ad982aa5b2e"),
+        ("logmass3", 4096, 200, "0d76d36049a2d89dbd3b6eb49945f5e49a969b95b9a025988e043343da4e7aa8"),
+    ]
+
+    @pytest.mark.parametrize("dist, trials, n, digest", FROZEN_BLOCKED_SUMS)
+    def test_blocked_sums_are_frozen(self, dist, trials, n, digest):
+        d = Rademacher() if dist == "rademacher" else CenteredChainLogMass(3, p_float())
+        sums = d.sample_sums(7, np.arange(trials, dtype=np.uint64), n)
+        assert hashlib.sha256(sums.tobytes()).hexdigest() == digest
+
+    def test_logmass_entropy_is_computed_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(experiments, "partition_entropy",
+                            lambda r, k: calls.append(k) or partition_entropy(r, k))
+        CenteredChainLogMass(3, p_float()).sample_sums(7, np.arange(4096, dtype=np.uint64), 200)
+        assert calls == [3]
 
     def test_logmass_cells_respect_bound(self, p_val):
         dist = CenteredChainLogMass(3, p_val)

@@ -32,7 +32,7 @@ from mgms.measures import (
 )
 from mgms import measures
 from mgms.experiments import DEFAULT_N_GRID
-from mgms.rng import RandomStream, uniform_grid
+from mgms.rng import RandomStream, chain_keys, uniform_grid
 
 from conftest import word
 
@@ -111,7 +111,7 @@ def reference_sample_bits_batch(assign, n, seed, trials):
     while (1 << t) <= n:
         odds = np.arange(1, (n >> t) + 1, 2, dtype=np.int64)
         pos = odds << t
-        u = uniform_grid(seed, trials, odds, t)
+        u = uniform_grid(chain_keys(seed, trials, odds), t) * 2.0**-53
         draw = (u < one_prob[block[pos]][None, :]).astype(np.uint8)
         if t == 0:
             bits[:, pos] = draw
@@ -540,6 +540,25 @@ class TestBatchKernels:
         idx = np.arange(7) + 3
         assert np.array_equal(sample_bits_batch(assign, n, 17, idx),
                               reference_sample_bits_batch(assign, n, 17, idx))
+
+    @pytest.mark.parametrize("assign", ORACLE_MEASURES, ids=["mu", "delta", "param_fn"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 255, 256, 1000, 1001])
+    @pytest.mark.parametrize("trials", [0, 1, 3, 37])
+    def test_sampler_blocks_equal_reference(self, assign, n, trials, monkeypatch):
+        # 32-cell blocks: 37 trials split into row blocks at every n, and
+        # n >= 65 splits the chains as well, so levels run inside each block
+        monkeypatch.setattr(measures, "_CHUNK", 32)
+        idx = np.arange(trials) * 5 + 2
+        got = sample_bits_batch(assign, n, 29, idx)
+        assert got.shape == (trials, n + 1)
+        assert np.array_equal(got, reference_sample_bits_batch(assign, n, 29, idx))
+
+    def test_ldev2_shape_digest_is_frozen(self):
+        # sha256 of the 4096-trial prefixes of length 1024 that ldev2 draws at
+        # n = 512, as computed by the per-level sampler with float compares
+        bits = sample_bits_batch(BlockAssignment(0.0), 1024, 3, np.arange(4096))
+        assert hashlib.sha256(bits.tobytes()).hexdigest() == (
+            "d27dd2779c9d3966009240602e96fb5f15143314018cc5bbce42cfe52c8efd77")
 
     # sha256 of the 2^20-symbol trajectories and their log-mass grids, as
     # computed by the fancy-index kernels: (delta, seed, bits, grid)

@@ -1,10 +1,13 @@
 """Counter-based stream: determinism, scalar/vector agreement, stability."""
 
+import math
 import warnings
 
 import numpy as np
+import pytest
 
-from mgms.rng import RandomStream, key_of, mix64, uniform_grid, unit_double, fold
+from mgms.measures import BlockAssignment
+from mgms.rng import RandomStream, chain_keys, key_of, mix64, threshold, uniform_grid, unit_double, fold
 
 
 def test_uniforms_in_unit_interval():
@@ -30,11 +33,18 @@ def test_substream_matches_flat_key():
 def test_vector_grid_matches_scalar():
     trials = np.array([0, 1, 17], dtype=np.uint64)
     chains = np.array([1, 3, 999], dtype=np.int64)
+    keys = chain_keys(42, trials, chains)
+    assert keys.dtype == np.uint64 and keys.shape == (3, 3)
     for pos in (0, 5, 2**40 + 3):
-        grid = uniform_grid(42, trials, chains, pos)
+        grid = uniform_grid(keys, pos)
+        assert grid.dtype == np.uint64 and grid.shape == keys.shape
         for a, tr in enumerate(trials):
             for b, ch in enumerate(chains):
-                assert grid[a, b] == RandomStream(42, int(tr), int(ch)).uniform(pos)
+                assert int(keys[a, b]) == key_of(42, int(tr), int(ch))
+                assert int(grid[a, b]) < 2**53
+                assert int(grid[a, b]) * 2**-53 == RandomStream(42, int(tr), int(ch)).uniform(pos)
+    assert np.array_equal(grid * 2.0**-53, [[RandomStream(42, int(tr), int(ch)).uniform(2**40 + 3)
+                                             for ch in chains] for tr in trials])
 
 
 def test_stream_values_are_frozen():
@@ -56,6 +66,39 @@ def test_grid_leaves_its_inputs_alone_and_warns_nothing():
     before = (trials.copy(), chains.copy())
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        grid = uniform_grid(2026, trials, chains, 2**40 + 3)
+        keys = chain_keys(2026, trials, chains)
+        kept = keys.copy()
+        grid = uniform_grid(keys, 2**40 + 3)
+        uniform_grid(keys[:, :2], 7)  # a column prefix, as the samplers pass it
     assert np.array_equal(trials, before[0]) and np.array_equal(chains, before[1])
-    assert grid[1, 2] == RandomStream(2026, 5, 2**40 + 1).uniform(2**40 + 3)
+    assert np.array_equal(keys, kept)
+    assert int(grid[1, 2]) * 2**-53 == RandomStream(2026, 5, 2**40 + 1).uniform(2**40 + 3)
+
+
+# probabilities the samplers compare against: 1/2 (Rademacher), 1 - p and
+# the one-probabilities 1 - (p + delta/b) of the perturbed blocks
+_P = BlockAssignment().p
+_QS = [0.5, 1.0 - _P] + [1.0 - (_P + 0.05 / b) for b in (1, 2, 3, 7, 64)]
+
+
+@pytest.mark.parametrize("q", _QS + [0.0, 1.0, 2.0**-53, 3 * 2.0**-53, 1.0 - 2.0**-53, 0.25 + 2.0**-50]
+                         + [float(np.nextafter(x, d)) for x in (0.5, 2.0**-53, 0.25 + 2.0**-50, 1.0 - _P)
+                            for d in (0.0, 1.0)])
+def test_threshold_is_the_exact_float_compare(q):
+    K = int(threshold(q))
+    assert K == math.ceil(q * 2**53) and 0 <= K <= 2**53
+    for k in range(max(0, K - 2), min(2**53, K + 2)):
+        assert (k < threshold(q)) == (k * 2**-53 < q)
+        assert bool(np.array([k], dtype=np.uint64) < threshold(q)) == (k * 2**-53 < q)
+
+
+def test_threshold_splits_sampled_numerators_like_the_float_compare():
+    grid = uniform_grid(chain_keys(7, np.arange(64, dtype=np.uint64), np.arange(1, 257, 2)), 3)
+    for q in _QS:
+        assert np.array_equal(grid < threshold(q), grid * 2.0**-53 < q)
+
+
+@pytest.mark.parametrize("q", [float("nan"), -0.0 - 2.0**-60, -1.0, 1.0 + 2.0**-52, float("inf")])
+def test_threshold_rejects_non_probabilities(q):
+    with pytest.raises(ValueError):
+        threshold(q)
