@@ -3,6 +3,13 @@
 Everything here is either exact (rational arithmetic), certified (interval
 enclosures with rigorous tails), or an explicitly labelled float formula.
 
+The derivative series around p (`derivative_series_at_p`, `tau_certify`,
+`tau_gamma`, and `hf_derivative_at` as a one-term series) all go through
+one kernel, `_derivative_series`: H(p) and H'(p) are enclosed once per
+series, every term and the running sum stay integer numerators over lcm
+denominators, and the sum is reduced to `Fraction` once.  Its endpoints
+equal those of per-term `CertifiedInterval` arithmetic exactly.
+
 Conventions.  Entropy comes in two scales and both are used deliberately:
 
   * `binary_entropy` (base 2) drives the partition-entropy identity
@@ -32,6 +39,10 @@ from typing import Callable, NamedTuple, Optional
 from .core import chain_length_counts, fibonacci
 from .intervals import (
     CertifiedInterval,
+    _common_numerators,
+    _from_iv,
+    _iv_horner,
+    _iv_mul_ints,
     iv_entropy_nat,
     iv_ln_ratio,
     iv_log2,
@@ -179,8 +190,8 @@ def s_float() -> float:
 
 def _minkowski_K(tol: float) -> int:
     # smallest K with tail bound (K+2) 2^-(K+1) < tol, using log2 F_{k+1} <= k
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
     K = 1
     while (K + 2) * 2.0 ** -(K + 1) >= tol:
         K += 1
@@ -220,16 +231,50 @@ def dims_certified_ordering() -> bool:
 # -- derivative series around p (natural-log scale) -----------------------------
 
 
+def _add_over_lcm(lo1: int, hi1: int, den1: int, lo2: int, hi2: int, den2: int) -> tuple[int, int, int]:
+    """[lo1, hi1]/den1 + [lo2, hi2]/den2 as numerators over lcm(den1, den2)."""
+    den = math.lcm(den1, den2)
+    m1, m2 = den // den1, den // den2
+    return lo1 * m1 + lo2 * m2, hi1 * m1 + hi2 * m2, den
+
+
+def _derivative_series(x: CertifiedInterval, weights: dict[int, CertifiedInterval]) -> CertifiedInterval:
+    """Enclosure of sum_k weights[k] * (H F_{k-1})'(x), keys k >= 1.
+
+    The weights are positive intervals.  H(x) and H'(x) = ln((1-x)/x) are
+    enclosed once for the whole series.  F_{k-1}(x) and F'_{k-1}(x) come
+    from the integer-numerator Horner `_iv_horner`; H F' + H' F, the weight
+    product and the running sum are formed on integer numerators over lcm
+    denominators, with the endpoint min/max choices `CertifiedInterval`
+    arithmetic makes, and reduced to `Fraction` once at the end.  The
+    endpoints are therefore the rationals that step-by-step
+    `CertifiedInterval` arithmetic yields, term by term.
+    """
+    h_lo, h_hi, h_den = _common_numerators(iv_entropy_nat(x))
+    g_lo, g_hi, g_den = _common_numerators(iv_ln_ratio(x))
+    lo = hi = 0
+    den = 1
+    for k, weight in weights.items():
+        F = entropy_poly(k - 1)
+        f_lo, f_hi, f_den = _iv_horner(F.coeffs, x)
+        d_lo, d_hi, d_den = _iv_horner(F.derivative_coeffs, x)
+        t_lo, t_hi, t_den = _add_over_lcm(*_iv_mul_ints(h_lo, h_hi, d_lo, d_hi), h_den * d_den,
+                                          *_iv_mul_ints(g_lo, g_hi, f_lo, f_hi), g_den * f_den)
+        w_lo, w_hi, w_den = _common_numerators(weight)
+        lo, hi, den = _add_over_lcm(lo, hi, den, *_iv_mul_ints(t_lo, t_hi, w_lo, w_hi), t_den * w_den)
+    return CertifiedInterval(Fraction(lo, den), Fraction(hi, den))
+
+
 def hf_derivative_at(k: int, x: CertifiedInterval) -> CertifiedInterval:
     """Enclosure of (H F_{k-1})'(x) = H(x) F'_{k-1}(x) + H'(x) F_{k-1}(x).
 
     H is the natural-log entropy; H'(x) = ln((1-x)/x).  Polynomial values
-    use exact coefficients; only H and H' round (outward).
+    use exact coefficients; only H and H' round (outward).  One term of
+    `_derivative_series`, with weight 1.
     """
     if k < 1:
         raise ValueError(f"series index must be >= 1, got {k}")
-    F = entropy_poly(k - 1)
-    return iv_entropy_nat(x) * F.evaluate_derivative(x) + iv_ln_ratio(x) * F.evaluate(x)
+    return _derivative_series(x, {k: CertifiedInterval.point(1)})
 
 
 @lru_cache(maxsize=None)
@@ -249,6 +294,8 @@ def _moment_at_half(m: int) -> Fraction:
 
 def dyadic_power_tail(m: int, K: int) -> Fraction:
     """S_m(K) = sum_{k>=K} k^m 2^-k, exactly (binomial shift of the moments A_i)."""
+    if m < 0:
+        raise ValueError(f"power must be >= 0, got {m}")
     if K < 0:
         raise ValueError("K must be >= 0")
     total = Fraction(0)
@@ -266,12 +313,9 @@ def derivative_series_at_p(K: int) -> CertifiedInterval:
     """
     if K < 1:
         raise ValueError(f"need K >= 1, got {K}")
-    p = solve_p()
-    acc = CertifiedInterval.point(0)
-    for k in range(1, K + 1):
-        acc = acc + hf_derivative_at(k, p).scale(Fraction(1, 2 ** (k + 1)))
+    weights = {k: CertifiedInterval.point(Fraction(1, 2 ** (k + 1))) for k in range(1, K + 1)}
     tail = Fraction(51, 20) * Fraction(K + 3, 2 ** (K + 1))
-    return acc.widen(tail)
+    return _derivative_series(solve_p(), weights).widen(tail)
 
 
 @dataclass(frozen=True)
@@ -297,10 +341,8 @@ def tau_certify() -> TauCertificate:
     by sum_{k>=13} 3k(k+1)/2^(k+1) = 159/2048 < 0.1, evaluated exactly.
     Raises CertificationError if positivity cannot be established.
     """
-    p = solve_p()
-    acc = CertifiedInterval.point(0)
-    for k in range(1, 13):
-        acc = acc + hf_derivative_at(k, p).scale(Fraction(k, 2 ** (k + 1)))
+    weights = {k: CertifiedInterval.point(Fraction(k, 2 ** (k + 1))) for k in range(1, 13)}
+    acc = _derivative_series(solve_p(), weights)
     tail = Fraction(3, 2) * (dyadic_power_tail(2, 13) + dyadic_power_tail(1, 13))
     margin = acc.lo - tail
     if margin <= 0:
@@ -339,14 +381,12 @@ def tau_gamma(gamma: float, K: int = 12) -> TauGammaResult:
         raise ValueError(f"need K >= 1, got {K}")
     from mpmath import iv
 
-    from .intervals import _from_iv
-
-    p = solve_p()
-    acc = CertifiedInterval.point(0)
+    weights = {}
     for k in range(1, K + 1):
-        # enclosure of the weight k^(1+gamma)
+        # enclosure of the weight k^(1+gamma), times 2^-(k+1)
         w = iv.exp(iv.log(iv.mpf(k)) * iv.mpf(1 + gamma)) if k > 1 else iv.mpf(1)
-        acc = acc + (hf_derivative_at(k, p) * _from_iv(w)).scale(Fraction(1, 2 ** (k + 1)))
+        weights[k] = _from_iv(w).scale(Fraction(1, 2 ** (k + 1)))
+    acc = _derivative_series(solve_p(), weights)
     m = math.ceil(1 + gamma)
     tail = Fraction(51, 40) * (dyadic_power_tail(m + 1, K + 1) + dyadic_power_tail(m, K + 1))
     widened = acc.widen(tail)

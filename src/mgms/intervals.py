@@ -2,9 +2,14 @@
 
 Ring operations (+, -, *) on `CertifiedInterval` are exact: endpoints are
 `fractions.Fraction`, so no rounding happens at all.  Polynomial evaluation
-(`iv_polyval`) is exact too: it runs the same Horner recurrence on integer
-numerators over one common denominator and yields the same rationals as
-step-by-step `CertifiedInterval` arithmetic.  Only transcendental
+is exact too: the private kernel `_iv_horner` runs the Horner recurrence on
+integer numerators over one common denominator d^m and returns them
+unreduced, and `iv_polyval` reduces them to `Fraction` once.  Its interval
+products (`_iv_mul_ints`) form only the two endpoint products min/max would
+pick when a factor is nonnegative, so the endpoints are the same rationals
+as step-by-step `CertifiedInterval` arithmetic.  `analytics` sums whole
+derivative series on these integer numerators and reduces once per
+series.  Only transcendental
 maps (ln, log2, the entropy functions) round, and those are delegated to
 mpmath's interval context at 120 bits with outward rounding; the resulting
 dyadic endpoints convert back to Fraction exactly.  Every operation's
@@ -124,15 +129,54 @@ class CertifiedInterval:
         return CertifiedInterval(min(self.lo, other.lo), max(self.hi, other.hi))
 
 
+def _iv_mul_ints(a_lo: int, a_hi: int, b_lo: int, b_hi: int) -> tuple[int, int]:
+    """[a_lo, a_hi] * [b_lo, b_hi] on integer endpoints, as `CertifiedInterval.__mul__`.
+
+    The result is the min and max of the four endpoint products.  When one
+    factor is nonnegative only the two products that min and max would pick
+    are formed: with b_lo >= 0 the lower end is a_lo*b_lo if a_lo >= 0, else
+    a_lo*b_hi, and the upper end is a_hi*b_hi if a_hi >= 0, else a_hi*b_lo.
+    """
+    if b_lo < 0 <= a_lo:
+        a_lo, a_hi, b_lo, b_hi = b_lo, b_hi, a_lo, a_hi
+    if b_lo >= 0:
+        return a_lo * (b_lo if a_lo >= 0 else b_hi), a_hi * (b_hi if a_hi >= 0 else b_lo)
+    products = (a_lo * b_lo, a_lo * b_hi, a_hi * b_lo, a_hi * b_hi)
+    return min(products), max(products)
+
+
+def _common_numerators(x: CertifiedInterval) -> tuple[int, int, int]:
+    """(x_lo, x_hi, d) with x = [x_lo/d, x_hi/d] and d = lcm(den(lo), den(hi))."""
+    d = math.lcm(x.lo.denominator, x.hi.denominator)
+    return x.lo.numerator * (d // x.lo.denominator), x.hi.numerator * (d // x.hi.denominator), d
+
+
+def _iv_horner(ints, x: CertifiedInterval) -> tuple[int, int, int]:
+    """Interval Horner on integer numerators: sum_j ints[j] x^j = [lo/scale, hi/scale].
+
+    `ints` are the integer coefficients, ascending, at least one.  The
+    recurrence acc = acc * x + c picks the same endpoints at each step as
+    `CertifiedInterval` arithmetic, with them kept as numerators over
+    scale = d^m (d as in `_common_numerators`, m the step count) and never
+    normalised by a gcd.
+    """
+    x_lo, x_hi, d = _common_numerators(x)
+    lo = hi = ints[-1]
+    scale = 1
+    for c in reversed(ints[:-1]):
+        scale *= d
+        shift = c * scale
+        lo, hi = _iv_mul_ints(lo, hi, x_lo, x_hi)
+        lo, hi = lo + shift, hi + shift
+    return lo, hi, scale
+
+
 def iv_polyval(coeffs, x: CertifiedInterval) -> CertifiedInterval:
     """Interval Horner evaluation of sum_j coeffs[j] x^j with integer coefficients.
 
-    The recurrence acc = acc * x + c is the one `CertifiedInterval` arithmetic
-    performs, with the same four endpoint products and the same min/max at
-    each step, so the endpoints are the same rationals.  Here they are kept as
-    integer numerators over d^m, where d = lcm(den(lo), den(hi)) and m is the
-    step count, and reduced to a `Fraction` once at the end instead of being
-    normalised by a gcd at every step.
+    The endpoints are the rationals step-by-step `CertifiedInterval` Horner
+    gives; `_iv_horner` computes them on integer numerators and they are
+    reduced to `Fraction` once here.
     """
     ints = []
     for c in coeffs:
@@ -142,15 +186,7 @@ def iv_polyval(coeffs, x: CertifiedInterval) -> CertifiedInterval:
         ints.append(q.numerator)
     if not ints:
         raise ValueError("iv_polyval needs at least one coefficient")
-    d = math.lcm(x.lo.denominator, x.hi.denominator)
-    x_lo = x.lo.numerator * (d // x.lo.denominator)
-    x_hi = x.hi.numerator * (d // x.hi.denominator)
-    lo = hi = ints[-1]
-    scale = 1
-    for c in reversed(ints[:-1]):
-        scale *= d
-        products = (lo * x_lo, lo * x_hi, hi * x_lo, hi * x_hi)
-        lo, hi = min(products) + c * scale, max(products) + c * scale
+    lo, hi, scale = _iv_horner(ints, x)
     return CertifiedInterval(Fraction(lo, scale), Fraction(hi, scale))
 
 

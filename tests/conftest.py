@@ -3,10 +3,15 @@ internals so the fast paths always have a second, dumb route to agree with."""
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from mpmath import iv
 
 from mgms.core import BinaryWord
+from mgms.intervals import CertifiedInterval, _from_iv, iv_entropy_nat, iv_ln_ratio
+from mgms.polynomials import EntropyPolynomial, entropy_poly
 
 
 def brute_is_golden(bits: list[int]) -> bool:
@@ -45,6 +50,75 @@ def brute_count_golden(k: int) -> int:
     for j in range(1, k):
         ok &= ((v >> (j - 1)) & (v >> j) & 1) == 0
     return int(ok.sum())
+
+
+def entropy_poly_closed_form(k: int) -> EntropyPolynomial:
+    """F_k via the closed form, dividing exactly by (x-2)^2.
+
+    Independent of the recurrence path; the division must leave zero
+    remainder, which is asserted.
+    """
+    if k < 0:
+        raise ValueError(f"index must be >= 0, got {k}")
+    # numerator (x-1)^{k+2} - (k+2) x + (2k+3), ascending coefficients
+    num = [Fraction(0)] * (k + 3)
+    sign = 1 if (k + 2) % 2 == 0 else -1
+    binom = 1
+    for j in range(k + 3):
+        num[j] += Fraction(sign * binom)
+        sign = -sign
+        binom = binom * (k + 2 - j) // (j + 1)
+    num[1] -= k + 2
+    num[0] += 2 * k + 3
+    # synthetic division by x^2 - 4x + 4
+    quot = [Fraction(0)] * (k + 1)
+    rem = list(num)
+    for j in range(k, -1, -1):
+        q = rem[j + 2]
+        quot[j] = q
+        rem[j + 2] -= q
+        rem[j + 1] += 4 * q
+        rem[j] -= 4 * q
+    if any(rem):
+        raise ArithmeticError(f"(x-2)^2 does not divide the closed-form numerator at k={k}")
+    return EntropyPolynomial(k, tuple(quot))
+
+
+# -- the derivative series around p, one CertifiedInterval operation at a time --
+# These are the per-term Fraction loops the package used before its integer-
+# numerator series kernel; its endpoints must equal theirs exactly.
+
+
+def reference_hf_derivative_at(k: int, x: CertifiedInterval) -> CertifiedInterval:
+    """(H F_{k-1})'(x) = H(x) F'_{k-1}(x) + H'(x) F_{k-1}(x), with H and H' enclosed per term."""
+    F = entropy_poly(k - 1)
+    return iv_entropy_nat(x) * F.evaluate_derivative(x) + iv_ln_ratio(x) * F.evaluate(x)
+
+
+def reference_derivative_partials(x: CertifiedInterval, K: int) -> list[CertifiedInterval]:
+    """[S_1, ..., S_K] with S_K = sum_{k<=K} (H F_{k-1})'(x) / 2^(k+1), before any tail."""
+    acc, out = CertifiedInterval.point(0), []
+    for k in range(1, K + 1):
+        acc = acc + reference_hf_derivative_at(k, x).scale(Fraction(1, 2 ** (k + 1)))
+        out.append(acc)
+    return out
+
+
+def reference_tau_partial_12(x: CertifiedInterval) -> CertifiedInterval:
+    """sum_{k<=12} k (H F_{k-1})'(x) / 2^(k+1)."""
+    acc = CertifiedInterval.point(0)
+    for k in range(1, 13):
+        acc = acc + reference_hf_derivative_at(k, x).scale(Fraction(k, 2 ** (k + 1)))
+    return acc
+
+
+def reference_tau_gamma_partial(x: CertifiedInterval, gamma: float, K: int) -> CertifiedInterval:
+    """sum_{k<=K} k^(1+gamma) (H F_{k-1})'(x) / 2^(k+1), the weight an mpmath enclosure."""
+    acc = CertifiedInterval.point(0)
+    for k in range(1, K + 1):
+        w = iv.exp(iv.log(iv.mpf(k)) * iv.mpf(1 + gamma)) if k > 1 else iv.mpf(1)
+        acc = acc + (reference_hf_derivative_at(k, x) * _from_iv(w)).scale(Fraction(1, 2 ** (k + 1)))
+    return acc
 
 
 def word(s: str) -> BinaryWord:

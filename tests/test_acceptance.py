@@ -51,9 +51,9 @@ from mgms.measures import (
     pmu_logprob,
     sample_bits_batch,
 )
-from mgms.polynomials import entropy_poly, entropy_poly_closed_form
+from mgms.polynomials import entropy_poly
 
-from conftest import brute_count_multiplicative, word
+from conftest import brute_count_multiplicative, entropy_poly_closed_form, word
 
 
 def report(num: int, ok: bool, detail: str) -> None:

@@ -36,8 +36,15 @@ from mgms.analytics import (
     tau_gamma,
 )
 from mgms.core import chain_partition, iter_golden_words, iter_multiplicative_prefixes
-from mgms.intervals import iv_entropy_bits, iv_entropy_nat, iv_ln_ratio
+from mgms.intervals import CertifiedInterval, iv_entropy_bits, iv_entropy_nat, iv_ln_ratio
 from mgms.measures import MarkovParams, markov_cylinder_logprob, pmu_logprob
+
+from conftest import (
+    reference_derivative_partials,
+    reference_hf_derivative_at,
+    reference_tau_gamma_partial,
+    reference_tau_partial_12,
+)
 
 
 class TestCubicRoot:
@@ -163,6 +170,14 @@ class TestDimensions:
         with pytest.raises(ValueError):
             dim_minkowski(0.0)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tol_rejected(self, tol):
+        # a NaN tolerance used to fall through every comparison and give K = 1
+        with pytest.raises(ValueError):
+            dim_minkowski(tol)
+        with pytest.raises(ValueError):
+            dim_minkowski_enclosure(tol)
+
 
 class TestDerivativeSeries:
     def test_first_term_is_entropy_derivative(self):
@@ -213,8 +228,47 @@ def test_enclosure_endpoints_are_frozen():
     # Horner produced them; any change of representation must keep them
     assert endpoint_digest(derivative_series_at_p(80)) == (
         "2d5171d059d0be4037a01628d3e9e600718d9e959b74f51fcca6f9a780052138")
+    assert endpoint_digest(derivative_series_at_p(120)) == (
+        "6dba90c825e7551f896a7f2046c770cb39dcbee203c8d6b9acea798958aed552")
     assert endpoint_digest(tau_certify().partial_12) == (
         "910fc9b4f0bbf9841657aa304e091b449d1676552dac301813eb97d1928ab4cb")
+    assert endpoint_digest(tau_gamma(0.5, 20).value) == (
+        "f450aebd3a06a5ae3da3035d6a67d054fadb3c567aa684e5805e436ca4107363")
+
+
+def same_endpoints(a, b) -> bool:
+    return a.lo == b.lo and a.hi == b.hi
+
+
+class TestSeriesKernelMatchesFractionLoops:
+    """The integer-numerator series kernel against the per-term CertifiedInterval loops."""
+
+    @pytest.fixture(scope="class")
+    def partials(self):
+        return reference_derivative_partials(solve_p(), 130)
+
+    def test_derivative_series_every_K(self, partials):
+        for K, acc in enumerate(partials, 1):
+            tail = Fraction(51, 20) * Fraction(K + 3, 2 ** (K + 1))
+            assert same_endpoints(derivative_series_at_p(K), acc.widen(tail)), K
+
+    def test_single_terms(self):
+        p = solve_p()
+        for k in range(1, 131):
+            assert same_endpoints(hf_derivative_at(k, p), reference_hf_derivative_at(k, p)), k
+
+    def test_single_terms_off_p(self):
+        x = CertifiedInterval(Fraction(1, 5), Fraction(3, 4))
+        for k in range(1, 25):
+            assert same_endpoints(hf_derivative_at(k, x), reference_hf_derivative_at(k, x)), k
+
+    def test_tau_partial(self):
+        assert same_endpoints(tau_certify().partial_12, reference_tau_partial_12(solve_p()))
+
+    @pytest.mark.parametrize("gamma,K", [(0.5, 20), (0.5, 12), (1, 30), (2, 5), (0.1, 1)])
+    def test_tau_gamma(self, gamma, K):
+        ref = reference_tau_gamma_partial(solve_p(), gamma, K)
+        assert same_endpoints(tau_gamma(gamma, K).value, ref)
 
 
 class TestDyadicTails:
@@ -224,6 +278,11 @@ class TestDyadicTails:
         brute = sum(Fraction(k**m, 2**k) for k in range(K, K + 400))
         exact = dyadic_power_tail(m, K)
         assert 0 <= exact - brute < Fraction(1, 2**300)
+
+    def test_negative_power_rejected(self):
+        # sum_{k>=K} k^m 2^-k is positive for every m; m < 0 used to return 0
+        with pytest.raises(ValueError):
+            dyadic_power_tail(-1, 3)
 
     def test_moments(self):
         assert dyadic_power_tail(0, 0) == 2

@@ -1,12 +1,15 @@
 """Certified interval arithmetic: exact ring ops, transcendental enclosures."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from mgms.intervals import (
     CertifiedInterval,
+    _iv_horner,
+    _iv_mul_ints,
     iv_entropy_bits,
     iv_entropy_nat,
     iv_ln,
@@ -116,3 +119,52 @@ def test_polyval_matches_exact_values():
 def test_polyval_rejects_non_integral_or_empty_coefficients(coeffs):
     with pytest.raises(ValueError):
         iv_polyval(coeffs, box(0, 1))
+
+
+def four_product_horner(ints, x_lo: int, x_hi: int, d: int):
+    """Horner on integer numerators taking min/max over all four products at every step."""
+    lo = hi = ints[-1]
+    scale = 1
+    for c in reversed(ints[:-1]):
+        scale *= d
+        products = (lo * x_lo, lo * x_hi, hi * x_lo, hi * x_hi)
+        lo, hi = min(products) + c * scale, max(products) + c * scale
+    return lo, hi, scale
+
+
+SIGN_CASES = {
+    "positive": (Fraction(3, 7), Fraction(5, 6)),
+    "lo_zero": (Fraction(0), Fraction(7, 5)),
+    "point_zero": (Fraction(0), Fraction(0)),
+    "straddles_zero": (Fraction(-4, 9), Fraction(2, 3)),
+    "negative": (Fraction(-11, 4), Fraction(-1, 6)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SIGN_CASES))
+def test_sign_selected_horner_equals_four_products(case):
+    lo, hi = SIGN_CASES[case]
+    x = box(lo, hi)
+    d = math.lcm(lo.denominator, hi.denominator)
+    x_lo, x_hi = lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)
+    rng = random.Random(f"horner-{case}")
+    for trial in range(200):
+        ints = [rng.randint(-50, 50) for _ in range(rng.randint(1, 12))]
+        if trial % 4 == 0:  # coefficients of one sign keep the accumulator off zero
+            ints = [abs(c) for c in ints]
+        assert _iv_horner(ints, x) == four_product_horner(ints, x_lo, x_hi, d), ints
+        # and the reduced endpoints are those of step-by-step CertifiedInterval Horner
+        ref = CertifiedInterval.point(ints[-1])
+        for c in reversed(ints[:-1]):
+            ref = ref * x + c
+        got = iv_polyval(ints, x)
+        assert (got.lo, got.hi) == (ref.lo, ref.hi), ints
+
+
+def test_sign_selected_product_equals_four_products():
+    rng = random.Random("interval-product")
+    for _ in range(2000):
+        a_lo, b_lo = rng.randint(-9, 9), rng.randint(-9, 9)
+        a_hi, b_hi = a_lo + rng.randint(0, 9), b_lo + rng.randint(0, 9)
+        products = (a_lo * b_lo, a_lo * b_hi, a_hi * b_lo, a_hi * b_hi)
+        assert _iv_mul_ints(a_lo, a_hi, b_lo, b_hi) == (min(products), max(products))
