@@ -219,15 +219,6 @@ def dim_minkowski_enclosure(tol: float = 1e-6) -> CertifiedInterval:
     return CertifiedInterval(acc.lo, acc.hi + tail)
 
 
-def dims_certified_ordering() -> bool:
-    """Certify dim_H < dim_M from the enclosures (True, or raises)."""
-    s = hausdorff_dim()
-    m = dim_minkowski_enclosure(1e-9)
-    if not s.hi < m.lo:
-        raise CertificationError(f"could not separate s={s} from dim_M={m}")
-    return True
-
-
 # -- derivative series around p (natural-log scale) -----------------------------
 
 

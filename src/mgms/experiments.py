@@ -28,10 +28,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import types
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from mpmath import mp
 
 from .analytics import (
     Gauge,
@@ -91,18 +94,60 @@ _TRIAL_CHUNK = 4096
 MIN_TREND_POINTS = 3
 
 
-class _LazyStats:
-    """`scipy.stats`, imported on first use: it costs about 1 s, and only the
-    trend verdict (`theilslopes`) and the ldev2 fit (`linregress`, `t.ppf`)
-    need it."""
+def _theilslopes(y, x, alpha: float = 0.95) -> tuple[float, float, float]:
+    """Theil-Sen slope of y on x (the median of the pairwise slopes over
+    distinct x) and Sen's (1968) band at level alpha: order statistics of the
+    slopes placed by the normal approximation, with the eq. 2.6 variance
+    corrected for ties in x and y; NaN when ties leave that variance negative.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    dx = x[:, None] - x
+    up = dx > 0
+    slopes = np.sort((y[:, None] - y)[up] / dx[up])
+    n, pairs = len(y), len(slopes)
+    ties = sum(int(k * (k - 1) * (2 * k + 5)) for v in (x, y) for k in np.unique(v, return_counts=True)[1])
+    sigsq = 1 / 18.0 * (n * (n - 1) * (2 * n + 5) - ties)
+    if not pairs or sigsq < 0:
+        return (float(np.median(slopes)) if pairs else math.nan), math.nan, math.nan
+    from statistics import NormalDist  # here, so that the paths without a trend never load it
 
-    def __getattr__(self, name):
-        from scipy import stats as module
+    z_sigma = NormalDist().inv_cdf((1 - alpha) / 2) * math.sqrt(sigsq)  # negative
+    lo = max(round((pairs + z_sigma) / 2) - 1, 0)
+    hi = min(round((pairs - z_sigma) / 2), pairs - 1)
+    return float(np.median(slopes)), float(slopes[lo]), float(slopes[hi])
 
-        return getattr(module, name)
+
+def _linregress(x, y) -> types.SimpleNamespace:
+    """Least-squares line of y on x (at least 3 points, x not all equal): slope,
+    intercept, r (NaN for constant y) and the slope's standard error."""
+    sxx, sxy, _, syy = np.cov(x, y, bias=1).flat
+    r = min(1.0, max(-1.0, sxy / math.sqrt(sxx * syy))) if syy else math.nan
+    slope = sxy / sxx
+    return types.SimpleNamespace(slope=slope, intercept=np.mean(y) - slope * np.mean(x), rvalue=r,
+                                 stderr=np.sqrt((1 - r**2) * syy / sxx / (len(x) - 2)))
 
 
-stats = _LazyStats()
+@lru_cache(maxsize=None)
+def _t_ppf(q: float, df: int) -> float:
+    """Quantile q of Student's t with df degrees of freedom.
+
+    2 P(T > |t|) = I_x(df/2, 1/2) at x = df / (df + t^2), so the root x of
+    I_x = 2 min(q, 1 - q) gives |t|.  At 30 digits the float is correctly
+    rounded on df = 1..30; a call costs about 2 ms, hence the cache.
+    """
+    with mp.workdps(30):
+        tail = 2 * min(mp.mpf(q), 1 - mp.mpf(q))
+        x = mp.findroot(lambda x: mp.betainc(df / 2, 0.5, 0, x, regularized=True) - tail, (0, 1),
+                        solver="pegasus")
+        t = float(mp.sqrt(df * (1 - x) / x))
+    return t if q > 0.5 else -t
+
+
+# The three statistics of the trend verdict and the ldev2 fit, as one
+# namespace: perfbench/tracing.py wraps exactly these names.
+stats = types.SimpleNamespace(theilslopes=_theilslopes, linregress=_linregress,
+                              t=types.SimpleNamespace(ppf=_t_ppf))
 
 
 def deviation_threshold(n: int, epsilon: float = DEFAULT_EPSILON) -> float:
@@ -130,14 +175,6 @@ def config_hash(config: dict) -> str:
     """Stable 12-hex digest of a canonicalized config mapping."""
     blob = json.dumps(config, sort_keys=True, separators=(",", ":"), default=str)
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
-
-
-def _theil_sen(ns: Sequence[int], ys: Sequence[float]) -> tuple[float, float, float]:
-    """Theil-Sen slope of y against log2 n, with 95% confidence band."""
-    x = np.log2(np.asarray(ns, dtype=np.float64))
-    y = np.asarray(ys, dtype=np.float64)
-    slope, _, lo, hi = stats.theilslopes(y, x, alpha=0.95)
-    return float(slope), float(lo), float(hi)
 
 
 @dataclass(frozen=True)
@@ -228,7 +265,7 @@ def _trend_verdict(
         idx = list(range(len(n_grid)))
     ns = [n_grid[j] for j in idx]
     ys = [medians[j] for j in idx]
-    slope, lo, hi = _theil_sen(ns, ys)
+    slope, lo, hi = stats.theilslopes(ys, np.log2(ns), alpha=0.95)  # against log2 n
     if slope < 0:
         verdict = Verdict.DECREASING
     elif slope > 0:
@@ -765,8 +802,7 @@ def zero_count_deviation_check(
     fit: dict = {}
     if len(fit_x) >= 3:
         res = stats.linregress(fit_x, fit_y)
-        dof = len(fit_x) - 2
-        tcrit = float(stats.t.ppf(0.975, dof)) if dof > 0 else float("inf")
+        tcrit = stats.t.ppf(0.975, len(fit_x) - 2)
         fit = {
             "c2": math.exp(res.intercept),
             "c3": -res.slope,

@@ -217,13 +217,6 @@ def _from_iv(x) -> CertifiedInterval:
     return CertifiedInterval(_raw_to_fraction(raw_a), _raw_to_fraction(raw_b))
 
 
-def iv_ln(ci: CertifiedInterval) -> CertifiedInterval:
-    """Enclosure of natural log over the interval; requires lo > 0."""
-    if ci.lo <= 0:
-        raise ValueError(f"log of nonpositive interval {ci}")
-    return _from_iv(iv.log(_to_iv(ci)))
-
-
 _LN2 = _from_iv(iv.log(iv.mpf(2)))
 
 
@@ -270,11 +263,3 @@ def iv_ln_ratio(ci: CertifiedInterval) -> CertifiedInterval:
         raise ValueError(f"need an interval inside (0,1), got {ci}")
     x = _to_iv(ci)
     return _from_iv(iv.log((iv.mpf(1) - x) / x))
-
-
-def iv_log2_ratio(ci: CertifiedInterval) -> CertifiedInterval:
-    """Enclosure of log2((1-x)/x), the derivative of the base-2 entropy."""
-    if not (0 < ci.lo and ci.hi < 1):
-        raise ValueError(f"need an interval inside (0,1), got {ci}")
-    x = _to_iv(ci)
-    return _from_iv(iv.log((iv.mpf(1) - x) / x) / iv.log(iv.mpf(2)))

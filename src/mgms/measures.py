@@ -113,10 +113,6 @@ class MarkovParams:
         if not 0.0 < self.r < 1.0:
             raise ValueError(f"parameter must lie in (0,1), got {self.r}")
 
-    @staticmethod
-    def from_enclosure(ci: CertifiedInterval) -> "MarkovParams":
-        return MarkovParams(ci.mid_float)
-
     @property
     def initial(self) -> tuple[float, float]:
         return (self.r, 1.0 - self.r)
@@ -299,9 +295,14 @@ def sample_point(assign: BlockAssignment, n: int, seed: int) -> SampledPoint:
 # -- vectorized twin (experiments engine) ----------------------------------------
 
 
-# Cells per temporary array of the batch kernels (512 KB of float64), so no
-# call allocates and frees megabytes of heap that the next one faults back in.
-_CHUNK = 1 << 16
+# Cells per temporary array of the batch kernels (about 512 KB of float64), so
+# no call allocates and frees megabytes of heap that the next one faults back
+# in.  Not 2^16 itself: there a 2^20 trajectory took 0.013 to 0.0165 s per call
+# from one fresh process to the next, as the import history fell, with no page
+# faults either way; at 2^15, 2^16 - 4096, -512, -256, -64, +64 and +512 every
+# process read 0.0125 to 0.0130 s (2-core Xeon).  Above 2^16, the 4096-trial
+# chunks of the deviation checks split into as many blocks as at 2^16.
+_CHUNK = (1 << 16) + 512
 
 
 @lru_cache(maxsize=4)

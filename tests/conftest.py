@@ -10,7 +10,7 @@ import pytest
 from mpmath import iv
 
 from mgms.core import BinaryWord
-from mgms.intervals import CertifiedInterval, _from_iv, iv_entropy_nat, iv_ln_ratio
+from mgms.intervals import CertifiedInterval, _from_iv, _to_iv, iv_entropy_nat, iv_ln_ratio
 from mgms.polynomials import EntropyPolynomial, entropy_poly
 
 
@@ -119,6 +119,24 @@ def reference_tau_gamma_partial(x: CertifiedInterval, gamma: float, K: int) -> C
         w = iv.exp(iv.log(iv.mpf(k)) * iv.mpf(1 + gamma)) if k > 1 else iv.mpf(1)
         acc = acc + (reference_hf_derivative_at(k, x) * _from_iv(w)).scale(Fraction(1, 2 ** (k + 1)))
     return acc
+
+
+# -- interval enclosures that only the tests use --------------------------------
+
+
+def iv_ln(ci: CertifiedInterval) -> CertifiedInterval:
+    """Enclosure of natural log over the interval; requires lo > 0."""
+    if ci.lo <= 0:
+        raise ValueError(f"log of nonpositive interval {ci}")
+    return _from_iv(iv.log(_to_iv(ci)))
+
+
+def iv_log2_ratio(ci: CertifiedInterval) -> CertifiedInterval:
+    """Enclosure of log2((1-x)/x), the derivative of the base-2 entropy."""
+    if not (0 < ci.lo and ci.hi < 1):
+        raise ValueError(f"need an interval inside (0,1), got {ci}")
+    x = _to_iv(ci)
+    return _from_iv(iv.log((iv.mpf(1) - x) / x) / iv.log(iv.mpf(2)))
 
 
 def word(s: str) -> BinaryWord:

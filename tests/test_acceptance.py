@@ -230,6 +230,11 @@ def test_criterion_09_deviation_bounds():
         f"ldev2 {len(ldev.rows)} cells ok (c3 fit {ldev.fit.get('c3', float('nan')):.2f}) "
         f"in {elapsed:.0f}s (10^5 trials)",
     )
+    # the fit as computed with scipy.stats.linregress and t.ppf
+    frozen = {"c2": 0.5264120025347528, "c3": 1.9417600236238564,
+              "c3_ci": [1.8144607354588849, 2.069059311788828],
+              "r_value": -0.9929793132589219, "points": 17}
+    assert ldev.fit == pytest.approx(frozen, rel=1e-12)
 
 
 def test_criterion_10_asymptotic_trends():
@@ -252,6 +257,9 @@ def test_criterion_10_asymptotic_trends():
         f"density-psi1 {density.verdict} (slope {density.slope:.1f}), "
         f"{len(lower.seeds)} seeds to 2^20 in {elapsed:.0f}s",
     )
+    # the Theil-Sen slopes and bands exactly as scipy.stats.theilslopes gave them
+    assert (lower.slope, lower.slope_ci) == (-1.9051124685902323, (-5.800473270049679, 4.34576645730067))
+    assert (density.slope, density.slope_ci) == (2785.1387378398895, (1004.3083308864398, 6511.719348460338))
 
 
 def test_criterion_11_determinism(tmp_path):

@@ -19,7 +19,6 @@ from mgms.analytics import (
     derivative_series_at_p,
     dim_minkowski,
     dim_minkowski_enclosure,
-    dims_certified_ordering,
     dyadic_power_tail,
     entropy_nat,
     expected_zero_count_chain,
@@ -163,7 +162,6 @@ class TestDimensions:
         assert enc.contains(Fraction(sharp))
 
     def test_ordering_certified(self):
-        assert dims_certified_ordering() is True
         assert hausdorff_dim().hi < dim_minkowski_enclosure(1e-9).lo
 
     def test_tol_validation(self):

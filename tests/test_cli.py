@@ -164,6 +164,21 @@ class TestExperimentCommand:
                         "--n-grid", "16,8192,16384,32768")
         assert code == 0 and "n > 4096," in out and "whole grid" not in out
 
+    # sha256 of the `--format json` stdout, as computed when the trend band
+    # came from scipy.stats.theilslopes
+    TREND_FROZEN = [
+        ("lower --seed 0 --seeds 6 --n-grid 16,256,1024,4096,16384",
+         "ee1be3e4a0fe799ec76dae4bc1427bd5d8b8960e043afc87585b931ed4165615"),
+        ("density --seed 3 --seeds 5 --n-grid 16,64,256,1024,4096,8192",
+         "73d5d37e65e5b0904cacf87ff1c8b391af25c0cad96b1d48c4bff3a94267eaae"),
+    ]
+
+    @pytest.mark.parametrize("argv, digest", TREND_FROZEN)
+    def test_trend_json_is_frozen(self, capsys, argv, digest):
+        code, out = run(capsys, "experiment", *argv.split(), "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_telescope_flags(self, capsys):
         code, out = run(
             capsys, "experiment", "telescope", "--seed", "1", "--g", "t^2", "--ell-max", "10"
@@ -252,7 +267,17 @@ def test_bad_input_is_one_line_usage_error(capsys, argv):
     assert err.startswith("usage error: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("argv", [["-c", "import mgms, mgms.cli"], ["-m", "mgms.cli", "dims"]])
+@pytest.mark.parametrize("argv", [
+    ["-c", "import mgms, mgms.cli"],
+    ["-m", "mgms.cli", "dims"],
+    # a cache probe on the statistics namespace, as a sweep that clears caches makes
+    ["-c", "import mgms.experiments as e; assert getattr(e.stats, 'cache_clear', None) is None"],
+    # the Theil-Sen trend band, and the ldev2 line fit with its t quantile
+    ["-m", "mgms.cli", "experiment", "lower", "--seed", "0", "--seeds", "3", "--n-grid", "16,64,256,1024"],
+    ["-m", "mgms.cli", "experiment", "density", "--seed", "0", "--seeds", "3", "--n-grid", "16,64,256,1024"],
+    ["-m", "mgms.cli", "experiment", "ldev2", "--seed", "0", "--trials", "2000",
+     "--t-grid", "0.02,0.05,0.1", "--n-grid", "32,64"],
+])
 def test_cold_path_does_not_import_scipy(argv):
     env = dict(os.environ, PYTHONPATH=str(Path(mgms.__file__).resolve().parents[1]))
     proc = subprocess.run([sys.executable, "-X", "importtime", *argv],

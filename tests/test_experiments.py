@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats as scipy_stats
 
 from mgms import experiments
 from mgms.analytics import (
@@ -317,6 +318,11 @@ class TestZeroCountDeviation:
         lo, hi = rep.fit["c3_ci"]
         assert lo > 0  # decay rate positive with 95% confidence
         assert rep.fit["r_value"] < -0.9  # log-frequency ~ linear in t^2 n
+        # as computed with scipy.stats.linregress and t.ppf
+        frozen = {"c2": 0.618433942909516, "c3": 2.0706457954057154,
+                  "c3_ci": [1.9086781181393406, 2.23261347267209],
+                  "r_value": -0.9946626680201969, "points": 11}
+        assert rep.fit == pytest.approx(frozen, rel=1e-12)
 
     def test_bound_monotone_in_t(self):
         bounds = [zero_count_bound(t, 256) for t in (0.05, 0.1, 0.2, 0.5, 1.0, 3.0)]
@@ -327,6 +333,77 @@ class TestZeroCountDeviation:
         a = zero_count_deviation_check(**kw).to_json_dict()
         b = zero_count_deviation_check(**kw).to_json_dict()
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+class TestStatistics:
+    """The Theil-Sen band, the line fit and the t quantile, against scipy.stats."""
+
+    # (n grid, medians, (slope, lo, hi)) as scipy.stats.theilslopes gave them,
+    # with ties in log2 n and in the medians; NaN where the ties leave Sen's
+    # variance negative or no pair has distinct x
+    TIED = [
+        ((16, 16, 64, 256, 256, 1024), (1.0, 2.0, 2.0, 3.5, 2.0, 7.25), (0.625, 0.0, 1.875)),
+        ((16, 32, 64, 128, 256, 512, 1024), (0.5, 0.5, 0.5, 1.0, 1.0, -2.0, 3.0),
+         (0.16666666666666666, -0.625, 0.625)),
+        ((4, 4, 4, 8, 8, 16, 32, 32), (1.0, -1.0, 0.25, 0.25, 3.0, 3.0, 3.0, -4.5),
+         (0.6666666666666666, -1.8333333333333333, 2.0)),
+        ((16, 64, 256, 1024, 4096), (2.0, 2.0, 2.0, 2.0, 2.0), (0.0, 0.0, 0.0)),
+        ((16, 16, 64), (1.0, 1.0, 1.0), (0.0, math.nan, math.nan)),
+        ((16, 64), (1.0, -3.0), (-2.0, -2.0, -2.0)),
+        ((8, 8, 8, 8), (1.0, 2.0, 3.0, 4.0), (math.nan, math.nan, math.nan)),
+        ((16,), (1.0,), (math.nan, math.nan, math.nan)),  # a one-point --n-grid
+    ]
+
+    @pytest.mark.parametrize("ns, ys, frozen", TIED)
+    def test_theil_sen_on_tied_grids_is_frozen(self, ns, ys, frozen):
+        got = experiments.stats.theilslopes(ys, np.log2(ns), alpha=0.95)
+        assert repr(got) == repr(frozen)
+
+    def test_theil_sen_matches_scipy_on_random_ties(self):
+        rng = np.random.default_rng(11)
+        for _ in range(400):
+            n = int(rng.integers(2, 18))
+            x = rng.integers(0, 6, n).astype(float)
+            if np.all(x == x[0]):
+                x[0] += 1.0
+            y = rng.integers(-3, 4, n) / 2.0 if rng.random() < 0.5 else rng.normal(size=n)
+            ref = scipy_stats.theilslopes(y, x, alpha=0.95)
+            got = experiments.stats.theilslopes(y, x, alpha=0.95)
+            assert repr(got) == repr((float(ref[0]), float(ref[2]), float(ref[3])))
+
+    def test_line_fit_matches_scipy(self):
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            n = int(rng.integers(3, 30))
+            x = rng.normal(size=n) * 3
+            y = 0.7 * x + rng.normal(size=n)
+            ref = scipy_stats.linregress(x, y)
+            got = experiments.stats.linregress(x, y)
+            for field in ("slope", "intercept", "rvalue", "stderr"):
+                assert getattr(got, field) == pytest.approx(getattr(ref, field), rel=1e-12, abs=1e-15)
+
+    def test_line_fit_of_constant_y_has_no_r(self):
+        fit = experiments.stats.linregress([1.0, 2.0, 4.0], [3.0, 3.0, 3.0])
+        assert fit.slope == 0.0 and fit.intercept == 3.0
+        assert math.isnan(fit.rvalue) and math.isnan(fit.stderr)
+
+    @pytest.mark.parametrize("q", [0.975, 0.95, 0.995, 0.6, 0.025])
+    def test_t_quantile_matches_scipy(self, q):
+        for df in range(1, 31):
+            ref = float(scipy_stats.t.ppf(q, df))
+            assert experiments.stats.t.ppf(q, df) == pytest.approx(ref, rel=1e-14)
+
+    def test_t_quantile_is_correctly_rounded(self):
+        from mpmath import mp
+
+        def cdf(t, df):  # P(T <= t) for t > 0, by the incomplete beta function
+            return 1 - mp.betainc(mp.mpf(df) / 2, 0.5, 0, df / (df + t * t), regularized=True) / 2
+
+        with mp.workdps(50):
+            for df in (1, 2, 14, 30):
+                t = mp.mpf(experiments.stats.t.ppf(0.975, df))
+                half_ulp = mp.mpf(math.ulp(float(t))) / 2
+                assert cdf(t - half_ulp, df) <= 0.975 <= cdf(t + half_ulp, df)
 
 
 class TestCoveringSums:

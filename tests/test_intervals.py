@@ -12,14 +12,14 @@ from mgms.intervals import (
     _iv_mul_ints,
     iv_entropy_bits,
     iv_entropy_nat,
-    iv_ln,
     iv_ln_ratio,
     iv_log2,
     iv_log2_int,
-    iv_log2_ratio,
     iv_polyval,
     ln2_interval,
 )
+
+from conftest import iv_ln, iv_log2_ratio
 
 
 def box(a, b) -> CertifiedInterval:
