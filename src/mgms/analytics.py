@@ -29,6 +29,8 @@ p^3 = (1-p)^2 (re-verified symbolically in the tests).
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -36,11 +38,12 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, NamedTuple, Optional
 
-from .core import chain_length_counts, fibonacci
+from .core import chain_length_counts, fibonacci, log2_count_cylinders
 from .intervals import (
     CertifiedInterval,
     _common_numerators,
     _from_iv,
+    _iv,
     _iv_horner,
     _iv_mul_ints,
     iv_entropy_nat,
@@ -73,7 +76,15 @@ __all__ = [
     "GaugeFamily",
     "Gauge",
     "gauge_log2",
+    "covering_sum",
+    "box_dimension_estimate",
+    "config_hash",
+    "SCHEMA_VERSION",
+    "DEFAULT_N_GRID",
 ]
+
+SCHEMA_VERSION = 1
+DEFAULT_N_GRID = tuple(2**j for j in range(4, 21))
 
 
 class CertificationError(RuntimeError):
@@ -370,8 +381,7 @@ def tau_gamma(gamma: float, K: int = 12) -> TauGammaResult:
         raise ValueError(f"gamma must lie in (0, 2], got {gamma}")
     if K < 1:
         raise ValueError(f"need K >= 1, got {K}")
-    from mpmath import iv
-
+    iv = _iv()
     weights = {}
     for k in range(1, K + 1):
         # enclosure of the weight k^(1+gamma), times 2^-(k+1)
@@ -507,3 +517,26 @@ def gauge_log2(gauge: Gauge, n: int) -> float:
             raise ValueError(f"g(log2 n) must be positive, got {gval}")
         return base - n / (math.log(2) * gval)
     raise ValueError(f"unknown gauge family {fam}")
+
+
+# -- covering sums and report configs -------------------------------------------
+
+
+def covering_sum(gauge: Gauge, n: int) -> float:
+    """log2 of the level-n uniform covering sum: log2 #cylinders + log2 gauge(2^-n)."""
+    if n < 4:
+        raise ValueError(f"need n >= 4, got {n}")
+    return log2_count_cylinders(n) + gauge_log2(gauge, n)
+
+
+def box_dimension_estimate(n: int) -> float:
+    """log2(#cylinders of length n) / n; converges to the Minkowski dimension."""
+    if n < 2:
+        raise ValueError(f"need n >= 2, got {n}")
+    return log2_count_cylinders(n) / n
+
+
+def config_hash(config: dict) -> str:
+    """Stable 12-hex digest of a canonicalized config mapping."""
+    blob = json.dumps(config, sort_keys=True, separators=(",", ":"), default=str)
+    return hashlib.sha256(blob.encode()).hexdigest()[:12]

@@ -10,6 +10,11 @@ Exit codes: 0 success, 1 certification failure, 2 usage error (every bad
 input, reported in one line on stderr).  Stochastic
 experiments require --seed; reports embed the full config and library
 version, and rerunning a config reproduces the report body byte for byte.
+
+Each handler imports the modules it runs, so a cold process pays only for
+those: `dims` and `tau` load mpmath but not numpy, `experiment boxdim` and
+`cover` (with `--exponent dimm`) load neither, `measure` loads numpy but
+not mpmath, and `--version` loads no other mgms module.
 """
 
 from __future__ import annotations
@@ -18,38 +23,12 @@ import argparse
 import json
 import math
 import sys
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from . import __version__
-from .analytics import (
-    CertificationError,
-    Gauge,
-    dim_minkowski,
-    dim_minkowski_enclosure,
-    hausdorff_dim,
-    solve_p,
-    tau_certify,
-)
-from .core import BinaryWord, block_of, restrict_to_chain
-from .experiments import (
-    SCHEMA_VERSION,
-    CenteredChainLogMass,
-    DEFAULT_EPSILON,
-    DEFAULT_N_GRID,
-    DEFAULT_SEEDS,
-    Rademacher,
-    box_dimension_estimate,
-    config_hash,
-    covering_sum,
-    density_trajectory,
-    deviation_threshold,
-    hoeffding_check,
-    lower_bound_trajectory,
-    upper_bound_telescoping,
-    zero_count_deviation_check,
-)
-from .measures import BlockAssignment, LogProb, MarkovParams, markov_cylinder_logprob
-from .intervals import CertifiedInterval
+
+if TYPE_CHECKING:
+    from .intervals import CertifiedInterval
 
 EXPERIMENT_KINDS = ("density", "lower", "telescope", "hoeffding", "ldev2", "cover", "boxdim")
 STOCHASTIC_KINDS = ("density", "lower", "telescope", "hoeffding", "ldev2")
@@ -104,6 +83,8 @@ def _json_text(payload: dict) -> str:
 
 
 def _csv_text(rows: list[tuple], config: dict) -> str:
+    from .analytics import SCHEMA_VERSION
+
     lines = [
         f"# mgms {__version__} schema_version={SCHEMA_VERSION}",
         "# config: " + json.dumps(config, sort_keys=True, separators=(",", ":"), default=str),
@@ -120,6 +101,8 @@ def _csv_text(rows: list[tuple], config: dict) -> str:
 def cmd_dims(args) -> int:
     _require(math.isfinite(args.tol) and args.tol > 0,
              f"--tol must be positive and finite, got {args.tol}")
+    from .analytics import SCHEMA_VERSION, dim_minkowski, dim_minkowski_enclosure, hausdorff_dim, solve_p
+
     p = solve_p()
     s = hausdorff_dim()
     dm_val, dm_tail = dim_minkowski(args.tol)
@@ -147,6 +130,8 @@ def cmd_dims(args) -> int:
 
 
 def cmd_tau(args) -> int:
+    from .analytics import SCHEMA_VERSION, tau_certify
+
     cert = tau_certify()  # raises CertificationError on failure
     lower = float(cert.margin)
     payload = {
@@ -181,6 +166,10 @@ def cmd_measure(args) -> int:
     word_str = args.word
     if not word_str or any(c not in "01" for c in word_str):
         raise UsageError(f"word must be a nonempty 0/1 string, got {word_str!r}")
+    from .analytics import SCHEMA_VERSION
+    from .core import BinaryWord, block_of, restrict_to_chain
+    from .measures import BlockAssignment, LogProb, MarkovParams, markov_cylinder_logprob
+
     u = BinaryWord.from_string(word_str)
     if args.mu is not None:
         params = _checked(MarkovParams, args.mu)
@@ -268,16 +257,49 @@ def _check_experiment_args(args) -> None:
                                ("--n", args.n, 1), ("--k", args.k, 1), ("--ell-max", args.ell_max, 2)):
         _require(value >= least, f"{flag} must be >= {least}, got {value}")
     for flag in ("delta", "c", "theta", "gamma", "epsilon"):
-        value = getattr(args, flag)
-        _require(math.isfinite(value), f"--{flag} must be finite, got {value}")
+        value = getattr(args, flag)  # None: the library default
+        _require(value is None or math.isfinite(value), f"--{flag} must be finite, got {value}")
 
 
 def cmd_experiment(args) -> int:
+    from .analytics import DEFAULT_N_GRID, Gauge, box_dimension_estimate, covering_sum, dim_minkowski
+
     kind = args.kind
     if kind in STOCHASTIC_KINDS and args.seed is None:
         raise UsageError(f"experiment {kind!r} is stochastic: --seed is required")
     _check_experiment_args(args)
     n_grid = _parse_grid(args.n_grid, GRID_MIN.get(kind, 1)) if args.n_grid else list(DEFAULT_N_GRID)
+    # the two counting formulas: no sampling, so neither numpy nor the experiments module
+    if kind == "cover":
+        s_val = dim_minkowski(1e-9).value if args.exponent == "dimm" else None
+        gauge = Gauge.pure(s_val) if args.gauge == "pure" else (
+            Gauge.psi_theta(args.theta, s_val) if args.gauge == "psi"
+            else _checked(Gauge.phi, args.c, s_val))
+        values = {n: covering_sum(gauge, n) for n in n_grid}
+        return _emit_plain_series("cover", values, args, extra={"gauge": gauge.describe()})
+    if kind == "boxdim":
+        values = {n: box_dimension_estimate(n) for n in n_grid}
+        return _emit_plain_series("boxdim", values, args, extra={})
+
+    from .experiments import (
+        DEFAULT_EPSILON,
+        DEFAULT_SEEDS,
+        MIN_TREND_POINTS,
+        CenteredChainLogMass,
+        Rademacher,
+        density_trajectory,
+        deviation_threshold,
+        hoeffding_check,
+        lower_bound_trajectory,
+        upper_bound_telescoping,
+        zero_count_deviation_check,
+    )
+    from .measures import BlockAssignment
+
+    if kind in ("density", "lower"):
+        _require(len(n_grid) >= MIN_TREND_POINTS,
+                 f"experiment {kind!r} fits a trend: --n-grid needs at least "
+                 f"{MIN_TREND_POINTS} points, got {len(n_grid)}")
     seeds = (list(range(args.seed, args.seed + args.seeds))
              if args.seed is not None else list(DEFAULT_SEEDS))
 
@@ -311,7 +333,8 @@ def cmd_experiment(args) -> int:
             t_grid = _parse_floats(args.t_grid)
         elif args.distribution == "logmass":
             # sub-linear deviation event S_n >= n^(1-epsilon)
-            t_grid = [_checked(deviation_threshold, args.n, args.epsilon)]
+            epsilon = DEFAULT_EPSILON if args.epsilon is None else args.epsilon
+            t_grid = [_checked(deviation_threshold, args.n, epsilon)]
         else:
             t_grid = [0.1, 0.3, 0.5]
         report = hoeffding_check(dist, t_grid, args.n, args.trials, args.seed)
@@ -323,16 +346,6 @@ def cmd_experiment(args) -> int:
         if args.n_grid:
             kwargs["n_grid"] = n_grid
         report = zero_count_deviation_check(**kwargs)
-    elif kind == "cover":
-        s_val = dim_minkowski(1e-9).value if args.exponent == "dimm" else None
-        gauge = Gauge.pure(s_val) if args.gauge == "pure" else (
-            Gauge.psi_theta(args.theta, s_val) if args.gauge == "psi"
-            else _checked(Gauge.phi, args.c, s_val))
-        values = {n: covering_sum(gauge, n) for n in n_grid}
-        return _emit_plain_series("cover", values, args, extra={"gauge": gauge.describe()})
-    elif kind == "boxdim":
-        values = {n: box_dimension_estimate(n) for n in n_grid}
-        return _emit_plain_series("boxdim", values, args, extra={})
     else:
         raise UsageError(f"unknown experiment kind {kind!r}; choose from {EXPERIMENT_KINDS}")
 
@@ -374,6 +387,8 @@ def _telescope_g(spec: str, ell_max: int):
 
 
 def _emit_plain_series(kind: str, values: dict, args, extra: dict) -> int:
+    from .analytics import SCHEMA_VERSION, config_hash
+
     config = {"experiment": kind, "n_grid": sorted(values), **extra}
     h = config_hash(config)
     if args.format == "json":
@@ -439,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--n-grid", default=None, help="comma-separated prefix lengths")
     e.add_argument("--n", type=int, default=100, help="summand count (hoeffding)")
     e.add_argument("--distribution", choices=("rademacher", "logmass"), default="rademacher")
-    e.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON,
+    e.add_argument("--epsilon", type=float, default=None,
                    help="deviation-event exponent: default t = n^(-epsilon)")
     e.add_argument("--k", type=int, default=3, help="chain length (hoeffding logmass)")
     e.add_argument("--t-grid", default=None, help="comma-separated thresholds")
@@ -457,6 +472,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:  # argparse uses 2 for usage errors already
         return int(exc.code or 0)
+    from .analytics import CertificationError  # every subcommand loads analytics
+
     try:
         return args.func(args)
     except UsageError as exc:

@@ -11,7 +11,9 @@ golden-admissible.
 Counting is exact: golden words of length k are counted by the Fibonacci
 number F_{k+1} (F_1 = 1, F_2 = 2), and multiplicative prefixes of length n
 by the product of F_{chain_length+1} over chains, held as big integers with
-a float log2 companion for dimension estimates.
+a float log2 companion for dimension estimates.  The counting functions
+run on Python ints and floats alone; numpy is loaded by the words and the
+enumerators when they first run.
 """
 
 from __future__ import annotations
@@ -20,9 +22,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "BinaryWord",
@@ -60,6 +63,8 @@ class BinaryWord:
 
     @staticmethod
     def from_bits(bits: Iterable[int]) -> "BinaryWord":
+        import numpy as np
+
         arr = np.fromiter(bits, dtype=np.uint8)
         if arr.size and arr.max(initial=0) > 1:
             raise ValueError("symbols must be 0 or 1")
@@ -73,6 +78,8 @@ class BinaryWord:
 
     @staticmethod
     def from_array(arr: np.ndarray) -> "BinaryWord":
+        import numpy as np
+
         arr = np.asarray(arr, dtype=np.uint8)
         if arr.size and arr.max(initial=0) > 1:
             raise ValueError("symbols must be 0 or 1")
@@ -87,6 +94,8 @@ class BinaryWord:
     @cached_property
     def array(self) -> np.ndarray:
         """The word as a read-only uint8 array of 0/1 (0-based)."""
+        import numpy as np
+
         arr = np.unpackbits(np.frombuffer(self.packed, dtype=np.uint8), count=self.n)
         arr.flags.writeable = False
         return arr
@@ -125,14 +134,14 @@ class BinaryWord:
 def is_golden_word(u: BinaryWord) -> bool:
     """True iff u has no adjacent pair 11 (vacuously true for |u| <= 1)."""
     a = u.array
-    return not bool(np.any(a[1:] & a[:-1]))
+    return not (a[1:] & a[:-1]).any()
 
 
 def is_multiplicative_prefix(u: BinaryWord) -> bool:
     """True iff u_k * u_{2k} = 0 for all k with 2k <= |u|."""
     a = u.array
     half = u.n // 2
-    return not bool(np.any(a[:half] & a[1::2]))
+    return not (a[:half] & a[1::2]).any()
 
 
 def _require_odd(i: int) -> int:
@@ -215,6 +224,8 @@ def assemble_from_chains(n: int, chains: dict[int, BinaryWord]) -> BinaryWord:
 
     `chains` must map every odd i <= n to a word of length chain_length(n, i).
     """
+    import numpy as np
+
     out = np.zeros(n, dtype=np.uint8)
     seen = 0
     for i, w in chains.items():
@@ -277,6 +288,8 @@ def iter_golden_words(k: int) -> Iterator[BinaryWord]:
     """Yield all golden-admissible words of length k (lexicographic)."""
     if k < 0:
         raise ValueError(f"length must be >= 0, got {k}")
+    import numpy as np
+
     buf = np.zeros(k, dtype=np.uint8)
 
     def rec(pos: int) -> Iterator[BinaryWord]:
@@ -297,6 +310,8 @@ def iter_multiplicative_prefixes(n: int) -> Iterator[BinaryWord]:
     """Yield all multiplicative prefixes of length n (lexicographic)."""
     if n < 0:
         raise ValueError(f"length must be >= 0, got {n}")
+    import numpy as np
+
     buf = np.zeros(n, dtype=np.uint8)
 
     def rec(pos: int) -> Iterator[BinaryWord]:

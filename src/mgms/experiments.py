@@ -25,8 +25,6 @@ hash so reruns are byte-identical.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 import types
 from dataclasses import dataclass, replace
@@ -34,10 +32,14 @@ from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from mpmath import mp
 
 from .analytics import (
+    DEFAULT_N_GRID,
+    SCHEMA_VERSION,
     Gauge,
+    box_dimension_estimate,
+    config_hash,
+    covering_sum,
     expected_zero_count_prefix,
     gauge_log2,
     partition_entropy,
@@ -48,7 +50,6 @@ from .core import (
     BinaryWord,
     chain_length_counts,
     iter_golden_words,
-    log2_count_cylinders,
 )
 from .measures import (
     _CHUNK,
@@ -84,8 +85,6 @@ __all__ = [
     "DEFAULT_EPSILON",
 ]
 
-SCHEMA_VERSION = 1
-DEFAULT_N_GRID = tuple(2**j for j in range(4, 21))
 DEFAULT_SEEDS = tuple(range(100))
 DEFAULT_EPSILON = 0.25
 _TRIAL_CHUNK = 4096
@@ -136,6 +135,8 @@ def _t_ppf(q: float, df: int) -> float:
     I_x = 2 min(q, 1 - q) gives |t|.  At 30 digits the float is correctly
     rounded on df = 1..30; a call costs about 2 ms, hence the cache.
     """
+    from mpmath import mp
+
     with mp.workdps(30):
         tail = 2 * min(mp.mpf(q), 1 - mp.mpf(q))
         x = mp.findroot(lambda x: mp.betainc(df / 2, 0.5, 0, x, regularized=True) - tail, (0, 1),
@@ -169,12 +170,6 @@ class Verdict:
     INCONCLUSIVE = "INCONCLUSIVE"
     BOUNDED = "BOUNDED"
     UNBOUNDED = "UNBOUNDED"
-
-
-def config_hash(config: dict) -> str:
-    """Stable 12-hex digest of a canonicalized config mapping."""
-    blob = json.dumps(config, sort_keys=True, separators=(",", ":"), default=str)
-    return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
 @dataclass(frozen=True)
@@ -819,20 +814,3 @@ def zero_count_deviation_check(
         "p": measure.p,
     }
     return DeviationReport(experiment="ldev2", rows=tuple(rows), config=config, fit=fit)
-
-
-# -- covering sums ------------------------------------------------------------------
-
-
-def covering_sum(gauge: Gauge, n: int) -> float:
-    """log2 of the level-n uniform covering sum: log2 #cylinders + log2 gauge(2^-n)."""
-    if n < 4:
-        raise ValueError(f"need n >= 4, got {n}")
-    return log2_count_cylinders(n) + gauge_log2(gauge, n)
-
-
-def box_dimension_estimate(n: int) -> float:
-    """log2(#cylinders of length n) / n; converges to the Minkowski dimension."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    return log2_count_cylinders(n) / n

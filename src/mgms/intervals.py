@@ -13,7 +13,9 @@ series.  Only transcendental
 maps (ln, log2, the entropy functions) round, and those are delegated to
 mpmath's interval context at 120 bits with outward rounding; the resulting
 dyadic endpoints convert back to Fraction exactly.  Every operation's
-output therefore encloses the true image of its input interval.
+output therefore encloses the true image of its input interval.  mpmath is
+loaded on the first transcendental call, through `_iv`, which also sets the
+120 bits.
 """
 
 from __future__ import annotations
@@ -21,12 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Union
-
-import mpmath
-from mpmath import iv
-
-iv.prec = 120
 
 Rational = Union[int, Fraction]
 Scalar = Union[int, float, Fraction]
@@ -193,9 +191,13 @@ def iv_polyval(coeffs, x: CertifiedInterval) -> CertifiedInterval:
 # -- mpmath bridge ------------------------------------------------------------
 
 
-def _fraction_to_mpf(x: Fraction, rounding: str) -> mpmath.mpf:
-    """Directed-rounded conversion ('f' floor, 'c' ceiling)."""
-    return mpmath.fdiv(x.numerator, x.denominator, prec=iv.prec, rounding=rounding)
+@lru_cache(maxsize=None)
+def _iv():
+    """mpmath's interval context at 120 bits; every transcendental enclosure goes through it."""
+    from mpmath import iv
+
+    iv.prec = 120
+    return iv
 
 
 def _raw_to_fraction(raw: tuple) -> Fraction:
@@ -208,7 +210,13 @@ def _raw_to_fraction(raw: tuple) -> Fraction:
 
 
 def _to_iv(ci: CertifiedInterval):
-    return iv.mpf([_fraction_to_mpf(ci.lo, "f"), _fraction_to_mpf(ci.hi, "c")])
+    """ci as an mpmath interval, endpoints rounded outward (floor, ceiling)."""
+    from mpmath import fdiv
+
+    iv = _iv()
+    lo = fdiv(ci.lo.numerator, ci.lo.denominator, prec=iv.prec, rounding="f")
+    hi = fdiv(ci.hi.numerator, ci.hi.denominator, prec=iv.prec, rounding="c")
+    return iv.mpf([lo, hi])
 
 
 def _from_iv(x) -> CertifiedInterval:
@@ -217,17 +225,17 @@ def _from_iv(x) -> CertifiedInterval:
     return CertifiedInterval(_raw_to_fraction(raw_a), _raw_to_fraction(raw_b))
 
 
-_LN2 = _from_iv(iv.log(iv.mpf(2)))
-
-
+@lru_cache(maxsize=None)
 def ln2_interval() -> CertifiedInterval:
-    return _LN2
+    iv = _iv()
+    return _from_iv(iv.log(iv.mpf(2)))
 
 
 def iv_log2(ci: CertifiedInterval) -> CertifiedInterval:
     """Enclosure of log2 over the interval; requires lo > 0."""
     if ci.lo <= 0:
         raise ValueError(f"log of nonpositive interval {ci}")
+    iv = _iv()
     return _from_iv(iv.log(_to_iv(ci)) / iv.log(iv.mpf(2)))
 
 
@@ -242,6 +250,7 @@ def iv_entropy_nat(ci: CertifiedInterval) -> CertifiedInterval:
     """Enclosure of -x ln x - (1-x) ln(1-x); requires interval inside (0,1)."""
     if not (0 < ci.lo and ci.hi < 1):
         raise ValueError(f"entropy needs an interval inside (0,1), got {ci}")
+    iv = _iv()
     x = _to_iv(ci)
     one = iv.mpf(1)
     return _from_iv(-(x * iv.log(x)) - (one - x) * iv.log(one - x))
@@ -251,6 +260,7 @@ def iv_entropy_bits(ci: CertifiedInterval) -> CertifiedInterval:
     """Enclosure of the base-2 entropy -x log2 x - (1-x) log2(1-x)."""
     if not (0 < ci.lo and ci.hi < 1):
         raise ValueError(f"entropy needs an interval inside (0,1), got {ci}")
+    iv = _iv()
     x = _to_iv(ci)
     one = iv.mpf(1)
     ln2 = iv.log(iv.mpf(2))
@@ -261,5 +271,6 @@ def iv_ln_ratio(ci: CertifiedInterval) -> CertifiedInterval:
     """Enclosure of ln((1-x)/x), the derivative of the natural-log entropy."""
     if not (0 < ci.lo and ci.hi < 1):
         raise ValueError(f"need an interval inside (0,1), got {ci}")
+    iv = _iv()
     x = _to_iv(ci)
     return _from_iv(iv.log((iv.mpf(1) - x) / x))

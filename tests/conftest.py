@@ -3,14 +3,18 @@ internals so the fast paths always have a second, dumb route to agree with."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
-from mpmath import iv
 
+import mgms
 from mgms.core import BinaryWord
-from mgms.intervals import CertifiedInterval, _from_iv, _to_iv, iv_entropy_nat, iv_ln_ratio
+from mgms.intervals import CertifiedInterval, _from_iv, _iv, _to_iv, iv_entropy_nat, iv_ln_ratio
 from mgms.polynomials import EntropyPolynomial, entropy_poly
 
 
@@ -114,6 +118,7 @@ def reference_tau_partial_12(x: CertifiedInterval) -> CertifiedInterval:
 
 def reference_tau_gamma_partial(x: CertifiedInterval, gamma: float, K: int) -> CertifiedInterval:
     """sum_{k<=K} k^(1+gamma) (H F_{k-1})'(x) / 2^(k+1), the weight an mpmath enclosure."""
+    iv = _iv()
     acc = CertifiedInterval.point(0)
     for k in range(1, K + 1):
         w = iv.exp(iv.log(iv.mpf(k)) * iv.mpf(1 + gamma)) if k > 1 else iv.mpf(1)
@@ -128,15 +133,32 @@ def iv_ln(ci: CertifiedInterval) -> CertifiedInterval:
     """Enclosure of natural log over the interval; requires lo > 0."""
     if ci.lo <= 0:
         raise ValueError(f"log of nonpositive interval {ci}")
-    return _from_iv(iv.log(_to_iv(ci)))
+    return _from_iv(_iv().log(_to_iv(ci)))
 
 
 def iv_log2_ratio(ci: CertifiedInterval) -> CertifiedInterval:
     """Enclosure of log2((1-x)/x), the derivative of the base-2 entropy."""
     if not (0 < ci.lo and ci.hi < 1):
         raise ValueError(f"need an interval inside (0,1), got {ci}")
+    iv = _iv()
     x = _to_iv(ci)
     return _from_iv(iv.log((iv.mpf(1) - x) / x) / iv.log(iv.mpf(2)))
+
+
+# -- fresh processes ---------------------------------------------------------------
+
+
+def run_fresh(argv: list[str]) -> subprocess.CompletedProcess:
+    """`python -X importtime *argv` in a new process that finds this checkout's mgms."""
+    env = dict(os.environ, PYTHONPATH=str(Path(mgms.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, "-X", "importtime", *argv],
+                          capture_output=True, text=True, env=env, check=True)
+
+
+def loaded_modules(argv: list[str]) -> list[str]:
+    """The modules a fresh `python *argv` imports, from its -X importtime lines."""
+    return [line.rsplit("|", 1)[1].strip() for line in run_fresh(argv).stderr.splitlines()
+            if line.startswith("import time:") and "|" in line]
 
 
 def word(s: str) -> BinaryWord:

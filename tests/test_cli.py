@@ -3,14 +3,10 @@
 import hashlib
 import json
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-import mgms
+from conftest import loaded_modules
 from mgms.analytics import CertificationError
 from mgms.cli import main
 
@@ -66,12 +62,12 @@ class TestTau:
         assert payload["certified_lower_bound"] > 0.08
 
     def test_certification_failure_exit_code(self, monkeypatch, capsys):
-        import mgms.cli as cli
+        import mgms.analytics as analytics  # cmd_tau looks tau_certify up here at call time
 
         def boom():
             raise CertificationError("forced")
 
-        monkeypatch.setattr(cli, "tau_certify", boom)
+        monkeypatch.setattr(analytics, "tau_certify", boom)
         code, _ = run(capsys, "tau")
         assert code == 1
 
@@ -155,8 +151,8 @@ class TestExperimentCommand:
         assert "verdict" in out and "Theil-Sen" in out
 
     def test_summary_names_the_points_the_verdict_used(self, capsys):
-        # both grid points lie below the 4096 floor, so the verdict used the whole grid
-        argv = ("experiment", "lower", "--seed", "-1", "--seeds", "2", "--n-grid", "16,64")
+        # all three grid points lie below the 4096 floor, so the verdict used the whole grid
+        argv = ("experiment", "lower", "--seed", "-1", "--seeds", "2", "--n-grid", "16,64,256")
         code, out = run(capsys, *argv)
         assert code == 0
         assert "whole grid n >= 16: < 3 points beyond 4096" in out and "n > 4096" not in out
@@ -210,7 +206,7 @@ class TestExperimentCommand:
         out_file = tmp_path / "r.csv"
         code = main([
             "experiment", "lower", "--seed", "0", "--seeds", "4",
-            "--n-grid", "16,64", "--format", "csv", "--out", str(out_file),
+            "--n-grid", "16,64,256", "--format", "csv", "--out", str(out_file),
         ])
         capsys.readouterr()
         assert code == 0
@@ -248,6 +244,10 @@ class TestExperimentCommand:
     "experiment cover --n-grid 2",
     "experiment boxdim --n-grid 1",
     "experiment density --seed 1 --n-grid 2,4",
+    # a trend needs MIN_TREND_POINTS = 3 grid points: one point gave a NaN band,
+    # two a band collapsed onto the slope
+    "experiment lower --seed 0 --seeds 2 --n-grid 16",
+    "experiment density --seed 0 --seeds 2 --n-grid 16,64",
     "dims --tol nan",
     "dims --tol inf",
     "experiment lower --seed 1 --seeds 0",
@@ -267,24 +267,29 @@ def test_bad_input_is_one_line_usage_error(capsys, argv):
     assert err.startswith("usage error: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("argv", [
-    ["-c", "import mgms, mgms.cli"],
-    ["-m", "mgms.cli", "dims"],
+# Each cold path, with a module the run must load: the scipy check is only
+# evidence if the process really ran that path.
+COLD_PATHS = [
+    (["-c", "import mgms, mgms.cli"], "mgms.cli"),
+    (["-m", "mgms.cli", "dims"], "mgms.analytics"),
     # a cache probe on the statistics namespace, as a sweep that clears caches makes
-    ["-c", "import mgms.experiments as e; assert getattr(e.stats, 'cache_clear', None) is None"],
+    (["-c", "import mgms.experiments as e; assert getattr(e.stats, 'cache_clear', None) is None"],
+     "mgms.experiments"),
     # the Theil-Sen trend band, and the ldev2 line fit with its t quantile
-    ["-m", "mgms.cli", "experiment", "lower", "--seed", "0", "--seeds", "3", "--n-grid", "16,64,256,1024"],
-    ["-m", "mgms.cli", "experiment", "density", "--seed", "0", "--seeds", "3", "--n-grid", "16,64,256,1024"],
-    ["-m", "mgms.cli", "experiment", "ldev2", "--seed", "0", "--trials", "2000",
-     "--t-grid", "0.02,0.05,0.1", "--n-grid", "32,64"],
-])
-def test_cold_path_does_not_import_scipy(argv):
-    env = dict(os.environ, PYTHONPATH=str(Path(mgms.__file__).resolve().parents[1]))
-    proc = subprocess.run([sys.executable, "-X", "importtime", *argv],
-                          capture_output=True, text=True, env=env, check=True)
-    loaded = [line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
-              if line.startswith("import time:") and "|" in line]
-    assert "mgms.experiments" in loaded
+    (["-m", "mgms.cli", "experiment", "lower", "--seed", "0", "--seeds", "3", "--n-grid", "16,64,256,1024"],
+     "mgms.experiments"),
+    (["-m", "mgms.cli", "experiment", "density", "--seed", "0", "--seeds", "3", "--n-grid", "16,64,256,1024"],
+     "mgms.experiments"),
+    (["-m", "mgms.cli", "experiment", "ldev2", "--seed", "0", "--trials", "2000",
+      "--t-grid", "0.02,0.05,0.1", "--n-grid", "32,64"], "mgms.experiments"),
+]
+
+
+@pytest.mark.parametrize("argv, must_load",
+                         [pytest.param(*case, id=f"argv{i}") for i, case in enumerate(COLD_PATHS)])
+def test_cold_path_does_not_import_scipy(argv, must_load):
+    loaded = loaded_modules(argv)
+    assert must_load in loaded
     assert not [m for m in loaded if m == "scipy" or m.startswith("scipy.")]
 
 
