@@ -46,10 +46,11 @@ from .intervals import (
     _iv,
     _iv_horner,
     _iv_mul_ints,
+    _powers,
+    _raw_to_fraction,
     iv_entropy_nat,
     iv_ln_ratio,
     iv_log2,
-    iv_log2_int,
 )
 from .polynomials import entropy_poly
 
@@ -114,11 +115,16 @@ def entropy_nat(r: float) -> float:
 
 
 def partition_entropy(r: float, k: int) -> float:
-    """Entropy (base 2) of the length-k golden cylinder partition: H(r) F_{k-1}(r)."""
+    """Entropy (base 2) of the length-k golden cylinder partition: H(r) F_{k-1}(r).
+
+    F_{k-1} is evaluated exactly at the rational value of the float r and
+    rounded once: its integer coefficients grow past 2^100 by k = 120, and
+    float Horner on them cancels catastrophically.
+    """
     if k < 1:
         raise ValueError(f"partition order must be >= 1, got {k}")
     r = _check_unit_open(r)
-    return binary_entropy(r) * entropy_poly(k - 1).evaluate(float(r))
+    return binary_entropy(r) * float(entropy_poly(k - 1).evaluate(Fraction(r)))
 
 
 # -- the series A(r) -----------------------------------------------------------
@@ -153,35 +159,36 @@ def A_series(r: float, K: int) -> SeriesValue:
 # -- the root p and the dimension constants ------------------------------------
 
 
-def _cubic(x: Fraction) -> Fraction:
-    # expansion of x^3 - (1-x)^2
-    return x * x * x - x * x + 2 * x - 1
-
-
 @lru_cache(maxsize=None)
 def solve_p(width: Fraction = Fraction(1, 2**80)) -> CertifiedInterval:
     """Certified enclosure of the root of p^3 = (1-p)^2 in (0,1).
 
-    Plain bisection in exact rational arithmetic: every sign evaluation is
-    exact, so the bracket is rigorous by construction.
+    Plain bisection of [1/2, 3/5] = [5/10, 6/10] on integer numerators:
+    after j halvings the bracket is [N/D, (N+1)/D] with D = 10 * 2^j, and
+    the sign of x^3 - x^2 + 2x - 1 at N/D is the sign of the exact integer
+    N^3 - N^2 D + 2 N D^2 - D^3, so the bracket is rigorous by
+    construction.  The width may be any positive finite rational or float.
     """
+    if isinstance(width, float) and not math.isfinite(width):
+        raise ValueError(f"width must be positive and finite, got {width}")
     width = Fraction(width)
     if width <= 0:
         raise ValueError("width must be positive")
-    lo, hi = Fraction(1, 2), Fraction(3, 5)
-    flo = _cubic(lo)
-    if not (flo < 0 < _cubic(hi)):
+
+    def cubic(n: int, d: int) -> int:  # d^3 times the cubic at n/d
+        return n * n * (n - d) + d * d * (2 * n - d)
+
+    lo, den = 5, 10
+    if not (cubic(lo, den) < 0 < cubic(lo + 1, den)):
         raise CertificationError("initial bracket does not straddle the root")
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        fm = _cubic(mid)
+    while width.numerator * den < width.denominator:  # hi - lo = 1/den > width
+        lo, den = 2 * lo, 2 * den
+        fm = cubic(lo + 1, den)
         if fm == 0:
-            return CertifiedInterval(mid, mid)
-        if (fm < 0) == (flo < 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return CertifiedInterval(lo, hi)
+            return CertifiedInterval.point(Fraction(lo + 1, den))
+        if fm < 0:
+            lo += 1
+    return CertifiedInterval(Fraction(lo, den), Fraction(lo + 1, den))
 
 
 def p_float() -> float:
@@ -221,13 +228,22 @@ def dim_minkowski(tol: float = 1e-6) -> SeriesValue:
 
 
 def dim_minkowski_enclosure(tol: float = 1e-6) -> CertifiedInterval:
-    """Certified enclosure of the Minkowski dimension (partial sum + tail)."""
+    """Certified enclosure of the Minkowski dimension (partial sum + tail).
+
+    Each term 2^-(k+1) log2 F_{k+1} is enclosed as `iv_log2_int` encloses
+    it, ln(F_{k+1}) / ln 2 in mpmath's interval context, with ln 2 enclosed
+    once per call; the exact dyadic endpoints are scaled and summed as
+    `Fraction`s.
+    """
     K = _minkowski_K(tol)
-    acc = CertifiedInterval.point(0)
+    iv = _iv()
+    ln2 = iv.log(iv.mpf(2))
+    lo = hi = Fraction(0)
     for k in range(1, K + 1):
-        acc = acc + iv_log2_int(fibonacci(k + 1)).scale(Fraction(1, 2 ** (k + 1)))
-    tail = Fraction(K + 2, 2 ** (K + 1))
-    return CertifiedInterval(acc.lo, acc.hi + tail)
+        raw_lo, raw_hi = (iv.log(iv.mpf(fibonacci(k + 1))) / ln2)._mpi_
+        lo += _raw_to_fraction(raw_lo) / 2 ** (k + 1)
+        hi += _raw_to_fraction(raw_hi) / 2 ** (k + 1)
+    return CertifiedInterval(lo, hi + Fraction(K + 2, 2 ** (K + 1)))
 
 
 # -- derivative series around p (natural-log scale) -----------------------------
@@ -244,8 +260,9 @@ def _derivative_series(x: CertifiedInterval, weights: dict[int, CertifiedInterva
     """Enclosure of sum_k weights[k] * (H F_{k-1})'(x), keys k >= 1.
 
     The weights are positive intervals.  H(x) and H'(x) = ln((1-x)/x) are
-    enclosed once for the whole series.  F_{k-1}(x) and F'_{k-1}(x) come
-    from the integer-numerator Horner `_iv_horner`; H F' + H' F, the weight
+    enclosed once for the whole series, and so is the table of powers of
+    x's common denominator.  F_{k-1}(x) and F'_{k-1}(x) come from the
+    integer-numerator Horner `_iv_horner`; H F' + H' F, the weight
     product and the running sum are formed on integer numerators over lcm
     denominators, with the endpoint min/max choices `CertifiedInterval`
     arithmetic makes, and reduced to `Fraction` once at the end.  The
@@ -254,12 +271,14 @@ def _derivative_series(x: CertifiedInterval, weights: dict[int, CertifiedInterva
     """
     h_lo, h_hi, h_den = _common_numerators(iv_entropy_nat(x))
     g_lo, g_hi, g_den = _common_numerators(iv_ln_ratio(x))
+    x_lo, x_hi, d = _common_numerators(x)
+    powers = _powers(d, max(weights) - 1)
     lo = hi = 0
     den = 1
     for k, weight in weights.items():
         F = entropy_poly(k - 1)
-        f_lo, f_hi, f_den = _iv_horner(F.coeffs, x)
-        d_lo, d_hi, d_den = _iv_horner(F.derivative_coeffs, x)
+        f_lo, f_hi, f_den = _iv_horner(F.coeffs, x_lo, x_hi, powers)
+        d_lo, d_hi, d_den = _iv_horner(F.derivative_coeffs, x_lo, x_hi, powers)
         t_lo, t_hi, t_den = _add_over_lcm(*_iv_mul_ints(h_lo, h_hi, d_lo, d_hi), h_den * d_den,
                                           *_iv_mul_ints(g_lo, g_hi, f_lo, f_hi), g_den * f_den)
         w_lo, w_hi, w_den = _common_numerators(weight)

@@ -307,9 +307,12 @@ def density_trajectory(
     One point is sampled per seed out to max(n_grid); d_n is evaluated on
     the grid and summarized per n.  Every trajectory must have finite
     log-mass on the whole grid, and for the unperturbed measure the
-    half-word zero-count identity is enforced at every even n.
+    half-word zero-count identity is enforced at every even n.  The trend
+    needs at least MIN_TREND_POINTS grid points (ValueError otherwise).
     """
     n_grid = tuple(sorted(int(n) for n in n_grid))
+    if len(n_grid) < MIN_TREND_POINTS:
+        raise ValueError(f"a trend needs at least {MIN_TREND_POINTS} grid points, got {len(n_grid)}")
     if n_grid[0] < 4:
         raise ValueError("grid must start at n >= 4")
     seeds = tuple(int(s) for s in seeds)
@@ -372,7 +375,8 @@ def lower_bound_trajectory(
     with the certified tau lower bound) the drift is downward; outside it
     the verdict is INCONCLUSIVE by definition, whatever the data shows.
     The report also flags whether the median is monotonically decreasing
-    beyond the verdict floor (default 2^12).
+    beyond the verdict floor (default 2^12).  Like `density_trajectory`,
+    it raises ValueError on a grid of fewer than MIN_TREND_POINTS points.
     """
     kwargs = {} if p is None else {"p": float(p)}
     measure = BlockAssignment(delta=float(delta), **kwargs)

@@ -3,8 +3,9 @@
 Ring operations (+, -, *) on `CertifiedInterval` are exact: endpoints are
 `fractions.Fraction`, so no rounding happens at all.  Polynomial evaluation
 is exact too: the private kernel `_iv_horner` runs the Horner recurrence on
-integer numerators over one common denominator d^m and returns them
-unreduced, and `iv_polyval` reduces them to `Fraction` once.  Its interval
+integer numerators over one common denominator d^m, reads the powers of d
+from a table that a whole series can share, and returns the numerators
+unreduced; `iv_polyval` reduces them to `Fraction` once.  Its interval
 products (`_iv_mul_ints`) form only the two endpoint products min/max would
 pick when a factor is nonnegative, so the endpoints are the same rationals
 as step-by-step `CertifiedInterval` arithmetic.  `analytics` sums whole
@@ -21,9 +22,11 @@ loaded on the first transcendental call, through `_iv`, which also sets the
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate, repeat
 from typing import Union
 
 Rational = Union[int, Fraction]
@@ -149,24 +152,36 @@ def _common_numerators(x: CertifiedInterval) -> tuple[int, int, int]:
     return x.lo.numerator * (d // x.lo.denominator), x.hi.numerator * (d // x.hi.denominator), d
 
 
-def _iv_horner(ints, x: CertifiedInterval) -> tuple[int, int, int]:
+def _powers(d: int, m: int) -> list[int]:
+    """[1, d, d^2, ..., d^m]: the denominators `_iv_horner` reads, built once per table."""
+    return list(accumulate(repeat(d, m), operator.mul, initial=1))
+
+
+def _iv_horner(ints, x_lo: int, x_hi: int, powers: list[int]) -> tuple[int, int, int]:
     """Interval Horner on integer numerators: sum_j ints[j] x^j = [lo/scale, hi/scale].
 
-    `ints` are the integer coefficients, ascending, at least one.  The
-    recurrence acc = acc * x + c picks the same endpoints at each step as
+    `ints` are the integer coefficients, ascending, at least one; x is
+    [x_lo/d, x_hi/d] and `powers` = `_powers(d, m)` for some m >= the degree,
+    so one table serves every polynomial of a series.  The recurrence
+    acc = acc * x + c picks the same endpoints at each step as
     `CertifiedInterval` arithmetic, with them kept as numerators over
-    scale = d^m (d as in `_common_numerators`, m the step count) and never
-    normalised by a gcd.
+    scale = d^degree and never normalised by a gcd.  For x_lo >= 0 the
+    endpoint choice of `_iv_mul_ints` is made inline; a zero coefficient
+    adds nothing.
     """
-    x_lo, x_hi, d = _common_numerators(x)
     lo = hi = ints[-1]
-    scale = 1
-    for c in reversed(ints[:-1]):
-        scale *= d
-        shift = c * scale
-        lo, hi = _iv_mul_ints(lo, hi, x_lo, x_hi)
-        lo, hi = lo + shift, hi + shift
-    return lo, hi, scale
+    nonnegative = x_lo >= 0
+    for step, c in enumerate(reversed(ints[:-1]), 1):
+        if nonnegative:
+            lo *= x_lo if lo >= 0 else x_hi
+            hi *= x_hi if hi >= 0 else x_lo
+        else:
+            lo, hi = _iv_mul_ints(lo, hi, x_lo, x_hi)
+        if c:
+            shift = c * powers[step]
+            lo += shift
+            hi += shift
+    return lo, hi, powers[len(ints) - 1]
 
 
 def iv_polyval(coeffs, x: CertifiedInterval) -> CertifiedInterval:
@@ -184,7 +199,8 @@ def iv_polyval(coeffs, x: CertifiedInterval) -> CertifiedInterval:
         ints.append(q.numerator)
     if not ints:
         raise ValueError("iv_polyval needs at least one coefficient")
-    lo, hi, scale = _iv_horner(ints, x)
+    x_lo, x_hi, d = _common_numerators(x)
+    lo, hi, scale = _iv_horner(ints, x_lo, x_hi, _powers(d, len(ints) - 1))
     return CertifiedInterval(Fraction(lo, scale), Fraction(hi, scale))
 
 

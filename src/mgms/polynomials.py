@@ -57,22 +57,26 @@ def _horner(coeffs: tuple[int, ...], x):
     return acc
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
+def _coefficient_rows() -> list[tuple[int, ...]]:
+    """The coefficients of F_0, F_1, ... computed so far; `entropy_poly` extends the list."""
+    return [(1,), (1, 1)]
+
+
 def entropy_poly(k: int) -> EntropyPolynomial:
-    """F_k by the recurrence, with exact integer coefficients."""
+    """F_k by the recurrence, with exact integer coefficients.
+
+    Rows are filled bottom-up, one tuple per index, so any k is reached
+    without recursion; `entropy_poly.cache_clear()` empties the rows.
+    """
     if k < 0:
         raise ValueError(f"index must be >= 0, got {k}")
-    if k == 0:
-        return EntropyPolynomial(0, (1,))
-    if k == 1:
-        return EntropyPolynomial(1, (1, 1))
-    a = entropy_poly(k - 1).coeffs  # F_{k-1}
-    b = entropy_poly(k - 2).coeffs  # F_{k-2}
-    out = [0] * (k + 1)
-    out[0] += 1
-    for j, c in enumerate(a):  # + x * F_{k-1}
-        out[j + 1] += c
-    for j, c in enumerate(b):  # + (1 - x) * F_{k-2}
-        out[j] += c
-        out[j + 1] -= c
-    return EntropyPolynomial(k, tuple(out))
+    rows = _coefficient_rows()
+    for j in range(len(rows), k + 1):
+        a, b = rows[j - 1], rows[j - 2]  # F_{j-1}, F_{j-2}
+        # 1 + x F_{j-1} + (1 - x) F_{j-2}, coefficient by coefficient
+        rows.append((1 + b[0],) + tuple(u + v - w for u, v, w in zip(a, b[1:] + (0, 0), b + (0,))))
+    return EntropyPolynomial(k, rows[k])
+
+
+entropy_poly.cache_clear = _coefficient_rows.cache_clear

@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 
 import mgms
-from mgms.core import BinaryWord
-from mgms.intervals import CertifiedInterval, _from_iv, _iv, _to_iv, iv_entropy_nat, iv_ln_ratio
+from mgms.analytics import _minkowski_K
+from mgms.core import BinaryWord, fibonacci
+from mgms.intervals import CertifiedInterval, _from_iv, _iv, _to_iv, iv_entropy_nat, iv_ln_ratio, iv_log2_int
 from mgms.polynomials import EntropyPolynomial, entropy_poly
 
 
@@ -124,6 +125,46 @@ def reference_tau_gamma_partial(x: CertifiedInterval, gamma: float, K: int) -> C
         w = iv.exp(iv.log(iv.mpf(k)) * iv.mpf(1 + gamma)) if k > 1 else iv.mpf(1)
         acc = acc + (reference_hf_derivative_at(k, x) * _from_iv(w)).scale(Fraction(1, 2 ** (k + 1)))
     return acc
+
+
+def object_horner(coeffs, x):
+    """Horner one CertifiedInterval operation at a time, Fractions normalised each step."""
+    acc = coeffs[-1] * 1
+    for c in reversed(coeffs[:-1]):
+        acc = acc * x + c
+    return acc if isinstance(acc, CertifiedInterval) else CertifiedInterval.point(acc)
+
+
+# -- the certified constants as the package computed them on Fractions ----------
+# solve_p now bisects on integer numerators and dim_minkowski_enclosure sums
+# endpoint Fractions directly; their endpoints must equal these exactly.
+
+
+def reference_solve_p(width) -> CertifiedInterval:
+    """Bisection of [1/2, 3/5] on Fractions, evaluating p^3 - (1-p)^2 at each midpoint."""
+    cubic = lambda v: v * v * v - v * v + 2 * v - 1
+    width = Fraction(width)
+    lo, hi = Fraction(1, 2), Fraction(3, 5)
+    assert cubic(lo) < 0 < cubic(hi)
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        fm = cubic(mid)
+        if fm == 0:
+            return CertifiedInterval(mid, mid)
+        if fm < 0:
+            lo = mid
+        else:
+            hi = mid
+    return CertifiedInterval(lo, hi)
+
+
+def reference_dim_minkowski_enclosure(tol: float) -> CertifiedInterval:
+    """sum_{k<=K} 2^-(k+1) log2 F_{k+1} as one CertifiedInterval per term, plus the tail."""
+    K = _minkowski_K(tol)
+    acc = CertifiedInterval.point(0)
+    for k in range(1, K + 1):
+        acc = acc + iv_log2_int(fibonacci(k + 1)).scale(Fraction(1, 2 ** (k + 1)))
+    return CertifiedInterval(acc.lo, acc.hi + Fraction(K + 2, 2 ** (K + 1)))
 
 
 # -- interval enclosures that only the tests use --------------------------------

@@ -37,10 +37,13 @@ from mgms.analytics import (
 from mgms.core import chain_partition, iter_golden_words, iter_multiplicative_prefixes
 from mgms.intervals import CertifiedInterval, iv_entropy_bits, iv_entropy_nat, iv_ln_ratio
 from mgms.measures import MarkovParams, markov_cylinder_logprob, pmu_logprob
+from mgms.polynomials import entropy_poly
 
 from conftest import (
     reference_derivative_partials,
+    reference_dim_minkowski_enclosure,
     reference_hf_derivative_at,
+    reference_solve_p,
     reference_tau_gamma_partial,
     reference_tau_partial_12,
 )
@@ -71,6 +74,22 @@ class TestCubicRoot:
         wide = solve_p(Fraction(1, 2**20))
         assert wide.width <= Fraction(1, 2**20)
         assert wide.lo <= solve_p().lo and solve_p().hi <= wide.hi
+
+    @pytest.mark.parametrize("width", [
+        Fraction(1, 2**20), Fraction(1, 2**80), Fraction(1, 2**112), Fraction(1, 2**160),
+        Fraction(1, 10), Fraction(1, 3), Fraction(3, 7**30), Fraction(1, 5), 1e-9, 0.1,
+    ])
+    def test_integer_bisection_equals_fraction_bisection(self, width):
+        # same rationals as bisection on Fractions, dyadic or not, wider than the bracket or not
+        got, ref = solve_p(width), reference_solve_p(width)
+        assert (got.lo, got.hi) == (ref.lo, ref.hi)
+        assert got.width <= Fraction(width)
+
+    @pytest.mark.parametrize("width", [math.nan, math.inf, -math.inf, 0, 0.0, -1e-3, Fraction(-1, 2)])
+    def test_bad_width_rejected(self, width):
+        # an infinite width used to raise OverflowError from Fraction(inf)
+        with pytest.raises(ValueError):
+            solve_p(width)
 
 
 class TestEntropy:
@@ -116,6 +135,15 @@ class TestEntropy:
         for r in (0.35, 0.5, 0.65):
             assert partition_entropy(r, 1) == pytest.approx(binary_entropy(r))
             assert partition_entropy(r, 2) == pytest.approx(binary_entropy(r) * (1 + r))
+
+    @pytest.mark.parametrize("r", [0.3, None, 0.8])
+    @pytest.mark.parametrize("k", [120, 300])
+    def test_partition_entropy_at_large_orders(self, r, k):
+        # F_{k-1} = 1 + L_{k-1}; float Horner on the 100-bit coefficients of
+        # F_119 read -1441772.85 for the factor 84.117 at r = p
+        r = p_float() if r is None else r
+        closed = binary_entropy(r) * (1 + expected_zero_count_chain(r, k - 1))
+        assert partition_entropy(r, k) == pytest.approx(closed, rel=1e-13)
 
 
 class TestSeriesA:
@@ -168,6 +196,12 @@ class TestDimensions:
         with pytest.raises(ValueError):
             dim_minkowski(0.0)
 
+    @pytest.mark.parametrize("tol", [1e-3, 1e-6, 1e-30, 1e-60])
+    def test_minkowski_enclosure_equals_interval_per_term(self, tol):
+        # at 1e-60 the Fibonacci numbers pass the 120-bit mpmath precision
+        got, ref = dim_minkowski_enclosure(tol), reference_dim_minkowski_enclosure(tol)
+        assert (got.lo, got.hi) == (ref.lo, ref.hi)
+
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
     def test_non_finite_tol_rejected(self, tol):
         # a NaN tolerance used to fall through every comparison and give K = 1
@@ -207,6 +241,12 @@ class TestDerivativeSeries:
         assert float(abs((s2.midpoint - s1.midpoint) - term2.midpoint)) < 1e-20 + float(
             (s1.width + s2.width + term2.width)
         )
+
+    def test_high_order_term_on_a_cold_cache(self):
+        # entropy_poly used to recurse once per index and overflow the stack near k = 450
+        entropy_poly.cache_clear()
+        p = solve_p()
+        assert same_endpoints(hf_derivative_at(600, p), reference_hf_derivative_at(600, p))
 
     def test_tail_is_monotone_in_K(self):
         tails = []

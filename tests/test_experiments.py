@@ -61,7 +61,7 @@ class TestDensityTrajectory:
 
     def test_summary_is_seedwise_median(self):
         rep = density_trajectory(
-            BlockAssignment(0.0), Gauge.pure(), n_grid=[16, 32], seeds=range(9)
+            BlockAssignment(0.0), Gauge.pure(), n_grid=[16, 32, 64], seeds=range(9)
         )
         arr = np.array(rep.series)
         assert rep.medians == tuple(np.median(arr, axis=0))
@@ -84,7 +84,15 @@ class TestDensityTrajectory:
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
-            density_trajectory(BlockAssignment(0.0), Gauge.pure(), n_grid=[2, 8], seeds=[0])
+            density_trajectory(BlockAssignment(0.0), Gauge.pure(), n_grid=[2, 8, 16], seeds=[0])
+
+    @pytest.mark.parametrize("grid", [[16], [16, 64]])
+    def test_short_grid_rejected(self, grid):
+        # one point gave a NaN slope, which to_json_dict wrote as bare NaN
+        with pytest.raises(ValueError, match="grid points"):
+            density_trajectory(BlockAssignment(0.0), Gauge.pure(), n_grid=grid, seeds=[0])
+        with pytest.raises(ValueError, match="grid points"):
+            lower_bound_trajectory(0.05, 0.002, n_grid=grid, seeds=[0, 1])
 
     def test_half_word_counts_on_an_irregular_grid(self, monkeypatch):
         # odd points, halves inside and outside the grid, a repeated point
@@ -113,12 +121,12 @@ class TestLowerBoundTrajectory:
     def test_admissibility_gate_rejects_large_c(self):
         tau_hat = float(tau_bits_lower_bound())
         delta = 0.05
-        rep = lower_bound_trajectory(delta, tau_hat * delta, n_grid=[16, 64], seeds=[0, 1])
+        rep = lower_bound_trajectory(delta, tau_hat * delta, n_grid=[16, 64, 256], seeds=[0, 1])
         assert rep.verdict == Verdict.INCONCLUSIVE
         assert "not below" in rep.inconclusive_reason
 
     def test_admissibility_gate_rejects_zero_delta(self):
-        rep = lower_bound_trajectory(0.0, 0.0, n_grid=[16, 64], seeds=[0, 1])
+        rep = lower_bound_trajectory(0.0, 0.0, n_grid=[16, 64, 256], seeds=[0, 1])
         assert rep.verdict == Verdict.INCONCLUSIVE
 
     def test_zero_delta_series_reduces_to_half_word_statistic(self, p_val):
@@ -133,11 +141,11 @@ class TestLowerBoundTrajectory:
             assert rep.series[0][j] == pytest.approx(expected, abs=1e-7)
 
     def test_default_parameters_pass_gate(self):
-        rep = lower_bound_trajectory(0.05, 0.002, n_grid=[16, 64], seeds=[0, 1])
+        rep = lower_bound_trajectory(0.05, 0.002, n_grid=[16, 64, 256], seeds=[0, 1])
         assert rep.inconclusive_reason == ""
 
     def test_csv_rows_schema(self):
-        rep = lower_bound_trajectory(0.05, 0.002, n_grid=[16, 64], seeds=[0, 1])
+        rep = lower_bound_trajectory(0.05, 0.002, n_grid=[16, 64, 256], seeds=[0, 1])
         rows = rep.to_csv_rows()
         assert all(len(r) == 6 for r in rows)
         experiments = {r[0] for r in rows}
@@ -233,14 +241,16 @@ class TestHoeffding:
         assert abs(sums.mean()) < 5 * sums.std(ddof=1) / math.sqrt(len(sums))
 
     # sha256 of sample_sums(7, trials 0..63, n) at r = p, as computed from two
-    # masks and a nested np.where per level: (k, n, digest)
+    # masks and a nested np.where per level: (k, n, digest).  k = 5 centres on
+    # the correctly rounded H(p) F_4(p), one ulp above the float-Horner value
+    # it was first frozen with (the next test checks that old digest)
     FROZEN_SUMS = [
         (1, 1, "73d9f8ea0a78923f0d51000636ade2cebb9cc0824bab4bfe4ec2da96599d9a7d"),
         (1, 2049, "64dd532a77ad368cf836a18af1dd429a72d17fb05499b03c0c9efe1086f1d08c"),
         (2, 77, "2e707c2bf0cfa549e62761f129947752b00d469edb9d236d1c3ef5e2eab59d3e"),
         (3, 2048, "0672bdb6cb6d408539a46c6b6fddf140b87ee1e6e32ddc562ba1f981e094726b"),
         (3, 2049, "23aac233a69a1a81ea7bcc8313a8dbbace38c65e140c15b95755446d4960dacf"),
-        (5, 5000, "c31181b71758651525bc6319cbbb32100763d51cb8cc778a6ad6cde6af0f2cbb"),
+        (5, 5000, "f79d8b68bfdd8876920a9ce1f64bc9c5500fadd551731c305803f064811937d7"),
         (8, 77, "0acae4b2fbdc2d3b161ae50fb5a01dc9866c8928b7890572ea37435043796446"),
         (8, 2049, "e756f30ba8294a77cae5f65b87128dcf6954e6084086065fc6954fc02bfe59a8"),
     ]
@@ -249,6 +259,13 @@ class TestHoeffding:
     def test_logmass_sums_are_frozen(self, k, n, digest):
         sums = CenteredChainLogMass(k, p_float()).sample_sums(7, np.arange(64, dtype=np.uint64), n)
         assert hashlib.sha256(sums.tobytes()).hexdigest() == digest
+
+    def test_logmass_kernel_is_unchanged_under_the_old_k5_centring(self, monkeypatch):
+        # the float-Horner H(p) F_4(p) the k = 5 digest was first frozen with
+        monkeypatch.setattr(experiments, "partition_entropy", lambda r, k: 3.6571420815104747)
+        sums = CenteredChainLogMass(5, p_float()).sample_sums(7, np.arange(64, dtype=np.uint64), 5000)
+        assert hashlib.sha256(sums.tobytes()).hexdigest() == (
+            "c31181b71758651525bc6319cbbb32100763d51cb8cc778a6ad6cde6af0f2cbb")
 
     # sha256 of sample_sums(7, trials 0..T-1, n), as computed from float
     # uniforms in one (T, columns) array per chunk: (distribution, T, n, digest);

@@ -8,8 +8,10 @@ import pytest
 
 from mgms.intervals import (
     CertifiedInterval,
+    _common_numerators,
     _iv_horner,
     _iv_mul_ints,
+    _powers,
     iv_entropy_bits,
     iv_entropy_nat,
     iv_ln_ratio,
@@ -18,8 +20,9 @@ from mgms.intervals import (
     iv_polyval,
     ln2_interval,
 )
+from mgms.polynomials import entropy_poly
 
-from conftest import iv_ln, iv_log2_ratio
+from conftest import iv_ln, iv_log2_ratio, object_horner
 
 
 def box(a, b) -> CertifiedInterval:
@@ -147,18 +150,34 @@ def test_sign_selected_horner_equals_four_products(case):
     x = box(lo, hi)
     d = math.lcm(lo.denominator, hi.denominator)
     x_lo, x_hi = lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)
+    powers = _powers(d, 11)
     rng = random.Random(f"horner-{case}")
     for trial in range(200):
         ints = [rng.randint(-50, 50) for _ in range(rng.randint(1, 12))]
         if trial % 4 == 0:  # coefficients of one sign keep the accumulator off zero
             ints = [abs(c) for c in ints]
-        assert _iv_horner(ints, x) == four_product_horner(ints, x_lo, x_hi, d), ints
+        # one power table of d serves every degree up to its length
+        assert _iv_horner(ints, x_lo, x_hi, powers) == four_product_horner(ints, x_lo, x_hi, d), ints
         # and the reduced endpoints are those of step-by-step CertifiedInterval Horner
         ref = CertifiedInterval.point(ints[-1])
         for c in reversed(ints[:-1]):
             ref = ref * x + c
         got = iv_polyval(ints, x)
         assert (got.lo, got.hi) == (ref.lo, ref.hi), ints
+
+
+@pytest.mark.parametrize("lo, hi", [(Fraction(-3, 7), Fraction(5, 11)), (Fraction(-13, 9), Fraction(-2, 3)),
+                                     (Fraction(-1, 2), Fraction(0))])
+def test_horner_below_zero_equals_object_horner(lo, hi):
+    # x_lo < 0 takes the four-product branch; one power table serves every degree
+    x = box(lo, hi)
+    x_lo, x_hi, d = _common_numerators(x)
+    powers = _powers(d, 40)
+    for k in range(41):
+        for coeffs in (entropy_poly(k).coeffs, entropy_poly(k).derivative_coeffs):
+            n_lo, n_hi, scale = _iv_horner(coeffs, x_lo, x_hi, powers)
+            ref = object_horner(coeffs, x)
+            assert (Fraction(n_lo, scale), Fraction(n_hi, scale)) == (ref.lo, ref.hi), k
 
 
 def test_sign_selected_product_equals_four_products():

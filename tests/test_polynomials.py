@@ -9,7 +9,7 @@ from mgms.analytics import solve_p
 from mgms.intervals import CertifiedInterval, iv_polyval
 from mgms.polynomials import entropy_poly
 
-from conftest import entropy_poly_closed_form
+from conftest import entropy_poly_closed_form, object_horner
 
 
 def sympy_family(kmax: int):
@@ -114,14 +114,6 @@ def test_evaluation_type_dispatch():
     assert box.contains(exact)
 
 
-def object_horner(coeffs, x):
-    """Oracle: Horner one CertifiedInterval operation at a time, Fractions normalised each step."""
-    acc = coeffs[-1] * 1
-    for c in reversed(coeffs[:-1]):
-        acc = acc * x + c
-    return acc if isinstance(acc, CertifiedInterval) else CertifiedInterval.point(acc)
-
-
 def float_horner(coeffs, x: float) -> float:
     acc = float(coeffs[-1])
     for c in reversed(coeffs[:-1]):
@@ -161,6 +153,13 @@ def test_float_evaluation_is_plain_horner(x):
         poly = entropy_poly(k)
         assert poly.evaluate(x) == float_horner(poly.coeffs, x)
         assert poly.evaluate_derivative(x) == float_horner(poly.derivative_coeffs, x)
+
+
+def test_high_index_on_a_cleared_cache():
+    # the rows fill bottom-up; a recursive fill overflowed the stack from about k = 450
+    entropy_poly.cache_clear()
+    assert entropy_poly(1000).coeffs == entropy_poly_closed_form(1000).coeffs
+    assert entropy_poly(999).coeffs == entropy_poly_closed_form(999).coeffs
 
 
 def test_negative_index_rejected():
