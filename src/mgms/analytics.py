@@ -159,6 +159,11 @@ def A_series(r: float, K: int) -> SeriesValue:
 # -- the root p and the dimension constants ------------------------------------
 
 
+def _cubic(n: int, d: int) -> int:
+    # d^3 times x^3 - (1-x)^2 = x^3 - x^2 + 2x - 1 at x = n/d
+    return n * n * (n - d) + d * d * (2 * n - d)
+
+
 @lru_cache(maxsize=None)
 def solve_p(width: Fraction = Fraction(1, 2**80)) -> CertifiedInterval:
     """Certified enclosure of the root of p^3 = (1-p)^2 in (0,1).
@@ -174,16 +179,12 @@ def solve_p(width: Fraction = Fraction(1, 2**80)) -> CertifiedInterval:
     width = Fraction(width)
     if width <= 0:
         raise ValueError("width must be positive")
-
-    def cubic(n: int, d: int) -> int:  # d^3 times the cubic at n/d
-        return n * n * (n - d) + d * d * (2 * n - d)
-
     lo, den = 5, 10
-    if not (cubic(lo, den) < 0 < cubic(lo + 1, den)):
+    if not (_cubic(lo, den) < 0 < _cubic(lo + 1, den)):
         raise CertificationError("initial bracket does not straddle the root")
     while width.numerator * den < width.denominator:  # hi - lo = 1/den > width
         lo, den = 2 * lo, 2 * den
-        fm = cubic(lo + 1, den)
+        fm = _cubic(lo + 1, den)
         if fm == 0:
             return CertifiedInterval.point(Fraction(lo + 1, den))
         if fm < 0:

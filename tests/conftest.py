@@ -135,8 +135,8 @@ def object_horner(coeffs, x):
     return acc if isinstance(acc, CertifiedInterval) else CertifiedInterval.point(acc)
 
 
-# -- the certified constants as the package computed them on Fractions ----------
-# solve_p now bisects on integer numerators and dim_minkowski_enclosure sums
+# -- the certified constants on Fractions, one operation at a time ---------------
+# solve_p bisects on integer numerators and dim_minkowski_enclosure sums
 # endpoint Fractions directly; their endpoints must equal these exactly.
 
 

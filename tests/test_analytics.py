@@ -139,7 +139,7 @@ class TestEntropy:
     @pytest.mark.parametrize("r", [0.3, None, 0.8])
     @pytest.mark.parametrize("k", [120, 300])
     def test_partition_entropy_at_large_orders(self, r, k):
-        # F_{k-1} = 1 + L_{k-1}; float Horner on the 100-bit coefficients of
+        # F_{k-1} = 1 + L_{k-1}; float Horner on the 115-bit coefficients of
         # F_119 read -1441772.85 for the factor 84.117 at r = p
         r = p_float() if r is None else r
         closed = binary_entropy(r) * (1 + expected_zero_count_chain(r, k - 1))
