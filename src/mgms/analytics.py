@@ -117,14 +117,16 @@ def entropy_nat(r: float) -> float:
 def partition_entropy(r: float, k: int) -> float:
     """Entropy (base 2) of the length-k golden cylinder partition: H(r) F_{k-1}(r).
 
-    F_{k-1} is evaluated exactly at the rational value of the float r and
-    rounded once: its integer coefficients grow past 2^100 by k = 120, and
-    float Horner on them cancels catastrophically.
+    F_{k-1}(r) = 1 + L_{k-1}(r) by the chain rule (the first symbol and
+    each symbol after a 0 carry H(r), a symbol after a 1 carries nothing),
+    with L the expected zero count; it is evaluated exactly at the rational
+    value of the float r and rounded once.  The integer coefficients of F_{k-1} grow past 2^100 by
+    k = 120, and float Horner on them cancels catastrophically.
     """
     if k < 1:
         raise ValueError(f"partition order must be >= 1, got {k}")
     r = _check_unit_open(r)
-    return binary_entropy(r) * float(entropy_poly(k - 1).evaluate(Fraction(r)))
+    return binary_entropy(r) * float(1 + _zero_count_chain(Fraction(r), k - 1))
 
 
 # -- the series A(r) -----------------------------------------------------------
@@ -150,9 +152,8 @@ def A_series(r: float, K: int) -> SeriesValue:
     r = _check_unit_open(r)
     if K < 1:
         raise ValueError(f"need K >= 1, got {K}")
-    H = binary_entropy(r)
-    partial = sum(H * entropy_poly(k - 1).evaluate(float(r)) / 2.0 ** (k + 1) for k in range(1, K + 1))
-    tail = 1.5 * H * (K + 3) * 2.0 ** -(K + 1)
+    partial = sum(partition_entropy(r, k) / 2.0 ** (k + 1) for k in range(1, K + 1))
+    tail = 1.5 * binary_entropy(r) * (K + 3) * 2.0 ** -(K + 1)
     return SeriesValue(partial, tail)
 
 
@@ -423,6 +424,12 @@ def tau_gamma(gamma: float, K: int = 12) -> TauGammaResult:
 # -- zero-count expectations -----------------------------------------------------
 
 
+def _zero_count_chain(r, k: int):
+    """L_k(r) = k/(2-r) - (1 - (r-1)^k) (r-1)^2 / (2-r)^2 for a float or a Fraction r; L_0 = 0."""
+    q = r - 1
+    return k / (2 - r) - (1 - q**k) * q * q / (2 - r) ** 2
+
+
 def expected_zero_count_chain(p_val: float, k: int) -> float:
     """L_k: expected number of zeros in a length-k golden Markov word.
 
@@ -431,9 +438,7 @@ def expected_zero_count_chain(p_val: float, k: int) -> float:
     """
     if k < 1:
         raise ValueError(f"chain length must be >= 1, got {k}")
-    p = _check_unit_open(p_val)
-    q = p - 1.0
-    return k / (2 - p) - (1 - q**k) * q * q / (2 - p) ** 2
+    return _zero_count_chain(_check_unit_open(p_val), k)
 
 
 def expected_zero_count_prefix(n: int, p_val: Optional[float] = None) -> float:

@@ -6,10 +6,18 @@ Subcommands
     measure     log2 cylinder mass with a per-chain breakdown
     experiment  density/lower/telescope/hoeffding/ldev2/cover/boxdim runs
 
-Exit codes: 0 success, 1 certification failure, 2 usage error (every bad
-input, reported in one line on stderr).  Stochastic
-experiments require --seed; reports embed the full config and library
-version, and rerunning a config reproduces the report body byte for byte.
+Exit codes: 0 success, 1 certification failure, 2 usage error.  A bad
+value is reported in one `usage error:` line on stderr; a flag value
+outside its choices gets argparse's usage message.  Every usage error
+exits 2 before the report is written: nothing on stdout, no --out file.
+
+Every report goes through one writer, `_write`: --format plain or json
+everywhere, and csv for `experiment` alone, whose reports have the flat
+CSV schema (`--format csv` on dims, tau or measure is a usage error).
+`experiment cover` and `density` take all four --gauge families from
+one table, `_gauge`.  Stochastic experiments require --seed; reports
+embed the full config and library version, and rerunning a config
+reproduces the report body byte for byte.
 
 Each handler imports the modules it runs, so a cold process pays only for
 those: `dims` and `tau` load mpmath but not numpy, `experiment boxdim` and
@@ -70,29 +78,30 @@ def _interval_line(name: str, ci: CertifiedInterval) -> str:
     )
 
 
-def _emit(text: str, out: Optional[str]) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
+def _write(args, payload: dict, text: str, rows: Optional[list[tuple]] = None) -> None:
+    """Write one report in --format, to --out or to stdout.
+
+    `payload` is the JSON body, which gains the library and schema
+    versions; `text` is the plain report; `rows` are the CSV rows
+    `experiment,n,statistic,value,seed_count,config_hash` under a header
+    naming payload["config"].  Only `experiment` admits --format csv.
+    """
+    from .analytics import SCHEMA_VERSION
+
+    if args.format == "json":
+        payload = {"version": __version__, "schema_version": SCHEMA_VERSION, **payload}
+        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    elif args.format == "csv":
+        config = json.dumps(payload["config"], sort_keys=True, separators=(",", ":"), default=str)
+        lines = [f"# mgms {__version__} schema_version={SCHEMA_VERSION}", "# config: " + config,
+                 "experiment,n,statistic,value,seed_count,config_hash"]
+        lines += [f"{exp},{n},{stat},{value!r},{seeds},{h}" for exp, n, stat, value, seeds, h in rows]
+        text = "\n".join(lines) + "\n"
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _json_text(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
-def _csv_text(rows: list[tuple], config: dict) -> str:
-    from .analytics import SCHEMA_VERSION
-
-    lines = [
-        f"# mgms {__version__} schema_version={SCHEMA_VERSION}",
-        "# config: " + json.dumps(config, sort_keys=True, separators=(",", ":"), default=str),
-        "experiment,n,statistic,value,seed_count,config_hash",
-    ]
-    for exp, n, stat, value, seeds, h in rows:
-        lines.append(f"{exp},{n},{stat},{value!r},{seeds},{h}")
-    return "\n".join(lines) + "\n"
 
 
 # -- dims / tau ------------------------------------------------------------------
@@ -101,61 +110,51 @@ def _csv_text(rows: list[tuple], config: dict) -> str:
 def cmd_dims(args) -> int:
     _require(math.isfinite(args.tol) and args.tol > 0,
              f"--tol must be positive and finite, got {args.tol}")
-    from .analytics import SCHEMA_VERSION, dim_minkowski, dim_minkowski_enclosure, hausdorff_dim, solve_p
+    from .analytics import dim_minkowski, dim_minkowski_enclosure, hausdorff_dim, solve_p
 
     p = solve_p()
     s = hausdorff_dim()
     dm_val, dm_tail = dim_minkowski(args.tol)
     dm = dim_minkowski_enclosure(args.tol)
     payload = {
-        "version": __version__,
-        "schema_version": SCHEMA_VERSION,
         "config": {"command": "dims", "tol": args.tol},
         "p": _interval_dict(p),
         "s": _interval_dict(s),
         "dim_minkowski": {**_interval_dict(dm), "partial": dm_val, "tail_bound": dm_tail},
     }
-    if args.format == "json":
-        _emit(_json_text(payload), args.out)
-    else:
-        lines = [
-            f"mgms {__version__} -- certified dimension constants",
-            _interval_line("p      (root of p^3 = (1-p)^2)", p),
-            _interval_line("s      (Hausdorff dimension, -log2 p)", s),
-            _interval_line(f"dim_M  (Minkowski dimension, tail < {args.tol:g})", dm),
-            "",
-        ]
-        _emit("\n".join(lines), args.out)
+    lines = [
+        f"mgms {__version__} -- certified dimension constants",
+        _interval_line("p      (root of p^3 = (1-p)^2)", p),
+        _interval_line("s      (Hausdorff dimension, -log2 p)", s),
+        _interval_line(f"dim_M  (Minkowski dimension, tail < {args.tol:g})", dm),
+        "",
+    ]
+    _write(args, payload, "\n".join(lines))
     return 0
 
 
 def cmd_tau(args) -> int:
-    from .analytics import SCHEMA_VERSION, tau_certify
+    from .analytics import tau_certify
 
     cert = tau_certify()  # raises CertificationError on failure
     lower = float(cert.margin)
     payload = {
-        "version": __version__,
-        "schema_version": SCHEMA_VERSION,
         "config": {"command": "tau"},
         "partial_12": _interval_dict(cert.partial_12),
         "tail_bound": _interval_dict(cert.tail_bound),
         "certified_lower_bound": lower,
         "verdict": cert.sign,
     }
-    if args.format == "json":
-        _emit(_json_text(payload), args.out)
-    else:
-        lines = [
-            f"mgms {__version__} -- series constant certification",
-            _interval_line("partial sum (k <= 12)", cert.partial_12),
-            f"tail bound (k >= 13)  = {float(cert.tail_bound.hi):.12f}  "
-            f"(exact {cert.tail_bound.hi.numerator}/{cert.tail_bound.hi.denominator})",
-            f"certified lower bound = {lower:.12f}",
-            f"tau > 0 CERTIFIED (margin {lower:.6f})",
-            "",
-        ]
-        _emit("\n".join(lines), args.out)
+    lines = [
+        f"mgms {__version__} -- series constant certification",
+        _interval_line("partial sum (k <= 12)", cert.partial_12),
+        f"tail bound (k >= 13)  = {float(cert.tail_bound.hi):.12f}  "
+        f"(exact {cert.tail_bound.hi.numerator}/{cert.tail_bound.hi.denominator})",
+        f"certified lower bound = {lower:.12f}",
+        f"tau > 0 CERTIFIED (margin {lower:.6f})",
+        "",
+    ]
+    _write(args, payload, "\n".join(lines))
     return 0
 
 
@@ -166,9 +165,8 @@ def cmd_measure(args) -> int:
     word_str = args.word
     if not word_str or any(c not in "01" for c in word_str):
         raise UsageError(f"word must be a nonempty 0/1 string, got {word_str!r}")
-    from .analytics import SCHEMA_VERSION
-    from .core import BinaryWord, block_of, restrict_to_chain
-    from .measures import BlockAssignment, LogProb, MarkovParams, markov_cylinder_logprob
+    from .core import BinaryWord
+    from .measures import BlockAssignment, LogProb, MarkovParams, chain_breakdown, markov_cylinder_logprob
 
     u = BinaryWord.from_string(word_str)
     if args.mu is not None:
@@ -179,26 +177,17 @@ def cmd_measure(args) -> int:
         label = f"golden Markov measure, r = {params.r}"
     else:
         assign = _checked(BlockAssignment, delta=args.pdelta if args.pdelta is not None else 0.0)
-        lp = LogProb.one()
-        breakdown = []
-        for i in range(1, len(u) + 1, 2):
-            rest = restrict_to_chain(u, i)
-            b = block_of(i)
-            r = assign.param(b)
-            part = markov_cylinder_logprob(MarkovParams(r), rest)
-            lp = lp + part  # the chain-order sum pdelta_logprob forms
-            breakdown.append({
-                "i": i,
-                "restriction": str(rest),
-                "block": b,
-                "parameter": r,
-                "log2_mass": None if part.is_zero else part.value,
-            })
+        chains = list(chain_breakdown(assign, u))
+        total = 0.0
+        for *_, mass in chains:
+            total += mass  # left to right, as pdelta_logprob sums (sum() compensates from 3.12)
+        lp = LogProb(total)
+        breakdown = [{"i": i, "restriction": "".join(map(str, symbols)), "block": b, "parameter": r,
+                      "log2_mass": None if mass == -math.inf else mass}
+                     for i, b, r, symbols, mass in chains]
         label = ("chain product measure P_mu" if args.pdelta in (None, 0.0)
                  else f"block-perturbed measure, delta = {args.pdelta}")
     payload = {
-        "version": __version__,
-        "schema_version": SCHEMA_VERSION,
         "config": {"command": "measure", "word": word_str,
                    "mu": args.mu, "pmu": args.pmu, "pdelta": args.pdelta},
         "measure": label,
@@ -207,21 +196,18 @@ def cmd_measure(args) -> int:
         "probability_zero": lp.is_zero,
         "chains": breakdown,
     }
-    if args.format == "json":
-        _emit(_json_text(payload), args.out)
+    lines = [f"{label}; word {word_str}"]
+    if lp.is_zero:
+        lines.append("log2 P[u] = ZERO (word not admissible)")
     else:
-        lines = [f"{label}; word {word_str}"]
-        if lp.is_zero:
-            lines.append("log2 P[u] = ZERO (word not admissible)")
-        else:
-            lines.append(f"log2 P[u] = {lp.value:.12f}   (P[u] = {lp.to_probability():.6e})")
-        for c in breakdown:
-            mass = "ZERO" if c["log2_mass"] is None else f"{c['log2_mass']:.12f}"
-            blk = f" block {c['block']}" if "block" in c else ""
-            lines.append(f"  chain J({c['i']}): '{c['restriction']}'{blk}"
-                         f" parameter {c['parameter']:.10f}  contribution {mass}")
-        lines.append("")
-        _emit("\n".join(lines), args.out)
+        lines.append(f"log2 P[u] = {lp.value:.12f}   (P[u] = {lp.to_probability():.6e})")
+    for c in breakdown:
+        mass = "ZERO" if c["log2_mass"] is None else f"{c['log2_mass']:.12f}"
+        blk = f" block {c['block']}" if "block" in c else ""
+        lines.append(f"  chain J({c['i']}): '{c['restriction']}'{blk}"
+                     f" parameter {c['parameter']:.10f}  contribution {mass}")
+    lines.append("")
+    _write(args, payload, "\n".join(lines))
     return 0
 
 
@@ -261,8 +247,21 @@ def _check_experiment_args(args) -> None:
         _require(value is None or math.isfinite(value), f"--{flag} must be finite, got {value}")
 
 
+def _gauge(args, s: Optional[float] = None):
+    """The --gauge family with its --c, --theta and --gamma; s None means the Hausdorff dimension."""
+    from .analytics import Gauge
+
+    if args.gauge == "pure":
+        return Gauge.pure(s)
+    if args.gauge == "psi":
+        return Gauge.psi_theta(args.theta, s)
+    if args.gauge == "phi":
+        return _checked(Gauge.phi, args.c, s)
+    return _checked(Gauge.phi_gamma, args.c, args.gamma, s)
+
+
 def cmd_experiment(args) -> int:
-    from .analytics import DEFAULT_N_GRID, Gauge, box_dimension_estimate, covering_sum, dim_minkowski
+    from .analytics import DEFAULT_N_GRID, box_dimension_estimate, covering_sum, dim_minkowski
 
     kind = args.kind
     if kind in STOCHASTIC_KINDS and args.seed is None:
@@ -271,15 +270,11 @@ def cmd_experiment(args) -> int:
     n_grid = _parse_grid(args.n_grid, GRID_MIN.get(kind, 1)) if args.n_grid else list(DEFAULT_N_GRID)
     # the two counting formulas: no sampling, so neither numpy nor the experiments module
     if kind == "cover":
-        s_val = dim_minkowski(1e-9).value if args.exponent == "dimm" else None
-        gauge = Gauge.pure(s_val) if args.gauge == "pure" else (
-            Gauge.psi_theta(args.theta, s_val) if args.gauge == "psi"
-            else _checked(Gauge.phi, args.c, s_val))
-        values = {n: covering_sum(gauge, n) for n in n_grid}
-        return _emit_plain_series("cover", values, args, extra={"gauge": gauge.describe()})
+        gauge = _gauge(args, dim_minkowski(1e-9).value if args.exponent == "dimm" else None)
+        return _write_series("cover", {n: covering_sum(gauge, n) for n in n_grid}, args,
+                             extra={"gauge": gauge.describe()})
     if kind == "boxdim":
-        values = {n: box_dimension_estimate(n) for n in n_grid}
-        return _emit_plain_series("boxdim", values, args, extra={})
+        return _write_series("boxdim", {n: box_dimension_estimate(n) for n in n_grid}, args, extra={})
 
     from .experiments import (
         DEFAULT_EPSILON,
@@ -305,17 +300,7 @@ def cmd_experiment(args) -> int:
 
     if kind == "density":
         measure = _checked(BlockAssignment, delta=args.delta)
-        if args.gauge == "pure":
-            gauge = Gauge.pure()
-        elif args.gauge == "phi":
-            gauge = _checked(Gauge.phi, args.c)
-        elif args.gauge == "psi":
-            gauge = Gauge.psi_theta(args.theta)
-        elif args.gauge == "phi_gamma":
-            gauge = _checked(Gauge.phi_gamma, args.c, args.gamma)
-        else:
-            raise UsageError(f"unknown gauge {args.gauge!r}")
-        report = density_trajectory(measure, gauge, n_grid, seeds)
+        report = density_trajectory(measure, _gauge(args), n_grid, seeds)
     elif kind == "lower":
         _checked(BlockAssignment, delta=args.delta)
         report = lower_bound_trajectory(args.delta, args.c, n_grid, seeds)
@@ -323,12 +308,8 @@ def cmd_experiment(args) -> int:
         g, label = _telescope_g(args.g, args.ell_max)
         report = upper_bound_telescoping(g, args.ell_max, args.seed, g_label=label)
     elif kind == "hoeffding":
-        if args.distribution == "rademacher":
-            dist = Rademacher()
-        elif args.distribution == "logmass":
-            dist = CenteredChainLogMass(args.k, BlockAssignment(0.0).p)
-        else:
-            raise UsageError(f"unknown distribution {args.distribution!r}")
+        dist = (Rademacher() if args.distribution == "rademacher"
+                else CenteredChainLogMass(args.k, BlockAssignment(0.0).p))
         if args.t_grid:
             t_grid = _parse_floats(args.t_grid)
         elif args.distribution == "logmass":
@@ -338,7 +319,7 @@ def cmd_experiment(args) -> int:
         else:
             t_grid = [0.1, 0.3, 0.5]
         report = hoeffding_check(dist, t_grid, args.n, args.trials, args.seed)
-    elif kind == "ldev2":
+    else:  # ldev2
         t_grid = _parse_floats(args.t_grid) if args.t_grid else None
         kwargs = {"trials": args.trials, "seed": args.seed}
         if t_grid:
@@ -346,15 +327,8 @@ def cmd_experiment(args) -> int:
         if args.n_grid:
             kwargs["n_grid"] = n_grid
         report = zero_count_deviation_check(**kwargs)
-    else:
-        raise UsageError(f"unknown experiment kind {kind!r}; choose from {EXPERIMENT_KINDS}")
 
-    if args.format == "csv":
-        _emit(_csv_text(report.to_csv_rows(), report.config), args.out)
-    elif args.format == "json":
-        _emit(_json_text({"version": __version__, **report.to_json_dict()}), args.out)
-    else:
-        _emit(report.summary_line() + "\n", args.out)
+    _write(args, report.to_json_dict(), report.summary_line() + "\n", report.to_csv_rows())
     if args.out:
         print(report.summary_line())
     return 0
@@ -386,26 +360,15 @@ def _telescope_g(spec: str, ell_max: int):
     return g, label
 
 
-def _emit_plain_series(kind: str, values: dict, args, extra: dict) -> int:
-    from .analytics import SCHEMA_VERSION, config_hash
+def _write_series(kind: str, values: dict, args, extra: dict) -> int:
+    from .analytics import config_hash
 
     config = {"experiment": kind, "n_grid": sorted(values), **extra}
     h = config_hash(config)
-    if args.format == "json":
-        payload = {
-            "version": __version__,
-            "schema_version": SCHEMA_VERSION,
-            "config": config,
-            "config_hash": h,
-            "values": {str(n): values[n] for n in sorted(values)},
-        }
-        _emit(_json_text(payload), args.out)
-    elif args.format == "csv":
-        rows = [(kind, n, kind, values[n], 0, h) for n in sorted(values)]
-        _emit(_csv_text(rows, config), args.out)
-    else:
-        lines = [f"{kind}: " + ", ".join(f"n={n}: {values[n]:.6f}" for n in sorted(values)), ""]
-        _emit("\n".join(lines), args.out)
+    payload = {"config": config, "config_hash": h,
+               "values": {str(n): values[n] for n in sorted(values)}}
+    text = f"{kind}: " + ", ".join(f"n={n}: {values[n]:.6f}" for n in sorted(values)) + "\n"
+    _write(args, payload, text, [(kind, n, kind, values[n], 0, h) for n in sorted(values)])
     return 0
 
 
@@ -420,9 +383,13 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=f"mgms {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
+    # only experiment reports have a CSV schema; argparse rejects the rest before any work
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
+    common.add_argument("--format", choices=("plain", "json"), default="plain")
     common.add_argument("--out", default=None, help="write the report to this path")
+    tabular = argparse.ArgumentParser(add_help=False)
+    tabular.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
+    tabular.add_argument("--out", default=None, help="write the report to this path")
 
     d = sub.add_parser("dims", parents=[common], help="certified p, s, dim_M enclosures")
     d.add_argument("--tol", type=float, default=1e-6)
@@ -441,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("word", help="0/1 word")
     m.set_defaults(func=cmd_measure)
 
-    e = sub.add_parser("experiment", parents=[common], help="run a persisted experiment")
+    e = sub.add_parser("experiment", parents=[tabular], help="run a persisted experiment")
     e.add_argument("kind", choices=EXPERIMENT_KINDS)
     e.add_argument("--seed", type=int, default=None, help="base seed (required when stochastic)")
     e.add_argument("--seeds", type=int, default=100, help="number of seeds/trajectories")

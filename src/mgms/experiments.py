@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 import types
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -488,37 +488,36 @@ def upper_bound_telescoping(
         bits = arr[None, :]
     s = s_float()
     ln2 = math.log(2)
-    n0 = {j: float(zero_count_from_bits(bits, 2**j)[0]) for j in range(ell_max + 1)}
-    n0[0] = float(zero_count_from_bits(bits, 1)[0])
+    n0 = [float(zero_count_from_bits(bits, 2**j)[0]) for j in range(ell_max + 1)]
+    gs = {j: g(float(j)) for j in range(1, ell_max + 1)}
 
     gauge = Gauge.psi_g(g, label=g_label)
     # log-masses at n = 4..2^ell (gauge domain; j = 1 is covered by the closed form)
     lps = logprob_prefix_grid(measure, bits, [2**j for j in range(2, ell_max + 1)])[0]
     b = []
     direct_gaps = []
-    for j in range(1, ell_max + 1):
-        nj = 2**j
-        gj = g(float(j))
-        if gj <= 0:
-            raise ValueError(f"g({j}) must be positive, got {gj}")
-        b.append((s / 2.0) * (n0[j] / 2**j - n0[j - 1] / 2 ** (j - 1)) + 1.0 / (ln2 * gj))
-        if j >= 2:
-            direct_gaps.append(abs(b[-1] - (lps[j - 2] - gauge_log2(gauge, nj)) / nj))
-    partials = np.cumsum(b)
     closed = []
     inv_g = []
     acc = 0.0
     for j in range(1, ell_max + 1):
-        acc += 1.0 / (ln2 * g(float(j)))
+        nj = 2**j
+        if gs[j] <= 0:
+            raise ValueError(f"g({j}) must be positive, got {gs[j]}")
+        inc = 1.0 / (ln2 * gs[j])
+        b.append((s / 2.0) * (n0[j] / 2**j - n0[j - 1] / 2 ** (j - 1)) + inc)
+        if j >= 2:
+            direct_gaps.append(abs(b[-1] - (lps[j - 2] - gauge_log2(gauge, nj)) / nj))
+        acc += inc
         inv_g.append(acc)
         closed.append((s / 2.0) * (n0[j] / 2**j - n0[0]) + acc)
+    partials = np.cumsum(b)
     gaps = [abs(partials[j] - closed[j]) for j in range(ell_max)]
     gaps += direct_gaps
     max_gap = float(max(gaps))
 
     half = max(1, ell_max // 2)
-    inc_late = sum(1.0 / g(float(j)) for j in range(half + 1, ell_max + 1))
-    inc_early = sum(1.0 / g(float(j)) for j in range(max(1, half // 2) + 1, half + 1))
+    inc_late = sum(1.0 / gs[j] for j in range(half + 1, ell_max + 1))
+    inc_early = sum(1.0 / gs[j] for j in range(max(1, half // 2) + 1, half + 1))
     if inc_early <= 0:
         flag = Verdict.INCONCLUSIVE
     else:
@@ -654,11 +653,13 @@ class CenteredChainLogMass:
         if not 0 < self.r < 1:
             raise ValueError(f"parameter must lie in (0,1), got {self.r}")
 
-    @property
+    # computed once per instance (cached_property writes the instance dict,
+    # which a frozen dataclass allows): bound_C enumerates up to 2^16 words
+    @cached_property
     def entropy(self) -> float:
         return partition_entropy(self.r, self.k)
 
-    @property
+    @cached_property
     def bound_C(self) -> float:
         H = self.entropy
         if self.k <= 16:

@@ -27,7 +27,8 @@ the one vectorized log-mass kernel: a gather from a per-block cost table,
 then a cumulative sum.  Both work in blocks of at most `_CHUNK` cells, so
 temporaries stay in cache whatever n is.  There is one scalar walk,
 `_walk`, over a list of symbols: `markov_cylinder_logprob` runs it on a
-word and `pdelta_logprob` on each chain restriction.  They stay as the readable definitions that
+word and `chain_breakdown` on each chain restriction, whose masses
+`pdelta_logprob` sums.  They stay as the readable definitions that
 tests and benchmark checks compare against.
 """
 
@@ -36,7 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -59,6 +60,7 @@ __all__ = [
     "markov_cylinder_logprob",
     "pmu_logprob",
     "pdelta_logprob",
+    "chain_breakdown",
     "pmu_identity_gap",
     "sample_chain",
     "sample_point",
@@ -205,6 +207,21 @@ def pmu_logprob(p: Union[float, CertifiedInterval, None], u: BinaryWord) -> LogP
     return pdelta_logprob(BlockAssignment(delta=0.0, p=r), u)
 
 
+def chain_breakdown(assign: BlockAssignment, u: BinaryWord) -> Iterator[tuple]:
+    """(i, block, parameter, symbols, log2 mass) of each chain J(i) of u, i ascending.
+
+    The symbols u_i u_{2i} u_{4i} ... weigh their golden Markov log2 mass
+    under the parameter of block floor(log2 i), -inf at a pair 11.
+    """
+    n = len(u)
+    word = u.array.tolist()
+    for i in range(1, n + 1, 2):
+        b = block_of(i)
+        r = assign.param(b)
+        chain = [word[(i << t) - 1] for t in range((n // i).bit_length())]  # chain_length(n, i)
+        yield i, b, r, chain, _walk(r, chain)
+
+
 def pdelta_logprob(assign: BlockAssignment, u: BinaryWord) -> LogProb:
     """log2 of the block-perturbed chain product measure mass of [u].
 
@@ -212,12 +229,9 @@ def pdelta_logprob(assign: BlockAssignment, u: BinaryWord) -> LogProb:
     to pmu_logprob when delta = 0, and is Kolmogorov-consistent in |u| by
     construction (the parameter of a chain never changes as the word grows).
     """
-    n = len(u)
-    word = u.array.tolist()
     total = 0.0
-    for i in range(1, n + 1, 2):
-        chain = [word[(i << t) - 1] for t in range((n // i).bit_length())]  # chain_length(n, i)
-        total += _walk(assign.param(block_of(i)), chain)
+    for *_, mass in chain_breakdown(assign, u):
+        total += mass
         if total == -math.inf:  # a pair 11: zero mass whatever the later chains hold
             break
     return LogProb(total)

@@ -145,6 +145,15 @@ class TestEntropy:
         closed = binary_entropy(r) * (1 + expected_zero_count_chain(r, k - 1))
         assert partition_entropy(r, k) == pytest.approx(closed, rel=1e-13)
 
+    # the Fraction Horner on the integer coefficients of F_{k-1}, rounded once,
+    # is how partition_entropy was computed before the closed form 1 + L_{k-1}
+    @pytest.mark.parametrize("r", [None, 0.375, 0.8125])
+    def test_partition_entropy_equals_fraction_horner(self, r):
+        r = p_float() if r is None else r
+        for k in range(1, 401):
+            horner = entropy_poly(k - 1).evaluate(Fraction(r))
+            assert partition_entropy(r, k) == binary_entropy(r) * float(horner), k
+
 
 class TestSeriesA:
     def test_closed_form_examples(self):

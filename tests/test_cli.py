@@ -7,7 +7,7 @@ import math
 import pytest
 
 from conftest import loaded_modules
-from mgms.analytics import CertificationError
+from mgms.analytics import CertificationError, Gauge, covering_sum
 from mgms.cli import main
 
 
@@ -142,6 +142,21 @@ class TestExperimentCommand:
         assert code == 0
         assert abs(payload["values"]["16384"]) < 1.0
 
+    # every gauge flag with non-default --c, --theta and --gamma; phi_gamma used to compute phi
+    @pytest.mark.parametrize("flag, gauge", [
+        ("pure", lambda: Gauge.pure()),
+        ("phi", lambda: Gauge.phi(0.01)),
+        ("psi", lambda: Gauge.psi_theta(2.0)),
+        ("phi_gamma", lambda: Gauge.phi_gamma(0.01, 0.25)),
+    ], ids=["pure", "phi", "psi", "phi_gamma"])
+    def test_cover_computes_the_gauge_it_names(self, capsys, flag, gauge):
+        code, out = run(capsys, "experiment", "cover", "--gauge", flag, "--c", "0.01",
+                        "--theta", "2", "--gamma", "0.25", "--n-grid", "16,1024", "--format", "json")
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["config"]["gauge"] == gauge().describe()  # the family among them
+        assert payload["values"] == {str(n): covering_sum(gauge(), n) for n in (16, 1024)}
+
     def test_lower_small_run_summary(self, capsys):
         code, out = run(
             capsys, "experiment", "lower", "--seed", "0", "--seeds", "8",
@@ -265,6 +280,15 @@ def test_bad_input_is_one_line_usage_error(capsys, argv):
     assert code == 2
     assert "Traceback" not in err
     assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", ["dims", "tau", "measure --pmu 0101"])
+def test_csv_is_a_usage_error_outside_experiment(tmp_path, capsys, argv):
+    out_file = tmp_path / "report"
+    assert main(argv.split() + ["--format", "csv"]) == 2
+    assert main(argv.split() + ["--format", "csv", "--out", str(out_file)]) == 2
+    assert capsys.readouterr().out == ""
+    assert not out_file.exists()
 
 
 # Each cold path, with a module the run must load: the scipy check is only

@@ -18,7 +18,7 @@ from mgms.analytics import (
     s_float,
     tau_bits_lower_bound,
 )
-from mgms.core import BinaryWord
+from mgms.core import BinaryWord, iter_golden_words
 from mgms.experiments import (
     CenteredChainLogMass,
     DeviationReport,
@@ -224,7 +224,6 @@ class TestHoeffding:
 
     def test_logmass_bound_constant_is_exact_max(self, p_val):
         dist = CenteredChainLogMass(3, p_val)
-        from mgms.core import iter_golden_words
         from mgms.measures import MarkovParams, markov_cylinder_logprob
 
         H = dist.entropy
@@ -287,11 +286,17 @@ class TestHoeffding:
         assert hashlib.sha256(sums.tobytes()).hexdigest() == digest
 
     def test_logmass_entropy_is_computed_once(self, monkeypatch):
-        calls = []
+        # a hoeffding run reads entropy and bound_C through bound_C, describe and
+        # sample_sums: one entropy call and one enumeration per instance
+        calls, walks = [], []
         monkeypatch.setattr(experiments, "partition_entropy",
                             lambda r, k: calls.append(k) or partition_entropy(r, k))
-        CenteredChainLogMass(3, p_float()).sample_sums(7, np.arange(4096, dtype=np.uint64), 200)
-        assert calls == [3]
+        monkeypatch.setattr(experiments, "iter_golden_words",
+                            lambda k: walks.append(k) or iter_golden_words(k))
+        dist = CenteredChainLogMass(3, p_float())
+        dist.sample_sums(7, np.arange(4096, dtype=np.uint64), 200)
+        hoeffding_check(dist, t=[0.2, 0.4], n=[20, 40], trials=5000, seed=5)
+        assert (calls, walks) == ([3], [3])
 
     def test_logmass_cells_respect_bound(self, p_val):
         dist = CenteredChainLogMass(3, p_val)

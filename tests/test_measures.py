@@ -1,7 +1,9 @@
 """Measures: Markov cylinder masses, chain products, perturbation, sampling."""
 
+import functools
 import hashlib
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from mgms.measures import (
     BlockAssignment,
     LogProb,
     MarkovParams,
+    chain_breakdown,
     logprob_prefix_grid,
     markov_cylinder_logprob,
     pdelta_logprob,
@@ -321,6 +324,24 @@ class TestChainProducts:
             assert got.value == inline_pdelta_logprob(a, u).value
             zero += got.is_zero
         assert 0 < zero < len(words)  # forbidden pairs and admissible words both occur
+
+    # the third word's only pair 11 is x_333 = x_666 on the late chain J(333)
+    @pytest.mark.parametrize("text, zero", [
+        ("0100100010", False), ("001001", True), ("0" * 332 + "1" + "0" * 332 + "1" + "0" * 334, True),
+    ])
+    def test_pdelta_is_the_sum_of_the_chain_breakdown(self, text, zero):
+        a = BlockAssignment(delta=0.05)
+        u = word(text)
+        parts = list(chain_breakdown(a, u))
+        assert [i for i, *_ in parts] == list(range(1, len(u) + 1, 2))
+        for i, b, r, symbols, mass in parts:
+            rest = restrict_to_chain(u, i)
+            assert (b, r) == (block_of(i), a.param(block_of(i)))
+            assert symbols == rest.array.tolist()
+            assert mass == markov_cylinder_logprob(MarkovParams(r), rest).value
+        masses = [mass for *_, mass in parts]
+        assert masses.count(-math.inf) == zero
+        assert pdelta_logprob(a, u).value == functools.reduce(operator.add, masses, 0.0)
 
     def test_level_indexed_form_breaks_consistency_at_block_boundary(self):
         # chain J(3) switches parameter index between n=5 and n=6
