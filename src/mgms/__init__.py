@@ -13,8 +13,11 @@ mildly corrected gauges, zero for stronger corrections).
 
 The names below resolve on first access (PEP 562), so `import mgms` loads no
 submodule and `from mgms import X` loads only the submodule that defines X.
-numpy loads with `measures`, `rng`, `experiments` or the first `core` word,
-and mpmath with the first transcendental interval operation.
+numpy loads with `rng`, `experiments`, the first sampler or batch kernel
+of `measures`, or the first `core` word operation other than
+`BinaryWord.from_string` and `str`; mpmath loads with the first
+transcendental interval operation, which the float constants `p_float`
+and `s_float` never run.
 """
 
 __version__ = "0.1.0"

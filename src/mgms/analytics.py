@@ -29,7 +29,6 @@ p^3 = (1-p)^2 (re-verified symbolically in the tests).
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -205,7 +204,8 @@ def hausdorff_dim() -> CertifiedInterval:
 
 
 def s_float() -> float:
-    return hausdorff_dim().mid_float
+    """-log2 of p_float() in double precision; `hausdorff_dim` encloses it."""
+    return -math.log2(p_float())
 
 
 def _minkowski_K(tol: float) -> int:
@@ -563,5 +563,7 @@ def box_dimension_estimate(n: int) -> float:
 
 def config_hash(config: dict) -> str:
     """Stable 12-hex digest of a canonicalized config mapping."""
+    import hashlib
+
     blob = json.dumps(config, sort_keys=True, separators=(",", ":"), default=str)
     return hashlib.sha256(blob.encode()).hexdigest()[:12]

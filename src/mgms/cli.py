@@ -6,10 +6,11 @@ Subcommands
     measure     log2 cylinder mass with a per-chain breakdown
     experiment  density/lower/telescope/hoeffding/ldev2/cover/boxdim runs
 
-Exit codes: 0 success, 1 certification failure, 2 usage error.  A bad
-value is reported in one `usage error:` line on stderr; a flag value
-outside its choices gets argparse's usage message.  Every usage error
-exits 2 before the report is written: nothing on stdout, no --out file.
+Exit codes: 0 success, 1 certification failure, 2 usage error.  Every
+usage error, a bad value or one argparse rejects (an unknown flag or
+choice, a missing argument), is reported in one `usage error:` line on
+stderr and exits 2 before the report is written: nothing on stdout, no
+--out file.
 
 Every report goes through one writer, `_write`: --format plain or json
 everywhere, and csv for `experiment` alone, whose reports have the flat
@@ -20,9 +21,11 @@ embed the full config and library version, and rerunning a config
 reproduces the report body byte for byte.
 
 Each handler imports the modules it runs, so a cold process pays only for
-those: `dims` and `tau` load mpmath but not numpy, `experiment boxdim` and
-`cover` (with `--exponent dimm`) load neither, `measure` loads numpy but
-not mpmath, and `--version` loads no other mgms module.
+those: `dims` and `tau` load mpmath but not numpy; `measure`,
+`experiment boxdim` and `cover` load neither; `telescope`, `density` and
+`hoeffding` load numpy but not mpmath (an s-gauge takes the float
+s = -log2 p); `lower` and `ldev2` load both, for the certified tau bound
+and the Student-t quantile; `--version` loads no other mgms module.
 """
 
 from __future__ import annotations
@@ -44,6 +47,13 @@ STOCHASTIC_KINDS = ("density", "lower", "telescope", "hoeffding", "ldev2")
 
 class UsageError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose errors raise UsageError; its subparsers inherit the class."""
+
+    def error(self, message: str):
+        raise UsageError(message)
 
 
 def _require(ok: bool, message: str) -> None:
@@ -376,7 +386,7 @@ def _write_series(kind: str, values: dict, args, extra: dict) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="mgms",
         description="Rigorous numerics and experiments for the multiplicative golden mean shift.",
     )
@@ -434,11 +444,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
-    except SystemExit as exc:  # argparse uses 2 for usage errors already
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # --help and --version
         return int(exc.code or 0)
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
     from .analytics import CertificationError  # every subcommand loads analytics
 
     try:

@@ -12,7 +12,8 @@ Counting is exact: golden words of length k are counted by the Fibonacci
 number F_{k+1} (F_1 = 1, F_2 = 2), and multiplicative prefixes of length n
 by the product of F_{chain_length+1} over chains, held as big integers with
 a float log2 companion for dimension estimates.  The counting functions
-run on Python ints and floats alone; numpy is loaded by the words and the
+run on Python ints and floats alone, and so do `BinaryWord.from_string` and
+`str(word)`; numpy is loaded by the other word operations and the
 enumerators when they first run.
 """
 
@@ -65,16 +66,15 @@ class BinaryWord:
     def from_bits(bits: Iterable[int]) -> "BinaryWord":
         import numpy as np
 
-        arr = np.fromiter(bits, dtype=np.uint8)
-        if arr.size and arr.max(initial=0) > 1:
-            raise ValueError("symbols must be 0 or 1")
-        return BinaryWord(np.packbits(arr).tobytes(), int(arr.size))
+        return BinaryWord.from_array(np.fromiter(bits, dtype=np.uint8))
 
     @staticmethod
     def from_string(s: str) -> "BinaryWord":
-        if any(c not in "01" for c in s):
+        if not set(s) <= {"0", "1"}:
             raise ValueError(f"not a 0/1 string: {s!r}")
-        return BinaryWord.from_bits(int(c) for c in s)
+        pad = -len(s) % 8  # zero bits that fill the last byte, as np.packbits pads
+        packed = (int(s, 2) << pad).to_bytes((len(s) + pad) // 8, "big") if s else b""
+        return BinaryWord(packed, len(s))
 
     @staticmethod
     def from_array(arr: np.ndarray) -> "BinaryWord":
@@ -112,7 +112,7 @@ class BinaryWord:
         return iter(int(b) for b in self.array)
 
     def __str__(self) -> str:
-        return "".join("1" if b else "0" for b in self.array)
+        return format(int.from_bytes(self.packed, "big"), f"0{8 * len(self.packed)}b")[: self.n]
 
     def __repr__(self) -> str:
         return f"BinaryWord({str(self)!r})"

@@ -29,7 +29,9 @@ temporaries stay in cache whatever n is.  There is one scalar walk,
 `_walk`, over a list of symbols: `markov_cylinder_logprob` runs it on a
 word and `chain_breakdown` on each chain restriction, whose masses
 `pdelta_logprob` sums.  They stay as the readable definitions that
-tests and benchmark checks compare against.
+tests and benchmark checks compare against.  The scalar walk reads a word
+through `str`, so it runs without numpy; the samplers and the batch
+kernels import numpy and `rng` when they are called.
 """
 
 from __future__ import annotations
@@ -37,9 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator, Optional, Sequence, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence, Union
 
 from .analytics import p_float
 from .core import (
@@ -50,7 +50,11 @@ from .core import (
     is_multiplicative_prefix,
 )
 from .intervals import CertifiedInterval
-from .rng import RandomStream, chain_keys, threshold, uniform_grid
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .rng import RandomStream
 
 __all__ = [
     "LogProb",
@@ -147,7 +151,7 @@ def markov_cylinder_logprob(params: MarkovParams, u: BinaryWord) -> LogProb:
     Equivalent closed form: (1-r)^(N1(u)) * r^(N0(u) - N1(u_1..u_{k-1})).
     Words containing 11 get the zero sentinel (legal input, zero mass).
     """
-    return LogProb(_walk(params.r, u.array.tolist()))
+    return LogProb(_walk(params.r, list(map(int, str(u)))))
 
 
 @dataclass(frozen=True)
@@ -182,6 +186,8 @@ class BlockAssignment:
         return self.p if block == 0 else self.p + self.delta / block
 
     def params_for_blocks(self, max_block: int) -> np.ndarray:
+        import numpy as np
+
         return np.array([self.param(b) for b in range(max_block + 1)], dtype=np.float64)
 
     def describe(self) -> dict:
@@ -214,7 +220,7 @@ def chain_breakdown(assign: BlockAssignment, u: BinaryWord) -> Iterator[tuple]:
     under the parameter of block floor(log2 i), -inf at a pair 11.
     """
     n = len(u)
-    word = u.array.tolist()
+    word = list(map(int, str(u)))
     for i in range(1, n + 1, 2):
         b = block_of(i)
         r = assign.param(b)
@@ -278,14 +284,12 @@ def sample_chain(params: MarkovParams, k: int, stream: RandomStream) -> BinaryWo
     if k < 1:
         raise ValueError(f"chain length must be >= 1, got {k}")
     one_prob = 1.0 - params.r
-    bits = np.zeros(k, dtype=np.uint8)
+    bits = []
     prev = 0
     for t in range(k):
-        u = stream.uniform(t)
-        sym = 0 if prev == 1 else int(u < one_prob)
-        bits[t] = sym
-        prev = sym
-    return BinaryWord.from_array(bits)
+        prev = 0 if prev == 1 else int(stream.uniform(t) < one_prob)
+        bits.append(prev)
+    return BinaryWord.from_bits(bits)
 
 
 def sample_point(assign: BlockAssignment, n: int, seed: int) -> SampledPoint:
@@ -297,6 +301,8 @@ def sample_point(assign: BlockAssignment, n: int, seed: int) -> SampledPoint:
     """
     if n < 1:
         raise ValueError(f"prefix length must be >= 1, got {n}")
+    from .rng import RandomStream
+
     chains: dict[int, BinaryWord] = {}
     for i in range(1, n + 1, 2):
         params = MarkovParams(assign.param(block_of(i)))
@@ -326,6 +332,8 @@ def _block_table(n: int) -> np.ndarray:
     i is the odd part of the position; entry 0 is unused (0).  Blocks are
     below 64, so uint8 holds them and 4 * block + 3 as well.
     """
+    import numpy as np
+
     m = np.arange(1, n + 1, dtype=np.int64)
     block = np.zeros(n + 1, dtype=np.uint8)
     block[1:] = np.frexp((m // (m & -m)).astype(np.float64))[1] - 1
@@ -348,6 +356,8 @@ def logprob_prefix_grid(
     Returns shape (rows, len(n_list)); -inf marks a prefix that contains a
     forbidden pair x_{m/2} = x_m = 1.
     """
+    import numpy as np
+
     ns = [int(n) for n in n_list]
     n_max = bits.shape[1] - 1
     if not ns or min(ns) < 1 or max(ns) > n_max:
@@ -407,6 +417,10 @@ def sample_bits_batch(
     """
     if n < 1:
         raise ValueError(f"prefix length must be >= 1, got {n}")
+    import numpy as np
+
+    from .rng import chain_keys, threshold, uniform_grid
+
     trials = np.asarray(trials, dtype=np.uint64)
     block = _block_table(n)[1::2]  # the block of chain i = 2j+1 at index j
     params = assign.params_for_blocks(int(block.max()))
@@ -437,4 +451,6 @@ def zero_count_from_bits(bits: np.ndarray, n: int) -> np.ndarray:
     """N0 of the first n symbols, per row."""
     if not 1 <= n < bits.shape[1]:
         raise ValueError(f"n={n} outside the sampled range")
+    import numpy as np
+
     return n - bits[:, 1 : n + 1].sum(axis=1, dtype=np.int64)

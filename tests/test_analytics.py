@@ -183,6 +183,14 @@ class TestDimensions:
         assert abs(s.mid_float - 0.81137) < 1e-5
         assert Fraction(81, 100) < s.lo and s.hi < Fraction(82, 100)
 
+    def test_float_s_is_the_enclosure_midpoint(self):
+        # s_float is -log2(p_float()) in doubles, without the mpmath enclosure
+        s = hausdorff_dim()
+        assert s_float() == s.mid_float
+        # the enclosure is far narrower than an ulp, so no double lies inside it;
+        # both endpoints rounding to s_float makes it s correctly rounded
+        assert float(s.lo) == s_float() == float(s.hi)
+
     def test_minkowski_value_and_tail_contract(self):
         value, tail = dim_minkowski(1e-6)
         assert tail < 1e-6

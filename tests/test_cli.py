@@ -282,6 +282,29 @@ def test_bad_input_is_one_line_usage_error(capsys, argv):
     assert err.startswith("usage error: ") and err.count("\n") == 1
 
 
+# inputs argparse itself rejects: a value outside the choices, a missing argument
+@pytest.mark.parametrize("argv", [
+    "experiment cover --gauge foo",
+    "experiment frobnicate",
+    "dims --format csv",
+    "measure --pmu",
+    "measure 0101",
+    "",
+])
+def test_parser_error_is_one_line_usage_error(capsys, argv):
+    code = main(argv.split())
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", ["--help", "--version", "experiment --help"])
+def test_help_and_version_exit_zero(capsys, argv):
+    assert main(argv.split()) == 0
+    assert capsys.readouterr().out
+
+
 @pytest.mark.parametrize("argv", ["dims", "tau", "measure --pmu 0101"])
 def test_csv_is_a_usage_error_outside_experiment(tmp_path, capsys, argv):
     out_file = tmp_path / "report"

@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from mgms.core import (
@@ -70,6 +71,30 @@ class TestBinaryWord:
     def test_packing_is_compact(self):
         u = BinaryWord.from_bits([1] * 1000)
         assert len(u.packed) == 125
+
+    def test_string_packing_matches_numpy_on_short_words(self):
+        for n in range(13):
+            for bits in all_words(n):
+                self.check_string_packing("".join(map(str, bits)))
+
+    def test_string_packing_matches_numpy_on_random_words(self):
+        rng = random.Random(2024)
+        for _ in range(200):
+            n = rng.randint(0, 4096)
+            self.check_string_packing("".join(rng.choice("01") for _ in range(n)))
+
+    @staticmethod
+    def check_string_packing(s: str):
+        # from_string packs in pure Python; np.packbits and from_bits are the references
+        u = BinaryWord.from_string(s)
+        assert u.packed == np.packbits(np.array([int(c) for c in s], dtype=np.uint8)).tobytes()
+        assert str(u) == s
+        assert u == BinaryWord.from_bits(int(c) for c in s)
+
+    @pytest.mark.parametrize("s", ["0_1", " 01", "01 ", "+01", "0b1", "-1", "\u0661"])
+    def test_string_rejects_what_int_would_parse(self, s):
+        with pytest.raises(ValueError):
+            BinaryWord.from_string(s)
 
     @pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65])
     def test_packing_boundary_lengths(self, n):

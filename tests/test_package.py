@@ -60,21 +60,30 @@ class TestNamespace:
             exec("from mgms import no_such_name", {})
 
 
-# (argv of a fresh process, modules it must not load, modules it must load)
-IMPORT_BUDGET = [
-    (["-m", "mgms.cli", "dims"], ["numpy"], ["mgms.analytics", "mpmath"]),
-    (["-m", "mgms.cli", "tau"], ["numpy"], ["mgms.analytics", "mpmath"]),
-    (["-m", "mgms.cli", "experiment", "boxdim", "--n-grid", "16,1024,65536"],
-     ["numpy", "mpmath"], ["mgms.analytics"]),
-    # the exponent s would need -log2 p, an mpmath enclosure; the Minkowski one is a float sum
-    (["-m", "mgms.cli", "experiment", "cover", "--exponent", "dimm", "--n-grid", "1024,16384"],
-     ["numpy", "mpmath"], ["mgms.analytics"]),
-    (["-m", "mgms.cli", "measure", "--pdelta", "0.05", "0100100010"], ["mpmath"], ["mgms.measures", "numpy"]),
-]
+# test id: (argv of a fresh process, modules it must not load, modules it must load)
+IMPORT_BUDGET = {
+    "dims": (["-m", "mgms.cli", "dims"], ["numpy"], ["mgms.analytics", "mpmath"]),
+    "tau": (["-m", "mgms.cli", "tau"], ["numpy"], ["mgms.analytics", "mpmath"]),
+    "experiment boxdim": (["-m", "mgms.cli", "experiment", "boxdim", "--n-grid", "16,1024,65536"],
+                          ["numpy", "mpmath"], ["mgms.analytics"]),
+    # either exponent is a float: s = -log2 p_float(), dim_M a Fibonacci sum
+    "experiment cover": (["-m", "mgms.cli", "experiment", "cover", "--exponent", "dimm",
+                          "--n-grid", "1024,16384"], ["numpy", "mpmath"], ["mgms.analytics"]),
+    "experiment cover s": (["-m", "mgms.cli", "experiment", "cover", "--n-grid", "1024,16384"],
+                           ["numpy", "mpmath"], ["mgms.analytics"]),
+    # the scalar chain walk reads the word as a string
+    "measure --pdelta": (["-m", "mgms.cli", "measure", "--pdelta", "0.05", "0100100010"],
+                         ["numpy", "mpmath"], ["mgms.measures"]),
+    "measure --pmu": (["-m", "mgms.cli", "measure", "--pmu", "0100100010"],
+                      ["numpy", "mpmath"], ["mgms.measures"]),
+    "measure --mu": (["-m", "mgms.cli", "measure", "--mu", "0.3", "0100100010"],
+                     ["numpy", "mpmath"], ["mgms.measures"]),
+    "experiment telescope": (["-m", "mgms.cli", "experiment", "telescope", "--seed", "1", "--ell-max", "8"],
+                             ["mpmath"], ["mgms.experiments", "numpy"]),
+}
 
 
-@pytest.mark.parametrize("argv, absent, present", IMPORT_BUDGET,
-                         ids=[" ".join(argv[2:4]) for argv, _, _ in IMPORT_BUDGET])
+@pytest.mark.parametrize("argv, absent, present", IMPORT_BUDGET.values(), ids=IMPORT_BUDGET)
 def test_subcommand_imports_only_what_it_runs(argv, absent, present):
     loaded = loaded_modules(argv)
     for module in present:
