@@ -300,31 +300,22 @@ def hf_derivative_at(k: int, x: CertifiedInterval) -> CertifiedInterval:
     return _derivative_series(x, {k: CertifiedInterval.point(1)})
 
 
-@lru_cache(maxsize=None)
-def _stirling2(m: int, i: int) -> int:
-    if m == i == 0:
-        return 1
-    if m == 0 or i == 0:
-        return 0
-    return i * _stirling2(m - 1, i) + _stirling2(m - 1, i - 1)
+def dyadic_tail(f: Callable[[int], Fraction], degree: int, K: int) -> Fraction:
+    """sum_{k>=K} f(k) 2^-k, exactly, for a polynomial f of the given degree.
 
-
-@lru_cache(maxsize=None)
-def _moment_at_half(m: int) -> Fraction:
-    """A_m = sum_{j>=0} j^m 2^-j, exactly (A_0=2, A_1=2, A_2=6, A_3=26, ...)."""
-    return Fraction(sum(_stirling2(m, i) * 2 * math.factorial(i) for i in range(m + 1)))
-
-
-def dyadic_power_tail(m: int, K: int) -> Fraction:
-    """S_m(K) = sum_{k>=K} k^m 2^-k, exactly (binomial shift of the moments A_i)."""
-    if m < 0:
-        raise ValueError(f"power must be >= 0, got {m}")
+    With f(K+j) = sum_i C(j, i) (Delta^i f)(K) and sum_j C(j, i) 2^-j = 2,
+    the tail is 2^(1-K) sum_{i<=degree} (Delta^i f)(K).
+    """
+    if degree < 0:
+        raise ValueError(f"degree must be >= 0, got {degree}")
     if K < 0:
         raise ValueError("K must be >= 0")
+    row = [Fraction(f(K + j)) for j in range(degree + 1)]
     total = Fraction(0)
-    for i in range(m + 1):
-        total += math.comb(m, i) * Fraction(K) ** (m - i) * _moment_at_half(i)
-    return total / 2**K
+    while row:
+        total += row[0]
+        row = [b - a for a, b in zip(row, row[1:])]
+    return 2 * total / 2**K
 
 
 def derivative_series_at_p(K: int) -> CertifiedInterval:
@@ -366,7 +357,7 @@ def tau_certify() -> TauCertificate:
     """
     weights = {k: CertifiedInterval.point(Fraction(k, 2 ** (k + 1))) for k in range(1, 13)}
     acc = _derivative_series(solve_p(), weights)
-    tail = Fraction(3, 2) * (dyadic_power_tail(2, 13) + dyadic_power_tail(1, 13))
+    tail = dyadic_tail(lambda k: Fraction(3 * k * (k + 1), 2), 2, 13)
     margin = acc.lo - tail
     if margin <= 0:
         raise CertificationError(f"tau positivity failed: partial={acc}, tail={tail}")
@@ -410,7 +401,7 @@ def tau_gamma(gamma: float, K: int = 12) -> TauGammaResult:
         weights[k] = _from_iv(w).scale(Fraction(1, 2 ** (k + 1)))
     acc = _derivative_series(solve_p(), weights)
     m = math.ceil(1 + gamma)
-    tail = Fraction(51, 40) * (dyadic_power_tail(m + 1, K + 1) + dyadic_power_tail(m, K + 1))
+    tail = dyadic_tail(lambda k: Fraction(51, 40) * (k ** (m + 1) + k**m), m + 1, K + 1)
     widened = acc.widen(tail)
     if widened.is_positive():
         sign = "POSITIVE"

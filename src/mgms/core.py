@@ -11,10 +11,10 @@ golden-admissible.
 Counting is exact: golden words of length k are counted by the Fibonacci
 number F_{k+1} (F_1 = 1, F_2 = 2), and multiplicative prefixes of length n
 by the product of F_{chain_length+1} over chains, held as big integers with
-a float log2 companion for dimension estimates.  The counting functions
-run on Python ints and floats alone, and so do `BinaryWord.from_string` and
-`str(word)`; numpy is loaded by the other word operations and the
-enumerators when they first run.
+a float log2 companion for dimension estimates.  Counting, the word
+operations and the enumerators run on Python ints and strings alone; numpy
+loads only with `BinaryWord.from_array` and `BinaryWord.array`, the bridge
+to the batch kernels.
 """
 
 from __future__ import annotations
@@ -64,9 +64,7 @@ class BinaryWord:
 
     @staticmethod
     def from_bits(bits: Iterable[int]) -> "BinaryWord":
-        import numpy as np
-
-        return BinaryWord.from_array(np.fromiter(bits, dtype=np.uint8))
+        return BinaryWord.from_string("".join(str(int(b)) for b in bits))
 
     @staticmethod
     def from_string(s: str) -> "BinaryWord":
@@ -106,10 +104,10 @@ class BinaryWord:
     def __getitem__(self, k: int) -> int:
         if not 1 <= k <= self.n:
             raise IndexError(f"position {k} outside 1..{self.n}")
-        return int(self.array[k - 1])
+        return self.packed[(k - 1) >> 3] >> (7 - (k - 1) % 8) & 1
 
     def __iter__(self) -> Iterator[int]:
-        return iter(int(b) for b in self.array)
+        return map(int, str(self))
 
     def __str__(self) -> str:
         return format(int.from_bytes(self.packed, "big"), f"0{8 * len(self.packed)}b")[: self.n]
@@ -120,7 +118,7 @@ class BinaryWord:
     def prefix(self, m: int) -> "BinaryWord":
         if not 0 <= m <= self.n:
             raise ValueError(f"prefix length {m} outside 0..{self.n}")
-        return BinaryWord.from_array(self.array[:m])
+        return BinaryWord.from_string(str(self)[:m])
 
     def count_ones(self) -> int:
         """N_1(u): number of 1 symbols."""
@@ -133,15 +131,17 @@ class BinaryWord:
 
 def is_golden_word(u: BinaryWord) -> bool:
     """True iff u has no adjacent pair 11 (vacuously true for |u| <= 1)."""
-    a = u.array
-    return not (a[1:] & a[:-1]).any()
+    return "11" not in str(u)
 
 
 def is_multiplicative_prefix(u: BinaryWord) -> bool:
-    """True iff u_k * u_{2k} = 0 for all k with 2k <= |u|."""
-    a = u.array
-    half = u.n // 2
-    return not (a[:half] & a[1::2]).any()
+    """True iff u_k * u_{2k} = 0 for all k with 2k <= |u|.
+
+    u_1..u_h and u_2 u_4 ... u_2h (h = |u| // 2) read as two h-bit integers
+    must share no 1 bit.
+    """
+    s, h = str(u), u.n // 2
+    return not int("0" + s[:h], 2) & int("0" + s[1 : 2 * h : 2], 2)
 
 
 def _require_odd(i: int) -> int:
@@ -176,12 +176,8 @@ def restrict_to_chain(u: BinaryWord, i: int) -> BinaryWord:
     i = _require_odd(i)
     if i > u.n:
         raise ValueError(f"chain J({i}) does not intersect a prefix of length {u.n}")
-    idx = []
-    m = i
-    while m <= u.n:
-        idx.append(m - 1)
-        m <<= 1
-    return BinaryWord.from_array(u.array[idx])
+    s = str(u)
+    return BinaryWord.from_string("".join(s[(i << t) - 1] for t in range(chain_length(u.n, i))))
 
 
 def odd_indices_in(a, b) -> list[int]:
@@ -224,23 +220,19 @@ def assemble_from_chains(n: int, chains: dict[int, BinaryWord]) -> BinaryWord:
 
     `chains` must map every odd i <= n to a word of length chain_length(n, i).
     """
-    import numpy as np
-
-    out = np.zeros(n, dtype=np.uint8)
+    out = ["0"] * n
     seen = 0
     for i, w in chains.items():
         i = _require_odd(i)
         k = chain_length(n, i)
         if len(w) != k:
             raise ValueError(f"chain J({i}) needs length {k}, got {len(w)}")
-        m = i
-        for sym in w.array:
-            out[m - 1] = sym
-            m <<= 1
+        for t, sym in enumerate(str(w)):
+            out[(i << t) - 1] = sym
         seen += k
     if seen != n:
         raise ValueError("chains do not cover the prefix")
-    return BinaryWord.from_array(out)
+    return BinaryWord.from_string("".join(out))
 
 
 # -- counting ---------------------------------------------------------------
@@ -281,49 +273,37 @@ def log2_count_cylinders(n: int) -> float:
     return sum(c * math.log2(fibonacci(k + 1)) for k, c in chain_length_counts(n).items())
 
 
-# -- enumeration (exhaustive oracles and experiment support) -----------------
+# -- enumeration (exhaustive oracles) ---------------------------------------
 
 
 def iter_golden_words(k: int) -> Iterator[BinaryWord]:
     """Yield all golden-admissible words of length k (lexicographic)."""
     if k < 0:
         raise ValueError(f"length must be >= 0, got {k}")
-    import numpy as np
 
-    buf = np.zeros(k, dtype=np.uint8)
-
-    def rec(pos: int) -> Iterator[BinaryWord]:
-        if pos == k:
-            yield BinaryWord.from_array(buf)
+    def rec(s: str) -> Iterator[BinaryWord]:
+        if len(s) == k:
+            yield BinaryWord.from_string(s)
             return
-        buf[pos] = 0
-        yield from rec(pos + 1)
-        if pos == 0 or buf[pos - 1] == 0:
-            buf[pos] = 1
-            yield from rec(pos + 1)
-            buf[pos] = 0
+        yield from rec(s + "0")
+        if not s.endswith("1"):
+            yield from rec(s + "1")
 
-    return rec(0)
+    return rec("")
 
 
 def iter_multiplicative_prefixes(n: int) -> Iterator[BinaryWord]:
     """Yield all multiplicative prefixes of length n (lexicographic)."""
     if n < 0:
         raise ValueError(f"length must be >= 0, got {n}")
-    import numpy as np
 
-    buf = np.zeros(n, dtype=np.uint8)
-
-    def rec(pos: int) -> Iterator[BinaryWord]:
-        if pos == n:
-            yield BinaryWord.from_array(buf)
+    def rec(s: str) -> Iterator[BinaryWord]:
+        m = len(s) + 1  # 1-based position being assigned
+        if m > n:
+            yield BinaryWord.from_string(s)
             return
-        m = pos + 1  # 1-based position being assigned
-        buf[pos] = 0
-        yield from rec(pos + 1)
-        if m % 2 == 1 or buf[m // 2 - 1] == 0:
-            buf[pos] = 1
-            yield from rec(pos + 1)
-            buf[pos] = 0
+        yield from rec(s + "0")
+        if m % 2 == 1 or s[m // 2 - 1] == "0":
+            yield from rec(s + "1")
 
-    return rec(0)
+    return rec("")

@@ -46,16 +46,10 @@ from .analytics import (
     s_float,
     tau_bits_lower_bound,
 )
-from .core import (
-    BinaryWord,
-    chain_length_counts,
-    iter_golden_words,
-)
+from .core import BinaryWord, chain_length_counts
 from .measures import (
     _CHUNK,
     BlockAssignment,
-    MarkovParams,
-    markov_cylinder_logprob,
     logprob_prefix_grid,
     sample_bits_batch,
     zero_count_from_bits,
@@ -640,8 +634,7 @@ class CenteredChainLogMass:
     """Centered log2 cylinder masses of golden Markov words of length k.
 
     X = log2 mu[u] + H^mu(alpha_k) has zero mean; |X| <= C with C the exact
-    maximum over the finitely many admissible cylinders (computed by
-    enumeration for k <= 16, crude per-symbol bound beyond).
+    maximum over the finitely many admissible cylinders.
     """
 
     k: int
@@ -654,22 +647,25 @@ class CenteredChainLogMass:
             raise ValueError(f"parameter must lie in (0,1), got {self.r}")
 
     # computed once per instance (cached_property writes the instance dict,
-    # which a frozen dataclass allows): bound_C enumerates up to 2^16 words
+    # which a frozen dataclass allows)
     @cached_property
     def entropy(self) -> float:
         return partition_entropy(self.r, self.k)
 
     @cached_property
     def bound_C(self) -> float:
+        # largest and smallest log2 mass of a word ending in 0 and in 1, one
+        # symbol at a time as measures._walk adds them (a 1 costs log2(1-r), a
+        # free 0 log2 r, a 0 forced by a 1 nothing); float addition is
+        # monotone, so these are the extremes over every admissible word
+        log_r, log_q = math.log2(self.r), math.log2(1.0 - self.r)
+        hi0 = lo0 = 0.0
+        hi1, lo1 = -math.inf, math.inf
+        for _ in range(self.k):
+            hi0, hi1 = max(hi0 + log_r, hi1), hi0 + log_q
+            lo0, lo1 = min(lo0 + log_r, lo1), lo0 + log_q
         H = self.entropy
-        if self.k <= 16:
-            params = MarkovParams(self.r)
-            return max(
-                abs(markov_cylinder_logprob(params, u).value + H)
-                for u in iter_golden_words(self.k)
-            )
-        per = max(abs(math.log2(self.r)), abs(math.log2(1 - self.r)))
-        return self.k * per + H
+        return max(abs(max(hi0, hi1) + H), abs(min(lo0, lo1) + H))
 
     def describe(self) -> dict:
         return {"distribution": "centered_log_mass", "k": self.k, "r": self.r, "C": self.bound_C}
@@ -775,6 +771,8 @@ def zero_count_deviation_check(
     fit the exponential-decay shape (c2, c3), reported with a 95% CI for
     the decay rate.
     """
+    if trials < 1:
+        raise ValueError("trials must be positive")
     kwargs = {} if p is None else {"p": float(p)}
     measure = BlockAssignment(delta=0.0, **kwargs)
     ts = [float(v) for v in t_grid]

@@ -3,10 +3,12 @@ internals so the fast paths always have a second, dumb route to agree with."""
 
 from __future__ import annotations
 
+import math
 import os
 import subprocess
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -165,6 +167,23 @@ def reference_dim_minkowski_enclosure(tol: float) -> CertifiedInterval:
     for k in range(1, K + 1):
         acc = acc + iv_log2_int(fibonacci(k + 1)).scale(Fraction(1, 2 ** (k + 1)))
     return CertifiedInterval(acc.lo, acc.hi + Fraction(K + 2, 2 ** (K + 1)))
+
+
+@lru_cache(maxsize=None)
+def stirling2(m: int, i: int) -> int:
+    """Stirling number of the second kind {m over i}."""
+    if m == i == 0:
+        return 1
+    if m == 0 or i == 0:
+        return 0
+    return i * stirling2(m - 1, i) + stirling2(m - 1, i - 1)
+
+
+def reference_dyadic_power_tail(m: int, K: int) -> Fraction:
+    """sum_{k>=K} k^m 2^-k as the binomial shift of the moments
+    A_i = sum_{j>=0} j^i 2^-j = 2 sum_l {i over l} l! (A_0 = 2, A_1 = 2, A_2 = 6, ...)."""
+    moment = lambda i: 2 * sum(stirling2(i, l) * math.factorial(l) for l in range(i + 1))
+    return sum(math.comb(m, i) * Fraction(K) ** (m - i) * moment(i) for i in range(m + 1)) / 2**K
 
 
 # -- interval enclosures that only the tests use --------------------------------

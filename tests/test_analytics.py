@@ -19,7 +19,7 @@ from mgms.analytics import (
     derivative_series_at_p,
     dim_minkowski,
     dim_minkowski_enclosure,
-    dyadic_power_tail,
+    dyadic_tail,
     entropy_nat,
     expected_zero_count_chain,
     expected_zero_count_prefix,
@@ -42,6 +42,7 @@ from mgms.polynomials import entropy_poly
 from conftest import (
     reference_derivative_partials,
     reference_dim_minkowski_enclosure,
+    reference_dyadic_power_tail,
     reference_hf_derivative_at,
     reference_solve_p,
     reference_tau_gamma_partial,
@@ -326,24 +327,49 @@ class TestSeriesKernelMatchesFractionLoops:
         assert same_endpoints(tau_gamma(gamma, K).value, ref)
 
 
+def power_tail(m: int, K: int) -> Fraction:
+    return dyadic_tail(lambda k: k**m, m, K)
+
+
 class TestDyadicTails:
     @pytest.mark.parametrize("m", [0, 1, 2, 3, 4])
     @pytest.mark.parametrize("K", [1, 5, 13])
     def test_matches_brute_force_partial(self, m, K):
         brute = sum(Fraction(k**m, 2**k) for k in range(K, K + 400))
-        exact = dyadic_power_tail(m, K)
+        exact = power_tail(m, K)
         assert 0 <= exact - brute < Fraction(1, 2**300)
 
+    def test_polynomial_matches_brute_force_partial(self):
+        f = lambda k: Fraction(51, 40) * (k**4 + k**3) - 7 * k + Fraction(1, 3)
+        brute = sum(f(k) / 2**k for k in range(9, 9 + 400))
+        assert 0 <= dyadic_tail(f, 4, 9) - brute < Fraction(1, 2**300)
+
     def test_negative_power_rejected(self):
-        # sum_{k>=K} k^m 2^-k is positive for every m; m < 0 used to return 0
+        # a polynomial has degree >= 0, and the tail starts at K >= 0
         with pytest.raises(ValueError):
-            dyadic_power_tail(-1, 3)
+            dyadic_tail(lambda k: 1, -1, 3)
+        with pytest.raises(ValueError):
+            dyadic_tail(lambda k: 1, 0, -1)
 
     def test_moments(self):
-        assert dyadic_power_tail(0, 0) == 2
-        assert dyadic_power_tail(1, 1) == 2
-        assert dyadic_power_tail(2, 1) == 6
-        assert dyadic_power_tail(3, 1) == 26
+        assert power_tail(0, 0) == 2
+        assert power_tail(1, 1) == 2
+        assert power_tail(2, 1) == 6
+        assert power_tail(3, 1) == 26
+
+    def test_matches_the_stirling_moment_formula(self):
+        for m in range(9):
+            for K in range(30):
+                assert power_tail(m, K) == reference_dyadic_power_tail(m, K), (m, K)
+
+    def test_certificate_tails_are_the_power_tails(self):
+        assert tau_certify().tail_bound.hi == Fraction(3, 2) * (
+            reference_dyadic_power_tail(2, 13) + reference_dyadic_power_tail(1, 13))
+        for gamma, K in [(0.1, 12), (0.5, 20), (1.5, 12), (2, 5)]:
+            m = math.ceil(1 + gamma)
+            assert tau_gamma(gamma, K).tail_bound == Fraction(51, 40) * (
+                reference_dyadic_power_tail(m + 1, K + 1) + reference_dyadic_power_tail(m, K + 1))
+        assert tau_gamma(0.5, 20).tail_bound == Fraction(71859, 5242880)
 
 
 class TestTau:

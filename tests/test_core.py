@@ -96,6 +96,23 @@ class TestBinaryWord:
         with pytest.raises(ValueError):
             BinaryWord.from_string(s)
 
+    def test_scalar_ops_match_the_array_view(self):
+        # the word operations read the packed bytes and str(word); the numpy
+        # view that the batch kernels use is the reference
+        rng = random.Random(41)
+        for _ in range(200):
+            n = rng.randint(0, 300)
+            u = BinaryWord.from_bits([rng.randint(0, 1) for _ in range(n)])
+            a = u.array.tolist()
+            assert [u[k] for k in range(1, n + 1)] == list(u) == a
+            m = rng.randint(0, n)
+            assert u.prefix(m) == BinaryWord.from_array(u.array[:m])
+            assert is_golden_word(u) == (not (u.array[1:] & u.array[:-1]).any())
+            assert is_multiplicative_prefix(u) == (not (u.array[: n // 2] & u.array[1::2]).any())
+            for i in range(1, n + 1, 2):
+                idx = [(i << t) - 1 for t in range(chain_length(n, i))]
+                assert restrict_to_chain(u, i) == BinaryWord.from_array(u.array[idx])
+
     @pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65])
     def test_packing_boundary_lengths(self, n):
         rng = random.Random(n)
@@ -229,6 +246,14 @@ class TestChains:
             chains = {i: restrict_to_chain(u, i) for i in range(1, n + 1, 2)}
             assert assemble_from_chains(n, chains) == u
 
+    def test_assembly_checks_lengths_and_coverage(self):
+        with pytest.raises(ValueError, match="needs length 2"):
+            assemble_from_chains(6, {1: word("010"), 3: word("0"), 5: word("1")})
+        with pytest.raises(ValueError, match="do not cover"):
+            assemble_from_chains(6, {1: word("010"), 3: word("01")})
+        with pytest.raises(ValueError):
+            assemble_from_chains(6, {2: word("0")})
+
 
 class TestCounting:
     def test_fibonacci_convention(self):
@@ -250,6 +275,13 @@ class TestCounting:
         assert len(words) == (1 if k == 0 else count_golden_words(k))
         assert len(set(map(str, words))) == len(words)
         assert all(is_golden_word(w) for w in words)
+
+    @pytest.mark.parametrize("n", range(0, 13))
+    def test_enumerations_are_the_lexicographic_filters(self, n):
+        words = [BinaryWord.from_bits(bits) for bits in all_words(n)]
+        assert list(iter_golden_words(n)) == [w for w in words if brute_is_golden(list(w))]
+        assert list(iter_multiplicative_prefixes(n)) == [
+            w for w in words if brute_is_multiplicative(list(w))]
 
     @pytest.mark.parametrize("n,expected", [(1, 2), (3, 6), (4, 10)])
     def test_cylinder_count_examples(self, n, expected):

@@ -204,6 +204,11 @@ class TestTelescoping:
 
 
 class TestHoeffding:
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_rejects_no_trials(self, trials):
+        with pytest.raises(ValueError, match="trials must be positive"):
+            hoeffding_check(Rademacher(), t=0.1, n=50, trials=trials, seed=1)
+
     def test_zero_threshold_is_trivial(self):
         rep = hoeffding_check(Rademacher(), t=0.0, n=50, trials=2000, seed=1)
         (row,) = rep.rows
@@ -223,15 +228,15 @@ class TestHoeffding:
             assert row.empirical <= row.bound + 3 * row.stderr
 
     def test_logmass_bound_constant_is_exact_max(self, p_val):
-        dist = CenteredChainLogMass(3, p_val)
-        from mgms.measures import MarkovParams, markov_cylinder_logprob
+        # the per-word walk of markov_cylinder_logprob over every golden word
+        from mgms.measures import _walk
 
-        H = dist.entropy
-        params = MarkovParams(p_val)
-        brute = max(
-            abs(markov_cylinder_logprob(params, u).value + H) for u in iter_golden_words(3)
-        )
-        assert dist.bound_C == pytest.approx(brute)
+        words = {k: [list(u) for u in iter_golden_words(k)] for k in range(1, 21)}
+        for r in (p_val, 0.05, 0.2, 0.5, 0.77, 0.95):
+            for k, symbols in words.items():
+                dist = CenteredChainLogMass(k, r)
+                H = dist.entropy
+                assert dist.bound_C == max(abs(_walk(r, u) + H) for u in symbols), (r, k)
 
     def test_logmass_sums_have_small_mean(self, p_val):
         dist = CenteredChainLogMass(4, p_val)
@@ -286,17 +291,15 @@ class TestHoeffding:
         assert hashlib.sha256(sums.tobytes()).hexdigest() == digest
 
     def test_logmass_entropy_is_computed_once(self, monkeypatch):
-        # a hoeffding run reads entropy and bound_C through bound_C, describe and
-        # sample_sums: one entropy call and one enumeration per instance
-        calls, walks = [], []
+        # a hoeffding run reads entropy through bound_C, describe and
+        # sample_sums: one entropy call per instance
+        calls = []
         monkeypatch.setattr(experiments, "partition_entropy",
                             lambda r, k: calls.append(k) or partition_entropy(r, k))
-        monkeypatch.setattr(experiments, "iter_golden_words",
-                            lambda k: walks.append(k) or iter_golden_words(k))
         dist = CenteredChainLogMass(3, p_float())
         dist.sample_sums(7, np.arange(4096, dtype=np.uint64), 200)
         hoeffding_check(dist, t=[0.2, 0.4], n=[20, 40], trials=5000, seed=5)
-        assert (calls, walks) == ([3], [3])
+        assert calls == [3]
 
     def test_logmass_cells_respect_bound(self, p_val):
         dist = CenteredChainLogMass(3, p_val)
@@ -312,6 +315,11 @@ class TestHoeffding:
 
 
 class TestZeroCountDeviation:
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_rejects_no_trials(self, trials):
+        with pytest.raises(ValueError, match="trials must be positive"):
+            zero_count_deviation_check(t_grid=[0.1], n_grid=[32], trials=trials, seed=2)
+
     def test_zero_threshold_has_frequency_one(self):
         rep = zero_count_deviation_check(t_grid=[0.0], n_grid=[32], trials=500, seed=2)
         (row,) = rep.rows

@@ -60,8 +60,23 @@ class TestNamespace:
             exec("from mgms import no_such_name", {})
 
 
+# every scalar word operation and both enumerators, on Python ints and strings
+WORD_OPS = """
+import sys
+from mgms.core import (BinaryWord, assemble_from_chains, is_golden_word, is_multiplicative_prefix,
+                       iter_golden_words, iter_multiplicative_prefixes, restrict_to_chain)
+u = BinaryWord.from_bits([0, 1, 0, 0, 1, 0])
+assert [u[k] for k in range(1, 7)] == list(u) == [0, 1, 0, 0, 1, 0]
+assert str(u.prefix(4)) == "0100" and is_golden_word(u) and is_multiplicative_prefix(u)
+chains = {i: restrict_to_chain(u, i) for i in (1, 3, 5)}
+assert assemble_from_chains(6, chains) == u
+assert len(list(iter_golden_words(6))) == 21 and len(list(iter_multiplicative_prefixes(6))) == 30
+assert "numpy" not in sys.modules
+"""
+
 # test id: (argv of a fresh process, modules it must not load, modules it must load)
 IMPORT_BUDGET = {
+    "word ops": (["-c", WORD_OPS], ["numpy"], ["mgms.core"]),
     "dims": (["-m", "mgms.cli", "dims"], ["numpy"], ["mgms.analytics", "mpmath"]),
     "tau": (["-m", "mgms.cli", "tau"], ["numpy"], ["mgms.analytics", "mpmath"]),
     "experiment boxdim": (["-m", "mgms.cli", "experiment", "boxdim", "--n-grid", "16,1024,65536"],
