@@ -176,7 +176,8 @@ def cmd_measure(args) -> int:
     if not word_str or any(c not in "01" for c in word_str):
         raise UsageError(f"word must be a nonempty 0/1 string, got {word_str!r}")
     from .core import BinaryWord
-    from .measures import BlockAssignment, LogProb, MarkovParams, chain_breakdown, markov_cylinder_logprob
+    from .measures import (BlockAssignment, MarkovParams, chain_breakdown, markov_cylinder_logprob,
+                           pdelta_logprob)
 
     u = BinaryWord.from_string(word_str)
     if args.mu is not None:
@@ -187,14 +188,10 @@ def cmd_measure(args) -> int:
         label = f"golden Markov measure, r = {params.r}"
     else:
         assign = _checked(BlockAssignment, delta=args.pdelta if args.pdelta is not None else 0.0)
-        chains = list(chain_breakdown(assign, u))
-        total = 0.0
-        for *_, mass in chains:
-            total += mass  # left to right, as pdelta_logprob sums (sum() compensates from 3.12)
-        lp = LogProb(total)
+        lp = pdelta_logprob(assign, u)
         breakdown = [{"i": i, "restriction": "".join(map(str, symbols)), "block": b, "parameter": r,
                       "log2_mass": None if mass == -math.inf else mass}
-                     for i, b, r, symbols, mass in chains]
+                     for i, b, r, symbols, mass in chain_breakdown(assign, u)]
         label = ("chain product measure P_mu" if args.pdelta in (None, 0.0)
                  else f"block-perturbed measure, delta = {args.pdelta}")
     payload = {

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import types
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import cached_property, lru_cache
 from typing import Callable, Optional, Sequence
 
@@ -158,6 +158,17 @@ def deviation_threshold(n: int, epsilon: float = DEFAULT_EPSILON) -> float:
     return float(n) ** (-epsilon)
 
 
+class _Report:
+    """What every experiment report shares: its config hash and JSON header."""
+
+    @property
+    def hash(self) -> str:
+        return config_hash(self.config)
+
+    def _json(self, **body) -> dict:
+        return {"schema_version": SCHEMA_VERSION, "config": self.config, "config_hash": self.hash, **body}
+
+
 class Verdict:
     INCREASING = "INCREASING"
     DECREASING = "DECREASING"
@@ -167,7 +178,7 @@ class Verdict:
 
 
 @dataclass(frozen=True)
-class TrajectoryReport:
+class TrajectoryReport(_Report):
     """Per-seed density series on a prefix grid with summary and trend."""
 
     experiment: str
@@ -187,33 +198,22 @@ class TrajectoryReport:
     config: dict
     inconclusive_reason: str = ""
 
-    @property
-    def hash(self) -> str:
-        return config_hash(self.config)
-
     def to_json_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "experiment": self.experiment,
-            "config": self.config,
-            "config_hash": self.hash,
-            "measure": self.measure,
-            "gauge": self.gauge,
-            "n_grid": list(self.n_grid),
-            "seeds": list(self.seeds),
-            "series": [list(row) for row in self.series],
-            "summary": {
-                "median": list(self.medians),
-                "q1": list(self.q1),
-                "q3": list(self.q3),
-            },
-            "verdict": self.verdict,
-            "slope": self.slope,
-            "slope_ci": list(self.slope_ci),
-            "verdict_floor": self.verdict_floor,
-            "monotone_beyond_floor": self.monotone_beyond_floor,
-            "inconclusive_reason": self.inconclusive_reason,
-        }
+        return self._json(
+            experiment=self.experiment,
+            measure=self.measure,
+            gauge=self.gauge,
+            n_grid=list(self.n_grid),
+            seeds=list(self.seeds),
+            series=[list(row) for row in self.series],
+            summary={"median": list(self.medians), "q1": list(self.q1), "q3": list(self.q3)},
+            verdict=self.verdict,
+            slope=self.slope,
+            slope_ci=list(self.slope_ci),
+            verdict_floor=self.verdict_floor,
+            monotone_beyond_floor=self.monotone_beyond_floor,
+            inconclusive_reason=self.inconclusive_reason,
+        )
 
     def to_csv_rows(self) -> list[tuple]:
         rows = []
@@ -360,7 +360,6 @@ def lower_bound_trajectory(
     c: float,
     n_grid: Sequence[int] = DEFAULT_N_GRID,
     seeds: Sequence[int] = DEFAULT_SEEDS,
-    p: Optional[float] = None,
     verdict_floor: int = 4096,
 ) -> TrajectoryReport:
     """Track S_n = log2 P_delta[x_1^n] + n s + c n/(log2 n)^2.
@@ -372,8 +371,7 @@ def lower_bound_trajectory(
     beyond the verdict floor (default 2^12).  Like `density_trajectory`,
     it raises ValueError on a grid of fewer than MIN_TREND_POINTS points.
     """
-    kwargs = {} if p is None else {"p": float(p)}
-    measure = BlockAssignment(delta=float(delta), **kwargs)
+    measure = BlockAssignment(delta=float(delta))
     gauge = Gauge.phi(c=float(c)) if c > 0 else Gauge.pure()
     report = density_trajectory(measure, gauge, n_grid, seeds, verdict_floor)
     tau_hat = float(tau_bits_lower_bound())
@@ -400,7 +398,7 @@ def lower_bound_trajectory(
 
 
 @dataclass(frozen=True)
-class TelescopingReport:
+class TelescopingReport(_Report):
     """Dyadic-scale increments b_j and their telescoped partial sums."""
 
     ell_max: int
@@ -414,23 +412,16 @@ class TelescopingReport:
     divergence_flag: str
     config: dict
 
-    @property
-    def hash(self) -> str:
-        return config_hash(self.config)
-
     def to_json_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "experiment": "telescope",
-            "config": self.config,
-            "config_hash": self.hash,
-            "b": list(self.b),
-            "partial_sums": list(self.partial_sums),
-            "closed_forms": list(self.closed_forms),
-            "max_identity_gap": self.max_identity_gap,
-            "inverse_g_partials": list(self.inverse_g_partials),
-            "divergence_flag": self.divergence_flag,
-        }
+        return self._json(
+            experiment="telescope",
+            b=list(self.b),
+            partial_sums=list(self.partial_sums),
+            closed_forms=list(self.closed_forms),
+            max_identity_gap=self.max_identity_gap,
+            inverse_g_partials=list(self.inverse_g_partials),
+            divergence_flag=self.divergence_flag,
+        )
 
     def to_csv_rows(self) -> list[tuple]:
         h = self.hash
@@ -482,7 +473,7 @@ def upper_bound_telescoping(
         bits = arr[None, :]
     s = s_float()
     ln2 = math.log(2)
-    n0 = [float(zero_count_from_bits(bits, 2**j)[0]) for j in range(ell_max + 1)]
+    n0 = list(_zero_counts(bits[0], [2**j for j in range(ell_max + 1)]).values())
     gs = {j: g(float(j)) for j in range(1, ell_max + 1)}
 
     gauge = Gauge.psi_g(g, label=g_label)
@@ -553,19 +544,11 @@ class DeviationRow:
         return self.empirical <= self.bound + 3.0 * self.stderr
 
     def as_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "n": self.n,
-            "empirical": self.empirical,
-            "bound": self.bound,
-            "stderr": self.stderr,
-            "trials": self.trials,
-            "ok": self.ok,
-        }
+        return {**asdict(self), "ok": self.ok}
 
 
 @dataclass(frozen=True)
-class DeviationReport:
+class DeviationReport(_Report):
     """Empirical tail frequencies against explicit theoretical bounds."""
 
     experiment: str
@@ -577,20 +560,9 @@ class DeviationReport:
     def all_ok(self) -> bool:
         return all(r.ok for r in self.rows)
 
-    @property
-    def hash(self) -> str:
-        return config_hash(self.config)
-
     def to_json_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "experiment": self.experiment,
-            "config": self.config,
-            "config_hash": self.hash,
-            "rows": [r.as_dict() for r in self.rows],
-            "fit": self.fit,
-            "all_ok": self.all_ok,
-        }
+        return self._json(experiment=self.experiment, rows=[r.as_dict() for r in self.rows],
+                          fit=self.fit, all_ok=self.all_ok)
 
     def to_csv_rows(self) -> list[tuple]:
         h = self.hash
@@ -699,6 +671,35 @@ def _sum_blocks(trials: int, n: int, width: int):
             yield slice(r0, r0 + height), np.arange(start, min(n, start + width), dtype=np.int64)
 
 
+def _tail_rows(statistic, bound, ts: Sequence[float], ns: Sequence[int], trials: int) -> list[DeviationRow]:
+    """One DeviationRow per (n, t), n outer: the frequency of
+    statistic(trial ids, n) >= t n over trials 0..trials-1, drawn in chunks of
+    _TRIAL_CHUNK ids, against bound(t, n).
+
+    The stderr column is the binomial standard error at the bound value, so
+    "empirical <= bound + 3 stderr" is the acceptance predicate per cell.
+    Raises ValueError when trials < 1 or any n < 1.
+    """
+    if trials < 1:
+        raise ValueError("trials must be positive")
+    for n in ns:
+        if n < 1:
+            raise ValueError(f"need n >= 1, got {n}")
+    rows = []
+    for n in ns:
+        exceed = {t: 0 for t in ts}
+        for start in range(0, trials, _TRIAL_CHUNK):
+            values = statistic(np.arange(start, min(trials, start + _TRIAL_CHUNK), dtype=np.uint64), n)
+            for t in ts:
+                exceed[t] += int(np.count_nonzero(values >= t * n))
+        for t in ts:
+            b = bound(t, n)
+            se = math.sqrt(max(b * (1 - b), 1e-300) / trials)
+            rows.append(DeviationRow(t=t, n=n, empirical=exceed[t] / trials, bound=b, stderr=se,
+                                     trials=trials))
+    return rows
+
+
 def hoeffding_check(
     distribution,
     t: float | Sequence[float],
@@ -706,29 +707,13 @@ def hoeffding_check(
     trials: int,
     seed: int,
 ) -> DeviationReport:
-    """Empirical P(S_n >= t n) against the explicit bound exp(-t^2 n / (2 C^2)).
-
-    The stderr column is the binomial standard error at the bound value, so
-    "empirical <= bound + 3 stderr" is the acceptance predicate per cell.
-    """
+    """Empirical P(S_n >= t n) against the explicit bound exp(-t^2 n / (2 C^2))."""
     ts = [float(v) for v in (t if isinstance(t, (list, tuple)) else [t])]
     ns = [int(v) for v in (n if isinstance(n, (list, tuple)) else [n])]
-    if trials < 1:
-        raise ValueError("trials must be positive")
     C = distribution.bound_C
-    rows = []
-    for n_ in ns:
-        exceed = {tv: 0 for tv in ts}
-        for start in range(0, trials, _TRIAL_CHUNK):
-            idx = np.arange(start, min(trials, start + _TRIAL_CHUNK), dtype=np.uint64)
-            sums = distribution.sample_sums(seed, idx, n_)
-            for tv in ts:
-                exceed[tv] += int(np.count_nonzero(sums >= tv * n_))
-        for tv in ts:
-            emp = exceed[tv] / trials
-            bound = min(1.0, math.exp(-(tv * tv) * n_ / (2.0 * C * C))) if tv > 0 else 1.0
-            se = math.sqrt(max(bound * (1 - bound), 1e-300) / trials)
-            rows.append(DeviationRow(t=tv, n=n_, empirical=emp, bound=bound, stderr=se, trials=trials))
+    rows = _tail_rows(lambda idx, n_: distribution.sample_sums(seed, idx, n_),
+                      lambda tv, n_: min(1.0, math.exp(-(tv * tv) * n_ / (2.0 * C * C))) if tv > 0 else 1.0,
+                      ts, ns, trials)
     config = {
         "experiment": "hoeffding",
         "distribution": distribution.describe(),
@@ -762,7 +747,6 @@ def zero_count_deviation_check(
     n_grid: Sequence[int] = (64, 128, 256, 512),
     trials: int = 100_000,
     seed: int = 0,
-    p: Optional[float] = None,
 ) -> DeviationReport:
     """Tail of the centered zero count N0*(x_1^(2n)) under the product measure.
 
@@ -771,32 +755,18 @@ def zero_count_deviation_check(
     fit the exponential-decay shape (c2, c3), reported with a 95% CI for
     the decay rate.
     """
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    kwargs = {} if p is None else {"p": float(p)}
-    measure = BlockAssignment(delta=0.0, **kwargs)
+    measure = BlockAssignment(delta=0.0)
     ts = [float(v) for v in t_grid]
     ns = [int(v) for v in n_grid]
-    rows = []
-    fit_x, fit_y = [], []
-    for n_ in ns:
-        m = 2 * n_
-        mean = expected_zero_count_prefix(m, measure.p)
-        exceed = {tv: 0 for tv in ts}
-        for start in range(0, trials, _TRIAL_CHUNK):
-            idx = np.arange(start, min(trials, start + _TRIAL_CHUNK), dtype=np.uint64)
-            bits = sample_bits_batch(measure, m, seed, idx)
-            dev = zero_count_from_bits(bits, m).astype(np.float64) - mean
-            for tv in ts:
-                exceed[tv] += int(np.count_nonzero(np.abs(dev) >= tv * n_))
-        for tv in ts:
-            emp = exceed[tv] / trials
-            bound = zero_count_bound(tv, n_)
-            se = math.sqrt(max(bound * (1 - bound), 1e-300) / trials)
-            rows.append(DeviationRow(t=tv, n=n_, empirical=emp, bound=bound, stderr=se, trials=trials))
-            if 0 < emp < 1:
-                fit_x.append(tv * tv * n_)
-                fit_y.append(math.log(emp))
+    mean = lru_cache(maxsize=None)(lambda n_: expected_zero_count_prefix(2 * n_, measure.p))
+
+    def centered_zero_count(idx: np.ndarray, n_: int) -> np.ndarray:
+        bits = sample_bits_batch(measure, 2 * n_, seed, idx)
+        return np.abs(zero_count_from_bits(bits, 2 * n_).astype(np.float64) - mean(n_))
+
+    rows = _tail_rows(centered_zero_count, zero_count_bound, ts, ns, trials)
+    fit_x = [r.t * r.t * r.n for r in rows if 0 < r.empirical < 1]
+    fit_y = [math.log(r.empirical) for r in rows if 0 < r.empirical < 1]
     fit: dict = {}
     if len(fit_x) >= 3:
         res = stats.linregress(fit_x, fit_y)

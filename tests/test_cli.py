@@ -190,6 +190,23 @@ class TestExperimentCommand:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    # sha256 of the `--format json` stdout, as computed when each deviation
+    # check ran its own trial loop; 10000 trials span three trial chunks
+    DEVIATION_FROZEN = [
+        ("hoeffding --seed 2 --trials 10000",
+         "ff1a7441eac2cb948066470f21d19ea48dd9594f71baddd32c318a35fb005879"),
+        ("hoeffding --seed 1 --distribution logmass --k 5 --n 200 --trials 10000",
+         "dbf80904726a2b3bdc3657434eb2e80fe935eace7451ec3a0c1888c8f53a3986"),
+        ("ldev2 --seed 3 --trials 10000 --n-grid 32,64,128",
+         "14d5e945a9aed50993c4333f47b58d16475c75f564590bf126de8de3395a1afa"),
+    ]
+
+    @pytest.mark.parametrize("argv, digest", DEVIATION_FROZEN)
+    def test_deviation_json_is_frozen(self, capsys, argv, digest):
+        code, out = run(capsys, "experiment", *argv.split(), "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_telescope_flags(self, capsys):
         code, out = run(
             capsys, "experiment", "telescope", "--seed", "1", "--g", "t^2", "--ell-max", "10"

@@ -209,6 +209,11 @@ class TestHoeffding:
         with pytest.raises(ValueError, match="trials must be positive"):
             hoeffding_check(Rademacher(), t=0.1, n=50, trials=trials, seed=1)
 
+    def test_rejects_n_below_one(self):
+        # n = 0 used to give a trivial row (empirical 1.0, bound 1.0)
+        with pytest.raises(ValueError, match="need n >= 1, got 0"):
+            hoeffding_check(Rademacher(), t=0.1, n=[50, 0], trials=100, seed=1)
+
     def test_zero_threshold_is_trivial(self):
         rep = hoeffding_check(Rademacher(), t=0.0, n=50, trials=2000, seed=1)
         (row,) = rep.rows
@@ -319,6 +324,11 @@ class TestZeroCountDeviation:
     def test_rejects_no_trials(self, trials):
         with pytest.raises(ValueError, match="trials must be positive"):
             zero_count_deviation_check(t_grid=[0.1], n_grid=[32], trials=trials, seed=2)
+
+    def test_rejects_n_below_one(self):
+        # the message names n, not the prefix length 2n the sampler would see
+        with pytest.raises(ValueError, match="need n >= 1, got -3$"):
+            zero_count_deviation_check(t_grid=[0.1], n_grid=[-3], trials=100, seed=2)
 
     def test_zero_threshold_has_frequency_one(self):
         rep = zero_count_deviation_check(t_grid=[0.0], n_grid=[32], trials=500, seed=2)
