@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .core import chain_length_counts, fibonacci, log2_count_cylinders
 from .intervals import (
@@ -300,7 +300,7 @@ def hf_derivative_at(k: int, x: CertifiedInterval) -> CertifiedInterval:
     return _derivative_series(x, {k: CertifiedInterval.point(1)})
 
 
-def dyadic_tail(f: Callable[[int], Fraction], degree: int, K: int) -> Fraction:
+def dyadic_tail(f, degree: int, K: int) -> Fraction:
     """sum_{k>=K} f(k) 2^-k, exactly, for a polynomial f of the given degree.
 
     With f(K+j) = sum_i C(j, i) (Delta^i f)(K) and sum_j C(j, i) 2^-j = 2,
@@ -462,7 +462,7 @@ class Gauge:
     PHI:       -n s - c n / (log2 n)^2
     PSI_THETA: -n s - n / (log2 n)^theta
     PHI_GAMMA: -n s - c n / (log2 n)^(2+gamma)
-    PSI_G:     -n s - n / (ln 2 * g(log2 n))
+    PSI_G:     -n s - n / (ln 2 * (log2 n)^theta), the gauge psi_g of g(t) = t^theta
     """
 
     family: GaugeFamily
@@ -470,8 +470,6 @@ class Gauge:
     c: Optional[float] = None
     theta: Optional[float] = None
     gamma: Optional[float] = None
-    g: Optional[Callable[[float], float]] = None
-    g_label: str = ""
 
     @staticmethod
     def pure(s: Optional[float] = None) -> "Gauge":
@@ -496,8 +494,8 @@ class Gauge:
         )
 
     @staticmethod
-    def psi_g(g: Callable[[float], float], s: Optional[float] = None, label: str = "g") -> "Gauge":
-        return Gauge(GaugeFamily.PSI_G, s=s_float() if s is None else float(s), g=g, g_label=label)
+    def psi_g(e: float, s: Optional[float] = None) -> "Gauge":
+        return Gauge(GaugeFamily.PSI_G, s=s_float() if s is None else float(s), theta=float(e))
 
     def describe(self) -> dict:
         d: dict = {"family": self.family.value, "s": self.s}
@@ -507,32 +505,35 @@ class Gauge:
             d["theta"] = self.theta
         if self.gamma is not None:
             d["gamma"] = self.gamma
-        if self.family is GaugeFamily.PSI_G:
-            d["g"] = self.g_label
         return d
 
 
 def gauge_log2(gauge: Gauge, n: int) -> float:
-    """log2 gauge(2^-n) for n >= 4 (so log2 n > 1)."""
+    """log2 gauge(2^-n) for n >= 4 (so log2 n > 1).
+
+    Raises ValueError when the correction term after -n s is not finite,
+    as when an extreme theta or gamma overflows (log2 n)^exponent.
+    """
     if n < 4:
         raise ValueError(f"gauge evaluation needs n >= 4, got {n}")
-    base = -float(n) * gauge.s
     ln_ = math.log2(n)
     fam = gauge.family
-    if fam is GaugeFamily.PURE_S:
-        return base
-    if fam is GaugeFamily.PHI:
-        return base - gauge.c * n / ln_**2
-    if fam is GaugeFamily.PSI_THETA:
-        return base - n / ln_**gauge.theta
-    if fam is GaugeFamily.PHI_GAMMA:
-        return base - gauge.c * n / ln_ ** (2.0 + gauge.gamma)
-    if fam is GaugeFamily.PSI_G:
-        gval = gauge.g(ln_)
-        if gval <= 0:
-            raise ValueError(f"g(log2 n) must be positive, got {gval}")
-        return base - n / (math.log(2) * gval)
-    raise ValueError(f"unknown gauge family {fam}")
+    try:
+        if fam is GaugeFamily.PURE_S:
+            term = 0.0
+        elif fam is GaugeFamily.PHI:
+            term = gauge.c * n / ln_**2
+        elif fam is GaugeFamily.PSI_THETA:
+            term = n / ln_**gauge.theta
+        elif fam is GaugeFamily.PHI_GAMMA:
+            term = gauge.c * n / ln_ ** (2.0 + gauge.gamma)
+        else:  # PSI_G
+            term = n / (math.log(2) * ln_**gauge.theta)
+    except (OverflowError, ZeroDivisionError):
+        term = math.inf
+    if not math.isfinite(term):
+        raise ValueError(f"gauge {fam.value} must be finite on the grid, and is not at n = {n}")
+    return -float(n) * gauge.s - term
 
 
 # -- covering sums and report configs -------------------------------------------

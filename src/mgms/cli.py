@@ -8,9 +8,9 @@ Subcommands
 
 Exit codes: 0 success, 1 certification failure, 2 usage error.  Every
 usage error, a bad value or one argparse rejects (an unknown flag or
-choice, a missing argument), is reported in one `usage error:` line on
-stderr and exits 2 before the report is written: nothing on stdout, no
---out file.
+choice, a missing argument, an --out path that cannot be written), is
+reported in one `usage error:` line on stderr and exits 2: nothing on
+stdout, no --out file.
 
 Every report goes through one writer, `_write`: --format plain or json
 everywhere, and csv for `experiment` alone, whose reports have the flat
@@ -108,8 +108,11 @@ def _write(args, payload: dict, text: str, rows: Optional[list[tuple]] = None) -
         lines += [f"{exp},{n},{stat},{value!r},{seeds},{h}" for exp, n, stat, value, seeds, h in rows]
         text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write --out {args.out}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -242,6 +245,7 @@ def _parse_floats(text: str) -> list[float]:
     except ValueError as exc:
         raise UsageError(f"bad threshold list {text!r}: {exc}") from None
     _require(all(math.isfinite(v) for v in values), f"thresholds must be finite, got {text!r}")
+    _require(len(set(values)) == len(values), f"duplicate thresholds in {text!r}")
     return values
 
 
@@ -278,7 +282,7 @@ def cmd_experiment(args) -> int:
     # the two counting formulas: no sampling, so neither numpy nor the experiments module
     if kind == "cover":
         gauge = _gauge(args, dim_minkowski(1e-9).value if args.exponent == "dimm" else None)
-        return _write_series("cover", {n: covering_sum(gauge, n) for n in n_grid}, args,
+        return _write_series("cover", {n: _checked(covering_sum, gauge, n) for n in n_grid}, args,
                              extra={"gauge": gauge.describe()})
     if kind == "boxdim":
         return _write_series("boxdim", {n: box_dimension_estimate(n) for n in n_grid}, args, extra={})
@@ -307,13 +311,12 @@ def cmd_experiment(args) -> int:
 
     if kind == "density":
         measure = _checked(BlockAssignment, delta=args.delta)
-        report = density_trajectory(measure, _gauge(args), n_grid, seeds)
+        report = _checked(density_trajectory, measure, _gauge(args), n_grid, seeds)
     elif kind == "lower":
-        _checked(BlockAssignment, delta=args.delta)
-        report = lower_bound_trajectory(args.delta, args.c, n_grid, seeds)
+        report = _checked(lower_bound_trajectory, args.delta, args.c, n_grid, seeds)
     elif kind == "telescope":
-        g, label = _telescope_g(args.g, args.ell_max)
-        report = upper_bound_telescoping(g, args.ell_max, args.seed, g_label=label)
+        exponent = _telescope_g(args.g, args.ell_max)
+        report = _checked(upper_bound_telescoping, exponent, args.ell_max, args.seed)
     elif kind == "hoeffding":
         dist = (Rademacher() if args.distribution == "rademacher"
                 else CenteredChainLogMass(args.k, BlockAssignment(0.0).p))
@@ -341,30 +344,24 @@ def cmd_experiment(args) -> int:
     return 0
 
 
-def _telescope_g(spec: str, ell_max: int):
-    """Parse the g spec and check g(j) for j = 1..ell_max, the scales the run uses."""
-    if spec == "t":
-        g, label = (lambda t: t), "t"
-    elif spec == "t^2":
-        g, label = (lambda t: t * t), "t^2"
-    elif spec.startswith("t^"):
-        try:
-            e = float(spec[2:])
-        except ValueError:
-            raise UsageError(f"bad g spec {spec!r}") from None
-        _require(math.isfinite(e), f"bad g spec {spec!r}: exponent must be finite")
-        g, label = (lambda t: t**e), spec
-    else:
-        raise UsageError(f"bad g spec {spec!r}; use t, t^2, or t^<exponent>")
+def _telescope_g(spec: str, ell_max: int) -> float:
+    """The exponent e of the g spec t or t^<e>, with g(j) = j^e checked for
+    j = 1..ell_max, the scales the run uses."""
+    _require(spec == "t" or spec.startswith("t^"), f"bad g spec {spec!r}; use t, t^2, or t^<exponent>")
+    try:
+        e = 1.0 if spec == "t" else float(spec[2:])
+    except ValueError:
+        raise UsageError(f"bad g spec {spec!r}") from None
+    _require(math.isfinite(e), f"bad g spec {spec!r}: exponent must be finite")
     for j in range(1, ell_max + 1):
         try:
-            value = g(float(j))
+            value = float(j) ** e
         except OverflowError:
             raise UsageError(f"bad g spec {spec!r}: g({j}) overflows") from None
         _require(math.isfinite(value) and value > 0 and math.isfinite(1.0 / value),
                  f"bad g spec {spec!r}: g({j}) = {value!r} must be positive, "
                  "finite and have a finite reciprocal")
-    return g, label
+    return e
 
 
 def _write_series(kind: str, values: dict, args, extra: dict) -> int:
@@ -432,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="deviation-event exponent: default t = n^(-epsilon)")
     e.add_argument("--k", type=int, default=3, help="chain length (hoeffding logmass)")
     e.add_argument("--t-grid", default=None, help="comma-separated thresholds")
-    e.add_argument("--g", default="t", help="telescope g spec: t, t^2, t^<e>")
+    e.add_argument("--g", default="t", help="telescope gauge g(t) = t^e: t or t^<e>")
     e.add_argument("--ell-max", type=int, default=16)
     e.add_argument("--exponent", choices=("s", "dimm"), default="s",
                    help="dimension exponent for cover gauges")

@@ -500,7 +500,7 @@ class TestGauges:
             )
 
     def test_psi_g_formula(self):
-        g = Gauge.psi_g(lambda t: t, label="t")
+        g = Gauge.psi_g(1.0)
         n = 4096
         assert gauge_log2(g, n) == pytest.approx(
             -n * g.s - n / (math.log(2) * math.log2(n))
@@ -521,7 +521,8 @@ class TestGauges:
             Gauge.psi_theta(1.0),
             Gauge.psi_theta(1.9),
             Gauge.phi_gamma(0.01, 0.5),
-            Gauge.psi_g(lambda t: t, label="t"),
+            Gauge.psi_g(1.0),
+            Gauge.psi_g(2.0),
         ],
     )
     def test_strictly_decreasing_in_n(self, g):
@@ -535,8 +536,19 @@ class TestGauges:
             Gauge.phi(-0.1)
         with pytest.raises(ValueError):
             Gauge.phi_gamma(0.1, 0.0)
-        with pytest.raises(ValueError):
-            gauge_log2(Gauge.psi_g(lambda t: -t), 16)
+
+    def test_psi_g_keeps_its_exponent_in_theta(self):
+        g = Gauge.psi_g(1.5)
+        assert g.theta == 1.5 and g.describe() == {"family": "psi_g", "s": g.s, "theta": 1.5}
+        assert gauge_log2(g, 256) == -256 * g.s - 256 / (math.log(2) * 8**1.5)
+
+    # an overflow or a division by an underflowed power is a ValueError, not a crash
+    @pytest.mark.parametrize("gauge", [Gauge.psi_theta(2000.0), Gauge.psi_theta(-2000.0),
+                                       Gauge.psi_theta(math.nan), Gauge.phi_gamma(0.01, 1e300),
+                                       Gauge.psi_g(2000.0), Gauge.phi(1e308)])
+    def test_non_finite_gauge_is_a_value_error(self, gauge):
+        with pytest.raises(ValueError, match="must be finite on the grid, and is not at n = 16"):
+            gauge_log2(gauge, 16)
 
     def test_describe_round_trips_parameters(self):
         d = Gauge.phi_gamma(0.25, 0.5).describe()

@@ -212,7 +212,7 @@ class TestExperimentCommand:
             capsys, "experiment", "telescope", "--seed", "1", "--g", "t^2", "--ell-max", "10"
         )
         assert code == 0
-        assert "BOUNDED" in out
+        assert "sum 1/g BOUNDED" in out
 
     def test_hoeffding_json(self, capsys):
         code, out = run(
@@ -290,11 +290,21 @@ class TestExperimentCommand:
     "experiment telescope --seed 1 --g t^nan",
     "experiment telescope --seed 1 --ell-max 4 --g t^1000",
     "experiment telescope --seed 1 --ell-max 4 --g t^-1000",
+    # a gauge that overflows on the grid, or divides by an underflowed power
+    "experiment cover --gauge psi --theta 2000 --n-grid 16,1024",
+    "experiment cover --gauge psi --theta=-2000 --n-grid 16,1024",
+    "experiment cover --gauge phi_gamma --gamma 1e300 --n-grid 16,1024",
+    "experiment density --seed 1 --seeds 1 --gauge psi --theta 1e300 --n-grid 16,32,64",
+    "experiment lower --seed 0 --seeds 2 --c 1e307 --n-grid 16,64,256",
+    "experiment telescope --seed 1 --ell-max 2 --g t^-1023.5",
+    # a repeated threshold was counted twice: 0.92 for P(S_7 >= 0) = 0.5
+    "experiment hoeffding --seed 5 --trials 100 --t-grid 0.0,0.0 --n 7",
 ])
 def test_bad_input_is_one_line_usage_error(capsys, argv):
     code = main(argv.split())
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert code == 2
+    assert out == ""
     assert "Traceback" not in err
     assert err.startswith("usage error: ") and err.count("\n") == 1
 
@@ -314,6 +324,17 @@ def test_parser_error_is_one_line_usage_error(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", ["dims", "experiment boxdim --n-grid 16"])
+def test_unwritable_out_is_one_line_usage_error(tmp_path, capsys, argv):
+    for target in (tmp_path, tmp_path / "missing" / "report"):
+        assert main(argv.split() + ["--out", str(target)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"usage error: cannot write --out {target}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv", ["--help", "--version", "experiment --help"])

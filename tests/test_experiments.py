@@ -155,25 +155,37 @@ class TestLowerBoundTrajectory:
 
 class TestTelescoping:
     def test_identity_gaps_are_float_noise(self):
-        rep = upper_bound_telescoping(lambda t: t, ell_max=13, seed=2, g_label="t")
+        rep = upper_bound_telescoping(1.0, ell_max=13, seed=2)
         assert rep.max_identity_gap < 1e-8
 
-    def test_harmonic_flags_unbounded(self):
-        rep = upper_bound_telescoping(lambda t: t, ell_max=15, seed=4, g_label="t")
-        assert rep.divergence_flag == Verdict.UNBOUNDED
+    # sum_j j^-e diverges exactly when e <= 1, at every number of scales
+    @pytest.mark.parametrize("ell_max", [2, 8, 16])
+    @pytest.mark.parametrize("exponent", [0.9, 1, 1.1, 1.5, 2])
+    def test_flag_is_the_p_series_test(self, exponent, ell_max):
+        rep = upper_bound_telescoping(exponent, ell_max, seed=4)
+        assert rep.divergence_flag == (Verdict.UNBOUNDED if exponent <= 1 else Verdict.BOUNDED)
+
+    def test_harmonic_partials(self):
+        rep = upper_bound_telescoping(1, ell_max=15, seed=4)
         # partial sums grow like the harmonic series over 1/ln2
         ratio = rep.inverse_g_partials[-1] / (
             sum(1.0 / j for j in range(1, 16)) / math.log(2)
         )
         assert ratio == pytest.approx(1.0, abs=1e-9)
 
-    def test_quadratic_flags_bounded(self):
-        rep = upper_bound_telescoping(lambda t: t * t, ell_max=15, seed=4, g_label="t^2")
-        assert rep.divergence_flag == Verdict.BOUNDED
+    @pytest.mark.parametrize("exponent, label", [(1, "t"), (1.0, "t"), (2.0, "t^2"), (-3, "t^-3"),
+                                                 (1.5, "t^1.5"), (0.9, "t^0.9")])
+    def test_config_spells_the_exponent(self, exponent, label):
+        assert upper_bound_telescoping(exponent, 2, seed=0).config["g"] == label
+
+    @pytest.mark.parametrize("exponent", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_exponent(self, exponent):
+        with pytest.raises(ValueError, match="exponent must be finite"):
+            upper_bound_telescoping(exponent, 4, seed=0)
 
     def test_supplied_word_is_used_exactly(self):
         word = BinaryWord.from_bits([0] * 64)
-        rep = upper_bound_telescoping(lambda t: t, ell_max=6, seed=0, word=word)
+        rep = upper_bound_telescoping(1.0, ell_max=6, seed=0, word=word)
         assert rep.max_identity_gap < 1e-10
         # all-zeros: N0(2^j)/2^j = 1 for all j, so the b_j reduce to 1/(ln2 g(j))
         for j, b in enumerate(rep.b, start=1):
@@ -181,24 +193,23 @@ class TestTelescoping:
 
     def test_requires_enough_scales(self):
         with pytest.raises(ValueError):
-            upper_bound_telescoping(lambda t: t, ell_max=1, seed=0)
+            upper_bound_telescoping(1.0, ell_max=1, seed=0)
 
     def test_short_word_rejected(self):
         with pytest.raises(ValueError):
-            upper_bound_telescoping(
-                lambda t: t, ell_max=6, seed=0, word=BinaryWord.from_bits([0] * 8)
-            )
+            upper_bound_telescoping(1.0, ell_max=6, seed=0, word=BinaryWord.from_bits([0] * 8))
 
     # sha256 of json.dumps(to_json_dict(), sort_keys=True), as computed with
-    # one log-mass kernel pass per dyadic scale: (g, ell_max, seed, digest)
+    # the callables g(t) = t and t * t labelled "t" and "t^2", before g became
+    # an exponent: (exponent, ell_max, seed, digest)
     FROZEN = [
-        (lambda t: t, 12, 3, "b89d21c02ebc7d81dd4b78b90366fd8ef323d339b9283b65f2b26c24a42af8cc"),
-        (lambda t: t * t, 16, 5, "ee2e3fefc015022ab00bb6c07b664cbb718375aa8367051557389e8dac7a1abf"),
+        (1, 12, 3, "092b3d43d79a5bfa9c7132c62312ca5c48166994fd6e4cd1501c17dc50b30546"),
+        (2, 16, 5, "5f7167f24eafa36b6881ef70096f40fad7bdf15d4491692827ca84a55094c534"),
     ]
 
-    @pytest.mark.parametrize("g, ell_max, seed, digest", FROZEN)
-    def test_report_bytes_are_frozen(self, g, ell_max, seed, digest):
-        rep = upper_bound_telescoping(g, ell_max, seed, g_label="x")
+    @pytest.mark.parametrize("exponent, ell_max, seed, digest", FROZEN)
+    def test_report_bytes_are_frozen(self, exponent, ell_max, seed, digest):
+        rep = upper_bound_telescoping(exponent, ell_max, seed)
         text = json.dumps(rep.to_json_dict(), sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
@@ -208,6 +219,11 @@ class TestHoeffding:
     def test_rejects_no_trials(self, trials):
         with pytest.raises(ValueError, match="trials must be positive"):
             hoeffding_check(Rademacher(), t=0.1, n=50, trials=trials, seed=1)
+
+    def test_repeated_threshold_counts_once_per_entry(self):
+        # a dict keyed by t counted each trial twice: 0.92 for P(S_7 >= 0) = 0.5
+        single = hoeffding_check(Rademacher(), [0.0], 7, 100, 5).rows
+        assert hoeffding_check(Rademacher(), [0.0, 0.0], 7, 100, 5).rows == single * 2
 
     def test_rejects_n_below_one(self):
         # n = 0 used to give a trivial row (empirical 1.0, bound 1.0)
