@@ -3,12 +3,18 @@
 Everything here is either exact (rational arithmetic), certified (interval
 enclosures with rigorous tails), or an explicitly labelled float formula.
 
-The derivative series around p (`derivative_series_at_p`, `tau_certify`,
-`tau_gamma`, and `hf_derivative_at` as a one-term series) all go through
-one kernel, `_derivative_series`: H(p) and H'(p) are enclosed once per
-series, every term and the running sum stay integer numerators over lcm
-denominators, and the sum is reduced to `Fraction` once.  Its endpoints
-equal those of per-term `CertifiedInterval` arithmetic exactly.
+The derivative series around p (`derivative_series_at_p`, `tau_gamma`,
+and `hf_derivative_at` as a one-term series) go through one kernel,
+`_derivative_series`.  It takes F_{k-1} = 1 + L_{k-1} in closed form, so
+a term costs O(1) integer operations instead of a degree-(k-1) Horner
+run, and encloses F_{k-1} and F'_{k-1} by a second-order Taylor form
+whose remainder bound holds on every interval inside (0,1).  H(p) and
+H'(p) are enclosed once per series, every term and the running sum stay
+integer numerators, and the sum is reduced to `Fraction` once; the
+endpoints equal those of per-term `CertifiedInterval` arithmetic exactly.
+`tau_certify` alone still sums its twelve terms by interval Horner on the
+coefficients of F_{k-1} (`_tau_partial_12`), which keeps its certificate
+byte for byte.
 
 Conventions.  Entropy comes in two scales and both are used deliberately:
 
@@ -219,10 +225,12 @@ def _minkowski_K(tol: float) -> int:
 
 
 def dim_minkowski(tol: float = 1e-6) -> SeriesValue:
-    """Partial sum of sum_k 2^-(k-1)... truncated so the tail is below tol.
+    """Minkowski dimension sum_{k>=1} 2^-(k+1) log2 F_{k+1} in floats, cut where the tail is below tol.
 
-    Terms are 2^-(k+1) log2 F_{k+1}; the tail bound (K+2) 2^-(K+1) comes from
-    log2 F_{k+1} <= k.  Limit value ~0.82429.
+    Here F_{k+1} = `fibonacci(k + 1)` (F_1 = 1, F_2 = 2) counts the golden
+    words of length k.  The partial sum runs to the smallest K whose tail bound
+    (K+2) 2^-(K+1), from log2 F_{k+1} <= k, is below tol; it is returned
+    with that bound.  Limit value ~0.82429.
     """
     K = _minkowski_K(tol)
     value = sum(2.0 ** -(k + 1) * math.log2(fibonacci(k + 1)) for k in range(1, K + 1))
@@ -251,49 +259,112 @@ def dim_minkowski_enclosure(tol: float = 1e-6) -> CertifiedInterval:
 # -- derivative series around p (natural-log scale) -----------------------------
 
 
-def _add_over_lcm(lo1: int, hi1: int, den1: int, lo2: int, hi2: int, den2: int) -> tuple[int, int, int]:
-    """[lo1, hi1]/den1 + [lo2, hi2]/den2 as numerators over lcm(den1, den2)."""
-    den = math.lcm(den1, den2)
-    m1, m2 = den // den1, den // den2
-    return lo1 * m1 + lo2 * m2, hi1 * m1 + hi2 * m2, den
+def _jet_bounds(m: int) -> tuple[int, int]:
+    """(M2, M3): the sums of |c| over the monomials c q^j u^i of L''_m and L'''_m.
+
+    L''_m  = 2m u^3 - 2u^2 - 8q u^3 - 6q^2 u^4
+             + (m+2)(m+1) q^m u^2 + 4(m+2) q^(m+1) u^3 + 6 q^(m+2) u^4,
+    L'''_m = 6m u^4 - 12u^3 - 36q u^4 - 24q^2 u^5 + (m+2)(m+1)m q^(m-1) u^2
+             + 6(m+2)(m+1) q^m u^3 + 18(m+2) q^(m+1) u^4 + 24 q^(m+2) u^5.
+
+    For m >= 1 no two monomials coincide, so M2 = m^2 + 9m + 32 and
+    M3 = m^3 + 9m^2 + 44m + 144, both even.  For m = 0 every coefficient
+    cancels (L_0 = 0) and both bounds are 0.
+    """
+    if m == 0:
+        return 0, 0
+    return m * m + 9 * m + 32, m**3 + 9 * m * m + 44 * m + 144
+
+
+def _zero_count_jet(m: int, Q: int, E: int, d: int, qm: int, dm: int) -> tuple[int, int, int]:
+    """Numerators (A0, A1, A2) of L_m, L'_m and L''_m at a rational point a = n/d.
+
+    With Q = n - d, E = 2d - n, qm = Q^m and dm = d^m, so that q = Q/d and
+    u = d/E: L_m(a) = A0 / (dm E^2), L'_m(a) = d A1 / (dm E^3) and
+    L''_m(a) = d^2 A2 / (dm E^4).
+    """
+    QQ, QE, EE = Q * Q, Q * E, E * E
+    a0 = (m * d * E - QQ) * dm + QQ * qm
+    a1 = (m * d * E - 2 * QE - 2 * QQ) * dm + ((m + 2) * E + 2 * Q) * Q * qm
+    a2 = ((2 * m * d * E - 2 * EE - 8 * QE - 6 * QQ) * dm
+          + ((m + 2) * (m + 1) * EE + 4 * (m + 2) * QE + 6 * QQ) * qm)
+    return a0, a1, a2
 
 
 def _derivative_series(x: CertifiedInterval, weights: dict[int, CertifiedInterval]) -> CertifiedInterval:
-    """Enclosure of sum_k weights[k] * (H F_{k-1})'(x), keys k >= 1.
+    """Enclosure of sum_k weights[k] * (H F_{k-1})'(x), keys k >= 1, on closed-form chain terms.
 
-    The weights are positive intervals.  H(x) and H'(x) = ln((1-x)/x) are
-    enclosed once for the whole series, and so is the table of powers of
-    x's common denominator.  F_{k-1}(x) and F'_{k-1}(x) come from the
-    integer-numerator Horner `_iv_horner`; H F' + H' F, the weight
-    product and the running sum are formed on integer numerators over lcm
-    denominators, with the endpoint min/max choices `CertifiedInterval`
-    arithmetic makes, and reduced to `Fraction` once at the end.  The
-    endpoints are therefore the rationals that step-by-step
-    `CertifiedInterval` arithmetic yields, term by term.
+    The weights are positive intervals and x lies inside (0,1).  With
+    m = k-1, q = x-1 and u = 1/(2-x), F_{k-1} = 1 + L_m and
+
+        L_m = m u - q^2 u^2 + q^(m+2) u^2;
+
+    du/dx = u^2, so d(q^j u^i) = j q^(j-1) u^i + i q^j u^(i+1) gives L'_m,
+    L''_m and L'''_m as sums of monomials c q^j u^i with integer c
+    (`_zero_count_jet`, `_jet_bounds`).  On x = [a, b] each term encloses
+    F = F_{k-1} and F' by a second-order Taylor form at a:
+
+        F(x)  in F(a)  + [0, b-a] F'(a)  + [-1, 1] (b-a)^2 M2 / 2,
+        F'(x) in F'(a) + [0, b-a] F''(a) + [-1, 1] (b-a)^2 M3 / 2,
+
+    with F(a), F'(a) and F''(a) exact, and M2, M3 the sums of |c| over the
+    monomials of L''_m and L'''_m.  This is Lagrange's remainder,
+    F(t) = F(a) + (t-a) F'(a) + (t-a)^2 F''(xi)/2 for some xi in [a, t],
+    once |F''| <= M2 and |F'''| <= M3 on x.  Both hold on every x inside
+    (0,1): there -1 < q < 0 and 1/2 < u < 1, so |c q^j u^i| <= |c| for
+    each monomial, and the triangle inequality sums these.
+
+    H(x) and H'(x) = ln((1-x)/x) are enclosed once for the whole series,
+    over one denominator hg.  With x = [n/d, (n+w)/d], q^m and d^m are
+    updated once per term, and every term, weight product included, lands
+    over hg d^2 E^4 d^m W, where E = 2d - n and W is the lcm of the weight
+    denominators.  The running sum is multiplied by d when m steps, so no
+    term needs a gcd, and it is reduced to `Fraction` once.  Products take
+    the endpoints `CertifiedInterval` arithmetic takes, so the result is
+    exactly the per-term `CertifiedInterval` sum of (H F' + H' F) times the
+    weight.  A term costs O(1) operations on integers of O(m log d) bits,
+    and its width does not grow with k: the monomial coefficients of
+    F_{k-1}, which grow like 2^k, are never formed.
     """
-    h_lo, h_hi, h_den = _common_numerators(iv_entropy_nat(x))
-    g_lo, g_hi, g_den = _common_numerators(iv_ln_ratio(x))
-    x_lo, x_hi, d = _common_numerators(x)
-    powers = _powers(d, max(weights) - 1)
+    h, g = iv_entropy_nat(x), iv_ln_ratio(x)
+    hg = math.lcm(h.lo.denominator, h.hi.denominator, g.lo.denominator, g.hi.denominator)
+    h_lo, h_hi, g_lo, g_hi = (f.numerator * (hg // f.denominator) for f in (h.lo, h.hi, g.lo, g.hi))
+    n, n_hi, d = _common_numerators(x)
+    w, Q, E = n_hi - n, n - d, 2 * d - n
+    dd, EE = d * d, E * E
+    f_slope, df_slope, rem = dd * E * w, dd * d * w, w * w * EE * EE
+    W = math.lcm(*(f.denominator for wt in weights.values() for f in (wt.lo, wt.hi)))
     lo = hi = 0
-    den = 1
-    for k, weight in weights.items():
-        F = entropy_poly(k - 1)
-        f_lo, f_hi, f_den = _iv_horner(F.coeffs, x_lo, x_hi, powers)
-        d_lo, d_hi, d_den = _iv_horner(F.derivative_coeffs, x_lo, x_hi, powers)
-        t_lo, t_hi, t_den = _add_over_lcm(*_iv_mul_ints(h_lo, h_hi, d_lo, d_hi), h_den * d_den,
-                                          *_iv_mul_ints(g_lo, g_hi, f_lo, f_hi), g_den * f_den)
-        w_lo, w_hi, w_den = _common_numerators(weight)
-        lo, hi, den = _add_over_lcm(lo, hi, den, *_iv_mul_ints(t_lo, t_hi, w_lo, w_hi), t_den * w_den)
+    m_at, qm, dm = 0, 1, 1
+    for k, wt in sorted(weights.items()):
+        m = k - 1
+        if m > m_at:
+            step = d ** (m - m_at)
+            lo, hi, qm, dm, m_at = lo * step, hi * step, qm * Q ** (m - m_at), dm * step, m
+        a0, a1, a2 = _zero_count_jet(m, Q, E, d, qm, dm)
+        m2, m3 = _jet_bounds(m)
+        # F and F' as numerators over dd E^4 dm: center + [0, slope] + [-r, r]
+        # (M2 and M3 are even, so the halves are exact)
+        f_c, f_s, f_r = dd * EE * (dm * EE + a0), f_slope * a1, m2 // 2 * rem * dm
+        df_c, df_s, df_r = dd * d * E * a1, df_slope * a2, m3 // 2 * rem * dm
+        hdf_lo, hdf_hi = _iv_mul_ints(h_lo, h_hi, df_c + min(df_s, 0) - df_r, df_c + max(df_s, 0) + df_r)
+        gf_lo, gf_hi = _iv_mul_ints(g_lo, g_hi, f_c + min(f_s, 0) - f_r, f_c + max(f_s, 0) + f_r)
+        t_lo, t_hi = _iv_mul_ints(hdf_lo + gf_lo, hdf_hi + gf_hi, wt.lo.numerator * (W // wt.lo.denominator),
+                                  wt.hi.numerator * (W // wt.hi.denominator))
+        lo, hi = lo + t_lo, hi + t_hi
+    den = hg * dd * EE * EE * dm * W
     return CertifiedInterval(Fraction(lo, den), Fraction(hi, den))
 
 
 def hf_derivative_at(k: int, x: CertifiedInterval) -> CertifiedInterval:
     """Enclosure of (H F_{k-1})'(x) = H(x) F'_{k-1}(x) + H'(x) F_{k-1}(x).
 
-    H is the natural-log entropy; H'(x) = ln((1-x)/x).  Polynomial values
-    use exact coefficients; only H and H' round (outward).  One term of
-    `_derivative_series`, with weight 1.
+    H is the natural-log entropy; H'(x) = ln((1-x)/x); x must lie inside
+    (0,1).  One term of `_derivative_series`, with weight 1: F_{k-1} and
+    F'_{k-1} come from the closed form 1 + L_{k-1} in a second-order Taylor
+    form at x.lo, exact but for its remainder; only H and H' round
+    (outward).  The width does not grow with k: at x = solve_p() it is
+    4.1e-22 at k = 120 and 2.0e-21 at k = 600.
     """
     if k < 1:
         raise ValueError(f"series index must be >= 1, got {k}")
@@ -323,7 +394,8 @@ def derivative_series_at_p(K: int) -> CertifiedInterval:
 
     The infinite series vanishes (p maximizes A), so the returned interval
     must contain 0.  Tail: |(H F_{k-1})'(p)| <= 0.7(3k+3) + 0.3(3k+3)/2
-    = 2.55 (k+1), summing to 2.55 (K+3) 2^-(K+1).
+    = 2.55 (k+1), summing to 2.55 (K+3) 2^-(K+1).  Past K ~ 110 the width
+    stays near 3.17e-24, the enclosure of p propagated through H and H'.
     """
     if K < 1:
         raise ValueError(f"need K >= 1, got {K}")
@@ -346,6 +418,41 @@ class TauCertificate:
         return self.margin
 
 
+def _add_over_lcm(lo1: int, hi1: int, den1: int, lo2: int, hi2: int, den2: int) -> tuple[int, int, int]:
+    """[lo1, hi1]/den1 + [lo2, hi2]/den2 as numerators over lcm(den1, den2)."""
+    den = math.lcm(den1, den2)
+    m1, m2 = den // den1, den // den2
+    return lo1 * m1 + lo2 * m2, hi1 * m1 + hi2 * m2, den
+
+
+def _tau_partial_12(x: CertifiedInterval) -> CertifiedInterval:
+    """sum_{k<=12} k (H F_{k-1})'(x) / 2^(k+1) by interval Horner on the coefficients of F_{k-1}.
+
+    Kept for `tau_certify` alone, so that the certificate's bytes stay as
+    they are until tau moves to its closed form (H G)'(p).  F_{k-1}(x) and F'_{k-1}(x) come from the
+    integer-numerator Horner `_iv_horner` over one table of powers of x's
+    common denominator; H F' + H' F, the weight product and the running
+    sum are formed on integer numerators over lcm denominators and reduced
+    to `Fraction` once.  The endpoints are those of step-by-step
+    `CertifiedInterval` Horner.  At k <= 12 the coefficients are small and
+    the widening it suffers (about 2^(k/2)-fold) does not matter.
+    """
+    h_lo, h_hi, h_den = _common_numerators(iv_entropy_nat(x))
+    g_lo, g_hi, g_den = _common_numerators(iv_ln_ratio(x))
+    x_lo, x_hi, d = _common_numerators(x)
+    powers = _powers(d, 11)
+    lo = hi = 0
+    den = 1
+    for k in range(1, 13):
+        F = entropy_poly(k - 1)
+        f_lo, f_hi, f_den = _iv_horner(F.coeffs, x_lo, x_hi, powers)
+        d_lo, d_hi, d_den = _iv_horner(F.derivative_coeffs, x_lo, x_hi, powers)
+        t_lo, t_hi, t_den = _add_over_lcm(*_iv_mul_ints(h_lo, h_hi, d_lo, d_hi), h_den * d_den,
+                                          *_iv_mul_ints(g_lo, g_hi, f_lo, f_hi), g_den * f_den)
+        lo, hi, den = _add_over_lcm(lo, hi, den, *_iv_mul_ints(t_lo, t_hi, k, k), t_den * 2 ** (k + 1))
+    return CertifiedInterval(Fraction(lo, den), Fraction(hi, den))
+
+
 @lru_cache(maxsize=None)
 def tau_certify() -> TauCertificate:
     """Certify tau > 0 with an exact tail.
@@ -355,8 +462,7 @@ def tau_certify() -> TauCertificate:
     by sum_{k>=13} 3k(k+1)/2^(k+1) = 159/2048 < 0.1, evaluated exactly.
     Raises CertificationError if positivity cannot be established.
     """
-    weights = {k: CertifiedInterval.point(Fraction(k, 2 ** (k + 1))) for k in range(1, 13)}
-    acc = _derivative_series(solve_p(), weights)
+    acc = _tau_partial_12(solve_p())
     tail = dyadic_tail(lambda k: Fraction(3 * k * (k + 1), 2), 2, 13)
     margin = acc.lo - tail
     if margin <= 0:

@@ -9,8 +9,9 @@ unreduced; `iv_polyval` reduces them to `Fraction` once.  Its interval
 products (`_iv_mul_ints`) form only the two endpoint products min/max would
 pick when a factor is nonnegative, so the endpoints are the same rationals
 as step-by-step `CertifiedInterval` arithmetic.  `analytics` sums whole
-derivative series on these integer numerators and reduces once per
-series.  Only transcendental
+derivative series on integer numerators with `_iv_mul_ints` and reduces
+once per series; its closed-form kernel evaluates no polynomial, and only
+`tau_certify` still runs `_iv_horner`.  Only transcendental
 maps (ln, log2, the entropy functions) round, and those are delegated to
 mpmath's interval context at 120 bits with outward rounding; the resulting
 dyadic endpoints convert back to Fraction exactly.  Every operation's

@@ -92,40 +92,66 @@ def entropy_poly_closed_form(k: int) -> EntropyPolynomial:
 
 
 # -- the derivative series around p, one CertifiedInterval operation at a time --
-# These are the per-term Fraction loops the package used before its integer-
-# numerator series kernel; its endpoints must equal theirs exactly.
+# The package's integer-numerator series kernel takes F_{k-1} = 1 + L_{k-1} and
+# F'_{k-1} in a second-order Taylor form with closed-form chain terms; its
+# endpoints must equal these per-term Fraction loops exactly.  `tau_certify`
+# alone keeps interval Horner on the coefficients of F_{k-1}, which
+# `horner_hf_derivative_at` reproduces.
+
+
+def reference_zero_count_jet(m: int, a: Fraction) -> tuple[Fraction, Fraction, Fraction]:
+    """(L_m, L'_m, L''_m) at a rational a, in q = a - 1 and u = 1/(2 - a)."""
+    q, u = a - 1, 1 / (2 - a)
+    L0 = m * u - q**2 * u**2 + q ** (m + 2) * u**2
+    L1 = m * u**2 - 2 * q * u**2 - 2 * q**2 * u**3 + (m + 2) * q ** (m + 1) * u**2 + 2 * q ** (m + 2) * u**3
+    L2 = (2 * m * u**3 - 2 * u**2 - 8 * q * u**3 - 6 * q**2 * u**4 + (m + 2) * (m + 1) * q**m * u**2
+          + 4 * (m + 2) * q ** (m + 1) * u**3 + 6 * q ** (m + 2) * u**4)
+    return L0, L1, L2
 
 
 def reference_hf_derivative_at(k: int, x: CertifiedInterval) -> CertifiedInterval:
-    """(H F_{k-1})'(x) = H(x) F'_{k-1}(x) + H'(x) F_{k-1}(x), with H and H' enclosed per term."""
+    """(H F_{k-1})'(x), with F_{k-1} and F'_{k-1} in the Taylor form at x.lo and H, H' enclosed per term."""
+    m, h = k - 1, x.width
+    L0, L1, L2 = reference_zero_count_jet(m, x.lo)
+    M2, M3 = (m * m + 9 * m + 32, m**3 + 9 * m * m + 44 * m + 144) if m else (0, 0)
+    step, rem = CertifiedInterval(0, h), CertifiedInterval(-h * h / 2, h * h / 2)
+    F = 1 + L0 + step * L1 + rem * M2
+    dF = L1 + step * L2 + rem * M3
+    return iv_entropy_nat(x) * dF + iv_ln_ratio(x) * F
+
+
+def horner_hf_derivative_at(k: int, x: CertifiedInterval) -> CertifiedInterval:
+    """(H F_{k-1})'(x) by interval Horner on the integer coefficients of F_{k-1}."""
     F = entropy_poly(k - 1)
     return iv_entropy_nat(x) * F.evaluate_derivative(x) + iv_ln_ratio(x) * F.evaluate(x)
 
 
-def reference_derivative_partials(x: CertifiedInterval, K: int) -> list[CertifiedInterval]:
+def reference_derivative_partials(x: CertifiedInterval, K: int,
+                                  term=reference_hf_derivative_at) -> list[CertifiedInterval]:
     """[S_1, ..., S_K] with S_K = sum_{k<=K} (H F_{k-1})'(x) / 2^(k+1), before any tail."""
     acc, out = CertifiedInterval.point(0), []
     for k in range(1, K + 1):
-        acc = acc + reference_hf_derivative_at(k, x).scale(Fraction(1, 2 ** (k + 1)))
+        acc = acc + term(k, x).scale(Fraction(1, 2 ** (k + 1)))
         out.append(acc)
     return out
 
 
 def reference_tau_partial_12(x: CertifiedInterval) -> CertifiedInterval:
-    """sum_{k<=12} k (H F_{k-1})'(x) / 2^(k+1)."""
+    """sum_{k<=12} k (H F_{k-1})'(x) / 2^(k+1), on the Horner terms `tau_certify` keeps."""
     acc = CertifiedInterval.point(0)
     for k in range(1, 13):
-        acc = acc + reference_hf_derivative_at(k, x).scale(Fraction(k, 2 ** (k + 1)))
+        acc = acc + horner_hf_derivative_at(k, x).scale(Fraction(k, 2 ** (k + 1)))
     return acc
 
 
-def reference_tau_gamma_partial(x: CertifiedInterval, gamma: float, K: int) -> CertifiedInterval:
+def reference_tau_gamma_partial(x: CertifiedInterval, gamma: float, K: int,
+                                term=reference_hf_derivative_at) -> CertifiedInterval:
     """sum_{k<=K} k^(1+gamma) (H F_{k-1})'(x) / 2^(k+1), the weight an mpmath enclosure."""
     iv = _iv()
     acc = CertifiedInterval.point(0)
     for k in range(1, K + 1):
         w = iv.exp(iv.log(iv.mpf(k)) * iv.mpf(1 + gamma)) if k > 1 else iv.mpf(1)
-        acc = acc + (reference_hf_derivative_at(k, x) * _from_iv(w)).scale(Fraction(1, 2 ** (k + 1)))
+        acc = acc + (term(k, x) * _from_iv(w)).scale(Fraction(1, 2 ** (k + 1)))
     return acc
 
 

@@ -15,6 +15,8 @@ from mgms.analytics import (
     CertificationError,
     Gauge,
     GaugeFamily,
+    _jet_bounds,
+    _zero_count_jet,
     binary_entropy,
     derivative_series_at_p,
     dim_minkowski,
@@ -37,9 +39,10 @@ from mgms.analytics import (
 from mgms.core import chain_partition, iter_golden_words, iter_multiplicative_prefixes
 from mgms.intervals import CertifiedInterval, iv_entropy_bits, iv_entropy_nat, iv_ln_ratio
 from mgms.measures import MarkovParams, markov_cylinder_logprob, pmu_logprob
-from mgms.polynomials import entropy_poly
+from mgms.polynomials import _coefficient_rows, entropy_poly
 
 from conftest import (
+    horner_hf_derivative_at,
     reference_derivative_partials,
     reference_dim_minkowski_enclosure,
     reference_dyadic_power_tail,
@@ -47,6 +50,7 @@ from conftest import (
     reference_solve_p,
     reference_tau_gamma_partial,
     reference_tau_partial_12,
+    reference_zero_count_jet,
 )
 
 
@@ -261,10 +265,22 @@ class TestDerivativeSeries:
         )
 
     def test_high_order_term_on_a_cold_cache(self):
-        # entropy_poly used to recurse once per index and overflow the stack near k = 450
+        # entropy_poly used to recurse once per index and overflow the stack near
+        # k = 450; the closed-form terms build no polynomial at all
         entropy_poly.cache_clear()
         p = solve_p()
         assert same_endpoints(hf_derivative_at(600, p), reference_hf_derivative_at(600, p))
+        assert len(_coefficient_rows()) == 2
+
+    @pytest.mark.parametrize("k", [120, 600])
+    def test_high_order_terms_are_narrow(self, k):
+        # interval Horner on the coefficients of F_119 gave width 2.3 at k = 120
+        assert hf_derivative_at(k, solve_p()).width < Fraction(1, 10**20)
+
+    def test_long_series_contains_zero_narrowly(self):
+        enc = derivative_series_at_p(600)
+        assert enc.contains_zero()
+        assert enc.width < Fraction(4, 10**24)
 
     def test_tail_is_monotone_in_K(self):
         tails = []
@@ -280,16 +296,18 @@ def endpoint_digest(ci) -> str:
 
 
 def test_enclosure_endpoints_are_frozen():
-    # sha256 of the exact num/den endpoints as step-by-step CertifiedInterval
-    # Horner produced them; any change of representation must keep them
+    # sha256 of the exact num/den endpoints as the step-by-step CertifiedInterval
+    # loops of conftest produce them: the Taylor-form closed-form terms for the
+    # K80, K120 and tau_gamma series, interval Horner for tau's partial_12; any
+    # change of representation must keep them
     assert endpoint_digest(derivative_series_at_p(80)) == (
-        "2d5171d059d0be4037a01628d3e9e600718d9e959b74f51fcca6f9a780052138")
+        "5dbbd422108925b5b7ce503b43b5dfe525af547338c5115ea5db023f2df7d0bf")
     assert endpoint_digest(derivative_series_at_p(120)) == (
-        "6dba90c825e7551f896a7f2046c770cb39dcbee203c8d6b9acea798958aed552")
+        "6dd4255356ce431923b9de895ec6264779b88bb296597210f0bb2b76c43972df")
     assert endpoint_digest(tau_certify().partial_12) == (
         "910fc9b4f0bbf9841657aa304e091b449d1676552dac301813eb97d1928ab4cb")
     assert endpoint_digest(tau_gamma(0.5, 20).value) == (
-        "f450aebd3a06a5ae3da3035d6a67d054fadb3c567aa684e5805e436ca4107363")
+        "88106a0f96a823b264d4ef6581b91350baa17ea125da190f687a2ba08148aefd")
 
 
 def same_endpoints(a, b) -> bool:
@@ -297,7 +315,8 @@ def same_endpoints(a, b) -> bool:
 
 
 class TestSeriesKernelMatchesFractionLoops:
-    """The integer-numerator series kernel against the per-term CertifiedInterval loops."""
+    """The integer-numerator series kernel against the per-term CertifiedInterval loops:
+    the Taylor-form closed-form terms, and interval Horner for tau's partial_12."""
 
     @pytest.fixture(scope="class")
     def partials(self):
@@ -325,6 +344,77 @@ class TestSeriesKernelMatchesFractionLoops:
     def test_tau_gamma(self, gamma, K):
         ref = reference_tau_gamma_partial(solve_p(), gamma, K)
         assert same_endpoints(tau_gamma(gamma, K).value, ref)
+
+
+# 60-digit mpmath values, as perfbench/record.py computes them independently of mgms
+TAU_GAMMA_PARTIAL = Fraction("0.48589063619165887386968027311746280671875217326910790525260937799")
+TAU_PARTIAL_12 = Fraction("0.18746623633997651768035302505073866464251217784799807967537939084")
+REF_TOL = Fraction(1, 10**55)
+
+
+def horner_fraction(coeffs, x: Fraction) -> Fraction:
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def derivative(coeffs: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(j * c for j, c in enumerate(coeffs[1:], 1)) or (0,)
+
+
+class TestClosedFormAgainstHorner:
+    """The closed-form chain terms against interval Horner on the coefficients of F_{k-1}."""
+
+    @pytest.mark.parametrize("K", [40, 80, 120])
+    def test_series_is_sound_and_no_wider(self, K):
+        tail = Fraction(51, 20) * Fraction(K + 3, 2 ** (K + 1))
+        horner = reference_derivative_partials(solve_p(), K, term=horner_hf_derivative_at)[-1].widen(tail)
+        new = derivative_series_at_p(K)
+        assert max(new.lo, horner.lo) <= min(new.hi, horner.hi)
+        assert new.contains_zero()
+        assert new.width <= horner.width
+
+    def test_tau_gamma_is_sound_and_no_wider(self):
+        horner = reference_tau_gamma_partial(solve_p(), 0.5, 20, term=horner_hf_derivative_at)
+        new = tau_gamma(0.5, 20).value
+        assert max(new.lo, horner.lo) <= min(new.hi, horner.hi)
+        assert new.lo - REF_TOL <= TAU_GAMMA_PARTIAL <= new.hi + REF_TOL
+        assert horner.lo - REF_TOL <= TAU_GAMMA_PARTIAL <= horner.hi + REF_TOL
+        assert new.width <= horner.width
+
+    def test_tau_partial_contains_reference(self):
+        ci = tau_certify().partial_12
+        assert ci.lo - REF_TOL <= TAU_PARTIAL_12 <= ci.hi + REF_TOL
+
+    @staticmethod
+    def _points():
+        # the left end of p's enclosure, and rationals inside the wide x = [1/5, 3/4]
+        return [solve_p().lo, Fraction(1, 5), Fraction(2, 7), Fraction(1, 2), Fraction(57, 100),
+                Fraction(2, 3), Fraction(3, 4)]
+
+    def test_jet_equals_fraction_horner(self):
+        for m in range(0, 61):
+            c0 = entropy_poly(m).coeffs
+            c1 = derivative(c0)
+            c2 = derivative(c1)
+            for a in self._points():
+                n, d = a.numerator, a.denominator
+                Q, E = n - d, 2 * d - n
+                a0, a1, a2 = _zero_count_jet(m, Q, E, d, Q**m, d**m)
+                kernel = (Fraction(a0, d**m * E**2), Fraction(d * a1, d**m * E**3),
+                          Fraction(d * d * a2, d**m * E**4))
+                horner = (horner_fraction(c0, a) - 1, horner_fraction(c1, a), horner_fraction(c2, a))
+                assert kernel == horner == reference_zero_count_jet(m, a), (m, a)
+
+    def test_remainder_bounds_hold_on_the_unit_interval(self):
+        grid = [Fraction(i, 64) for i in range(1, 64)]
+        for m in range(0, 41):
+            c2 = derivative(derivative(entropy_poly(m).coeffs))
+            c3 = derivative(c2)
+            M2, M3 = _jet_bounds(m)
+            assert max(abs(horner_fraction(c2, t)) for t in grid) <= M2, m
+            assert max(abs(horner_fraction(c3, t)) for t in grid) <= M3, m
 
 
 def power_tail(m: int, K: int) -> Fraction:

@@ -382,3 +382,82 @@ def test_version_flag(capsys):
     code = main(["--version"])
     out = capsys.readouterr().out
     assert code == 0 and "mgms" in out
+
+
+# -- the exit-code contract over every subcommand and flag ---------------------------
+# Each base runs a small, valid configuration; each case replaces one flag (or the
+# positional word) by one value, or repeats it, and the run must still keep the
+# contract: exit 0, or exit 2 with one `usage error:` line, nothing on stdout and
+# no --out file.  Exit 1 is reserved for a CertificationError, which no input
+# here can cause.
+
+CONTRACT_BASES = {
+    "dims": ("dims", {"--tol": "1e-6", "--format": "plain", "--out": None}),
+    "tau": ("tau", {"--format": "plain", "--out": None}),
+    "measure --mu": ("measure", {"--mu": "0.3", "word": "0100", "--format": "plain", "--out": None}),
+    "measure --pdelta": ("measure", {"--pdelta": "0.05", "word": "0100"}),
+    "measure --pmu": ("measure --pmu", {"word": "0100"}),
+    "density": ("experiment density",
+                {"--seed": "0", "--seeds": "2", "--n-grid": "16,32,64", "--delta": "0.05", "--c": "0.002",
+                 "--theta": "1", "--gamma": "0.5", "--gauge": "psi", "--format": "plain", "--out": None}),
+    "lower": ("experiment lower",
+              {"--seed": "0", "--seeds": "2", "--n-grid": "16,32,64", "--delta": "0.05", "--c": "0.002"}),
+    "telescope": ("experiment telescope", {"--seed": "0", "--ell-max": "4", "--g": "t"}),
+    "hoeffding": ("experiment hoeffding",
+                  {"--seed": "0", "--trials": "200", "--n": "20", "--t-grid": "0.1,0.3",
+                   "--distribution": "rademacher"}),
+    "hoeffding logmass": ("experiment hoeffding --distribution logmass",
+                          {"--seed": "0", "--trials": "200", "--n": "20", "--k": "3", "--epsilon": "0.1"}),
+    "ldev2": ("experiment ldev2",
+              {"--seed": "0", "--trials": "200", "--n-grid": "32,64", "--t-grid": "0.1,0.2"}),
+    "cover": ("experiment cover",
+              {"--n-grid": "16,64", "--gauge": "psi", "--theta": "1", "--exponent": "s",
+               "--format": "csv", "--out": None}),
+    "cover phi_gamma": ("experiment cover --gauge phi_gamma",
+                        {"--n-grid": "16,64", "--c": "0.002", "--gamma": "0.5"}),
+    "boxdim": ("experiment boxdim", {"--n-grid": "16,64", "--format": "json"}),
+}
+CONTRACT_VALUES = ("nan", "inf", "-inf", "0", "-1", "1e300", "-1e300", "", "repeat")
+OUT_VALUES = ("dir", "missing/report")
+
+
+def _contract_argv(base: str, flags: dict, flag: str, value: str) -> list[str]:
+    argv = base.split()
+    for other, default in flags.items():
+        if other not in (flag, "word") and default is not None:
+            argv.append(f"{other}={default}")
+    word = flags.get("word")
+    if flag == "word":
+        word = word * 2 if value == "repeat" else value
+    elif value != "repeat":
+        argv.append(f"{flag}={value}")
+    elif flags[flag] and "," in flags[flag]:  # a list flag: its first entry twice
+        argv.append(f"{flag}={flags[flag].split(',')[0]},{flags[flag]}")
+    else:  # a scalar flag given twice
+        argv += [f"{flag}={flags[flag] or 'report'}"] * 2
+    return argv + (["--", word] if word is not None else [])
+
+
+CONTRACT_CASES = [
+    pytest.param(base, flags, flag, value, id=f"{name} {flag}={value}")
+    for name, (base, flags) in CONTRACT_BASES.items()
+    for flag in flags
+    for value in CONTRACT_VALUES + (OUT_VALUES if flag == "--out" else ())
+]
+
+
+@pytest.mark.parametrize("base, flags, flag, value", CONTRACT_CASES)
+def test_exit_code_contract(tmp_path, monkeypatch, capsys, base, flags, flag, value):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "dir").mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    code = main(_contract_argv(base, flags, flag, value))
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    assert code in (0, 2), (code, err)
+    if code == 2:
+        assert out == ""
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert sorted(tmp_path.rglob("*")) == before
+    else:
+        assert out or sorted(tmp_path.rglob("*")) != before

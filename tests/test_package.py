@@ -116,7 +116,7 @@ def test_entry_points_load_no_submodule(argv):
 
 # sha256 of the endpoints of tau_gamma(0.5, 20).value as "lo_num/lo_den\nhi_num/hi_den\n",
 # the digest test_analytics.test_enclosure_endpoints_are_frozen freezes
-TAU_GAMMA_DIGEST = "f450aebd3a06a5ae3da3035d6a67d054fadb3c567aa684e5805e436ca4107363"
+TAU_GAMMA_DIGEST = "88106a0f96a823b264d4ef6581b91350baa17ea125da190f687a2ba08148aefd"
 
 
 def test_tau_gamma_as_first_interval_op_is_frozen():
