@@ -290,7 +290,6 @@ def cmd_experiment(args) -> int:
     from .experiments import (
         DEFAULT_EPSILON,
         DEFAULT_SEEDS,
-        MIN_TREND_POINTS,
         CenteredChainLogMass,
         Rademacher,
         density_trajectory,
@@ -302,10 +301,6 @@ def cmd_experiment(args) -> int:
     )
     from .measures import BlockAssignment
 
-    if kind in ("density", "lower"):
-        _require(len(n_grid) >= MIN_TREND_POINTS,
-                 f"experiment {kind!r} fits a trend: --n-grid needs at least "
-                 f"{MIN_TREND_POINTS} points, got {len(n_grid)}")
     seeds = (list(range(args.seed, args.seed + args.seeds))
              if args.seed is not None else list(DEFAULT_SEEDS))
 

@@ -11,10 +11,11 @@ golden-admissible.
 Counting is exact: golden words of length k are counted by the Fibonacci
 number F_{k+1} (F_1 = 1, F_2 = 2), and multiplicative prefixes of length n
 by the product of F_{chain_length+1} over chains, held as big integers with
-a float log2 companion for dimension estimates.  Counting, the word
-operations and the enumerators run on Python ints and strings alone; numpy
-loads only with `BinaryWord.from_array` and `BinaryWord.array`, the bridge
-to the batch kernels.
+a float log2 companion for dimension estimates.  A word is its string of
+0/1 symbols, so counting, the word operations and the enumerators run on
+Python ints and strings alone; numpy loads only with
+`BinaryWord.from_array` and `BinaryWord.array`, the bridge to the batch
+kernels.
 """
 
 from __future__ import annotations
@@ -50,29 +51,27 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BinaryWord:
-    """Immutable packed 0/1 word with 1-based indexing.
+    """Immutable 0/1 word with 1-based indexing, held as its string of symbols.
 
-    Bits are stored packed 8-per-byte (big-endian within bytes), so prefixes
-    up to n = 2**24 cost n/8 bytes.  `word[k]` returns the k-th symbol for
-    1 <= k <= len(word).
+    `word[k]` returns the k-th symbol for 1 <= k <= len(word), and
+    `str(word)` is the string itself.
     """
 
-    packed: bytes
-    n: int
+    symbols: str
+
+    def __post_init__(self):
+        if not set(self.symbols) <= {"0", "1"}:
+            raise ValueError(f"not a 0/1 string: {self.symbols!r}")
 
     # -- construction ------------------------------------------------------
 
     @staticmethod
     def from_bits(bits: Iterable[int]) -> "BinaryWord":
-        return BinaryWord.from_string("".join(str(int(b)) for b in bits))
+        return BinaryWord("".join(str(int(b)) for b in bits))
 
     @staticmethod
     def from_string(s: str) -> "BinaryWord":
-        if not set(s) <= {"0", "1"}:
-            raise ValueError(f"not a 0/1 string: {s!r}")
-        pad = -len(s) % 8  # zero bits that fill the last byte, as np.packbits pads
-        packed = (int(s, 2) << pad).to_bytes((len(s) + pad) // 8, "big") if s else b""
-        return BinaryWord(packed, len(s))
+        return BinaryWord(s)
 
     @staticmethod
     def from_array(arr: np.ndarray) -> "BinaryWord":
@@ -81,11 +80,11 @@ class BinaryWord:
         arr = np.asarray(arr, dtype=np.uint8)
         if arr.size and arr.max(initial=0) > 1:
             raise ValueError("symbols must be 0 or 1")
-        return BinaryWord(np.packbits(arr).tobytes(), int(arr.size))
+        return BinaryWord((arr + ord("0")).tobytes().decode("ascii"))
 
     @staticmethod
     def empty() -> "BinaryWord":
-        return BinaryWord(b"", 0)
+        return BinaryWord("")
 
     # -- access ------------------------------------------------------------
 
@@ -94,35 +93,39 @@ class BinaryWord:
         """The word as a read-only uint8 array of 0/1 (0-based)."""
         import numpy as np
 
-        arr = np.unpackbits(np.frombuffer(self.packed, dtype=np.uint8), count=self.n)
+        arr = np.frombuffer(self.symbols.encode("ascii"), dtype=np.uint8) - ord("0")
         arr.flags.writeable = False
         return arr
 
+    @property
+    def n(self) -> int:
+        return len(self.symbols)
+
     def __len__(self) -> int:
-        return self.n
+        return len(self.symbols)
 
     def __getitem__(self, k: int) -> int:
         if not 1 <= k <= self.n:
             raise IndexError(f"position {k} outside 1..{self.n}")
-        return self.packed[(k - 1) >> 3] >> (7 - (k - 1) % 8) & 1
+        return int(self.symbols[k - 1])
 
     def __iter__(self) -> Iterator[int]:
-        return map(int, str(self))
+        return map(int, self.symbols)
 
     def __str__(self) -> str:
-        return format(int.from_bytes(self.packed, "big"), f"0{8 * len(self.packed)}b")[: self.n]
+        return self.symbols
 
     def __repr__(self) -> str:
-        return f"BinaryWord({str(self)!r})"
+        return f"BinaryWord({self.symbols!r})"
 
     def prefix(self, m: int) -> "BinaryWord":
         if not 0 <= m <= self.n:
             raise ValueError(f"prefix length {m} outside 0..{self.n}")
-        return BinaryWord.from_string(str(self)[:m])
+        return BinaryWord(self.symbols[:m])
 
     def count_ones(self) -> int:
         """N_1(u): number of 1 symbols."""
-        return int.from_bytes(self.packed, "big").bit_count()
+        return self.symbols.count("1")
 
     def count_zeros(self) -> int:
         """N_0(u): number of 0 symbols."""

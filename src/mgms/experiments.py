@@ -320,7 +320,7 @@ def density_trajectory(
         lp = logprob_prefix_grid(measure, bits, n_grid)[0]
         if not np.all(np.isfinite(lp)):
             raise AssertionError("sampled point has zero measure; sampler broken")
-        if measure.delta == 0 and measure.param_fn is None:
+        if measure.delta == 0:
             zeros = _zero_counts(bits[0], half_word_points)
             for j, n in enumerate(n_grid):
                 if n % 2 == 0:
@@ -360,20 +360,20 @@ def lower_bound_trajectory(
     c: float,
     n_grid: Sequence[int] = DEFAULT_N_GRID,
     seeds: Sequence[int] = DEFAULT_SEEDS,
-    verdict_floor: int = 4096,
 ) -> TrajectoryReport:
     """Track S_n = log2 P_delta[x_1^n] + n s + c n/(log2 n)^2.
 
     In the proven regime (delta > 0, p + delta < 1, c < tau_hat delta / 3
     with the certified tau lower bound) the drift is downward; outside it
     the verdict is INCONCLUSIVE by definition, whatever the data shows.
-    The report also flags whether the median is monotonically decreasing
-    beyond the verdict floor (default 2^12).  Like `density_trajectory`,
-    it raises ValueError on a grid of fewer than MIN_TREND_POINTS points.
+    The trend is fitted beyond the verdict floor 2^12, where the report
+    also flags whether the median decreases monotonically.  Like
+    `density_trajectory`, it raises ValueError on a grid of fewer than
+    MIN_TREND_POINTS points.
     """
     measure = BlockAssignment(delta=float(delta))
     gauge = Gauge.phi(c=float(c)) if c > 0 else Gauge.pure()
-    report = density_trajectory(measure, gauge, n_grid, seeds, verdict_floor)
+    report = density_trajectory(measure, gauge, n_grid, seeds, verdict_floor=4096)
     tau_hat = float(tau_bits_lower_bound())
     reason = ""
     if delta <= 0:

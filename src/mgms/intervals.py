@@ -9,15 +9,13 @@ unreduced; `iv_polyval` reduces them to `Fraction` once.  Its interval
 products (`_iv_mul_ints`) form only the two endpoint products min/max would
 pick when a factor is nonnegative, so the endpoints are the same rationals
 as step-by-step `CertifiedInterval` arithmetic.  `analytics` sums whole
-derivative series on integer numerators with `_iv_mul_ints` and reduces
-once per series; its closed-form kernel evaluates no polynomial, and only
-`tau_certify` still runs `_iv_horner`.  Only transcendental
-maps (ln, log2, the entropy functions) round, and those are delegated to
-mpmath's interval context at 120 bits with outward rounding; the resulting
-dyadic endpoints convert back to Fraction exactly.  Every operation's
-output therefore encloses the true image of its input interval.  mpmath is
-loaded on the first transcendental call, through `_iv`, which also sets the
-120 bits.
+derivative series on integer numerators with `_iv_mul_ints`, and only
+`tau_certify` still runs `_iv_horner`.  Only the transcendental maps round
+(log2, the natural-log entropy and its derivative ln((1-x)/x)); they go
+through mpmath's interval context at 120 bits with outward rounding, and
+the dyadic endpoints convert back to Fraction exactly, so every output
+encloses the true image of its input.  mpmath loads on the first
+transcendental call, through `_iv`, which also sets the 120 bits.
 """
 
 from __future__ import annotations
@@ -126,9 +124,6 @@ class CertifiedInterval:
         if f < 0:
             raise ValueError("pad must be nonnegative")
         return CertifiedInterval(self.lo - f, self.hi + f)
-
-    def hull(self, other: "CertifiedInterval") -> "CertifiedInterval":
-        return CertifiedInterval(min(self.lo, other.lo), max(self.hi, other.hi))
 
 
 def _iv_mul_ints(a_lo: int, a_hi: int, b_lo: int, b_hi: int) -> tuple[int, int]:
@@ -271,17 +266,6 @@ def iv_entropy_nat(ci: CertifiedInterval) -> CertifiedInterval:
     x = _to_iv(ci)
     one = iv.mpf(1)
     return _from_iv(-(x * iv.log(x)) - (one - x) * iv.log(one - x))
-
-
-def iv_entropy_bits(ci: CertifiedInterval) -> CertifiedInterval:
-    """Enclosure of the base-2 entropy -x log2 x - (1-x) log2(1-x)."""
-    if not (0 < ci.lo and ci.hi < 1):
-        raise ValueError(f"entropy needs an interval inside (0,1), got {ci}")
-    iv = _iv()
-    x = _to_iv(ci)
-    one = iv.mpf(1)
-    ln2 = iv.log(iv.mpf(2))
-    return _from_iv((-(x * iv.log(x)) - (one - x) * iv.log(one - x)) / ln2)
 
 
 def iv_ln_ratio(ci: CertifiedInterval) -> CertifiedInterval:

@@ -7,7 +7,8 @@ forced after a 1 (cost 1).  Product measures on multiplicative cylinders
 assign an independent Markov law to every chain J(i); the block-perturbed
 variant uses parameter p + delta/b on chains starting in dyadic block
 b >= 1 (block 0 keeps p), which is the Kolmogorov-consistent reading of
-the perturbation.
+the perturbation.  That schedule is the only one: `BlockAssignment` holds
+p and delta, and `pmu_logprob` is its delta = 0 case at a float p.
 
 All probability arithmetic is base-2 logarithmic with an exact zero
 sentinel: typical cylinder masses near 2^(-0.81 n) would underflow doubles
@@ -39,7 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from .analytics import p_float
 from .core import (
@@ -49,7 +50,6 @@ from .core import (
     chain_length,
     is_multiplicative_prefix,
 )
-from .intervals import CertifiedInterval
 
 if TYPE_CHECKING:
     import numpy as np
@@ -119,14 +119,6 @@ class MarkovParams:
         if not 0.0 < self.r < 1.0:
             raise ValueError(f"parameter must lie in (0,1), got {self.r}")
 
-    @property
-    def initial(self) -> tuple[float, float]:
-        return (self.r, 1.0 - self.r)
-
-    @property
-    def transition(self) -> tuple[tuple[float, float], tuple[float, float]]:
-        return ((self.r, 1.0 - self.r), (1.0, 0.0))
-
 
 def _walk(r: float, symbols: Sequence[int]) -> float:
     """log2 golden Markov mass of a list of 0/1 symbols; -inf at a pair 11."""
@@ -156,33 +148,22 @@ def markov_cylinder_logprob(params: MarkovParams, u: BinaryWord) -> LogProb:
 
 @dataclass(frozen=True)
 class BlockAssignment:
-    """Per-dyadic-block chain parameters p_b: p_0 = p, p_b = p + delta/b (b >= 1).
-
-    `param_fn` overrides the default schedule (e.g. sign-flipped
-    perturbations p - delta/b^(1+gamma)); it receives the block index and
-    must return a value in (0,1).
-    """
+    """Per-dyadic-block chain parameters p_b: p_0 = p, p_b = p + delta/b (b >= 1)."""
 
     delta: float = 0.0
     p: float = field(default_factory=p_float)
-    param_fn: Optional[object] = None  # Callable[[int], float]
 
     def __post_init__(self):
         if self.delta < 0:
             raise ValueError(f"delta must be >= 0, got {self.delta}")
         if not 0.0 < self.p < 1.0:
             raise ValueError(f"p must lie in (0,1), got {self.p}")
-        if self.param_fn is None and not self.p + self.delta < 1.0:
+        if not self.p + self.delta < 1.0:
             raise ValueError(f"p + delta must stay below 1, got {self.p + self.delta}")
 
     def param(self, block: int) -> float:
         if block < 0:
             raise ValueError(f"block must be >= 0, got {block}")
-        if self.param_fn is not None:
-            r = float(self.param_fn(block))  # type: ignore[operator]
-            if not 0.0 < r < 1.0:
-                raise ValueError(f"param_fn({block}) = {r} outside (0,1)")
-            return r
         return self.p if block == 0 else self.p + self.delta / block
 
     def params_for_blocks(self, max_block: int) -> np.ndarray:
@@ -191,26 +172,16 @@ class BlockAssignment:
         return np.array([self.param(b) for b in range(max_block + 1)], dtype=np.float64)
 
     def describe(self) -> dict:
-        d = {"measure": "P_mu" if self.delta == 0 and self.param_fn is None else "P_delta",
-             "p": self.p, "delta": self.delta}
-        if self.param_fn is not None:
-            d["measure"] = "P_custom"
-        return d
+        return {"measure": "P_mu" if self.delta == 0 else "P_delta", "p": self.p, "delta": self.delta}
 
 
-def pmu_logprob(p: Union[float, CertifiedInterval, None], u: BinaryWord) -> LogProb:
+def pmu_logprob(p: float, u: BinaryWord) -> LogProb:
     """log2 of the chain product measure mass of [u] with one parameter p.
 
     Sums the golden Markov log-mass of every chain restriction; the zero
     sentinel appears exactly when u is not a multiplicative prefix.
     """
-    if p is None:
-        r = p_float()
-    elif isinstance(p, CertifiedInterval):
-        r = p.mid_float
-    else:
-        r = float(p)
-    return pdelta_logprob(BlockAssignment(delta=0.0, p=r), u)
+    return pdelta_logprob(BlockAssignment(delta=0.0, p=float(p)), u)
 
 
 def chain_breakdown(assign: BlockAssignment, u: BinaryWord) -> Iterator[tuple]:
@@ -273,10 +244,6 @@ class SampledPoint:
     word: BinaryWord
     seed: int
     descriptor: tuple  # sorted (key, value) pairs of the measure description
-
-    @property
-    def n(self) -> int:
-        return len(self.word)
 
 
 def sample_chain(params: MarkovParams, k: int, stream: RandomStream) -> BinaryWord:

@@ -69,14 +69,6 @@ class RandomStream:
     def uniform(self, pos: int) -> float:
         return unit_double(fold(self._key, pos))
 
-    def substream(self, *key_parts: int) -> "RandomStream":
-        child = RandomStream.__new__(RandomStream)
-        k = self._key
-        for v in key_parts:
-            k = fold(k, int(v) & _MASK)
-        child._key = k
-        return child
-
 
 # vectorized twin of the scalar path -------------------------------------
 

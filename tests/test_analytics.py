@@ -37,7 +37,7 @@ from mgms.analytics import (
     tau_gamma,
 )
 from mgms.core import chain_partition, iter_golden_words, iter_multiplicative_prefixes
-from mgms.intervals import CertifiedInterval, iv_entropy_bits, iv_entropy_nat, iv_ln_ratio
+from mgms.intervals import CertifiedInterval, iv_entropy_nat, iv_ln_ratio, ln2_interval
 from mgms.measures import MarkovParams, markov_cylinder_logprob, pmu_logprob
 from mgms.polynomials import _coefficient_rows, entropy_poly
 
@@ -59,6 +59,16 @@ class TestCubicRoot:
         # p^3 = (1-p)^2 expands to x^3 - x^2 + 2x - 1 = 0
         x = sympy.Symbol("x")
         assert sympy.expand(x**3 - (1 - x) ** 2 - (x**3 - x**2 + 2 * x - 1)) == 0
+
+    def test_bisection_needs_no_checks(self):
+        # solve_p checks neither its first bracket nor a midpoint that is the root:
+        # f(1/2) < 0 < f(3/5), and f has no rational root (the rational root
+        # theorem leaves +-1, and f(1) = 1, f(-1) = -5)
+        f = lambda v: v**3 - v**2 + 2 * v - 1
+        assert f(Fraction(1, 2)) == Fraction(-1, 8) and f(Fraction(3, 5)) == Fraction(7, 125)
+        assert (f(1), f(-1)) == (1, -5)
+        x = sympy.Symbol("x")
+        assert sympy.Poly(x**3 - x**2 + 2 * x - 1, x).is_irreducible  # over Q: a cubic has no rational root
 
     def test_enclosure_contains_printed_value(self):
         p = solve_p()
@@ -122,8 +132,8 @@ class TestEntropy:
         # A(p) = s forces H2(p) = s (3 - p) / 2
         H2 = binary_entropy(p_float())
         assert H2 == pytest.approx(s_float() * (3 - p_float()) / 2, abs=1e-12)
-        enc = iv_entropy_bits(solve_p())
-        assert abs(enc.mid_float - H2) < 1e-12
+        enc = iv_entropy_nat(solve_p())
+        assert abs(enc.mid_float / ln2_interval().mid_float - H2) < 1e-12
 
     @pytest.mark.parametrize("r", [0.3, 0.5, None, 0.7])
     @pytest.mark.parametrize("k", range(1, 13))
@@ -333,9 +343,16 @@ class TestSeriesKernelMatchesFractionLoops:
             assert same_endpoints(hf_derivative_at(k, p), reference_hf_derivative_at(k, p)), k
 
     def test_single_terms_off_p(self):
+        # on a wide x the Taylor form is cut to the bound |(H F_{k-1})'| <= 7/10 (2k+6) + max|H'| k
         x = CertifiedInterval(Fraction(1, 5), Fraction(3, 4))
+        g = iv_ln_ratio(x)
         for k in range(1, 25):
-            assert same_endpoints(hf_derivative_at(k, x), reference_hf_derivative_at(k, x)), k
+            got, ref = hf_derivative_at(k, x), reference_hf_derivative_at(k, x)
+            bound = Fraction(7, 10) * (2 * k + 6) + max(abs(g.lo), abs(g.hi)) * k
+            cut = CertifiedInterval(max(ref.lo, -bound), min(ref.hi, bound))
+            assert got.lo <= cut.lo and cut.hi <= got.hi and got.width <= cut.width, k
+        for k, w in ((2, 25), (10, 80), (24, 160)):
+            assert hf_derivative_at(k, x).width < w, k
 
     def test_tau_partial(self):
         assert same_endpoints(tau_certify().partial_12, reference_tau_partial_12(solve_p()))

@@ -4,7 +4,6 @@ import math
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from mgms.core import (
@@ -68,28 +67,20 @@ class TestBinaryWord:
         assert u.prefix(0) == BinaryWord.empty()
         assert hash(u.prefix(9)) == hash(u)
 
-    def test_packing_is_compact(self):
-        u = BinaryWord.from_bits([1] * 1000)
-        assert len(u.packed) == 125
-
-    def test_string_packing_matches_numpy_on_short_words(self):
-        for n in range(13):
-            for bits in all_words(n):
-                self.check_string_packing("".join(map(str, bits)))
-
-    def test_string_packing_matches_numpy_on_random_words(self):
+    def test_round_trip_through_the_array_view(self):
+        # every word of length <= 12 and random words up to the 4096-symbol
+        # oracle prefix; the numpy array view is the reference
         rng = random.Random(2024)
-        for _ in range(200):
-            n = rng.randint(0, 4096)
-            self.check_string_packing("".join(rng.choice("01") for _ in range(n)))
-
-    @staticmethod
-    def check_string_packing(s: str):
-        # from_string packs in pure Python; np.packbits and from_bits are the references
-        u = BinaryWord.from_string(s)
-        assert u.packed == np.packbits(np.array([int(c) for c in s], dtype=np.uint8)).tobytes()
-        assert str(u) == s
-        assert u == BinaryWord.from_bits(int(c) for c in s)
+        strings = ["".join(map(str, bits)) for n in range(13) for bits in all_words(n)]
+        strings += ["".join(rng.choice("01") for _ in range(rng.randint(0, 4096))) for _ in range(200)]
+        for s in strings:
+            u = BinaryWord.from_string(s)
+            a = u.array.tolist()
+            assert a == [int(c) for c in s]
+            assert BinaryWord.from_array(u.array) == u
+            assert str(u) == s and len(u) == len(a)
+            assert [u[k] for k in range(1, len(s) + 1)] == a
+            assert u.count_ones() == sum(a)
 
     @pytest.mark.parametrize("s", ["0_1", " 01", "01 ", "+01", "0b1", "-1", "\u0661"])
     def test_string_rejects_what_int_would_parse(self, s):
@@ -97,8 +88,8 @@ class TestBinaryWord:
             BinaryWord.from_string(s)
 
     def test_scalar_ops_match_the_array_view(self):
-        # the word operations read the packed bytes and str(word); the numpy
-        # view that the batch kernels use is the reference
+        # the word operations read str(word); the numpy view that the batch
+        # kernels use is the reference
         rng = random.Random(41)
         for _ in range(200):
             n = rng.randint(0, 300)

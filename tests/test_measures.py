@@ -148,14 +148,11 @@ def reference_logprob_prefix_grid(assign, bits, n_list):
     return out
 
 
-def _sloped(b: int) -> float:
-    return 0.4 if b == 0 else 0.4 + 0.2 / (b + 1)
-
-
+# ids "mu", "delta" and "param_fn"; the last case takes the schedule at a p off the root
 ORACLE_MEASURES = [
     BlockAssignment(0.0),
     BlockAssignment(0.05),
-    BlockAssignment(0.03, param_fn=_sloped),
+    BlockAssignment(0.03, p=0.4),
 ]
 
 
@@ -222,24 +219,12 @@ class TestMarkovCylinders:
         with pytest.raises(ValueError):
             MarkovParams(1.0)
 
-    def test_transition_matrix_shape(self):
-        p = MarkovParams(0.25)
-        assert p.initial == (0.25, 0.75)
-        assert p.transition == ((0.25, 0.75), (1.0, 0.0))
-        assert all(abs(sum(row) - 1) < 1e-15 for row in p.transition)
-
 
 class TestChainProducts:
     def test_pmu_examples(self, p_val):
         assert pmu_logprob(p_val, word("000")).value == pytest.approx(3 * math.log2(p_val))
         assert pmu_logprob(p_val, word("10")).value == pytest.approx(math.log2(1 - p_val))
         assert pmu_logprob(p_val, word("11")).is_zero
-        assert pmu_logprob(None, word("0")).value == pytest.approx(math.log2(p_val))
-
-    def test_pmu_accepts_enclosure(self, p_val):
-        from mgms.analytics import solve_p
-
-        assert pmu_logprob(solve_p(), word("0")).value == pytest.approx(math.log2(p_val))
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_pmu_is_chainwise_product(self, p_val, n):
@@ -273,16 +258,6 @@ class TestChainProducts:
         assert pdelta_logprob(a, word("0")).value == pytest.approx(math.log2(p_val))
         expected = 2 * math.log2(p_val) + math.log2(a.param(1))
         assert pdelta_logprob(a, word("000")).value == pytest.approx(expected)
-
-    def test_custom_parameter_schedule(self, p_val):
-        # sign-flipped perturbation via param_fn
-        gamma = 0.5
-        fn = lambda b: p_val if b == 0 else p_val - 0.05 / b ** (1 + gamma)
-        a = BlockAssignment(delta=0.05, param_fn=fn)
-        assert a.param(1) == pytest.approx(p_val - 0.05)
-        assert pdelta_logprob(a, word("000")).value == pytest.approx(
-            2 * math.log2(p_val) + math.log2(p_val - 0.05)
-        )
 
     def test_block_assignment_validation(self):
         with pytest.raises(ValueError):

@@ -25,11 +25,6 @@ def test_determinism_and_key_sensitivity():
     assert a != RandomStream(1, 0, 3).uniform(6)
 
 
-def test_substream_matches_flat_key():
-    base = RandomStream(9, 1)
-    assert base.substream(11).uniform(2) == RandomStream(9, 1, 11).uniform(2)
-
-
 def test_vector_grid_matches_scalar():
     trials = np.array([0, 1, 17], dtype=np.uint64)
     chains = np.array([1, 3, 999], dtype=np.int64)
