@@ -47,12 +47,11 @@ from .core import chain_length_counts, fibonacci, log2_count_cylinders
 from .intervals import (
     CertifiedInterval,
     _common_numerators,
-    _from_iv,
+    _dyadic,
     _iv,
     _iv_horner,
     _iv_mul_ints,
     _powers,
-    _raw_to_fraction,
     iv_entropy_nat,
     iv_ln_ratio,
     iv_log2,
@@ -212,11 +211,12 @@ def s_float() -> float:
 
 
 def _minkowski_K(tol: float) -> int:
-    # smallest K with tail bound (K+2) 2^-(K+1) < tol, using log2 F_{k+1} <= k
+    # smallest K with tail bound (K+2) 2^-(K+1) < tol (log2 F_{k+1} <= k), exactly: 2.0**-(K+1) underflows
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
+    t = Fraction(tol)
     K = 1
-    while (K + 2) * 2.0 ** -(K + 1) >= tol:
+    while (K + 2) * t.denominator >= t.numerator << (K + 1):
         K += 1
     return K
 
@@ -227,30 +227,33 @@ def dim_minkowski(tol: float = 1e-6) -> SeriesValue:
     Here F_{k+1} = `fibonacci(k + 1)` (F_1 = 1, F_2 = 2) counts the golden
     words of length k.  The partial sum runs to the smallest K whose tail bound
     (K+2) 2^-(K+1), from log2 F_{k+1} <= k, is below tol; it is returned
-    with that bound.  Limit value ~0.82429.
+    with that bound, rounded up to a float.  Limit value ~0.82429.
     """
     K = _minkowski_K(tol)
     value = sum(2.0 ** -(k + 1) * math.log2(fibonacci(k + 1)) for k in range(1, K + 1))
-    return SeriesValue(value, (K + 2) * 2.0 ** -(K + 1))
+    bound = math.ldexp(K + 2, -(K + 1))  # exact unless subnormal
+    return SeriesValue(value, bound if bound >= Fraction(K + 2, 2 ** (K + 1)) else math.nextafter(bound, math.inf))
 
 
 def dim_minkowski_enclosure(tol: float = 1e-6) -> CertifiedInterval:
     """Certified enclosure of the Minkowski dimension (partial sum + tail).
 
-    Each term 2^-(k+1) log2 F_{k+1} is enclosed as `iv_log2_int` encloses
-    it, ln(F_{k+1}) / ln 2 in mpmath's interval context, with ln 2 enclosed
-    once per call; the exact dyadic endpoints are scaled and summed as
-    `Fraction`s.
+    Each term 2^-(k+1) log2 F_{k+1} is enclosed as ln(F_{k+1}) / ln 2 in
+    mpmath's interval context, with ln 2 enclosed once per call.  Its
+    dyadic endpoints m 2^e become m 2^(e-k-1); the lower ones, and the upper
+    ones with the exact tail (K+2) 2^-(K+1), are summed exactly as two
+    integers over one power of two, each reduced to `Fraction` once.
     """
     K = _minkowski_K(tol)
     iv = _iv()
     ln2 = iv.log(iv.mpf(2))
-    lo = hi = Fraction(0)
+    ends = ([], [(K + 2, -(K + 1))])  # (m, e) of the lower and upper endpoints
     for k in range(1, K + 1):
-        raw_lo, raw_hi = (iv.log(iv.mpf(fibonacci(k + 1))) / ln2)._mpi_
-        lo += _raw_to_fraction(raw_lo) / 2 ** (k + 1)
-        hi += _raw_to_fraction(raw_hi) / 2 ** (k + 1)
-    return CertifiedInterval(lo, hi + Fraction(K + 2, 2 ** (K + 1)))
+        for end, (m, e) in zip(ends, map(_dyadic, (iv.log(iv.mpf(fibonacci(k + 1))) / ln2)._mpi_)):
+            end.append((m, e - k - 1))
+    e_min = min(e for end in ends for _, e in end)  # <= -(K+1), from the tail
+    lo, hi = (sum(m << (e - e_min) for m, e in end) for end in ends)
+    return CertifiedInterval(Fraction(lo, 1 << -e_min), Fraction(hi, 1 << -e_min))
 
 
 # -- derivative series around p (natural-log scale) -----------------------------
@@ -288,10 +291,11 @@ def _zero_count_jet(m: int, Q: int, E: int, d: int, qm: int, dm: int) -> tuple[i
     return a0, a1, a2
 
 
-def _derivative_series(x: CertifiedInterval, weights: dict[int, CertifiedInterval]) -> CertifiedInterval:
-    """Enclosure of sum_k weights[k] * (H F_{k-1})'(x), keys k >= 1, on closed-form chain terms.
+def _derivative_series(x: CertifiedInterval, weights: dict[int, tuple[int, int]], shift: int) -> CertifiedInterval:
+    """Enclosure of sum_k w_k (H F_{k-1})'(x), keys k >= 1, on closed-form chain terms.
 
-    The weights are positive intervals and x lies inside (0,1).  With
+    weights[k] = (lo, hi) are integers with 0 <= lo <= hi, and w_k is the
+    interval [lo, hi] / 2^shift; x lies inside (0,1).  With
     m = k-1, q = x-1 and u = 1/(2-x), F_{k-1} = 1 + L_m and
 
         L_m = m u - q^2 u^2 + q^(m+2) u^2;
@@ -314,10 +318,10 @@ def _derivative_series(x: CertifiedInterval, weights: dict[int, CertifiedInterva
     H(x) and H'(x) = ln((1-x)/x) are enclosed once for the whole series,
     over one denominator hg.  With x = [n/d, (n+w)/d], q^m and d^m are
     updated once per term, and every term, weight product included, lands
-    over hg d^2 E^4 d^m W, where E = 2d - n and W is the lcm of the weight
-    denominators.  The running sum is multiplied by d when m steps, so no
-    term needs a gcd, and it is reduced to `Fraction` once.  Products take
-    the endpoints `CertifiedInterval` arithmetic takes, so the result is
+    over hg d^2 E^4 d^m 2^shift, where E = 2d - n.  The running sum is
+    multiplied by d when m steps, so no term needs a gcd, and it is reduced
+    to `Fraction` once.  Products take the endpoints `CertifiedInterval`
+    arithmetic takes (`_iv_mul_ints`, inline for the weights), so the result is
     exactly the per-term `CertifiedInterval` sum of (H F' + H' F) times the
     weight.  A term costs O(1) operations on integers of O(m log d) bits,
     and its width does not grow with k: the monomial coefficients of
@@ -330,10 +334,10 @@ def _derivative_series(x: CertifiedInterval, weights: dict[int, CertifiedInterva
     w, Q, E = n_hi - n, n - d, 2 * d - n
     dd, EE = d * d, E * E
     f_slope, df_slope, rem = dd * E * w, dd * d * w, w * w * EE * EE
-    W = math.lcm(*(f.denominator for wt in weights.values() for f in (wt.lo, wt.hi)))
+    f_scale, df_scale = dd * EE, dd * d * E
     lo = hi = 0
     m_at, qm, dm = 0, 1, 1
-    for k, wt in sorted(weights.items()):
+    for k, (w_lo, w_hi) in sorted(weights.items()):
         m = k - 1
         if m > m_at:
             step = d ** (m - m_at)
@@ -342,14 +346,15 @@ def _derivative_series(x: CertifiedInterval, weights: dict[int, CertifiedInterva
         m2, m3 = _jet_bounds(m)
         # F and F' as numerators over dd E^4 dm: center + [0, slope] + [-r, r]
         # (M2 and M3 are even, so the halves are exact)
-        f_c, f_s, f_r = dd * EE * (dm * EE + a0), f_slope * a1, m2 // 2 * rem * dm
-        df_c, df_s, df_r = dd * d * E * a1, df_slope * a2, m3 // 2 * rem * dm
+        rem_m = rem * dm
+        f_c, f_s, f_r = f_scale * (dm * EE + a0), f_slope * a1, m2 // 2 * rem_m
+        df_c, df_s, df_r = df_scale * a1, df_slope * a2, m3 // 2 * rem_m
         hdf_lo, hdf_hi = _iv_mul_ints(h_lo, h_hi, df_c + min(df_s, 0) - df_r, df_c + max(df_s, 0) + df_r)
         gf_lo, gf_hi = _iv_mul_ints(g_lo, g_hi, f_c + min(f_s, 0) - f_r, f_c + max(f_s, 0) + f_r)
-        t_lo, t_hi = _iv_mul_ints(hdf_lo + gf_lo, hdf_hi + gf_hi, wt.lo.numerator * (W // wt.lo.denominator),
-                                  wt.hi.numerator * (W // wt.hi.denominator))
-        lo, hi = lo + t_lo, hi + t_hi
-    den = hg * dd * EE * EE * dm * W
+        t_lo, t_hi = hdf_lo + gf_lo, hdf_hi + gf_hi
+        lo += t_lo * (w_lo if t_lo >= 0 else w_hi)
+        hi += t_hi * (w_hi if t_hi >= 0 else w_lo)
+    den = hg * dd * EE * EE * dm << shift
     return CertifiedInterval(Fraction(lo, den), Fraction(hi, den))
 
 
@@ -371,7 +376,7 @@ def hf_derivative_at(k: int, x: CertifiedInterval) -> CertifiedInterval:
     """
     if k < 1:
         raise ValueError(f"series index must be >= 1, got {k}")
-    term = _derivative_series(x, {k: CertifiedInterval.point(1)})
+    term = _derivative_series(x, {k: (1, 1)}, 0)
     g = iv_ln_ratio(x)
     bound = Fraction(7, 10) * (2 * k + 6) + max(-g.lo, g.hi) * k
     return CertifiedInterval(max(term.lo, -bound), min(term.hi, bound))
@@ -405,9 +410,9 @@ def derivative_series_at_p(K: int) -> CertifiedInterval:
     """
     if K < 1:
         raise ValueError(f"need K >= 1, got {K}")
-    weights = {k: CertifiedInterval.point(Fraction(1, 2 ** (k + 1))) for k in range(1, K + 1)}
+    weights = {k: (1 << (K - k), 1 << (K - k)) for k in range(1, K + 1)}  # 2^-(k+1) over 2^(K+1)
     tail = Fraction(51, 20) * Fraction(K + 3, 2 ** (K + 1))
-    return _derivative_series(solve_p(), weights).widen(tail)
+    return _derivative_series(solve_p(), weights, K + 1).widen(tail)
 
 
 @dataclass(frozen=True)
@@ -495,19 +500,22 @@ def tau_gamma(gamma: float, K: int = 12) -> TauGammaResult:
 
     The tail majorizes k^(1+gamma) by k^m with m = ceil(1+gamma), so gamma
     is limited to (0, 2].  Reports the sign when the tail-widened interval
-    separates from zero, UNKNOWN otherwise.
+    separates from zero, UNKNOWN otherwise.  Each weight k^(1+gamma) is an
+    mpmath enclosure with dyadic endpoints m 2^e; times 2^-(k+1) they are
+    m 2^(e-k-1), shifted onto the least such exponent for the series kernel.
     """
     if not 0 < gamma <= 2:
         raise ValueError(f"gamma must lie in (0, 2], got {gamma}")
     if K < 1:
         raise ValueError(f"need K >= 1, got {K}")
     iv = _iv()
-    weights = {}
+    ends = {}
     for k in range(1, K + 1):
-        # enclosure of the weight k^(1+gamma), times 2^-(k+1)
         w = iv.exp(iv.log(iv.mpf(k)) * iv.mpf(1 + gamma)) if k > 1 else iv.mpf(1)
-        weights[k] = _from_iv(w).scale(Fraction(1, 2 ** (k + 1)))
-    acc = _derivative_series(solve_p(), weights)
+        ends[k] = [(m, e - k - 1) for m, e in map(_dyadic, w._mpi_)]
+    e_min = min(e for end in ends.values() for _, e in end)  # <= -2, from k = 1
+    weights = {k: tuple(m << (e - e_min) for m, e in end) for k, end in ends.items()}
+    acc = _derivative_series(solve_p(), weights, -e_min)
     m = math.ceil(1 + gamma)
     tail = dyadic_tail(lambda k: Fraction(51, 40) * (k ** (m + 1) + k**m), m + 1, K + 1)
     widened = acc.widen(tail)

@@ -12,9 +12,11 @@ as step-by-step `CertifiedInterval` arithmetic.  `analytics` sums whole
 derivative series on integer numerators with `_iv_mul_ints`, and only
 `tau_certify` still runs `_iv_horner`.  Only the transcendental maps round
 (log2, the natural-log entropy and its derivative ln((1-x)/x)); they go
-through mpmath's interval context at 120 bits with outward rounding, and
-the dyadic endpoints convert back to Fraction exactly, so every output
-encloses the true image of its input.  mpmath loads on the first
+through mpmath's interval context at 120 bits with outward rounding, so
+every output encloses the true image of its input.  The endpoints are
+dyadic: `_dyadic` reads each as an integer mantissa and exponent (inf and
+nan raise), `_from_iv` turns them into Fractions exactly, and `analytics`
+sums them as integers over one power of two.  mpmath loads on the first
 transcendental call, through `_iv`, which also sets the 120 bits.
 """
 
@@ -114,11 +116,6 @@ class CertifiedInterval:
 
     __rmul__ = __mul__
 
-    def scale(self, c: Scalar) -> "CertifiedInterval":
-        f = _to_fraction(c)
-        lo, hi = self.lo * f, self.hi * f
-        return CertifiedInterval(min(lo, hi), max(lo, hi))
-
     def widen(self, pad: Scalar) -> "CertifiedInterval":
         f = _to_fraction(pad)
         if f < 0:
@@ -212,13 +209,15 @@ def _iv():
     return iv
 
 
-def _raw_to_fraction(raw: tuple) -> Fraction:
-    sign, man, exp, _ = raw
-    man = int(man)
-    if man == 0:
-        return Fraction(0)
-    val = Fraction(man) * Fraction(2) ** exp
-    return -val if sign else val
+def _dyadic(raw: tuple) -> tuple[int, int]:
+    """(m, e) with m 2^e the value of mpmath's raw (sign, man, exp, bc) tuple; zero reads as (0, 0).
+
+    inf and nan, a zero mantissa with a negative bit count, raise; their exponent is never read.
+    """
+    sign, man, exp, bc = raw
+    if bc < 0:
+        raise ValueError(f"mpmath endpoint is not a finite number: {raw}")
+    return (-int(man) if sign else int(man)), exp
 
 
 def _to_iv(ci: CertifiedInterval):
@@ -233,8 +232,8 @@ def _to_iv(ci: CertifiedInterval):
 
 def _from_iv(x) -> CertifiedInterval:
     # endpoints from the raw mpi tuples: exact, no context-precision rounding
-    raw_a, raw_b = x._mpi_
-    return CertifiedInterval(_raw_to_fraction(raw_a), _raw_to_fraction(raw_b))
+    ends = (_dyadic(raw) for raw in x._mpi_)
+    return CertifiedInterval(*(Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e) for m, e in ends))
 
 
 @lru_cache(maxsize=None)
@@ -249,13 +248,6 @@ def iv_log2(ci: CertifiedInterval) -> CertifiedInterval:
         raise ValueError(f"log of nonpositive interval {ci}")
     iv = _iv()
     return _from_iv(iv.log(_to_iv(ci)) / iv.log(iv.mpf(2)))
-
-
-def iv_log2_int(n: int) -> CertifiedInterval:
-    """Enclosure of log2 of a positive integer."""
-    if n < 1:
-        raise ValueError(f"need a positive integer, got {n}")
-    return iv_log2(CertifiedInterval.point(n))
 
 
 def iv_entropy_nat(ci: CertifiedInterval) -> CertifiedInterval:

@@ -17,7 +17,7 @@ import pytest
 import mgms
 from mgms.analytics import _minkowski_K
 from mgms.core import BinaryWord, fibonacci
-from mgms.intervals import CertifiedInterval, _from_iv, _iv, _to_iv, iv_entropy_nat, iv_ln_ratio, iv_log2_int
+from mgms.intervals import CertifiedInterval, _from_iv, _iv, _to_iv, iv_entropy_nat, iv_ln_ratio, iv_log2
 from mgms.polynomials import EntropyPolynomial, entropy_poly
 
 
@@ -131,7 +131,7 @@ def reference_derivative_partials(x: CertifiedInterval, K: int,
     """[S_1, ..., S_K] with S_K = sum_{k<=K} (H F_{k-1})'(x) / 2^(k+1), before any tail."""
     acc, out = CertifiedInterval.point(0), []
     for k in range(1, K + 1):
-        acc = acc + term(k, x).scale(Fraction(1, 2 ** (k + 1)))
+        acc = acc + term(k, x) * Fraction(1, 2 ** (k + 1))
         out.append(acc)
     return out
 
@@ -140,7 +140,7 @@ def reference_tau_partial_12(x: CertifiedInterval) -> CertifiedInterval:
     """sum_{k<=12} k (H F_{k-1})'(x) / 2^(k+1), on the Horner terms `tau_certify` keeps."""
     acc = CertifiedInterval.point(0)
     for k in range(1, 13):
-        acc = acc + horner_hf_derivative_at(k, x).scale(Fraction(k, 2 ** (k + 1)))
+        acc = acc + horner_hf_derivative_at(k, x) * Fraction(k, 2 ** (k + 1))
     return acc
 
 
@@ -151,7 +151,7 @@ def reference_tau_gamma_partial(x: CertifiedInterval, gamma: float, K: int,
     acc = CertifiedInterval.point(0)
     for k in range(1, K + 1):
         w = iv.exp(iv.log(iv.mpf(k)) * iv.mpf(1 + gamma)) if k > 1 else iv.mpf(1)
-        acc = acc + (term(k, x) * _from_iv(w)).scale(Fraction(1, 2 ** (k + 1)))
+        acc = acc + term(k, x) * _from_iv(w) * Fraction(1, 2 ** (k + 1))
     return acc
 
 
@@ -165,7 +165,8 @@ def object_horner(coeffs, x):
 
 # -- the certified constants on Fractions, one operation at a time ---------------
 # solve_p bisects on integer numerators and dim_minkowski_enclosure sums
-# endpoint Fractions directly; their endpoints must equal these exactly.
+# dyadic endpoints as integers over one power of two; their endpoints must
+# equal these exactly.
 
 
 def reference_solve_p(width) -> CertifiedInterval:
@@ -186,12 +187,19 @@ def reference_solve_p(width) -> CertifiedInterval:
     return CertifiedInterval(lo, hi)
 
 
+def iv_log2_int(n: int) -> CertifiedInterval:
+    """Enclosure of log2 of a positive integer."""
+    if n < 1:
+        raise ValueError(f"need a positive integer, got {n}")
+    return iv_log2(CertifiedInterval.point(n))
+
+
 def reference_dim_minkowski_enclosure(tol: float) -> CertifiedInterval:
     """sum_{k<=K} 2^-(k+1) log2 F_{k+1} as one CertifiedInterval per term, plus the tail."""
     K = _minkowski_K(tol)
     acc = CertifiedInterval.point(0)
     for k in range(1, K + 1):
-        acc = acc + iv_log2_int(fibonacci(k + 1)).scale(Fraction(1, 2 ** (k + 1)))
+        acc = acc + iv_log2_int(fibonacci(k + 1)) * Fraction(1, 2 ** (k + 1))
     return CertifiedInterval(acc.lo, acc.hi + Fraction(K + 2, 2 ** (K + 1)))
 
 

@@ -9,13 +9,16 @@ import pytest
 import sympy
 from scipy.optimize import minimize_scalar
 
+import mgms.analytics as analytics
 from mgms.analytics import (
     A_closed,
     A_series,
     CertificationError,
     Gauge,
     GaugeFamily,
+    _derivative_series,
     _jet_bounds,
+    _minkowski_K,
     _zero_count_jet,
     binary_entropy,
     derivative_series_at_p,
@@ -234,6 +237,16 @@ class TestDimensions:
         got, ref = dim_minkowski_enclosure(tol), reference_dim_minkowski_enclosure(tol)
         assert (got.lo, got.hi) == (ref.lo, ref.hi)
 
+    @pytest.mark.parametrize("tol", [5e-324, 1e-322, 2e-321, 1e-320, 1e-6])
+    def test_minkowski_cutoff_is_exact(self, tol):
+        # 2.0 ** -(K+1) underflows to 0 at K = 1074; the cutoff and the float tail must not.
+        # At 2e-321, K = 1075 and the tail is 269.25 subnormal ulps: rounding to nearest falls below it
+        K = _minkowski_K(tol)
+        exact_tail = Fraction(K + 2, 2 ** (K + 1))
+        assert exact_tail < Fraction(tol) <= Fraction(K + 1, 2**K)
+        tail = dim_minkowski(tol).tail_bound
+        assert tail > 0 and Fraction(tail) >= exact_tail
+
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
     def test_non_finite_tol_rejected(self, tol):
         # a NaN tolerance used to fall through every comparison and give K = 1
@@ -268,7 +281,7 @@ class TestDerivativeSeries:
         p = solve_p()
         s1 = derivative_series_at_p(1)
         s2 = derivative_series_at_p(2)
-        term2 = hf_derivative_at(2, p).scale(Fraction(1, 8))
+        term2 = hf_derivative_at(2, p) * Fraction(1, 8)
         # midpoints differ by exactly the k=2 term (tails differ separately)
         assert float(abs((s2.midpoint - s1.midpoint) - term2.midpoint)) < 1e-20 + float(
             (s1.width + s2.width + term2.width)
@@ -356,6 +369,36 @@ class TestSeriesKernelMatchesFractionLoops:
 
     def test_tau_partial(self):
         assert same_endpoints(tau_certify().partial_12, reference_tau_partial_12(solve_p()))
+
+    @pytest.mark.parametrize("shift", [0, 7])
+    def test_kernel_takes_integer_weights_over_a_power_of_two(self, shift):
+        # k = 1 is the term (H F_0)'(p) = H'(p) < 0, so its unequal weight runs the w_hi branch
+        p = solve_p()
+        weights = {k: (3, 5) if k % 2 else (1, 1) for k in range(1, 25)}
+        ref = CertifiedInterval.point(0)
+        for k, (lo, hi) in weights.items():
+            w = CertifiedInterval(Fraction(lo, 2**shift), Fraction(hi, 2**shift))
+            ref = ref + reference_hf_derivative_at(k, p) * w
+        assert reference_hf_derivative_at(1, p).hi < 0
+        assert same_endpoints(_derivative_series(p, weights, shift), ref)
+
+    def test_sums_build_no_fraction_per_term(self, monkeypatch):
+        built = []
+
+        class CountingFraction(Fraction):
+            def __new__(cls, *args, **kwargs):
+                built.append(args)
+                return Fraction(*args, **kwargs)
+
+        solve_p()
+        monkeypatch.setattr(analytics, "Fraction", CountingFraction)
+        counts = []
+        for call in (lambda: derivative_series_at_p(40), lambda: derivative_series_at_p(120),
+                     lambda: dim_minkowski_enclosure(1e-6), lambda: dim_minkowski_enclosure(1e-30)):
+            built.clear()
+            call()
+            counts.append(len(built))
+        assert counts[0] == counts[1] and counts[2] == counts[3], counts
 
     @pytest.mark.parametrize("gamma,K", [(0.5, 20), (0.5, 12), (1, 30), (2, 5), (0.1, 1)])
     def test_tau_gamma(self, gamma, K):

@@ -9,19 +9,21 @@ import pytest
 from mgms.intervals import (
     CertifiedInterval,
     _common_numerators,
+    _dyadic,
+    _from_iv,
+    _iv,
     _iv_horner,
     _iv_mul_ints,
     _powers,
     iv_entropy_nat,
     iv_ln_ratio,
     iv_log2,
-    iv_log2_int,
     iv_polyval,
     ln2_interval,
 )
 from mgms.polynomials import entropy_poly
 
-from conftest import iv_ln, iv_log2_ratio, object_horner
+from conftest import iv_ln, iv_log2_int, iv_log2_ratio, object_horner
 
 
 def box(a, b) -> CertifiedInterval:
@@ -36,7 +38,7 @@ def test_ring_ops_are_exact():
     z = x * y
     assert z.lo == Fraction(-1) and z.hi == Fraction(5, 2)
     assert (x - x).contains_zero()  # dependency-blind but sound
-    assert x.scale(Fraction(-2)).lo == Fraction(-1)
+    assert (x * Fraction(-2)).lo == Fraction(-1)
 
 
 def test_ordering_validation():
@@ -77,6 +79,17 @@ def test_log_enclosures():
         iv_ln(box(-1, 2))
     with pytest.raises(ValueError):
         iv_log2_int(0)
+
+
+def test_dyadic_reader():
+    iv = _iv()
+    assert [_dyadic(raw) for raw in iv.mpf([-3, 0.375])._mpi_] == [(-3, 0), (3, -3)]
+    assert _dyadic(iv.mpf(0)._mpi_[0]) == (0, 0)
+    assert _from_iv(iv.mpf([-3, 2**70])) == box(-3, 2**70)
+    # an unbounded or nan endpoint must not read as 0
+    for x in (iv.mpf([-math.inf, math.inf]), iv.mpf([1, math.inf]), iv.mpf(math.nan)):
+        with pytest.raises(ValueError):
+            _from_iv(x)
 
 
 def test_ln2_interval():
