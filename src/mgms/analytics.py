@@ -3,18 +3,20 @@
 Everything here is either exact (rational arithmetic), certified (interval
 enclosures with rigorous tails), or an explicitly labelled float formula.
 
-The derivative series around p (`derivative_series_at_p`, `tau_gamma`,
-and `hf_derivative_at` as a one-term series) go through one kernel,
-`_derivative_series`.  It takes F_{k-1} = 1 + L_{k-1} in closed form, so
-a term costs O(1) integer operations instead of a degree-(k-1) Horner
-run, and encloses F_{k-1} and F'_{k-1} by a second-order Taylor form
-whose remainder bound holds on every interval inside (0,1).  H(p) and
-H'(p) are enclosed once per series, every term and the running sum stay
-integer numerators, and the sum is reduced to `Fraction` once; the
-endpoints equal those of per-term `CertifiedInterval` arithmetic exactly.
-`tau_certify` alone still sums its twelve terms by interval Horner on the
-coefficients of F_{k-1} (`_tau_partial_12`), which keeps its certificate
-byte for byte.
+The derivative series around p take F_{k-1} = 1 + L_{k-1} in closed form
+and enclose F_{k-1} and F'_{k-1} by a second-order Taylor form whose
+remainder bound holds on every interval inside (0,1).  `tau_gamma` and
+`hf_derivative_at` (a one-term series) sum term by term in one kernel,
+`_derivative_series`: a term costs O(1) integer operations instead of a
+degree-(k-1) Horner run, every term and the running sum stay integer
+numerators, and the endpoints equal those of per-term `CertifiedInterval`
+arithmetic exactly.  `derivative_series_at_p(K)` has weights 2^-(k+1),
+so its whole truncated sum G_K = sum F_{k-1} / 2^(k+1) is closed-form
+(`_truncated_jet`): it is (H G_K)'(p), evaluated once in outward-rounded
+fixed point over 2^256, and lies inside the per-term sum widened by that
+rounding alone.  `tau_certify` still sums its twelve terms by interval
+Horner on the coefficients of F_{k-1} (`_tau_partial_12`), which keeps its
+certificate byte for byte.
 
 Conventions.  Entropy comes in two scales and both are used deliberately:
 
@@ -45,6 +47,7 @@ from typing import NamedTuple, Optional
 
 from .core import chain_length_counts, fibonacci, log2_count_cylinders
 from .intervals import (
+    _FIX_BITS,
     CertifiedInterval,
     _common_numerators,
     _dyadic,
@@ -52,6 +55,7 @@ from .intervals import (
     _iv_horner,
     _iv_mul_ints,
     _powers,
+    _round_out,
     iv_entropy_nat,
     iv_ln_ratio,
     iv_log2,
@@ -291,11 +295,13 @@ def _zero_count_jet(m: int, Q: int, E: int, d: int, qm: int, dm: int) -> tuple[i
     return a0, a1, a2
 
 
-def _derivative_series(x: CertifiedInterval, weights: dict[int, tuple[int, int]], shift: int) -> CertifiedInterval:
+def _derivative_series(x: CertifiedInterval, h: CertifiedInterval, g: CertifiedInterval,
+                       weights: dict[int, tuple[int, int]], shift: int) -> CertifiedInterval:
     """Enclosure of sum_k w_k (H F_{k-1})'(x), keys k >= 1, on closed-form chain terms.
 
-    weights[k] = (lo, hi) are integers with 0 <= lo <= hi, and w_k is the
-    interval [lo, hi] / 2^shift; x lies inside (0,1).  With
+    h and g enclose H(x) and H'(x) = ln((1-x)/x) (`iv_entropy_nat`,
+    `iv_ln_ratio`); weights[k] = (lo, hi) are integers with 0 <= lo <= hi,
+    and w_k is the interval [lo, hi] / 2^shift; x lies inside (0,1).  With
     m = k-1, q = x-1 and u = 1/(2-x), F_{k-1} = 1 + L_m and
 
         L_m = m u - q^2 u^2 + q^(m+2) u^2;
@@ -315,10 +321,10 @@ def _derivative_series(x: CertifiedInterval, weights: dict[int, tuple[int, int]]
     (0,1): there -1 < q < 0 and 1/2 < u < 1, so |c q^j u^i| <= |c| for
     each monomial, and the triangle inequality sums these.
 
-    H(x) and H'(x) = ln((1-x)/x) are enclosed once for the whole series,
-    over one denominator hg.  With x = [n/d, (n+w)/d], q^m and d^m are
-    updated once per term, and every term, weight product included, lands
-    over hg d^2 E^4 d^m 2^shift, where E = 2d - n.  The running sum is
+    H(x) and H'(x) are put over one denominator hg for the whole series.
+    With x = [n/d, (n+w)/d], q^m and d^m are updated once per term, and
+    every term, weight product included, lands over hg d^2 E^4 d^m 2^shift,
+    where E = 2d - n.  The running sum is
     multiplied by d when m steps, so no term needs a gcd, and it is reduced
     to `Fraction` once.  Products take the endpoints `CertifiedInterval`
     arithmetic takes (`_iv_mul_ints`, inline for the weights), so the result is
@@ -327,7 +333,6 @@ def _derivative_series(x: CertifiedInterval, weights: dict[int, tuple[int, int]]
     and its width does not grow with k: the monomial coefficients of
     F_{k-1}, which grow like 2^k, are never formed.
     """
-    h, g = iv_entropy_nat(x), iv_ln_ratio(x)
     hg = math.lcm(h.lo.denominator, h.hi.denominator, g.lo.denominator, g.hi.denominator)
     h_lo, h_hi, g_lo, g_hi = (f.numerator * (hg // f.denominator) for f in (h.lo, h.hi, g.lo, g.hi))
     n, n_hi, d = _common_numerators(x)
@@ -376,8 +381,8 @@ def hf_derivative_at(k: int, x: CertifiedInterval) -> CertifiedInterval:
     """
     if k < 1:
         raise ValueError(f"series index must be >= 1, got {k}")
-    term = _derivative_series(x, {k: (1, 1)}, 0)
     g = iv_ln_ratio(x)
+    term = _derivative_series(x, iv_entropy_nat(x), g, {k: (1, 1)}, 0)
     bound = Fraction(7, 10) * (2 * k + 6) + max(-g.lo, g.hi) * k
     return CertifiedInterval(max(term.lo, -bound), min(term.hi, bound))
 
@@ -400,19 +405,107 @@ def dyadic_tail(f, degree: int, K: int) -> Fraction:
     return 2 * total / 2**K
 
 
+def _truncated_jet(K: int, n: int, d: int) -> tuple[tuple[tuple[int, int], ...], tuple[int, int]]:
+    """Fixed-point enclosures of G_K, G_K', G_K'' at a = n/d in (0,1), and the two remainder sums.
+
+    G_K = sum_{k<=K} F_{k-1} / 2^(k+1) = sum_{m<K} w_m (1 + L_m), w_m = 2^-(m+2).
+    Summing the numerators of `_zero_count_jet` against w_m, with Q = n - d,
+    E = 2d - n, A = sum w_m = 1/2 - 2^-(K+1) and B = sum m w_m
+    = 1/2 - (K+1) 2^-(K+1), gives
+
+        G_K   = A + [(B dE - A Q^2) + Q^2 s0] / E^2,
+        G_K'  = d [(B dE - 2A QE - 2A Q^2) + QE s1 + 2Q^2 s0] / E^3,
+        G_K'' = d^2 [(2B dE - 2A E^2 - 8A QE - 6A Q^2) + E^2 s2 + 4QE s1 + 6Q^2 s0] / E^4,
+
+    where s0, s1 and s2 are the sums of w_m q^m, w_m (m+2) q^m and
+    w_m (m+2)(m+1) q^m, q = Q/d.  They are geometric in z = q/2: with
+    t = z^K, c = z/(1-z) = Q/D and D = 3d - n, s_i = d b_i / (2D) for
+
+        b0 = 1 - t,  b1 = 2 - (K+2) t + c b0,  b2 = 2 - (K+2)(K+1) t + 2c b1,
+
+    which is z^2 (1 - z^K)/(1 - z) = sum_{m<K} z^(m+2) and its first two
+    derivatives in z.  Only t grows with K: its exact numerator has
+    K log2(2d) bits.  So t is enclosed in fixed point by repeated
+    squaring (`_round_out`, O(log K) products of _FIX_BITS-bit integers),
+    and G_K, G_K' and G_K'', affine in t, are evaluated exactly at both
+    ends of that enclosure and rounded outward once each, to integer pairs
+    over 2^_FIX_BITS.
+
+    The remainder sums sum_{m<K} w_m M2(m) and sum_{m<K} w_m M3(m) of
+    `_jet_bounds` are returned exactly, as numerators over 2^(K+1): for a
+    polynomial f, sum_{m>=K} f(m) 2^-m = 2^(1-K) sum_i (Delta^i f)(K), and
+    sum_i Delta^i M2 = K^2 + 11K + 44, sum_i Delta^i M3 = K^3 + 12K^2 + 71K + 228.
+    """
+    S = 1 << _FIX_BITS
+    Q, E, D, N = n - d, 2 * d - n, 3 * d - n, 1 << (K + 1)
+    A, B = (1 << K) - 1, (1 << K) - K - 1  # A N and B N
+    t, z, e = (S, S), _round_out(Q << _FIX_BITS, Q << _FIX_BITS, 2 * d), K
+    while e:
+        if e & 1:
+            t = _round_out(*_iv_mul_ints(*t, *z), S)
+        z, e = _round_out(*_iv_mul_ints(*z, *z), S), e >> 1
+    QQ, QE, EE = Q * Q, Q * E, E * E
+    R = 2 * S * D**3
+    poly = (R * (A * EE + B * d * E - A * QQ), R * (B * d * E - 2 * A * QE - 2 * A * QQ),
+            R * (2 * B * d * E - 2 * A * EE - 8 * A * QE - 6 * A * QQ))
+    ends = []
+    for tn in t:  # numerators of G_K S, G_K' S and G_K'' S over 2 N D^3 E^(2,3,4), at t = tn / S
+        b0 = S - tn
+        b1 = D * (2 * S - (K + 2) * tn) + Q * b0  # S D b1
+        b2 = D * D * (2 * S - (K + 2) * (K + 1) * tn) + 2 * Q * b1  # S D^2 b2
+        e0, e1, e2 = d * D * D * b0, d * D * b1, d * b2  # s_i = e_i / (2 S D^3)
+        ends.append((poly[0] + N * QQ * e0,
+                     d * (poly[1] + N * (QE * e1 + 2 * QQ * e0)),
+                     d * d * (poly[2] + N * (EE * e2 + 4 * QE * e1 + 6 * QQ * e0))))
+    den = 2 * N * D**3 * EE
+    jet = tuple(_round_out(min(lo, hi), max(lo, hi), den * E**i) for i, (lo, hi) in enumerate(zip(*ends)))
+    m2 = (56 << (K - 1)) - (K * K + 11 * K + 44)
+    m3 = (312 << (K - 1)) - (K**3 + 12 * K * K + 71 * K + 228)
+    return jet, (m2, m3)
+
+
 def derivative_series_at_p(K: int) -> CertifiedInterval:
     """Enclosure of sum_k (H F_{k-1})'(p) / 2^(k+1), widened by a rigorous tail.
 
     The infinite series vanishes (p maximizes A), so the returned interval
-    must contain 0.  Tail: |(H F_{k-1})'(p)| <= 0.7(3k+3) + 0.3(3k+3)/2
-    = 2.55 (k+1), summing to 2.55 (K+3) 2^-(K+1).  Past K ~ 110 the width
-    stays near 3.17e-24, the enclosure of p propagated through H and H'.
+    must contain 0.  The partial sum is (H G_K)'(x) = H G_K' + H' G_K on
+    x = solve_p() = [a, b], with G_K = sum_{k<=K} F_{k-1} / 2^(k+1) in
+    closed form (`_truncated_jet`).  G_K and G_K' are enclosed on x by the
+    one-sided Taylor form of `_derivative_series`, at a:
+
+        G_K(x)  in G_K(a)  + [0, b-a] G_K'(a)  + [-1, 1] (b-a)^2 sum w_m M2(m) / 2,
+        G_K'(x) in G_K'(a) + [0, b-a] G_K''(a) + [-1, 1] (b-a)^2 sum w_m M3(m) / 2,
+
+    and combined with the mpmath enclosures of H and H' in fixed point over
+    2^_FIX_BITS, every step rounded outward.  By subdistributivity this lies
+    inside the per-term sum of (H F' + H' F) / 2^(k+1), widened only by the
+    rounding, a few units of 2^-_FIX_BITS, and at p the two widths differ
+    by no more than that.  The cost is O(log K) operations on integers of a few hundred
+    bits plus K bits for A and B, and the endpoints stay near _FIX_BITS
+    bits before the tail.  Tail: |(H F_{k-1})'(p)| <= 0.7(3k+3) + 0.3(3k+3)/2
+    = 2.55 (k+1), summing to 2.55 (K+3) 2^-(K+1), added exactly.  The width
+    is 1.0e-10 at K = 40, 1.8e-22 at K = 80, and from K ~ 110 on about
+    3.17e-24, the enclosure of p propagated through H and H'.
     """
     if K < 1:
         raise ValueError(f"need K >= 1, got {K}")
-    weights = {k: (1 << (K - k), 1 << (K - k)) for k in range(1, K + 1)}  # 2^-(k+1) over 2^(K+1)
+    x = solve_p()
+    n, n_hi, d = _common_numerators(x)
+    w, S = n_hi - n, 1 << _FIX_BITS
+    (g0, g1, g2), (m2, m3) = _truncated_jet(K, n, d)
+
+    def taylor(c, s, m):  # c + [0, w/d] s + [-1, 1] (w/d)^2 m / 2^(K+2), over 2^_FIX_BITS
+        s_lo, s_hi = _round_out(w * min(s[0], 0), w * max(s[1], 0), d)
+        r = w * w * m << _FIX_BITS
+        r_lo, r_hi = _round_out(-r, r, d * d << (K + 2))
+        return c[0] + s_lo + r_lo, c[1] + s_hi + r_hi
+
+    h, g = (_common_numerators(f(x)) for f in (iv_entropy_nat, iv_ln_ratio))
+    h, g = (_round_out(lo << _FIX_BITS, hi << _FIX_BITS, den) for lo, hi, den in (h, g))
+    hdg, gg = _iv_mul_ints(*h, *taylor(g1, g2, m3)), _iv_mul_ints(*g, *taylor(g0, g1, m2))
+    lo, hi = _round_out(hdg[0] + gg[0], hdg[1] + gg[1], S)
     tail = Fraction(51, 20) * Fraction(K + 3, 2 ** (K + 1))
-    return _derivative_series(solve_p(), weights, K + 1).widen(tail)
+    return CertifiedInterval(Fraction(lo, S), Fraction(hi, S)).widen(tail)
 
 
 @dataclass(frozen=True)
@@ -515,7 +608,8 @@ def tau_gamma(gamma: float, K: int = 12) -> TauGammaResult:
         ends[k] = [(m, e - k - 1) for m, e in map(_dyadic, w._mpi_)]
     e_min = min(e for end in ends.values() for _, e in end)  # <= -2, from k = 1
     weights = {k: tuple(m << (e - e_min) for m, e in end) for k, end in ends.items()}
-    acc = _derivative_series(solve_p(), weights, -e_min)
+    p = solve_p()
+    acc = _derivative_series(p, iv_entropy_nat(p), iv_ln_ratio(p), weights, -e_min)
     m = math.ceil(1 + gamma)
     tail = dyadic_tail(lambda k: Fraction(51, 40) * (k ** (m + 1) + k**m), m + 1, K + 1)
     widened = acc.widen(tail)

@@ -10,10 +10,14 @@ products (`_iv_mul_ints`) form only the two endpoint products min/max would
 pick when a factor is nonnegative, so the endpoints are the same rationals
 as step-by-step `CertifiedInterval` arithmetic.  `analytics` sums whole
 derivative series on integer numerators with `_iv_mul_ints`, and only
-`tau_certify` still runs `_iv_horner`.  Only the transcendental maps round
-(log2, the natural-log entropy and its derivative ln((1-x)/x)); they go
-through mpmath's interval context at 120 bits with outward rounding, so
-every output encloses the true image of its input.  The endpoints are
+`tau_certify` still runs `_iv_horner`.  Two things round, always outward,
+so every output encloses the true image of its input.  The transcendental
+maps (log2, the natural-log entropy and its derivative ln((1-x)/x)) go
+through mpmath's interval context at 120 bits.  And fixed-point intervals,
+integer pairs over 2^_FIX_BITS (256 bits), round each product and
+quotient with `_round_out`, floor below and ceiling above;
+`analytics.derivative_series_at_p` evaluates its closed form in them, so
+no endpoint grows with the number of terms.  The mpmath endpoints are
 dyadic: `_dyadic` reads each as an integer mantissa and exponent (inf and
 nan raise), `_from_iv` turns them into Fractions exactly, and `analytics`
 sums them as integers over one power of two.  mpmath loads on the first
@@ -137,6 +141,21 @@ def _iv_mul_ints(a_lo: int, a_hi: int, b_lo: int, b_hi: int) -> tuple[int, int]:
         return a_lo * (b_lo if a_lo >= 0 else b_hi), a_hi * (b_hi if a_hi >= 0 else b_lo)
     products = (a_lo * b_lo, a_lo * b_hi, a_hi * b_lo, a_hi * b_hi)
     return min(products), max(products)
+
+
+_FIX_BITS = 256  # a fixed-point interval is an integer pair (lo, hi) standing for [lo, hi] / 2^_FIX_BITS
+
+
+def _round_out(lo: int, hi: int, den: int) -> tuple[int, int]:
+    """The integer interval [floor(lo/den), ceil(hi/den)] around [lo, hi]/den, for den > 0.
+
+    This is the one rounding of fixed-point arithmetic: a rational r = n/d
+    enters as `_round_out(n << _FIX_BITS, n << _FIX_BITS, d)`, and a product
+    of two fixed-point intervals (`_iv_mul_ints`) returns to 2^-_FIX_BITS
+    through `_round_out(lo, hi, 1 << _FIX_BITS)`.  Outward, so the result
+    encloses its input.
+    """
+    return lo // den, -(-hi // den)
 
 
 def _common_numerators(x: CertifiedInterval) -> tuple[int, int, int]:

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import mgms
-from mgms.analytics import _minkowski_K
+from mgms.analytics import _jet_bounds, _minkowski_K
 from mgms.core import BinaryWord, fibonacci
 from mgms.intervals import CertifiedInterval, _from_iv, _iv, _to_iv, iv_entropy_nat, iv_ln_ratio, iv_log2
 from mgms.polynomials import EntropyPolynomial, entropy_poly
@@ -94,9 +94,11 @@ def entropy_poly_closed_form(k: int) -> EntropyPolynomial:
 # -- the derivative series around p, one CertifiedInterval operation at a time --
 # The package's integer-numerator series kernel takes F_{k-1} = 1 + L_{k-1} and
 # F'_{k-1} in a second-order Taylor form with closed-form chain terms; its
-# endpoints must equal these per-term Fraction loops exactly.  `tau_certify`
-# alone keeps interval Horner on the coefficients of F_{k-1}, which
-# `horner_hf_derivative_at` reproduces.
+# endpoints must equal these per-term Fraction loops exactly.
+# `derivative_series_at_p` sums the same terms in closed form, in fixed point,
+# and must lie inside the per-term loop widened by its rounding budget.
+# `tau_certify` alone keeps interval Horner on the coefficients of F_{k-1},
+# which `horner_hf_derivative_at` reproduces.
 
 
 def reference_zero_count_jet(m: int, a: Fraction) -> tuple[Fraction, Fraction, Fraction]:
@@ -107,6 +109,17 @@ def reference_zero_count_jet(m: int, a: Fraction) -> tuple[Fraction, Fraction, F
     L2 = (2 * m * u**3 - 2 * u**2 - 8 * q * u**3 - 6 * q**2 * u**4 + (m + 2) * (m + 1) * q**m * u**2
           + 4 * (m + 2) * q ** (m + 1) * u**3 + 6 * q ** (m + 2) * u**4)
     return L0, L1, L2
+
+
+def reference_truncated_jet(K: int, a: Fraction) -> tuple[Fraction, ...]:
+    """(G_K, G_K', G_K'') at a, G_K = sum_{k<=K} F_{k-1} / 2^(k+1), and the remainder sums
+    sum_{m<K} M2(m) / 2^(m+2) and sum_{m<K} M3(m) / 2^(m+2), all summed term by term."""
+    sums = [Fraction(0)] * 5
+    for m in range(K):
+        L0, L1, L2 = reference_zero_count_jet(m, a)
+        for i, v in enumerate((1 + L0, L1, L2, *_jet_bounds(m))):
+            sums[i] += Fraction(v, 2 ** (m + 2))
+    return tuple(sums)
 
 
 def reference_hf_derivative_at(k: int, x: CertifiedInterval) -> CertifiedInterval:

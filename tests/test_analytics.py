@@ -19,6 +19,7 @@ from mgms.analytics import (
     _derivative_series,
     _jet_bounds,
     _minkowski_K,
+    _truncated_jet,
     _zero_count_jet,
     binary_entropy,
     derivative_series_at_p,
@@ -40,7 +41,7 @@ from mgms.analytics import (
     tau_gamma,
 )
 from mgms.core import chain_partition, iter_golden_words, iter_multiplicative_prefixes
-from mgms.intervals import CertifiedInterval, iv_entropy_nat, iv_ln_ratio, ln2_interval
+from mgms.intervals import _FIX_BITS, CertifiedInterval, iv_entropy_nat, iv_ln_ratio, ln2_interval
 from mgms.measures import MarkovParams, markov_cylinder_logprob, pmu_logprob
 from mgms.polynomials import _coefficient_rows, entropy_poly
 
@@ -53,6 +54,7 @@ from conftest import (
     reference_solve_p,
     reference_tau_gamma_partial,
     reference_tau_partial_12,
+    reference_truncated_jet,
     reference_zero_count_jet,
 )
 
@@ -319,14 +321,15 @@ def endpoint_digest(ci) -> str:
 
 
 def test_enclosure_endpoints_are_frozen():
-    # sha256 of the exact num/den endpoints as the step-by-step CertifiedInterval
-    # loops of conftest produce them: the Taylor-form closed-form terms for the
-    # K80, K120 and tau_gamma series, interval Horner for tau's partial_12; any
-    # change of representation must keep them
+    # sha256 of the exact num/den endpoints: for K80 and K120 those of the
+    # closed form (H G_K)'(p) in fixed point over 2^256; for tau_gamma those
+    # of the step-by-step CertifiedInterval loop of conftest on the Taylor-form
+    # closed-form terms, and interval Horner for tau's partial_12; any change
+    # of representation must keep them
     assert endpoint_digest(derivative_series_at_p(80)) == (
-        "5dbbd422108925b5b7ce503b43b5dfe525af547338c5115ea5db023f2df7d0bf")
+        "b94c27a5abca014b8c50b185284ca6fb28a8d9775f46edb962f71cc7c631172e")
     assert endpoint_digest(derivative_series_at_p(120)) == (
-        "6dd4255356ce431923b9de895ec6264779b88bb296597210f0bb2b76c43972df")
+        "5d8bd8735eb267033425f4d79fd882ed954d1e7f37a58c199936216a22fc2dde")
     assert endpoint_digest(tau_certify().partial_12) == (
         "910fc9b4f0bbf9841657aa304e091b449d1676552dac301813eb97d1928ab4cb")
     assert endpoint_digest(tau_gamma(0.5, 20).value) == (
@@ -337,18 +340,60 @@ def same_endpoints(a, b) -> bool:
     return a.lo == b.lo and a.hi == b.hi
 
 
+# the fixed-point rounding derivative_series_at_p may add to the per-term sum
+BUDGET = Fraction(1, 2**200)
+
+
 class TestSeriesKernelMatchesFractionLoops:
-    """The integer-numerator series kernel against the per-term CertifiedInterval loops:
-    the Taylor-form closed-form terms, and interval Horner for tau's partial_12."""
+    """The series kernels against the per-term CertifiedInterval loops: the Taylor-form
+    closed-form terms, and interval Horner for tau's partial_12."""
 
     @pytest.fixture(scope="class")
     def partials(self):
         return reference_derivative_partials(solve_p(), 130)
 
     def test_derivative_series_every_K(self, partials):
+        # the closed form lies inside the per-term sum widened by the budget, contains 0,
+        # is no wider but for the budget (the benchmark records the looser Horner
+        # widths), and keeps the per-term width to 6 digits
         for K, acc in enumerate(partials, 1):
             tail = Fraction(51, 20) * Fraction(K + 3, 2 ** (K + 1))
-            assert same_endpoints(derivative_series_at_p(K), acc.widen(tail)), K
+            ref, got = acc.widen(tail), derivative_series_at_p(K)
+            assert ref.lo - BUDGET <= got.lo and got.hi <= ref.hi + BUDGET, K
+            assert got.contains_zero(), K
+            assert got.width <= ref.width + BUDGET, K
+            assert abs(got.width - ref.width) <= ref.width / 10**6, K
+
+    @pytest.mark.parametrize("K", [1, 2, 3, 40, 130])
+    @pytest.mark.parametrize("a", [None, Fraction(1, 5), Fraction(1, 2), Fraction(3, 4)],
+                             ids=["p_lo", "one_fifth", "half", "three_quarters"])
+    def test_truncated_jet_contains_the_oracle(self, K, a):
+        # fixed-point G_K, G_K', G_K'' enclose the exact Fraction sums with width
+        # at most the budget; the remainder sums are exact
+        a = solve_p().lo if a is None else a
+        jet, (m2, m3) = _truncated_jet(K, a.numerator, a.denominator)
+        ref = reference_truncated_jet(K, a)
+        for (lo, hi), exact in zip(jet, ref):
+            assert Fraction(lo, 2**_FIX_BITS) <= exact <= Fraction(hi, 2**_FIX_BITS)
+            assert Fraction(hi - lo, 2**_FIX_BITS) <= BUDGET
+        assert (Fraction(m2, 2 ** (K + 1)), Fraction(m3, 2 ** (K + 1))) == ref[3:]
+
+    def test_benchmark_tau_gamma_width_is_pinned(self):
+        # the benchmark records the Horner width, 3.03e-23; the series widths it
+        # records are pinned by test_derivative_series_every_K
+        assert tau_gamma(0.5, 20).value.width < Fraction(199, 10**25)
+
+    def test_very_long_series_contains_zero_narrowly(self):
+        # a K-term integer sum would carry endpoints of O(K^2) bits
+        enc = derivative_series_at_p(5000)
+        assert enc.contains_zero()
+        assert enc.width < Fraction(4, 10**24)
+
+    def test_single_term_encloses_ln_ratio_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(analytics, "iv_ln_ratio", lambda x, real=iv_ln_ratio: calls.append(x) or real(x))
+        hf_derivative_at(2, solve_p())
+        assert len(calls) == 1
 
     def test_single_terms(self):
         p = solve_p()
@@ -380,7 +425,7 @@ class TestSeriesKernelMatchesFractionLoops:
             w = CertifiedInterval(Fraction(lo, 2**shift), Fraction(hi, 2**shift))
             ref = ref + reference_hf_derivative_at(k, p) * w
         assert reference_hf_derivative_at(1, p).hi < 0
-        assert same_endpoints(_derivative_series(p, weights, shift), ref)
+        assert same_endpoints(_derivative_series(p, iv_entropy_nat(p), iv_ln_ratio(p), weights, shift), ref)
 
     def test_sums_build_no_fraction_per_term(self, monkeypatch):
         built = []
