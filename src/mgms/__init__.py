@@ -3,7 +3,7 @@
 Binary sequences with x_k * x_{2k} = 0 decompose along the dyadic chains
 J(i) = {i, 2i, 4i, ...} into independent copies of the golden mean shift.
 This package implements the computable side of that picture: exact word
-combinatorics and counting, log-domain Markov/product measures with
+operations and cylinder counts, log-domain Markov/product measures with
 reproducible samplers, certified dimension constants (Hausdorff exponent
 s = -log2 p with p^3 = (1-p)^2, Minkowski dimension as a Fibonacci
 series), the entropy-polynomial calculus with a certified positive series
@@ -26,17 +26,12 @@ from importlib import import_module
 
 _EXPORTS = {
     "analytics": (
-        "A_closed", "A_series", "CertificationError", "Gauge", "GaugeFamily", "binary_entropy",
-        "box_dimension_estimate", "covering_sum", "derivative_series_at_p", "dim_minkowski",
-        "entropy_nat", "expected_zero_count_chain", "expected_zero_count_prefix", "gauge_log2",
-        "hausdorff_dim", "hf_derivative_at", "partition_entropy", "p_float", "solve_p",
-        "tau_certify", "tau_gamma",
+        "CertificationError", "Gauge", "GaugeFamily", "binary_entropy", "box_dimension_estimate",
+        "covering_sum", "derivative_series_at_p", "dim_minkowski", "expected_zero_count_chain",
+        "expected_zero_count_prefix", "gauge_log2", "hausdorff_dim", "partition_entropy", "p_float",
+        "solve_p", "tau_certify", "tau_gamma",
     ),
-    "core": (
-        "BinaryWord", "chain_length", "chain_partition", "count_cylinders", "count_golden_words",
-        "fibonacci", "is_golden_word", "is_multiplicative_prefix", "odd_indices_in",
-        "restrict_to_chain",
-    ),
+    "core": ("BinaryWord", "chain_length", "fibonacci"),
     "experiments": (
         "DeviationReport", "TrajectoryReport", "Verdict", "density_trajectory", "hoeffding_check",
         "lower_bound_trajectory", "upper_bound_telescoping", "zero_count_deviation_check",
@@ -44,7 +39,7 @@ _EXPORTS = {
     "intervals": ("CertifiedInterval",),
     "measures": (
         "BlockAssignment", "LogProb", "MarkovParams", "SampledPoint", "markov_cylinder_logprob",
-        "pdelta_logprob", "pmu_identity_gap", "pmu_logprob", "sample_chain", "sample_point",
+        "pdelta_logprob", "sample_chain", "sample_point",
     ),
     "polynomials": ("EntropyPolynomial", "entropy_poly"),
 }

@@ -5,16 +5,15 @@ enclosures with rigorous tails), or an explicitly labelled float formula.
 
 The derivative series around p take F_{k-1} = 1 + L_{k-1} in closed form
 and enclose F_{k-1} and F'_{k-1} by a second-order Taylor form whose
-remainder bound holds on every interval inside (0,1).  `tau_gamma` and
-`hf_derivative_at` (a one-term series) sum term by term in one kernel,
-`_derivative_series`: a term costs O(1) integer operations instead of a
-degree-(k-1) Horner run, every term and the running sum stay integer
-numerators, and the endpoints equal those of per-term `CertifiedInterval`
-arithmetic exactly.  `derivative_series_at_p(K)` has weights 2^-(k+1),
-so its whole truncated sum G_K = sum F_{k-1} / 2^(k+1) is closed-form
-(`_truncated_jet`): it is (H G_K)'(p), evaluated once in outward-rounded
-fixed point over 2^256, and lies inside the per-term sum widened by that
-rounding alone.  `tau_certify` still sums its twelve terms by interval
+remainder bound holds on every interval inside (0,1).  `tau_gamma` sums
+them term by term in one kernel, `_derivative_series`: a term costs O(1)
+integer operations instead of a degree-(k-1) Horner run, every term and
+the running sum stay integer numerators, and the endpoints equal those of
+per-term `CertifiedInterval` arithmetic exactly.  `derivative_series_at_p(K)`
+has weights 2^-(k+1), so its whole truncated sum G_K = sum F_{k-1} / 2^(k+1)
+is closed-form (`_truncated_jet`): it is (H G_K)'(p), evaluated once in
+outward-rounded fixed point over 2^256, and lies inside the per-term sum
+widened by that rounding alone.  `tau_certify` still sums its twelve terms by interval
 Horner on the coefficients of F_{k-1} (`_tau_partial_12`), which keeps its
 certificate byte for byte.
 
@@ -23,7 +22,8 @@ Conventions.  Entropy comes in two scales and both are used deliberately:
   * `binary_entropy` (base 2) drives the partition-entropy identity
     H^{mu(r)}(alpha_k) = H(r) F_{k-1}(r) and the series A(r) = 2H(r)/(3-r)
     whose maximum over (0,1) is the Hausdorff dimension s = -log2 p.
-  * `entropy_nat` (natural log) drives the derivative-series calculus
+  * the natural-log entropy (`intervals.iv_entropy_nat`, ln 2 times
+    `binary_entropy`) drives the derivative-series calculus
     around p: the explicit constants in the certified tail bounds
     (H(p) < 0.7, |H'(p)| < 0.3, |F_n(p)| < 3 + 3n/2, |F'_n(p)| < 3n + 6)
     are natural-log values, and the certified positive constant tau is
@@ -65,16 +65,12 @@ from .polynomials import entropy_poly
 __all__ = [
     "CertificationError",
     "binary_entropy",
-    "entropy_nat",
     "partition_entropy",
-    "A_closed",
-    "A_series",
     "solve_p",
     "p_float",
     "hausdorff_dim",
     "dim_minkowski",
     "dim_minkowski_enclosure",
-    "hf_derivative_at",
     "derivative_series_at_p",
     "tau_certify",
     "TauCertificate",
@@ -116,12 +112,6 @@ def binary_entropy(r: float) -> float:
     return -r * math.log2(r) - (1 - r) * math.log2(1 - r)
 
 
-def entropy_nat(r: float) -> float:
-    """Natural-log entropy -r ln r - (1-r) ln(1-r); equals ln(2) * binary_entropy."""
-    r = _check_unit_open(r)
-    return -r * math.log(r) - (1 - r) * math.log(1 - r)
-
-
 def partition_entropy(r: float, k: int) -> float:
     """Entropy (base 2) of the length-k golden cylinder partition: H(r) F_{k-1}(r).
 
@@ -135,34 +125,6 @@ def partition_entropy(r: float, k: int) -> float:
         raise ValueError(f"partition order must be >= 1, got {k}")
     r = _check_unit_open(r)
     return binary_entropy(r) * float(1 + _zero_count_chain(Fraction(r), k - 1))
-
-
-# -- the series A(r) -----------------------------------------------------------
-
-
-def A_closed(r: float) -> float:
-    """A(r) = sum_k H(r) F_{k-1}(r) / 2^(k+1) = 2 H(r) / (3 - r)."""
-    r = _check_unit_open(r)
-    return 2.0 * binary_entropy(r) / (3.0 - r)
-
-
-class SeriesValue(NamedTuple):
-    value: float
-    tail_bound: float
-
-
-def A_series(r: float, K: int) -> SeriesValue:
-    """Partial sum of A(r) through k = K, with a rigorous truncation bound.
-
-    The tail uses |F_k(x)| <= 3 + 3k/2 on (0,1), so the remainder is at most
-    H(r) * sum_{k>K} (3 + 3(k-1)/2) / 2^(k+1) = 1.5 H(r) (K+3) 2^(-K-1).
-    """
-    r = _check_unit_open(r)
-    if K < 1:
-        raise ValueError(f"need K >= 1, got {K}")
-    partial = sum(partition_entropy(r, k) / 2.0 ** (k + 1) for k in range(1, K + 1))
-    tail = 1.5 * binary_entropy(r) * (K + 3) * 2.0 ** -(K + 1)
-    return SeriesValue(partial, tail)
 
 
 # -- the root p and the dimension constants ------------------------------------
@@ -212,6 +174,11 @@ def hausdorff_dim() -> CertifiedInterval:
 def s_float() -> float:
     """-log2 of p_float() in double precision; `hausdorff_dim` encloses it."""
     return -math.log2(p_float())
+
+
+class SeriesValue(NamedTuple):
+    value: float
+    tail_bound: float
 
 
 def _minkowski_K(tol: float) -> int:
@@ -361,30 +328,6 @@ def _derivative_series(x: CertifiedInterval, h: CertifiedInterval, g: CertifiedI
         hi += t_hi * (w_hi if t_hi >= 0 else w_lo)
     den = hg * dd * EE * EE * dm << shift
     return CertifiedInterval(Fraction(lo, den), Fraction(hi, den))
-
-
-def hf_derivative_at(k: int, x: CertifiedInterval) -> CertifiedInterval:
-    """Enclosure of (H F_{k-1})'(x) = H(x) F'_{k-1}(x) + H'(x) F_{k-1}(x).
-
-    H is the natural-log entropy; H'(x) = ln((1-x)/x); x must lie inside
-    (0,1).  One term of `_derivative_series`, with weight 1: F_{k-1} and
-    F'_{k-1} come from the closed form 1 + L_{k-1} in a second-order Taylor
-    form at x.lo, exact but for its remainder; only H and H' round
-    (outward).  The width does not grow with k: at x = solve_p() it is
-    4.1e-22 at k = 120 and 2.0e-21 at k = 600.
-
-    On a wide x, where the Taylor remainder dominates, the term is cut to
-    +-(7/10 (2k+6) + max|H'(x)| k), a bound on all of (0,1): 1 <= F_{k-1}
-    <= k, as 0 <= L_m <= m; |F'_{k-1}| <= 2k+6, the sum of |c| over the
-    monomials of L'_m; and H <= ln 2 < 7/10.  On x = [1/5, 3/4] that leaves
-    widths 19.5, 64.1, 142 and 677 at k = 2, 10, 24 and 120.
-    """
-    if k < 1:
-        raise ValueError(f"series index must be >= 1, got {k}")
-    g = iv_ln_ratio(x)
-    term = _derivative_series(x, iv_entropy_nat(x), g, {k: (1, 1)}, 0)
-    bound = Fraction(7, 10) * (2 * k + 6) + max(-g.lo, g.hi) * k
-    return CertifiedInterval(max(term.lo, -bound), min(term.hi, bound))
 
 
 def dyadic_tail(f, degree: int, K: int) -> Fraction:

@@ -228,22 +228,25 @@ def cmd_measure(args) -> int:
 GRID_MIN = {"density": 4, "lower": 4, "ldev2": 1, "cover": 4, "boxdim": 2}
 
 
-def _parse_grid(text: str, least: int) -> list[int]:
+def _parse_list(text: str, convert, what: str) -> list:
+    """The comma-separated entries of text through convert; an empty entry is a usage error."""
+    entries = text.split(",")
+    _require(all(entries), f"empty entry in {what} {text!r}")
     try:
-        grid = [int(v) for v in text.split(",") if v]
+        return [convert(v) for v in entries]
     except ValueError as exc:
-        raise UsageError(f"bad grid {text!r}: {exc}") from None
-    _require(bool(grid), f"empty grid {text!r}")
+        raise UsageError(f"bad {what} {text!r}: {exc}") from None
+
+
+def _parse_grid(text: str, least: int) -> list[int]:
+    grid = _parse_list(text, int, "grid")
     _require(len(set(grid)) == len(grid), f"duplicate points in grid {text!r}")
     _require(min(grid) >= least, f"grid {text!r} must have every n >= {least}")
     return grid
 
 
 def _parse_floats(text: str) -> list[float]:
-    try:
-        values = [float(v) for v in text.split(",")]
-    except ValueError as exc:
-        raise UsageError(f"bad threshold list {text!r}: {exc}") from None
+    values = _parse_list(text, float, "threshold list")
     _require(all(math.isfinite(v) for v in values), f"thresholds must be finite, got {text!r}")
     _require(len(set(values)) == len(values), f"duplicate thresholds in {text!r}")
     return values
@@ -278,7 +281,8 @@ def cmd_experiment(args) -> int:
     if kind in STOCHASTIC_KINDS and args.seed is None:
         raise UsageError(f"experiment {kind!r} is stochastic: --seed is required")
     _check_experiment_args(args)
-    n_grid = _parse_grid(args.n_grid, GRID_MIN.get(kind, 1)) if args.n_grid else list(DEFAULT_N_GRID)
+    n_grid = (list(DEFAULT_N_GRID) if args.n_grid is None
+              else _parse_grid(args.n_grid, GRID_MIN.get(kind, 1)))
     # the two counting formulas: no sampling, so neither numpy nor the experiments module
     if kind == "cover":
         gauge = _gauge(args, dim_minkowski(1e-9).value if args.exponent == "dimm" else None)
@@ -315,7 +319,7 @@ def cmd_experiment(args) -> int:
     elif kind == "hoeffding":
         dist = (Rademacher() if args.distribution == "rademacher"
                 else CenteredChainLogMass(args.k, BlockAssignment(0.0).p))
-        if args.t_grid:
+        if args.t_grid is not None:
             t_grid = _parse_floats(args.t_grid)
         elif args.distribution == "logmass":
             # sub-linear deviation event S_n >= n^(1-epsilon)
@@ -325,11 +329,10 @@ def cmd_experiment(args) -> int:
             t_grid = [0.1, 0.3, 0.5]
         report = hoeffding_check(dist, t_grid, args.n, args.trials, args.seed)
     else:  # ldev2
-        t_grid = _parse_floats(args.t_grid) if args.t_grid else None
         kwargs = {"trials": args.trials, "seed": args.seed}
-        if t_grid:
-            kwargs["t_grid"] = t_grid
-        if args.n_grid:
+        if args.t_grid is not None:
+            kwargs["t_grid"] = _parse_floats(args.t_grid)
+        if args.n_grid is not None:
             kwargs["n_grid"] = n_grid
         report = zero_count_deviation_check(**kwargs)
 

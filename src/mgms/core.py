@@ -10,10 +10,10 @@ golden-admissible.
 
 Counting is exact: golden words of length k are counted by the Fibonacci
 number F_{k+1} (F_1 = 1, F_2 = 2), and multiplicative prefixes of length n
-by the product of F_{chain_length+1} over chains, held as big integers with
-a float log2 companion for dimension estimates.  A word is its string of
-0/1 symbols, so counting, the word operations and the enumerators run on
-Python ints and strings alone; numpy loads only with
+by the product of F_{chain_length+1} over chains, which
+`log2_count_cylinders` takes to a float log2 for dimension estimates.  A
+word is its string of 0/1 symbols, so counting and the word operations run
+on Python ints and strings alone; numpy loads only with
 `BinaryWord.from_array` and `BinaryWord.array`, the bridge to the batch
 kernels.
 """
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Iterator
 
@@ -31,21 +30,12 @@ if TYPE_CHECKING:
 
 __all__ = [
     "BinaryWord",
-    "is_golden_word",
-    "is_multiplicative_prefix",
     "block_of",
-    "restrict_to_chain",
     "chain_length",
-    "odd_indices_in",
-    "chain_partition",
     "chain_length_counts",
     "assemble_from_chains",
     "fibonacci",
-    "count_golden_words",
-    "count_cylinders",
     "log2_count_cylinders",
-    "iter_golden_words",
-    "iter_multiplicative_prefixes",
 ]
 
 
@@ -132,21 +122,6 @@ class BinaryWord:
         return self.n - self.count_ones()
 
 
-def is_golden_word(u: BinaryWord) -> bool:
-    """True iff u has no adjacent pair 11 (vacuously true for |u| <= 1)."""
-    return "11" not in str(u)
-
-
-def is_multiplicative_prefix(u: BinaryWord) -> bool:
-    """True iff u_k * u_{2k} = 0 for all k with 2k <= |u|.
-
-    u_1..u_h and u_2 u_4 ... u_2h (h = |u| // 2) read as two h-bit integers
-    must share no 1 bit.
-    """
-    s, h = str(u), u.n // 2
-    return not int("0" + s[:h], 2) & int("0" + s[1 : 2 * h : 2], 2)
-
-
 def _require_odd(i: int) -> int:
     i = int(i)
     if i < 1 or i % 2 == 0:
@@ -172,35 +147,6 @@ def chain_length(n: int, i: int) -> int:
     if i > n:
         raise ValueError(f"chain start {i} exceeds prefix length {n}")
     return (n // i).bit_length()
-
-
-def restrict_to_chain(u: BinaryWord, i: int) -> BinaryWord:
-    """The restriction u_i u_{2i} u_{4i} ... of u to the chain J(i)."""
-    i = _require_odd(i)
-    if i > u.n:
-        raise ValueError(f"chain J({i}) does not intersect a prefix of length {u.n}")
-    s = str(u)
-    return BinaryWord.from_string("".join(s[(i << t) - 1] for t in range(chain_length(u.n, i))))
-
-
-def odd_indices_in(a, b) -> list[int]:
-    """All odd integers i with a < i <= b, ascending. Requires 0 <= a < b."""
-    fa, fb = Fraction(a), Fraction(b)
-    if not 0 <= fa < fb:
-        raise ValueError(f"need 0 <= a < b, got a={a}, b={b}")
-    first = math.floor(fa) + 1
-    if first % 2 == 0:
-        first += 1
-    last = math.floor(fb)
-    return list(range(first, last + 1, 2))
-
-
-def chain_partition(n: int) -> dict[int, int]:
-    """Map odd i <= n to chain_length(n, i); the values sum to n."""
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"prefix length must be positive, got {n}")
-    return {i: (n // i).bit_length() for i in range(1, n + 1, 2)}
 
 
 def chain_length_counts(n: int) -> dict[int, int]:
@@ -252,61 +198,6 @@ def fibonacci(k: int) -> int:
     return _FIB[k]
 
 
-def count_golden_words(k: int) -> int:
-    """Number of golden-admissible words of length k, equal to F_{k+1}."""
-    if k < 1:
-        raise ValueError(f"length must be >= 1, got {k}")
-    return fibonacci(k + 1)
-
-
-def count_cylinders(n: int) -> int:
-    """Number of multiplicative prefixes of length n (exact big integer).
-
-    Product over chains of the golden count at the chain length, grouped by
-    length so the big-integer work is a handful of powers.
-    """
-    total = 1
-    for k, c in chain_length_counts(n).items():
-        total *= fibonacci(k + 1) ** c
-    return total
-
-
 def log2_count_cylinders(n: int) -> float:
-    """log2 of count_cylinders(n) in float, without forming the big integer."""
+    """log2 of the number of multiplicative prefixes of length n, prod F_{k+1}^c, in float."""
     return sum(c * math.log2(fibonacci(k + 1)) for k, c in chain_length_counts(n).items())
-
-
-# -- enumeration (exhaustive oracles) ---------------------------------------
-
-
-def iter_golden_words(k: int) -> Iterator[BinaryWord]:
-    """Yield all golden-admissible words of length k (lexicographic)."""
-    if k < 0:
-        raise ValueError(f"length must be >= 0, got {k}")
-
-    def rec(s: str) -> Iterator[BinaryWord]:
-        if len(s) == k:
-            yield BinaryWord.from_string(s)
-            return
-        yield from rec(s + "0")
-        if not s.endswith("1"):
-            yield from rec(s + "1")
-
-    return rec("")
-
-
-def iter_multiplicative_prefixes(n: int) -> Iterator[BinaryWord]:
-    """Yield all multiplicative prefixes of length n (lexicographic)."""
-    if n < 0:
-        raise ValueError(f"length must be >= 0, got {n}")
-
-    def rec(s: str) -> Iterator[BinaryWord]:
-        m = len(s) + 1  # 1-based position being assigned
-        if m > n:
-            yield BinaryWord.from_string(s)
-            return
-        yield from rec(s + "0")
-        if m % 2 == 1 or s[m // 2 - 1] == "0":
-            yield from rec(s + "1")
-
-    return rec("")

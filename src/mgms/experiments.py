@@ -29,7 +29,7 @@ import math
 import types
 from dataclasses import asdict, dataclass, replace
 from functools import cached_property, lru_cache
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -46,7 +46,7 @@ from .analytics import (
     s_float,
     tau_bits_lower_bound,
 )
-from .core import BinaryWord, chain_length_counts
+from .core import chain_length_counts
 from .measures import (
     _CHUNK,
     BlockAssignment,
@@ -440,12 +440,7 @@ class TelescopingReport(_Report):
         )
 
 
-def upper_bound_telescoping(
-    exponent: float,
-    ell_max: int,
-    seed: int,
-    word: Optional[BinaryWord] = None,
-) -> TelescopingReport:
+def upper_bound_telescoping(exponent: float, ell_max: int, seed: int) -> TelescopingReport:
     """Evaluate b_j = [log2 P_mu[x_1^(2^j)] - log2 psi_g(2^-2^j)] / 2^j dyadically,
     for g(t) = t^exponent.
 
@@ -466,13 +461,7 @@ def upper_bound_telescoping(
         raise ValueError(f"need ell_max >= 2, got {ell_max}")
     n_max = 2**ell_max
     measure = BlockAssignment(delta=0.0)
-    if word is None:
-        bits = sample_bits_batch(measure, n_max, seed, np.array([0]))
-    else:
-        if len(word) < n_max:
-            raise ValueError(f"supplied word shorter than 2^ell_max = {n_max}")
-        arr = np.concatenate([[0], word.array[:n_max]]).astype(np.uint8)
-        bits = arr[None, :]
+    bits = sample_bits_batch(measure, n_max, seed, np.array([0]))
     s = s_float()
     ln2 = math.log(2)
     n0 = list(_zero_counts(bits[0], [2**j for j in range(ell_max + 1)]).values())

@@ -5,7 +5,9 @@ Ring operations (+, -, *) on `CertifiedInterval` are exact: endpoints are
 is exact too: the private kernel `_iv_horner` runs the Horner recurrence on
 integer numerators over one common denominator d^m, reads the powers of d
 from a table that a whole series can share, and returns the numerators
-unreduced; `iv_polyval` reduces them to `Fraction` once.  Its interval
+unreduced; `iv_polyval` reduces them to `Fraction` once, for
+`EntropyPolynomial.evaluate`, which only the tests (as the Horner oracle)
+and the benchmark tracer call.  Its interval
 products (`_iv_mul_ints`) form only the two endpoint products min/max would
 pick when a factor is nonnegative, so the endpoints are the same rationals
 as step-by-step `CertifiedInterval` arithmetic.  `analytics` sums whole

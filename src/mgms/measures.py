@@ -8,7 +8,7 @@ assign an independent Markov law to every chain J(i); the block-perturbed
 variant uses parameter p + delta/b on chains starting in dyadic block
 b >= 1 (block 0 keeps p), which is the Kolmogorov-consistent reading of
 the perturbation.  That schedule is the only one: `BlockAssignment` holds
-p and delta, and `pmu_logprob` is its delta = 0 case at a float p.
+p and delta, and P_mu is its delta = 0 case.
 
 All probability arithmetic is base-2 logarithmic with an exact zero
 sentinel: typical cylinder masses near 2^(-0.81 n) would underflow doubles
@@ -40,16 +40,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .analytics import p_float
-from .core import (
-    BinaryWord,
-    assemble_from_chains,
-    block_of,
-    chain_length,
-    is_multiplicative_prefix,
-)
+from .core import BinaryWord, assemble_from_chains, block_of, chain_length
 
 if TYPE_CHECKING:
     import numpy as np
@@ -62,10 +56,8 @@ __all__ = [
     "BlockAssignment",
     "SampledPoint",
     "markov_cylinder_logprob",
-    "pmu_logprob",
     "pdelta_logprob",
     "chain_breakdown",
-    "pmu_identity_gap",
     "sample_chain",
     "sample_point",
     "sample_bits_batch",
@@ -84,26 +76,9 @@ class LogProb:
         if math.isnan(self.value) or self.value > 1e-12:
             raise ValueError(f"log2 probability must be <= 0, got {self.value}")
 
-    @staticmethod
-    def zero() -> "LogProb":
-        return LogProb(float("-inf"))
-
-    @staticmethod
-    def one() -> "LogProb":
-        return LogProb(0.0)
-
     @property
     def is_zero(self) -> bool:
         return self.value == float("-inf")
-
-    def __add__(self, other: "LogProb") -> "LogProb":
-        # product of probabilities; the zero sentinel absorbs
-        if self.is_zero or other.is_zero:
-            return LogProb.zero()
-        return LogProb(self.value + other.value)
-
-    def __float__(self) -> float:
-        return self.value
 
     def to_probability(self) -> float:
         return 0.0 if self.is_zero else 2.0**self.value
@@ -175,15 +150,6 @@ class BlockAssignment:
         return {"measure": "P_mu" if self.delta == 0 else "P_delta", "p": self.p, "delta": self.delta}
 
 
-def pmu_logprob(p: float, u: BinaryWord) -> LogProb:
-    """log2 of the chain product measure mass of [u] with one parameter p.
-
-    Sums the golden Markov log-mass of every chain restriction; the zero
-    sentinel appears exactly when u is not a multiplicative prefix.
-    """
-    return pdelta_logprob(BlockAssignment(delta=0.0, p=float(p)), u)
-
-
 def chain_breakdown(assign: BlockAssignment, u: BinaryWord) -> Iterator[tuple]:
     """(i, block, parameter, symbols, log2 mass) of each chain J(i) of u, i ascending.
 
@@ -202,9 +168,10 @@ def chain_breakdown(assign: BlockAssignment, u: BinaryWord) -> Iterator[tuple]:
 def pdelta_logprob(assign: BlockAssignment, u: BinaryWord) -> LogProb:
     """log2 of the block-perturbed chain product measure mass of [u].
 
-    Chain J(i) uses the Markov parameter of block floor(log2 i).  Reduces
-    to pmu_logprob when delta = 0, and is Kolmogorov-consistent in |u| by
-    construction (the parameter of a chain never changes as the word grows).
+    Chain J(i) uses the Markov parameter of block floor(log2 i), so delta = 0
+    gives P_mu; the zero sentinel appears exactly when u is not a
+    multiplicative prefix.  Kolmogorov-consistent in |u| by construction
+    (the parameter of a chain never changes as the word grows).
     """
     total = 0.0
     for *_, mass in chain_breakdown(assign, u):
@@ -212,26 +179,6 @@ def pdelta_logprob(assign: BlockAssignment, u: BinaryWord) -> LogProb:
         if total == -math.inf:  # a pair 11: zero mass whatever the later chains hold
             break
     return LogProb(total)
-
-
-def pmu_identity_gap(u: BinaryWord, p: Optional[float] = None) -> float:
-    """Gap in the half-word zero-count identity for even admissible words.
-
-    For |u| = n even and p the root of p^3 = (1-p)^2,
-       log2 P_mu[u] = n log2 p + (N0(u_1..u_{n/2}) - N0(u)/2) log2 p,
-    because 1 - p = p^(3/2) and the chain prefixes-without-last-symbol of
-    u tile the half word.  Returns lhs - rhs; zero up to rounding.
-    """
-    n = len(u)
-    if n % 2 != 0 or n == 0:
-        raise ValueError(f"identity needs even positive length, got {n}")
-    if not is_multiplicative_prefix(u):
-        raise ValueError("identity needs an admissible word")
-    r = p_float() if p is None else float(p)
-    lhs = pmu_logprob(r, u).value
-    half_zeros = u.prefix(n // 2).count_zeros()
-    rhs = (n + half_zeros - u.count_zeros() / 2.0) * math.log2(r)
-    return lhs - rhs
 
 
 # -- sampling -------------------------------------------------------------------

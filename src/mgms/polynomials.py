@@ -35,10 +35,6 @@ class EntropyPolynomial:
     index: int
     coeffs: tuple[int, ...]
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
     def evaluate(self, x):
         """Horner evaluation; works for float, Fraction, CertifiedInterval."""
         return _horner(self.coeffs, x)

@@ -15,9 +15,10 @@ import numpy as np
 import pytest
 
 import mgms
-from mgms.analytics import _jet_bounds, _minkowski_K
-from mgms.core import BinaryWord, fibonacci
+from mgms.analytics import _jet_bounds, _minkowski_K, binary_entropy, p_float
+from mgms.core import BinaryWord, chain_length_counts, fibonacci
 from mgms.intervals import CertifiedInterval, _from_iv, _iv, _to_iv, iv_entropy_nat, iv_ln_ratio, iv_log2
+from mgms.measures import BlockAssignment, chain_breakdown, pdelta_logprob
 from mgms.polynomials import EntropyPolynomial, entropy_poly
 
 
@@ -57,6 +58,60 @@ def brute_count_golden(k: int) -> int:
     for j in range(1, k):
         ok &= ((v >> (j - 1)) & (v >> j) & 1) == 0
     return int(ok.sum())
+
+
+def iter_golden_words(k: int):
+    """Every golden word of length k (no pair 11), lexicographic, grown symbol by symbol."""
+    def rec(s: str):
+        if len(s) == k:
+            yield BinaryWord(s)
+            return
+        yield from rec(s + "0")
+        if not s.endswith("1"):
+            yield from rec(s + "1")
+
+    return rec("")
+
+
+def iter_multiplicative_prefixes(n: int):
+    """Every multiplicative prefix of length n, lexicographic: position m may hold
+    a 1 only when m is odd or u_{m/2} = 0."""
+    def rec(s: str):
+        m = len(s) + 1
+        if m > n:
+            yield BinaryWord(s)
+            return
+        yield from rec(s + "0")
+        if m % 2 == 1 or s[m // 2 - 1] == "0":
+            yield from rec(s + "1")
+
+    return rec("")
+
+
+def count_cylinders(n: int) -> int:
+    """The exact number of multiplicative prefixes of length n behind `log2_count_cylinders`:
+    the product over chain lengths k of F_{k+1} to the number of chains of that length."""
+    return math.prod(fibonacci(k + 1) ** c for k, c in chain_length_counts(n).items())
+
+
+def chains_of(u: BinaryWord) -> dict[int, BinaryWord]:
+    """The restriction u_i u_{2i} u_{4i} ... of u to each chain J(i), as `chain_breakdown` reads it."""
+    chains = chain_breakdown(BlockAssignment(), u)
+    return {i: BinaryWord.from_bits(symbols) for i, _, _, symbols, _ in chains}
+
+
+def A_closed(r: float) -> float:
+    """A(r) = sum_k H(r) F_{k-1}(r) / 2^(k+1) = 2 H(r) / (3 - r), base 2; its maximum is s at p."""
+    return 2.0 * binary_entropy(r) / (3.0 - r)
+
+
+def pmu_identity_gap(u: BinaryWord) -> float:
+    """lhs - rhs of the half-word identity for an even admissible u of length n,
+    log2 P_mu[u] = (n + N0(u_1..u_{n/2}) - N0(u)/2) log2 p, which holds as
+    1 - p = p^(3/2) and the chains without their last symbol tile the half word."""
+    n = len(u)
+    rhs = (n + u.prefix(n // 2).count_zeros() - u.count_zeros() / 2.0) * math.log2(p_float())
+    return pdelta_logprob(BlockAssignment(0.0), u).value - rhs
 
 
 def entropy_poly_closed_form(k: int) -> EntropyPolynomial:

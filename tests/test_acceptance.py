@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from mgms.analytics import (
-    A_closed,
     binary_entropy,
     derivative_series_at_p,
     dim_minkowski,
@@ -26,11 +25,6 @@ from mgms.analytics import (
     s_float,
     solve_p,
     tau_certify,
-)
-from mgms.core import (
-    count_cylinders,
-    iter_golden_words,
-    iter_multiplicative_prefixes,
 )
 from mgms.experiments import (
     CenteredChainLogMass,
@@ -47,13 +41,20 @@ from mgms.measures import (
     MarkovParams,
     markov_cylinder_logprob,
     pdelta_logprob,
-    pmu_identity_gap,
-    pmu_logprob,
     sample_bits_batch,
 )
 from mgms.polynomials import entropy_poly
 
-from conftest import brute_count_multiplicative, entropy_poly_closed_form, word
+from conftest import (
+    A_closed,
+    brute_count_multiplicative,
+    count_cylinders,
+    entropy_poly_closed_form,
+    iter_golden_words,
+    iter_multiplicative_prefixes,
+    pmu_identity_gap,
+    word,
+)
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -186,7 +187,7 @@ def test_criterion_07_expectation_formulas():
     worst = 0.0
     for n in range(1, 13):
         brute = math.fsum(
-            pmu_logprob(p, u).to_probability() * u.count_zeros()
+            pdelta_logprob(BlockAssignment(0.0), u).to_probability() * u.count_zeros()
             for u in iter_multiplicative_prefixes(n)
         )
         worst = max(worst, abs(brute - expected_zero_count_prefix(n)))

@@ -11,8 +11,6 @@ from scipy.optimize import minimize_scalar
 
 import mgms.analytics as analytics
 from mgms.analytics import (
-    A_closed,
-    A_series,
     CertificationError,
     Gauge,
     GaugeFamily,
@@ -26,12 +24,10 @@ from mgms.analytics import (
     dim_minkowski,
     dim_minkowski_enclosure,
     dyadic_tail,
-    entropy_nat,
     expected_zero_count_chain,
     expected_zero_count_prefix,
     gauge_log2,
     hausdorff_dim,
-    hf_derivative_at,
     p_float,
     partition_entropy,
     s_float,
@@ -40,13 +36,16 @@ from mgms.analytics import (
     tau_certify,
     tau_gamma,
 )
-from mgms.core import chain_partition, iter_golden_words, iter_multiplicative_prefixes
+from mgms.core import chain_length
 from mgms.intervals import _FIX_BITS, CertifiedInterval, iv_entropy_nat, iv_ln_ratio, ln2_interval
-from mgms.measures import MarkovParams, markov_cylinder_logprob, pmu_logprob
+from mgms.measures import BlockAssignment, MarkovParams, markov_cylinder_logprob, pdelta_logprob
 from mgms.polynomials import _coefficient_rows, entropy_poly
 
 from conftest import (
+    A_closed,
     horner_hf_derivative_at,
+    iter_golden_words,
+    iter_multiplicative_prefixes,
     reference_derivative_partials,
     reference_dim_minkowski_enclosure,
     reference_dyadic_power_tail,
@@ -123,15 +122,13 @@ class TestEntropy:
         for bad in (0.0, 1.0, -0.2, 1.7):
             with pytest.raises(ValueError):
                 binary_entropy(bad)
-            with pytest.raises(ValueError):
-                entropy_nat(bad)
 
     def test_natural_log_value_at_p(self):
         # the certified natural-log entropy at p sits at ~0.68336, below 0.7
         enc = iv_entropy_nat(solve_p())
         assert abs(enc.mid_float - 0.68336) < 1e-5
         assert enc.hi < Fraction(7, 10)
-        assert entropy_nat(p_float()) == pytest.approx(enc.mid_float, abs=1e-12)
+        assert math.log(2) * binary_entropy(p_float()) == pytest.approx(enc.mid_float, abs=1e-12)
 
     def test_base2_value_at_p_via_series_identity(self):
         # A(p) = s forces H2(p) = s (3 - p) / 2
@@ -181,15 +178,19 @@ class TestSeriesA:
         assert A_closed(p_float()) == pytest.approx(s_float(), abs=1e-9)
 
     def test_partial_sums_within_their_tail(self):
+        # |F_k| <= 3 + 3k/2 on (0,1) bounds the rest after K terms by 1.5 H(r) (K+3) 2^(-K-1)
         for r in np.linspace(0.01, 0.99, 99):
+            r = float(r)
             for K in (5, 15, 40):
-                value, tail = A_series(float(r), K)
-                assert abs(A_closed(float(r)) - value) <= tail
+                value = sum(partition_entropy(r, k) / 2.0 ** (k + 1) for k in range(1, K + 1))
+                tail = 1.5 * binary_entropy(r) * (K + 3) * 2.0 ** -(K + 1)
+                assert abs(A_closed(r) - value) <= tail
 
     def test_tail_shrinks(self):
         r = 0.6
-        tails = [A_series(r, K).tail_bound for K in (5, 10, 20, 40)]
-        assert all(a > b for a, b in zip(tails, tails[1:]))
+        gaps = [abs(A_closed(r) - sum(partition_entropy(r, k) / 2.0 ** (k + 1) for k in range(1, K + 1)))
+                for K in (5, 10, 20, 40)]
+        assert all(a > b for a, b in zip(gaps, gaps[1:]))
 
     def test_maximum_at_p(self):
         res = minimize_scalar(lambda r: -A_closed(r), bounds=(0.01, 0.99), method="bounded")
@@ -258,10 +259,15 @@ class TestDimensions:
             dim_minkowski_enclosure(tol)
 
 
+def term(k: int, x: CertifiedInterval) -> CertifiedInterval:
+    """(H F_{k-1})'(x): one term of the series kernel, weight 1."""
+    return _derivative_series(x, iv_entropy_nat(x), iv_ln_ratio(x), {k: (1, 1)}, 0)
+
+
 class TestDerivativeSeries:
     def test_first_term_is_entropy_derivative(self):
         p = solve_p()
-        k1 = hf_derivative_at(1, p)
+        k1 = term(1, p)
         href = iv_ln_ratio(p)
         assert k1.lo == href.lo and k1.hi == href.hi
 
@@ -283,7 +289,7 @@ class TestDerivativeSeries:
         p = solve_p()
         s1 = derivative_series_at_p(1)
         s2 = derivative_series_at_p(2)
-        term2 = hf_derivative_at(2, p) * Fraction(1, 8)
+        term2 = term(2, p) * Fraction(1, 8)
         # midpoints differ by exactly the k=2 term (tails differ separately)
         assert float(abs((s2.midpoint - s1.midpoint) - term2.midpoint)) < 1e-20 + float(
             (s1.width + s2.width + term2.width)
@@ -294,13 +300,13 @@ class TestDerivativeSeries:
         # k = 450; the closed-form terms build no polynomial at all
         entropy_poly.cache_clear()
         p = solve_p()
-        assert same_endpoints(hf_derivative_at(600, p), reference_hf_derivative_at(600, p))
+        assert same_endpoints(term(600, p), reference_hf_derivative_at(600, p))
         assert len(_coefficient_rows()) == 2
 
     @pytest.mark.parametrize("k", [120, 600])
     def test_high_order_terms_are_narrow(self, k):
         # interval Horner on the coefficients of F_119 gave width 2.3 at k = 120
-        assert hf_derivative_at(k, solve_p()).width < Fraction(1, 10**20)
+        assert term(k, solve_p()).width < Fraction(1, 10**20)
 
     def test_long_series_contains_zero_narrowly(self):
         enc = derivative_series_at_p(600)
@@ -389,28 +395,16 @@ class TestSeriesKernelMatchesFractionLoops:
         assert enc.contains_zero()
         assert enc.width < Fraction(4, 10**24)
 
-    def test_single_term_encloses_ln_ratio_once(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(analytics, "iv_ln_ratio", lambda x, real=iv_ln_ratio: calls.append(x) or real(x))
-        hf_derivative_at(2, solve_p())
-        assert len(calls) == 1
-
     def test_single_terms(self):
         p = solve_p()
         for k in range(1, 131):
-            assert same_endpoints(hf_derivative_at(k, p), reference_hf_derivative_at(k, p)), k
+            assert same_endpoints(term(k, p), reference_hf_derivative_at(k, p)), k
 
     def test_single_terms_off_p(self):
-        # on a wide x the Taylor form is cut to the bound |(H F_{k-1})'| <= 7/10 (2k+6) + max|H'| k
+        # on a wide x the Taylor remainder dominates, and the kernel keeps it exactly
         x = CertifiedInterval(Fraction(1, 5), Fraction(3, 4))
-        g = iv_ln_ratio(x)
         for k in range(1, 25):
-            got, ref = hf_derivative_at(k, x), reference_hf_derivative_at(k, x)
-            bound = Fraction(7, 10) * (2 * k + 6) + max(abs(g.lo), abs(g.hi)) * k
-            cut = CertifiedInterval(max(ref.lo, -bound), min(ref.hi, bound))
-            assert got.lo <= cut.lo and cut.hi <= got.hi and got.width <= cut.width, k
-        for k, w in ((2, 25), (10, 80), (24, 160)):
-            assert hf_derivative_at(k, x).width < w, k
+            assert same_endpoints(term(k, x), reference_hf_derivative_at(k, x)), k
 
     def test_tau_partial(self):
         assert same_endpoints(tau_certify().partial_12, reference_tau_partial_12(solve_p()))
@@ -641,7 +635,7 @@ class TestZeroCountExpectations:
     @pytest.mark.parametrize("n", range(1, 13))
     def test_prefix_expectation_against_enumeration(self, p_val, n):
         brute = sum(
-            pmu_logprob(p_val, u).to_probability() * u.count_zeros()
+            pdelta_logprob(BlockAssignment(0.0), u).to_probability() * u.count_zeros()
             for u in iter_multiplicative_prefixes(n)
         )
         assert expected_zero_count_prefix(n) == pytest.approx(brute, abs=1e-10)
@@ -649,7 +643,7 @@ class TestZeroCountExpectations:
     def test_prefix_expectation_is_chain_sum(self, p_val):
         for n in (5, 17, 100, 1023):
             manual = sum(
-                expected_zero_count_chain(p_val, k) for k in chain_partition(n).values()
+                expected_zero_count_chain(p_val, chain_length(n, i)) for i in range(1, n + 1, 2)
             )
             assert expected_zero_count_prefix(n) == pytest.approx(manual, abs=1e-9)
 

@@ -285,6 +285,9 @@ class TestExperimentCommand:
     "experiment lower --seed 1 --seeds 0",
     "experiment hoeffding --seed 1 --n 0",
     "experiment boxdim --n-grid 16,16,1024",
+    # an empty entry was dropped, and the run went on as if given 16,64
+    "experiment boxdim --n-grid 16,,64",
+    "experiment boxdim --n-grid 16,64,",
     "experiment lower --seed 1 --delta 0.5",
     "experiment hoeffding --seed 1 --t-grid nan",
     "experiment telescope --seed 1 --g t^nan",

@@ -2,7 +2,6 @@
 
 import math
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -12,18 +11,10 @@ from mgms.core import (
     block_of,
     chain_length,
     chain_length_counts,
-    chain_partition,
-    count_cylinders,
-    count_golden_words,
     fibonacci,
-    is_golden_word,
-    is_multiplicative_prefix,
-    iter_golden_words,
-    iter_multiplicative_prefixes,
     log2_count_cylinders,
-    odd_indices_in,
-    restrict_to_chain,
 )
+from mgms.measures import BlockAssignment, MarkovParams, markov_cylinder_logprob, pdelta_logprob
 
 from conftest import (
     all_words,
@@ -31,8 +22,27 @@ from conftest import (
     brute_count_multiplicative,
     brute_is_golden,
     brute_is_multiplicative,
+    chains_of,
+    count_cylinders,
+    iter_golden_words,
+    iter_multiplicative_prefixes,
     word,
 )
+
+
+# Admissibility as the measures see it: a golden Markov mass is zero exactly
+# at a pair 11, a chain product mass exactly at a pair u_k = u_2k = 1.
+def is_golden_word(u: BinaryWord) -> bool:
+    return not markov_cylinder_logprob(MarkovParams(0.5), u).is_zero
+
+
+def is_multiplicative_prefix(u: BinaryWord) -> bool:
+    return not pdelta_logprob(BlockAssignment(0.05), u).is_zero
+
+
+def partition(n: int) -> dict[int, int]:
+    """Odd i <= n to chain_length(n, i)."""
+    return {i: chain_length(n, i) for i in range(1, n + 1, 2)}
 
 
 class TestBinaryWord:
@@ -100,9 +110,9 @@ class TestBinaryWord:
             assert u.prefix(m) == BinaryWord.from_array(u.array[:m])
             assert is_golden_word(u) == (not (u.array[1:] & u.array[:-1]).any())
             assert is_multiplicative_prefix(u) == (not (u.array[: n // 2] & u.array[1::2]).any())
-            for i in range(1, n + 1, 2):
+            for i, chain in chains_of(u).items():
                 idx = [(i << t) - 1 for t in range(chain_length(n, i))]
-                assert restrict_to_chain(u, i) == BinaryWord.from_array(u.array[idx])
+                assert chain == BinaryWord.from_array(u.array[idx])
 
     @pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65])
     def test_packing_boundary_lengths(self, n):
@@ -141,25 +151,17 @@ class TestAdmissibility:
         for _ in range(300):
             n = rng.randint(1, 64)
             u = BinaryWord.from_bits([rng.randint(0, 1) for _ in range(n)])
-            chains_ok = all(
-                is_golden_word(restrict_to_chain(u, i)) for i in range(1, n + 1, 2)
-            )
+            chains_ok = all(brute_is_golden(list(chain)) for chain in chains_of(u).values())
             assert is_multiplicative_prefix(u) == chains_ok
 
 
 class TestChains:
     def test_restriction_examples(self):
-        assert str(restrict_to_chain(word("010011"), 3)) == "01"
-        assert str(restrict_to_chain(word("010010"), 3)) == "00"
-        assert str(restrict_to_chain(word("0100"), 1)) == "010"
+        assert str(chains_of(word("010011"))[3]) == "01"
+        assert str(chains_of(word("010010"))[3]) == "00"
+        assert str(chains_of(word("0100"))[1]) == "010"
         # boundary chain: i = n odd picks the single symbol u_n
-        assert str(restrict_to_chain(word("00001"), 5)) == "1"
-
-    def test_restriction_errors(self):
-        with pytest.raises(ValueError):
-            restrict_to_chain(word("0101"), 5)
-        with pytest.raises(ValueError):
-            restrict_to_chain(word("0101"), 2)
+        assert str(chains_of(word("00001"))[5]) == "1"
 
     @pytest.mark.parametrize("n,i,k", [(6, 3, 2), (6, 5, 1), (8, 1, 4), (1, 1, 1), (7, 7, 1)])
     def test_chain_length_examples(self, n, i, k):
@@ -185,33 +187,13 @@ class TestChains:
         with pytest.raises(ValueError):
             chain_length(6, 4)
 
-    @pytest.mark.parametrize(
-        "a,b,expected", [(1.5, 3, [3]), (3, 6, [5]), (0.75, 1.5, [1]), (0, 10, [1, 3, 5, 7, 9])]
-    )
-    def test_odd_indices_examples(self, a, b, expected):
-        assert odd_indices_in(a, b) == expected
-
-    def test_odd_indices_validation(self):
-        with pytest.raises(ValueError):
-            odd_indices_in(3, 3)
-        with pytest.raises(ValueError):
-            odd_indices_in(-1, 2)
-
-    def test_odd_count_differs_from_half_length_by_at_most_one(self):
-        rng = random.Random(11)
-        for _ in range(1000):
-            a = Fraction(rng.randint(0, 4000), rng.randint(1, 64))
-            b = a + Fraction(rng.randint(1, 4000), rng.randint(1, 64))
-            count = len(odd_indices_in(a, b))
-            assert abs(count - float(b - a) / 2) <= 1
-
     @pytest.mark.parametrize("n,expected", [(3, {1: 2, 3: 1}), (6, {1: 3, 3: 2, 5: 1}), (1, {1: 1})])
     def test_partition_examples(self, n, expected):
-        assert chain_partition(n) == expected
+        assert partition(n) == expected
 
     @pytest.mark.parametrize("n", [1, 2, 7, 64, 1000, 4097, 10**6])
     def test_partition_covers_everything(self, n):
-        part = chain_partition(n)
+        part = partition(n)
         assert set(part) == set(range(1, n + 1, 2))
         assert sum(part.values()) == n
 
@@ -222,7 +204,7 @@ class TestChains:
         if n <= 10**4:
             from collections import Counter
 
-            assert counts == dict(Counter(chain_partition(n).values()))
+            assert counts == dict(Counter(partition(n).values()))
 
     def test_block_of(self):
         assert [block_of(i) for i in (1, 3, 5, 7, 9, 15, 17)] == [0, 1, 2, 2, 3, 3, 4]
@@ -234,8 +216,7 @@ class TestChains:
         for _ in range(100):
             n = rng.randint(1, 200)
             u = BinaryWord.from_bits([rng.randint(0, 1) for _ in range(n)])
-            chains = {i: restrict_to_chain(u, i) for i in range(1, n + 1, 2)}
-            assert assemble_from_chains(n, chains) == u
+            assert assemble_from_chains(n, chains_of(u)) == u
 
     def test_assembly_checks_lengths_and_coverage(self):
         with pytest.raises(ValueError, match="needs length 2"):
@@ -254,16 +235,16 @@ class TestCounting:
 
     @pytest.mark.parametrize("k,expected", [(1, 2), (2, 3), (3, 5)])
     def test_golden_count_examples(self, k, expected):
-        assert count_golden_words(k) == expected
+        assert fibonacci(k + 1) == expected
 
     @pytest.mark.parametrize("k", range(1, 21))
     def test_golden_count_matches_brute_force(self, k):
-        assert count_golden_words(k) == brute_count_golden(k)
+        assert fibonacci(k + 1) == brute_count_golden(k)
 
     @pytest.mark.parametrize("k", range(0, 15))
     def test_golden_enumeration_matches_count(self, k):
         words = list(iter_golden_words(k))
-        assert len(words) == (1 if k == 0 else count_golden_words(k))
+        assert len(words) == (1 if k == 0 else fibonacci(k + 1))
         assert len(set(map(str, words))) == len(words)
         assert all(is_golden_word(w) for w in words)
 

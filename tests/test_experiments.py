@@ -18,7 +18,6 @@ from mgms.analytics import (
     s_float,
     tau_bits_lower_bound,
 )
-from mgms.core import BinaryWord, iter_golden_words
 from mgms.experiments import (
     CenteredChainLogMass,
     DeviationReport,
@@ -35,7 +34,9 @@ from mgms.experiments import (
     zero_count_bound,
     zero_count_deviation_check,
 )
-from mgms.measures import BlockAssignment, pmu_logprob, sample_point
+from mgms.measures import BlockAssignment, pdelta_logprob, sample_point
+
+from conftest import iter_golden_words
 
 GRID_SMALL = [2**j for j in range(4, 13)]
 SEEDS_SMALL = list(range(24))
@@ -50,7 +51,8 @@ class TestDensityTrajectory:
         for row, seed in enumerate(rep.seeds):
             pt = sample_point(BlockAssignment(0.0), 256, seed)
             for j, n in enumerate(rep.n_grid):
-                direct = pmu_logprob(p_val, pt.word.prefix(n)).value - gauge_log2(gauge, n)
+                lp = pdelta_logprob(BlockAssignment(0.0), pt.word.prefix(n)).value
+                direct = lp - gauge_log2(gauge, n)
                 assert rep.series[row][j] == pytest.approx(direct, abs=1e-9)
 
     def test_all_values_finite(self):
@@ -183,21 +185,9 @@ class TestTelescoping:
         with pytest.raises(ValueError, match="exponent must be finite"):
             upper_bound_telescoping(exponent, 4, seed=0)
 
-    def test_supplied_word_is_used_exactly(self):
-        word = BinaryWord.from_bits([0] * 64)
-        rep = upper_bound_telescoping(1.0, ell_max=6, seed=0, word=word)
-        assert rep.max_identity_gap < 1e-10
-        # all-zeros: N0(2^j)/2^j = 1 for all j, so the b_j reduce to 1/(ln2 g(j))
-        for j, b in enumerate(rep.b, start=1):
-            assert b == pytest.approx(1.0 / (math.log(2) * j))
-
     def test_requires_enough_scales(self):
         with pytest.raises(ValueError):
             upper_bound_telescoping(1.0, ell_max=1, seed=0)
-
-    def test_short_word_rejected(self):
-        with pytest.raises(ValueError):
-            upper_bound_telescoping(1.0, ell_max=6, seed=0, word=BinaryWord.from_bits([0] * 8))
 
     # sha256 of json.dumps(to_json_dict(), sort_keys=True), as computed with
     # the callables g(t) = t and t * t labelled "t" and "t^2", before g became

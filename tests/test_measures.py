@@ -10,15 +10,7 @@ import pytest
 from scipy import stats
 
 from mgms.analytics import expected_zero_count_prefix
-from mgms.core import (
-    BinaryWord,
-    block_of,
-    chain_length,
-    is_multiplicative_prefix,
-    iter_golden_words,
-    iter_multiplicative_prefixes,
-    restrict_to_chain,
-)
+from mgms.core import BinaryWord, block_of, chain_length
 from mgms.measures import (
     BlockAssignment,
     LogProb,
@@ -27,8 +19,6 @@ from mgms.measures import (
     logprob_prefix_grid,
     markov_cylinder_logprob,
     pdelta_logprob,
-    pmu_identity_gap,
-    pmu_logprob,
     sample_bits_batch,
     sample_chain,
     sample_point,
@@ -37,7 +27,14 @@ from mgms import measures
 from mgms.experiments import DEFAULT_N_GRID
 from mgms.rng import RandomStream, chain_keys, uniform_grid
 
-from conftest import word
+from conftest import (
+    brute_is_multiplicative,
+    chains_of,
+    iter_golden_words,
+    iter_multiplicative_prefixes,
+    pmu_identity_gap,
+    word,
+)
 
 
 def pdelta_logprob_level_indexed(assign: BlockAssignment, u: BinaryWord) -> LogProb:
@@ -50,18 +47,16 @@ def pdelta_logprob_level_indexed(assign: BlockAssignment, u: BinaryWord) -> LogP
     entirely.  Kept only to exhibit the difference from `pdelta_logprob`.
     """
     n = len(u)
-    if n == 0:
-        return LogProb.one()
     level = (n - 1).bit_length()  # l with 2^(l-1) < n <= 2^l  (l=0 for n=1)
-    total = LogProb.one()
+    chains = chains_of(u)
+    total = 0.0
     for k in range(1, level + 1):
         lo, hi = n >> k, n >> (k - 1)  # floor(n/2^k) < i <= floor(n/2^(k-1)) picks the odds
         for i in range(lo + 1 + (lo % 2 == 1), hi + 1, 2):
-            params = MarkovParams(assign.param(level - k))
-            total = total + markov_cylinder_logprob(params, restrict_to_chain(u, i))
-            if total.is_zero:
-                return total
-    return total
+            total += markov_cylinder_logprob(MarkovParams(assign.param(level - k)), chains[i]).value
+            if total == -math.inf:
+                return LogProb(total)
+    return LogProb(total)
 
 
 def inline_pdelta_logprob(assign: BlockAssignment, u: BinaryWord) -> LogProb:
@@ -69,7 +64,7 @@ def inline_pdelta_logprob(assign: BlockAssignment, u: BinaryWord) -> LogProb:
     the golden Markov loop inlined once per chain.  pdelta_logprob must equal
     it exactly, floats and summation order included."""
     n = len(u)
-    total = LogProb.one()
+    total = 0.0
     arr = u.array
     for i in range(1, n + 1, 2):
         params = MarkovParams(assign.param(block_of(i)))
@@ -82,13 +77,13 @@ def inline_pdelta_logprob(assign: BlockAssignment, u: BinaryWord) -> LogProb:
             sym = arr[m - 1]
             if prev == 1:
                 if sym == 1:
-                    return LogProb.zero()
+                    return LogProb(-math.inf)
             else:
                 acc += log_q if sym else log_r
             prev = sym
             m <<= 1
-        total = total + LogProb(acc)
-    return total
+        total += acc
+    return LogProb(total)
 
 
 # Fancy-index forms of the batch sampler and the log-mass grid, kept as
@@ -158,12 +153,10 @@ ORACLE_MEASURES = [
 
 class TestLogProb:
     def test_sentinel_and_arithmetic(self):
-        z = LogProb.zero()
+        z = LogProb(-math.inf)
         assert z.is_zero and z.to_probability() == 0.0
-        a = LogProb(-1.0)
-        assert (a + a).value == -2.0
-        assert (a + z).is_zero and (z + a).is_zero
-        assert float(LogProb.one()) == 0.0 and LogProb.one().to_probability() == 1.0
+        assert not LogProb(-1.0).is_zero and LogProb(-1.0).to_probability() == 0.5
+        assert LogProb(0.0).to_probability() == 1.0
 
     def test_rejects_positive_values(self):
         with pytest.raises(ValueError):
@@ -222,34 +215,35 @@ class TestMarkovCylinders:
 
 class TestChainProducts:
     def test_pmu_examples(self, p_val):
-        assert pmu_logprob(p_val, word("000")).value == pytest.approx(3 * math.log2(p_val))
-        assert pmu_logprob(p_val, word("10")).value == pytest.approx(math.log2(1 - p_val))
-        assert pmu_logprob(p_val, word("11")).is_zero
+        pmu = BlockAssignment(0.0)
+        assert pdelta_logprob(pmu, word("000")).value == pytest.approx(3 * math.log2(p_val))
+        assert pdelta_logprob(pmu, word("10")).value == pytest.approx(math.log2(1 - p_val))
+        assert pdelta_logprob(pmu, word("11")).is_zero
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_pmu_is_chainwise_product(self, p_val, n):
         params = MarkovParams(p_val)
         for u in iter_multiplicative_prefixes(n):
-            manual = sum(
-                markov_cylinder_logprob(params, restrict_to_chain(u, i)).value
-                for i in range(1, n + 1, 2)
-            )
-            assert pmu_logprob(p_val, u).value == pytest.approx(manual, abs=1e-12)
+            manual = sum(markov_cylinder_logprob(params, chain).value for chain in chains_of(u).values())
+            assert pdelta_logprob(BlockAssignment(0.0), u).value == pytest.approx(manual, abs=1e-12)
 
     def test_support_is_exactly_the_admissible_words(self, p_val):
         for n in range(1, 11):
             v = np.arange(2**n)
             for x in v:
                 u = word(format(x, f"0{n}b"))
-                assert pmu_logprob(p_val, u).is_zero == (not is_multiplicative_prefix(u))
+                zero = pdelta_logprob(BlockAssignment(0.0), u).is_zero
+                assert zero == (not brute_is_multiplicative(list(u)))
 
     def test_pdelta_reduces_to_pmu_at_zero_delta(self, p_val):
+        # one parameter p on every chain: a 1 costs log2(1-p), a 0 log2 p unless a 1 at
+        # u_{m/2} forces it, and the forcing ones are the ones of the half word
         a0 = BlockAssignment(delta=0.0)
         for n in range(1, 9):
             for u in iter_multiplicative_prefixes(n):
-                assert pdelta_logprob(a0, u).value == pytest.approx(
-                    pmu_logprob(p_val, u).value, abs=1e-12
-                )
+                ones, forced = u.count_ones(), u.prefix(n // 2).count_ones()
+                closed = ones * math.log2(1 - p_val) + (n - ones - forced) * math.log2(p_val)
+                assert pdelta_logprob(a0, u).value == pytest.approx(closed, abs=1e-12)
 
     def test_pdelta_block_examples(self, p_val):
         a = BlockAssignment(delta=0.05)
@@ -310,7 +304,7 @@ class TestChainProducts:
         parts = list(chain_breakdown(a, u))
         assert [i for i, *_ in parts] == list(range(1, len(u) + 1, 2))
         for i, b, r, symbols, mass in parts:
-            rest = restrict_to_chain(u, i)
+            rest = BinaryWord.from_array(u.array[[(i << t) - 1 for t in range(chain_length(len(u), i))]])
             assert (b, r) == (block_of(i), a.param(block_of(i)))
             assert symbols == rest.array.tolist()
             assert mass == markov_cylinder_logprob(MarkovParams(r), rest).value
@@ -338,7 +332,7 @@ class TestChainProducts:
         u = word("0000")
         lit = pdelta_logprob_level_indexed(a, u).value
         full = pdelta_logprob(a, u).value
-        chain1 = markov_cylinder_logprob(MarkovParams(a.p), restrict_to_chain(u, 1)).value
+        chain1 = markov_cylinder_logprob(MarkovParams(a.p), word("000")).value  # u_1 u_2 u_4
         assert lit == pytest.approx(full - chain1, abs=1e-12)
 
     def test_level_indexed_agrees_on_non_dyadic_small_n(self):
@@ -359,12 +353,6 @@ class TestIdentityGap:
     def test_exhaustive_small_even_lengths(self, n):
         for u in iter_multiplicative_prefixes(n):
             assert abs(pmu_identity_gap(u)) < 1e-10
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            pmu_identity_gap(word("0"))  # odd length
-        with pytest.raises(ValueError):
-            pmu_identity_gap(word("11"))  # inadmissible
 
 
 class TestSampling:
@@ -408,7 +396,7 @@ class TestSampling:
     def test_sample_point_contract(self):
         a = BlockAssignment(delta=0.05)
         pt = sample_point(a, 257, seed=11)
-        assert is_multiplicative_prefix(pt.word)
+        assert brute_is_multiplicative(list(pt.word))
         assert pt.word == sample_point(a, 257, seed=11).word
         longer = sample_point(a, 400, seed=11)
         assert str(longer.word)[:257] == str(pt.word)

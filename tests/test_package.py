@@ -2,6 +2,12 @@
 
 import hashlib
 import importlib
+import inspect
+import os
+import random
+import sys
+import types
+from pathlib import Path
 
 import pytest
 
@@ -12,16 +18,11 @@ from conftest import loaded_modules, run_fresh
 # with the module it came from then
 EXPORTED = {
     "analytics": (
-        "A_closed", "A_series", "CertificationError", "Gauge", "GaugeFamily", "binary_entropy",
-        "derivative_series_at_p", "dim_minkowski", "entropy_nat", "expected_zero_count_chain",
-        "expected_zero_count_prefix", "gauge_log2", "hausdorff_dim", "hf_derivative_at",
-        "partition_entropy", "p_float", "solve_p", "tau_certify", "tau_gamma",
+        "CertificationError", "Gauge", "GaugeFamily", "binary_entropy", "derivative_series_at_p",
+        "dim_minkowski", "expected_zero_count_chain", "expected_zero_count_prefix", "gauge_log2",
+        "hausdorff_dim", "partition_entropy", "p_float", "solve_p", "tau_certify", "tau_gamma",
     ),
-    "core": (
-        "BinaryWord", "chain_length", "chain_partition", "count_cylinders", "count_golden_words",
-        "fibonacci", "is_golden_word", "is_multiplicative_prefix", "odd_indices_in",
-        "restrict_to_chain",
-    ),
+    "core": ("BinaryWord", "chain_length", "fibonacci"),
     "experiments": (
         "DeviationReport", "TrajectoryReport", "Verdict", "box_dimension_estimate", "covering_sum",
         "density_trajectory", "hoeffding_check", "lower_bound_trajectory",
@@ -30,7 +31,7 @@ EXPORTED = {
     "intervals": ("CertifiedInterval",),
     "measures": (
         "BlockAssignment", "LogProb", "MarkovParams", "SampledPoint", "markov_cylinder_logprob",
-        "pdelta_logprob", "pmu_identity_gap", "pmu_logprob", "sample_chain", "sample_point",
+        "pdelta_logprob", "sample_chain", "sample_point",
     ),
     "polynomials": ("EntropyPolynomial", "entropy_poly"),
 }
@@ -60,17 +61,19 @@ class TestNamespace:
             exec("from mgms import no_such_name", {})
 
 
-# every scalar word operation and both enumerators, on Python ints and strings
+# every scalar word operation and the cylinder count, on Python ints and strings
 WORD_OPS = """
 import sys
-from mgms.core import (BinaryWord, assemble_from_chains, is_golden_word, is_multiplicative_prefix,
-                       iter_golden_words, iter_multiplicative_prefixes, restrict_to_chain)
+from mgms.core import (BinaryWord, assemble_from_chains, block_of, chain_length, chain_length_counts,
+                       fibonacci, log2_count_cylinders)
 u = BinaryWord.from_bits([0, 1, 0, 0, 1, 0])
 assert [u[k] for k in range(1, 7)] == list(u) == [0, 1, 0, 0, 1, 0]
-assert str(u.prefix(4)) == "0100" and is_golden_word(u) and is_multiplicative_prefix(u)
-chains = {i: restrict_to_chain(u, i) for i in (1, 3, 5)}
+assert str(u.prefix(4)) == "0100" and u.count_ones() == 2 and u.count_zeros() == 4
+chains = {1: BinaryWord("010"), 3: BinaryWord("00"), 5: BinaryWord("1")}
+assert [chain_length(6, i) for i in chains] == [3, 2, 1] and [block_of(i) for i in chains] == [0, 1, 2]
 assert assemble_from_chains(6, chains) == u
-assert len(list(iter_golden_words(6))) == 21 and len(list(iter_multiplicative_prefixes(6))) == 30
+assert chain_length_counts(6) == {1: 1, 2: 1, 3: 1} and fibonacci(7) == 21
+assert round(2 ** log2_count_cylinders(6)) == 30
 assert "numpy" not in sys.modules
 """
 
@@ -144,3 +147,106 @@ def test_cleared_caches_restore_the_precision():
         iv.prec = 120
     text = f"{v.lo.numerator}/{v.lo.denominator}\n{v.hi.numerator}/{v.hi.denominator}\n"
     assert hashlib.sha256(text.encode()).hexdigest() == TAU_GAMMA_DIGEST
+
+
+# -- what the benchmark and the CLI reach ----------------------------------------------
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture
+def perfbench(monkeypatch):
+    """perfbench's spec, tracing and workloads modules, imported as perfbench/run.py imports them."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    return tuple(importlib.import_module(name) for name in ("spec", "tracing", "workloads"))
+
+
+def test_benchmark_finds_what_it_imports_and_patches(perfbench):
+    # workloads imports sample_point and pdelta_logprob; the tracer wraps every layer,
+    # EntropyPolynomial.evaluate by name and experiments.stats: a name removed from
+    # the package fails here instead of failing every benchmark run
+    spec, tracing, _ = perfbench
+    evaluate = mgms.polynomials.EntropyPolynomial.__dict__["evaluate"]
+    undo = tracing.install(tracing.Tracer(), spec.LAYERS)
+    undo()
+    assert mgms.polynomials.EntropyPolynomial.__dict__["evaluate"] is evaluate
+
+
+# Functions in src/mgms that no CLI run and no benchmark round reaches, each kept for a reason.
+_VALUE_TYPE = "a method of a value type, kept whole"
+UNREACHED = {
+    "__init__.__getattr__": "PEP 562 hook: runs on `from mgms import name`, which no run does",
+    "__init__.__dir__": "PEP 562 hook: runs on dir(mgms)",
+    "polynomials.EntropyPolynomial.evaluate": "perfbench/tracing.py patches it by name; a test oracle",
+    "polynomials.EntropyPolynomial.evaluate_derivative": "perfbench/tracing.py patches it by name",
+    "polynomials._horner": "behind the two evaluators",
+    "intervals.iv_polyval": "behind the two evaluators on an interval",
+    **{f"core.BinaryWord.{name}": _VALUE_TYPE for name in (
+        "__getitem__", "__iter__", "__repr__", "count_ones", "count_zeros", "empty", "from_array")},
+    **{f"intervals.CertifiedInterval.{name}": _VALUE_TYPE for name in (
+        "__add__", "__mul__", "__rsub__", "__str__", "__sub__", "_coerce", "contains", "is_negative")},
+}
+
+# every subcommand, plain, JSON and CSV, every gauge family, with and without --t-grid
+PROBE_ARGV = [
+    "dims", "dims --format json", "dims --tol 1e-30 --format json", "tau", "tau --format json",
+    "measure --pdelta 0.05 0100100010", "measure --mu 0.3 0100100010 --format json",
+    "measure --pmu 0100100010", "measure --pmu 0110",
+    "experiment boxdim --n-grid 16,1024", "experiment boxdim --n-grid 16,1024 --format csv",
+    "experiment cover --gauge phi_gamma --n-grid 16,1024", "experiment cover --gauge phi --n-grid 16,64",
+    "experiment cover --exponent dimm --gauge pure --n-grid 16,1024 --format json",
+    "experiment density --seed 1 --seeds 2 --n-grid 16,64,256",
+    "experiment density --seed 1 --seeds 2 --n-grid 16,64,256 --gauge pure --format json",
+    "experiment lower --seed 1 --seeds 2 --n-grid 16,64,256 --format csv",
+    "experiment telescope --seed 1 --ell-max 8",
+    "experiment telescope --seed 1 --g t^1.5 --ell-max 8 --format json",
+    "experiment hoeffding --seed 1 --trials 200 --n 20",
+    "experiment hoeffding --seed 1 --distribution logmass --k 3 --n 20 --trials 200",
+    "experiment hoeffding --seed 1 --t-grid 0.1,0.3 --trials 200 --n 20 --format csv",
+    "experiment ldev2 --seed 1 --trials 500 --n-grid 32,64 --t-grid 0.1,0.2 --format json",
+    "experiment ldev2 --seed 1 --trials 500 --n-grid 32,64",
+    "--version", "experiment boxdim --n-grid 1", "experiment frobnicate",
+]
+
+
+def _package_functions() -> dict[tuple, str]:
+    """(file, first line, name) of every def in src/mgms, to its module-qualified name."""
+    found = {}
+
+    def walk(code, prefix, module):
+        for const in code.co_consts:
+            if isinstance(const, types.CodeType) and not const.co_name.startswith("<"):
+                name = prefix + const.co_name
+                if const.co_flags & inspect.CO_NEWLOCALS:  # a function, not a class body
+                    found[(const.co_filename, const.co_firstlineno, const.co_name)] = f"{module}.{name}"
+                walk(const, name + ".", module)
+
+    for path in sorted(Path(mgms.__file__).resolve().parent.glob("*.py")):
+        walk(compile(path.read_text(encoding="utf-8"), str(path), "exec"), "", path.stem)
+    return found
+
+
+def test_every_function_is_reached(perfbench, tmp_path, capsys):
+    _, _, workloads = perfbench
+    import mgms.cli
+
+    workloads.clear_caches()  # a cached function runs only on a miss
+    reached = {}
+    sys.setprofile(lambda frame, event, arg: reached.setdefault(id(frame.f_code), frame.f_code)
+                   if event == "call" else None)
+    try:
+        for argv in PROBE_ARGV:
+            mgms.cli.main(argv.split())
+        mgms.cli.main(["dims", "--out", str(tmp_path / "dims.txt")])
+        refs = workloads.load_references()
+        for name in ("trajectory", "deviation", "certify"):
+            wl = workloads.make(name, refs)
+            for op in wl.round(random.Random(1)):
+                wl.prepare(op)
+                assert wl.check(op, wl.run(op), True)[0] == []
+    finally:
+        sys.setprofile(None)
+    capsys.readouterr()
+    keys = {(os.path.realpath(c.co_filename), c.co_firstlineno, c.co_name) for c in reached.values()}
+    unreached = {name for key, name in _package_functions().items() if key not in keys}
+    assert unreached == set(UNREACHED)
