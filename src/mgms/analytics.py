@@ -48,17 +48,20 @@ from typing import NamedTuple, Optional
 from .core import chain_length_counts, fibonacci, log2_count_cylinders
 from .intervals import (
     _FIX_BITS,
+    _PREC,
     CertifiedInterval,
     _common_numerators,
     _dyadic,
-    _iv,
     _iv_horner,
     _iv_mul_ints,
+    _ln2,
+    _mpi,
     _powers,
     _round_out,
     iv_entropy_nat,
     iv_ln_ratio,
     iv_log2,
+    ln2_interval,
 )
 from .polynomials import entropy_poly
 
@@ -209,18 +212,19 @@ def dim_minkowski(tol: float = 1e-6) -> SeriesValue:
 def dim_minkowski_enclosure(tol: float = 1e-6) -> CertifiedInterval:
     """Certified enclosure of the Minkowski dimension (partial sum + tail).
 
-    Each term 2^-(k+1) log2 F_{k+1} is enclosed as ln(F_{k+1}) / ln 2 in
-    mpmath's interval context, with ln 2 enclosed once per call.  Its
-    dyadic endpoints m 2^e become m 2^(e-k-1); the lower ones, and the upper
-    ones with the exact tail (K+2) 2^-(K+1), are summed exactly as two
+    Each term 2^-(k+1) log2 F_{k+1} is enclosed as ln(F_{k+1}) / ln 2 on
+    mpmath's raw intervals at 120 bits, with ln 2 enclosed once per call.
+    Its dyadic endpoints m 2^e become m 2^(e-k-1); the lower ones, and the
+    upper ones with the exact tail (K+2) 2^-(K+1), are summed exactly as two
     integers over one power of two, each reduced to `Fraction` once.
     """
+    from mpmath.libmp import mpi_div, mpi_log
     K = _minkowski_K(tol)
-    iv = _iv()
-    ln2 = iv.log(iv.mpf(2))
+    ln2 = _ln2()
     ends = ([], [(K + 2, -(K + 1))])  # (m, e) of the lower and upper endpoints
     for k in range(1, K + 1):
-        for end, (m, e) in zip(ends, map(_dyadic, (iv.log(iv.mpf(fibonacci(k + 1))) / ln2)._mpi_)):
+        term = mpi_div(mpi_log(_mpi(fibonacci(k + 1)), _PREC), ln2, _PREC)
+        for end, (m, e) in zip(ends, map(_dyadic, term)):
             end.append((m, e - k - 1))
     e_min = min(e for end in ends for _, e in end)  # <= -(K+1), from the tail
     lo, hi = (sum(m << (e - e_min) for m, e in end) for end in ends)
@@ -520,8 +524,6 @@ def tau_certify() -> TauCertificate:
 
 def tau_bits_lower_bound() -> Fraction:
     """Certified lower bound for tau on the base-2 scale (tau_bits = tau / ln 2)."""
-    from .intervals import ln2_interval
-
     return tau_certify().margin / ln2_interval().hi
 
 
@@ -536,19 +538,20 @@ def tau_gamma(gamma: float, K: int = 12) -> TauGammaResult:
 
     The tail majorizes k^(1+gamma) by k^m with m = ceil(1+gamma), so gamma
     is limited to (0, 2].  Reports the sign when the tail-widened interval
-    separates from zero, UNKNOWN otherwise.  Each weight k^(1+gamma) is an
-    mpmath enclosure with dyadic endpoints m 2^e; times 2^-(k+1) they are
-    m 2^(e-k-1), shifted onto the least such exponent for the series kernel.
+    separates from zero, UNKNOWN otherwise.  Each weight k^(1+gamma) is
+    exp((1+gamma) ln k) on mpmath's raw intervals at 120 bits; its dyadic
+    endpoints m 2^e, times 2^-(k+1), go onto the least exponent among them.
     """
     if not 0 < gamma <= 2:
         raise ValueError(f"gamma must lie in (0, 2], got {gamma}")
     if K < 1:
         raise ValueError(f"need K >= 1, got {K}")
-    iv = _iv()
+    from mpmath.libmp import mpi_exp, mpi_log, mpi_mul
+    power = _mpi(CertifiedInterval.point(1 + gamma))
     ends = {}
-    for k in range(1, K + 1):
-        w = iv.exp(iv.log(iv.mpf(k)) * iv.mpf(1 + gamma)) if k > 1 else iv.mpf(1)
-        ends[k] = [(m, e - k - 1) for m, e in map(_dyadic, w._mpi_)]
+    for k in range(1, K + 1):  # k = 1 gives exp(0 * power) = 1 exactly
+        w = mpi_exp(mpi_mul(mpi_log(_mpi(k), _PREC), power, _PREC), _PREC)
+        ends[k] = [(m, e - k - 1) for m, e in map(_dyadic, w)]
     e_min = min(e for end in ends.values() for _, e in end)  # <= -2, from k = 1
     weights = {k: tuple(m << (e - e_min) for m, e in end) for k, end in ends.items()}
     p = solve_p()

@@ -14,16 +14,18 @@ as step-by-step `CertifiedInterval` arithmetic.  `analytics` sums whole
 derivative series on integer numerators with `_iv_mul_ints`, and only
 `tau_certify` still runs `_iv_horner`.  Two things round, always outward,
 so every output encloses the true image of its input.  The transcendental
-maps (log2, the natural-log entropy and its derivative ln((1-x)/x)) go
-through mpmath's interval context at 120 bits.  And fixed-point intervals,
+maps (log2, the natural-log entropy and its derivative ln((1-x)/x)) run on
+mpmath's raw (lo, hi) interval tuples, through the `mpmath.libmp` kernels
+that mpmath's `iv` context calls, at the explicit precision `_PREC` (120
+bits), so they read and write no mpmath state.  And fixed-point intervals,
 integer pairs over 2^_FIX_BITS (256 bits), round each product and
 quotient with `_round_out`, floor below and ceiling above;
 `analytics.derivative_series_at_p` evaluates its closed form in them, so
 no endpoint grows with the number of terms.  The mpmath endpoints are
 dyadic: `_dyadic` reads each as an integer mantissa and exponent (inf and
-nan raise), `_from_iv` turns them into Fractions exactly, and `analytics`
+nan raise), `_from_mpi` turns them into Fractions exactly, and `analytics`
 sums them as integers over one power of two.  mpmath loads on the first
-transcendental call, through `_iv`, which also sets the 120 bits.
+transcendental call: each function imports the kernels it runs.
 """
 
 from __future__ import annotations
@@ -220,14 +222,22 @@ def iv_polyval(coeffs, x: CertifiedInterval) -> CertifiedInterval:
 
 # -- mpmath bridge ------------------------------------------------------------
 
+_PREC = 120  # bits of every transcendental endpoint
 
-@lru_cache(maxsize=None)
-def _iv():
-    """mpmath's interval context at 120 bits; every transcendental enclosure goes through it."""
-    from mpmath import iv
 
-    iv.prec = 120
-    return iv
+def _mpi(x) -> tuple:
+    """x, an int or a CertifiedInterval, as a raw interval rounded outward to _PREC bits (floor, ceiling)."""
+    import mpmath.libmp as libmp  # cheaper than a from-import, once per series term
+    if isinstance(x, int):
+        return libmp.from_int(x, _PREC, libmp.round_floor), libmp.from_int(x, _PREC, libmp.round_ceiling)
+    return (libmp.from_rational(x.lo.numerator, x.lo.denominator, _PREC, libmp.round_floor),
+            libmp.from_rational(x.hi.numerator, x.hi.denominator, _PREC, libmp.round_ceiling))
+
+
+def _ln2() -> tuple:
+    """ln 2 as a raw interval at _PREC bits."""
+    from mpmath.libmp import mpi_log
+    return mpi_log(_mpi(2), _PREC)
 
 
 def _dyadic(raw: tuple) -> tuple[int, int]:
@@ -241,50 +251,37 @@ def _dyadic(raw: tuple) -> tuple[int, int]:
     return (-int(man) if sign else int(man)), exp
 
 
-def _to_iv(ci: CertifiedInterval):
-    """ci as an mpmath interval, endpoints rounded outward (floor, ceiling)."""
-    from mpmath import fdiv
-
-    iv = _iv()
-    lo = fdiv(ci.lo.numerator, ci.lo.denominator, prec=iv.prec, rounding="f")
-    hi = fdiv(ci.hi.numerator, ci.hi.denominator, prec=iv.prec, rounding="c")
-    return iv.mpf([lo, hi])
-
-
-def _from_iv(x) -> CertifiedInterval:
-    # endpoints from the raw mpi tuples: exact, no context-precision rounding
-    ends = (_dyadic(raw) for raw in x._mpi_)
-    return CertifiedInterval(*(Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e) for m, e in ends))
+def _from_mpi(x: tuple) -> CertifiedInterval:
+    return CertifiedInterval(*(Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e) for m, e in map(_dyadic, x)))
 
 
 @lru_cache(maxsize=None)
 def ln2_interval() -> CertifiedInterval:
-    iv = _iv()
-    return _from_iv(iv.log(iv.mpf(2)))
+    return _from_mpi(_ln2())
 
 
 def iv_log2(ci: CertifiedInterval) -> CertifiedInterval:
-    """Enclosure of log2 over the interval; requires lo > 0."""
+    """Enclosure of log2 over the interval, as ln x / ln 2; requires lo > 0."""
     if ci.lo <= 0:
         raise ValueError(f"log of nonpositive interval {ci}")
-    iv = _iv()
-    return _from_iv(iv.log(_to_iv(ci)) / iv.log(iv.mpf(2)))
+    from mpmath.libmp import mpi_div, mpi_log
+    return _from_mpi(mpi_div(mpi_log(_mpi(ci), _PREC), _ln2(), _PREC))
 
 
 def iv_entropy_nat(ci: CertifiedInterval) -> CertifiedInterval:
     """Enclosure of -x ln x - (1-x) ln(1-x); requires interval inside (0,1)."""
     if not (0 < ci.lo and ci.hi < 1):
         raise ValueError(f"entropy needs an interval inside (0,1), got {ci}")
-    iv = _iv()
-    x = _to_iv(ci)
-    one = iv.mpf(1)
-    return _from_iv(-(x * iv.log(x)) - (one - x) * iv.log(one - x))
+    from mpmath.libmp import mpi_log, mpi_mul, mpi_neg, mpi_sub
+    x = _mpi(ci)
+    x_ln_x, y_ln_y = (mpi_mul(v, mpi_log(v, _PREC), _PREC) for v in (x, mpi_sub(_mpi(1), x, _PREC)))
+    return _from_mpi(mpi_sub(mpi_neg(x_ln_x, _PREC), y_ln_y, _PREC))
 
 
 def iv_ln_ratio(ci: CertifiedInterval) -> CertifiedInterval:
     """Enclosure of ln((1-x)/x), the derivative of the natural-log entropy."""
     if not (0 < ci.lo and ci.hi < 1):
         raise ValueError(f"need an interval inside (0,1), got {ci}")
-    iv = _iv()
-    x = _to_iv(ci)
-    return _from_iv(iv.log((iv.mpf(1) - x) / x))
+    from mpmath.libmp import mpi_div, mpi_log, mpi_sub
+    x = _mpi(ci)
+    return _from_mpi(mpi_log(mpi_div(mpi_sub(_mpi(1), x, _PREC), x, _PREC), _PREC))

@@ -17,7 +17,7 @@ import pytest
 import mgms
 from mgms.analytics import _jet_bounds, _minkowski_K, binary_entropy, p_float
 from mgms.core import BinaryWord, chain_length_counts, fibonacci
-from mgms.intervals import CertifiedInterval, _from_iv, _iv, _to_iv, iv_entropy_nat, iv_ln_ratio, iv_log2
+from mgms.intervals import CertifiedInterval, iv_entropy_nat, iv_ln_ratio
 from mgms.measures import BlockAssignment, chain_breakdown, pdelta_logprob
 from mgms.polynomials import EntropyPolynomial, entropy_poly
 
@@ -177,6 +177,42 @@ def reference_truncated_jet(K: int, a: Fraction) -> tuple[Fraction, ...]:
     return tuple(sums)
 
 
+# -- mpmath's interval context: the oracle for the raw-interval bridge -----------
+# mgms runs its transcendentals on mpmath's raw interval tuples through the
+# mpmath.libmp kernels; these go through mpmath's `iv` context objects instead,
+# and read the endpoints back with mpmath's own `to_rational`.
+
+
+def _iv():
+    """mpmath's interval context, set to the 120 bits of `mgms.intervals._PREC`."""
+    from mpmath import iv
+
+    iv.prec = 120
+    return iv
+
+
+def _to_iv(ci: CertifiedInterval):
+    """ci as an mpmath interval, endpoints rounded outward (floor, ceiling)."""
+    from mpmath import fdiv
+
+    iv = _iv()
+    lo = fdiv(ci.lo.numerator, ci.lo.denominator, prec=iv.prec, rounding="f")
+    hi = fdiv(ci.hi.numerator, ci.hi.denominator, prec=iv.prec, rounding="c")
+    return iv.mpf([lo, hi])
+
+
+def _from_iv(x) -> CertifiedInterval:
+    """The endpoints of an mpmath interval as Fractions, exactly; inf and nan raise."""
+    from mpmath import libmp
+
+    ends = []
+    for raw in x._mpi_:
+        if raw in (libmp.finf, libmp.fninf, libmp.fnan):
+            raise ValueError(f"mpmath endpoint is not a finite number: {raw}")
+        ends.append(Fraction(*libmp.to_rational(raw)))
+    return CertifiedInterval(*ends)
+
+
 def reference_hf_derivative_at(k: int, x: CertifiedInterval) -> CertifiedInterval:
     """(H F_{k-1})'(x), with F_{k-1} and F'_{k-1} in the Taylor form at x.lo and H, H' enclosed per term."""
     m, h = k - 1, x.width
@@ -256,10 +292,11 @@ def reference_solve_p(width) -> CertifiedInterval:
 
 
 def iv_log2_int(n: int) -> CertifiedInterval:
-    """Enclosure of log2 of a positive integer."""
+    """Enclosure of log2 of a positive integer, as the iv context gives ln n / ln 2."""
     if n < 1:
         raise ValueError(f"need a positive integer, got {n}")
-    return iv_log2(CertifiedInterval.point(n))
+    iv = _iv()
+    return _from_iv(iv.log(iv.mpf(n)) / iv.log(iv.mpf(2)))
 
 
 def reference_dim_minkowski_enclosure(tol: float) -> CertifiedInterval:

@@ -330,8 +330,17 @@ def test_enclosure_endpoints_are_frozen():
     # sha256 of the exact num/den endpoints: for K80 and K120 those of the
     # closed form (H G_K)'(p) in fixed point over 2^256; for tau_gamma those
     # of the step-by-step CertifiedInterval loop of conftest on the Taylor-form
-    # closed-form terms, and interval Horner for tau's partial_12; any change
-    # of representation must keep them
+    # closed-form terms, and interval Horner for tau's partial_12; p, s and the
+    # Minkowski sums as computed through mpmath's interval context, before the
+    # raw-tuple kernels; any change of representation must keep them
+    assert endpoint_digest(solve_p()) == (
+        "c3f92aa8e198dce0e5ab4f68a38561e78cb5ee5deb88c0e0f258f2e4ddc3205f")
+    assert endpoint_digest(hausdorff_dim()) == (
+        "da2bd1fe98eced1319a852c529342c3bbe6b0dbc24c6916ef073995a038659a7")
+    assert endpoint_digest(dim_minkowski_enclosure(1e-6)) == (
+        "b1b8df68ab755585728bd0db44dcfebf95d354eea73ca2403a713923a6cbcbfb")
+    assert endpoint_digest(dim_minkowski_enclosure(1e-30)) == (
+        "2a9ac59889c64d422252042c3db3c155fe4a844730b90395840d2c11f627e801")
     assert endpoint_digest(derivative_series_at_p(80)) == (
         "b94c27a5abca014b8c50b185284ca6fb28a8d9775f46edb962f71cc7c631172e")
     assert endpoint_digest(derivative_series_at_p(120)) == (

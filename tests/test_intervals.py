@@ -10,8 +10,7 @@ from mgms.intervals import (
     CertifiedInterval,
     _common_numerators,
     _dyadic,
-    _from_iv,
-    _iv,
+    _from_mpi,
     _iv_horner,
     _iv_mul_ints,
     _powers,
@@ -21,9 +20,10 @@ from mgms.intervals import (
     iv_polyval,
     ln2_interval,
 )
+from mgms.analytics import solve_p, tau_gamma
 from mgms.polynomials import entropy_poly
 
-from conftest import iv_ln, iv_log2_int, iv_log2_ratio, object_horner
+from conftest import _from_iv, _iv, _to_iv, iv_ln, iv_log2_int, iv_log2_ratio, object_horner, reference_tau_gamma_partial
 
 
 def box(a, b) -> CertifiedInterval:
@@ -85,11 +85,76 @@ def test_dyadic_reader():
     iv = _iv()
     assert [_dyadic(raw) for raw in iv.mpf([-3, 0.375])._mpi_] == [(-3, 0), (3, -3)]
     assert _dyadic(iv.mpf(0)._mpi_[0]) == (0, 0)
-    assert _from_iv(iv.mpf([-3, 2**70])) == box(-3, 2**70)
-    # an unbounded or nan endpoint must not read as 0
-    for x in (iv.mpf([-math.inf, math.inf]), iv.mpf([1, math.inf]), iv.mpf(math.nan)):
+    for read in (_from_mpi, lambda raw: _from_iv(iv.make_mpf(raw))):
+        assert read(iv.mpf([-3, 2**70])._mpi_) == box(-3, 2**70)
+        assert read(iv.mpf([-0.375, 0.375])._mpi_) == box(Fraction(-3, 8), Fraction(3, 8))
+        # an unbounded or nan endpoint must not read as 0
+        for x in (iv.mpf([-math.inf, math.inf]), iv.mpf([1, math.inf]), iv.mpf(math.nan)):
+            with pytest.raises(ValueError):
+                read(x._mpi_)
+
+
+def _bridge_cases() -> list[CertifiedInterval]:
+    """About 200 rational intervals inside (0,1): points, narrow, wide, and denominators past 2^120."""
+    rng = random.Random(20260522)
+    cases = [solve_p(), solve_p(2**-112), solve_p(2**-300), box(Fraction(1, 5), Fraction(3, 4)),
+             box(Fraction(1, 2), Fraction(1, 2)), box(Fraction(1, 2**200), 1 - Fraction(1, 2**100)),
+             box(Fraction(1, 3), Fraction(2, 3)), box(Fraction(57, 100), Fraction(57, 100))]
+    while len(cases) < 200:
+        bits = rng.choice((8, 53, 119, 120, 121, 160, 400))
+        den = rng.randrange(2, 2**bits) | 1  # odd: never dyadic, so the rounding is exercised
+        lo = Fraction(rng.randrange(1, den), den)
+        width = rng.choice((0, Fraction(1, 2**rng.randrange(1, 300)), Fraction(rng.randrange(1, den), den)))
+        if lo + width < 1:
+            cases.append(box(lo, lo + width))
+    return cases
+
+
+def oracle_log2(ci):
+    iv = _iv()
+    return _from_iv(iv.log(_to_iv(ci)) / iv.log(iv.mpf(2)))
+
+
+def oracle_entropy_nat(ci):
+    iv = _iv()
+    x, one = _to_iv(ci), iv.mpf(1)
+    return _from_iv(-(x * iv.log(x)) - (one - x) * iv.log(one - x))
+
+
+def oracle_ln_ratio(ci):
+    iv = _iv()
+    x = _to_iv(ci)
+    return _from_iv(iv.log((iv.mpf(1) - x) / x))
+
+
+def test_bridge_equals_the_interval_context():
+    # the raw-tuple kernels at an explicit 120 bits against mpmath's `iv` objects, endpoint for endpoint
+    cases = _bridge_cases()
+    assert len(cases) == 200 and any(max(ci.lo.denominator, ci.hi.denominator) > 2**120 for ci in cases)
+    for ci in cases:
+        for got, ref in ((iv_log2, oracle_log2), (iv_entropy_nat, oracle_entropy_nat), (iv_ln_ratio, oracle_ln_ratio)):
+            a, b = got(ci), ref(ci)
+            assert (a.lo, a.hi) == (b.lo, b.hi), (got.__name__, ci)
+    # integers past 2^120, where the entry rounds outward
+    for n in (2**120 + 1, 2**121 - 1, 3**90, 10**40 + 7):
+        a, b = iv_log2(CertifiedInterval.point(n)), iv_log2_int(n)
+        assert (a.lo, a.hi) == (b.lo, b.hi) and a.lo < a.hi and abs(a.mid_float - math.log2(n)) < 1e-12
+    assert ln2_interval() == _from_iv(_iv().log(2))
+    for gamma in (0.1, 0.5, 1, 2):
+        for K in (1, 12, 20):
+            a, b = tau_gamma(gamma, K).value, reference_tau_gamma_partial(solve_p(), gamma, K)
+            assert (a.lo, a.hi) == (b.lo, b.hi), (gamma, K)
+
+
+@pytest.mark.parametrize("fn", [iv_log2, iv_entropy_nat, iv_ln_ratio])
+def test_bridge_rejects_bad_domains(fn):
+    for ci in (box(0, Fraction(1, 2)), box(Fraction(-1, 3), Fraction(1, 3))):
         with pytest.raises(ValueError):
-            _from_iv(x)
+            fn(ci)
+    if fn is not iv_log2:  # log2 is defined past 1; the entropy and its derivative are not
+        for ci in (box(Fraction(1, 2), 1), box(Fraction(1, 2), Fraction(3, 2))):
+            with pytest.raises(ValueError):
+                fn(ci)
 
 
 def test_ln2_interval():

@@ -131,22 +131,30 @@ def test_tau_gamma_as_first_interval_op_is_frozen():
     assert hashlib.sha256(out.encode()).hexdigest() == TAU_GAMMA_DIGEST
 
 
-def test_cleared_caches_restore_the_precision():
-    # the certify benchmark clears every mgms lru_cache, _iv included, before each op
+def test_certified_output_ignores_the_global_interval_precision(perfbench):
+    # mgms passes its 120 bits to mpmath's interval kernels and never reads or writes iv.prec:
+    # with iv.prec at 53 before a cold call (every mgms cache cleared, as the certify benchmark
+    # clears them) and again before a warm one, the endpoints keep their frozen digests
     from mpmath import iv
 
-    from mgms import intervals
-    from mgms.analytics import tau_gamma
+    from mgms.analytics import dim_minkowski_enclosure, hausdorff_dim, tau_gamma
 
-    intervals._iv.cache_clear()
-    iv.prec = 53
+    clear_caches = perfbench[2].clear_caches
+    frozen = ((hausdorff_dim, "da2bd1fe98eced1319a852c529342c3bbe6b0dbc24c6916ef073995a038659a7"),
+              (lambda: dim_minkowski_enclosure(1e-6), "b1b8df68ab755585728bd0db44dcfebf95d354eea73ca2403a713923a6cbcbfb"),
+              (lambda: tau_gamma(0.5, 20).value, TAU_GAMMA_DIGEST))
+    saved = iv.prec
     try:
-        v = tau_gamma(0.5, 20).value
-        assert iv.prec == 120
+        for call, digest in frozen:
+            clear_caches()
+            for _ in ("cold", "warm"):
+                iv.prec = 53
+                v = call()
+                text = f"{v.lo.numerator}/{v.lo.denominator}\n{v.hi.numerator}/{v.hi.denominator}\n"
+                assert hashlib.sha256(text.encode()).hexdigest() == digest
+                assert iv.prec == 53
     finally:
-        iv.prec = 120
-    text = f"{v.lo.numerator}/{v.lo.denominator}\n{v.hi.numerator}/{v.hi.denominator}\n"
-    assert hashlib.sha256(text.encode()).hexdigest() == TAU_GAMMA_DIGEST
+        iv.prec = saved
 
 
 # -- what the benchmark and the CLI reach ----------------------------------------------
