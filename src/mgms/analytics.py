@@ -22,7 +22,7 @@ Conventions.  Entropy comes in two scales and both are used deliberately:
   * `binary_entropy` (base 2) drives the partition-entropy identity
     H^{mu(r)}(alpha_k) = H(r) F_{k-1}(r) and the series A(r) = 2H(r)/(3-r)
     whose maximum over (0,1) is the Hausdorff dimension s = -log2 p.
-  * the natural-log entropy (`intervals.iv_entropy_nat`, ln 2 times
+  * the natural-log entropy (`intervals._entropy_pair`, ln 2 times
     `binary_entropy`) drives the derivative-series calculus
     around p: the explicit constants in the certified tail bounds
     (H(p) < 0.7, |H'(p)| < 0.3, |F_n(p)| < 3 + 3n/2, |F'_n(p)| < 3n + 6)
@@ -52,14 +52,13 @@ from .intervals import (
     CertifiedInterval,
     _common_numerators,
     _dyadic,
+    _entropy_pair,
     _iv_horner,
     _iv_mul_ints,
-    _ln2,
+    _ln_int,
     _mpi,
     _powers,
     _round_out,
-    iv_entropy_nat,
-    iv_ln_ratio,
     iv_log2,
     ln2_interval,
 )
@@ -142,25 +141,30 @@ def _cubic(n: int, d: int) -> int:
 def solve_p(width: Fraction = Fraction(1, 2**80)) -> CertifiedInterval:
     """Certified enclosure of the root of p^3 = (1-p)^2 in (0,1).
 
-    Plain bisection of [1/2, 3/5] = [5/10, 6/10] on integer numerators:
-    after j halvings the bracket is [N/D, (N+1)/D] with D = 10 * 2^j, and
-    the sign of f(x) = x^3 - x^2 + 2x - 1 at N/D is the sign of the exact
-    integer N^3 - N^2 D + 2 N D^2 - D^3, so the bracket is rigorous by
-    construction.  f(1/2) = -1/8 < 0 < f(3/5) = 7/125, and no midpoint is
-    the root, as f has no rational root (only +-1 could be one).  The
-    width may be any positive finite rational or float.
+    The bracket is [N/D, (N+1)/D] with D = 10 * 2^j for the least j with
+    1/D <= width, as j halvings of [1/2, 3/5] give it.  The sign of
+    f(x) = x^3 - x^2 + 2x - 1 at N/D is that of the exact integer
+    g(N) = N^3 - N^2 D + 2 N D^2 - D^3.  Integer Newton on g from the float
+    root runs until its step is 0; the exact signs g(N) < 0 < g(N+1) then
+    fix N = floor(pD), as f has no rational root (only +-1 could be one).
+    The width may be any positive finite rational or float.
     """
     if isinstance(width, float) and not math.isfinite(width):
         raise ValueError(f"width must be positive and finite, got {width}")
     width = Fraction(width)
     if width <= 0:
         raise ValueError("width must be positive")
-    lo, den = 5, 10
-    while width.numerator * den < width.denominator:  # hi - lo = 1/den > width
-        lo, den = 2 * lo, 2 * den
-        if _cubic(lo + 1, den) < 0:
-            lo += 1
-    return CertifiedInterval(Fraction(lo, den), Fraction(lo + 1, den))
+    den = 10
+    while width.numerator * den < width.denominator:  # 1/den > width
+        den *= 2
+    n = int(Fraction(0.5698402909980532) * den)  # the float root
+    while step := _cubic(n, den) // (3 * n * n - 2 * n * den + 2 * den * den):
+        n -= step
+    while _cubic(n, den) > 0:
+        n -= 1
+    while _cubic(n + 1, den) < 0:
+        n += 1
+    return CertifiedInterval(Fraction(n, den), Fraction(n + 1, den))
 
 
 def p_float() -> float:
@@ -213,17 +217,19 @@ def dim_minkowski_enclosure(tol: float = 1e-6) -> CertifiedInterval:
     """Certified enclosure of the Minkowski dimension (partial sum + tail).
 
     Each term 2^-(k+1) log2 F_{k+1} is enclosed as ln(F_{k+1}) / ln 2 on
-    mpmath's raw intervals at 120 bits, with ln 2 enclosed once per call.
+    mpmath's raw numbers at 120 bits: `_ln_int` (one `mpf_log` while
+    F_{k+1} < 2^120), then `mpf_div` of each end by the far end of ln 2.
     Its dyadic endpoints m 2^e become m 2^(e-k-1); the lower ones, and the
     upper ones with the exact tail (K+2) 2^-(K+1), are summed exactly as two
     integers over one power of two, each reduced to `Fraction` once.
     """
-    from mpmath.libmp import mpi_div, mpi_log
+    from mpmath.libmp import mpf_div, round_ceiling, round_floor
     K = _minkowski_K(tol)
-    ln2 = _ln2()
+    ln2_lo, ln2_hi = _ln_int(2)
     ends = ([], [(K + 2, -(K + 1))])  # (m, e) of the lower and upper endpoints
     for k in range(1, K + 1):
-        term = mpi_div(mpi_log(_mpi(fibonacci(k + 1)), _PREC), ln2, _PREC)
+        ln_lo, ln_hi = _ln_int(fibonacci(k + 1))
+        term = mpf_div(ln_lo, ln2_hi, _PREC, round_floor), mpf_div(ln_hi, ln2_lo, _PREC, round_ceiling)
         for end, (m, e) in zip(ends, map(_dyadic, term)):
             end.append((m, e - k - 1))
     e_min = min(e for end in ends for _, e in end)  # <= -(K+1), from the tail
@@ -270,8 +276,8 @@ def _derivative_series(x: CertifiedInterval, h: CertifiedInterval, g: CertifiedI
                        weights: dict[int, tuple[int, int]], shift: int) -> CertifiedInterval:
     """Enclosure of sum_k w_k (H F_{k-1})'(x), keys k >= 1, on closed-form chain terms.
 
-    h and g enclose H(x) and H'(x) = ln((1-x)/x) (`iv_entropy_nat`,
-    `iv_ln_ratio`); weights[k] = (lo, hi) are integers with 0 <= lo <= hi,
+    h and g enclose H(x) and H'(x) = ln((1-x)/x) (`intervals._entropy_pair`);
+    weights[k] = (lo, hi) are integers with 0 <= lo <= hi,
     and w_k is the interval [lo, hi] / 2^shift; x lies inside (0,1).  With
     m = k-1, q = x-1 and u = 1/(2-x), F_{k-1} = 1 + L_m and
 
@@ -447,7 +453,7 @@ def derivative_series_at_p(K: int) -> CertifiedInterval:
         r_lo, r_hi = _round_out(-r, r, d * d << (K + 2))
         return c[0] + s_lo + r_lo, c[1] + s_hi + r_hi
 
-    h, g = (_common_numerators(f(x)) for f in (iv_entropy_nat, iv_ln_ratio))
+    h, g = map(_common_numerators, _entropy_pair(x))
     h, g = (_round_out(lo << _FIX_BITS, hi << _FIX_BITS, den) for lo, hi, den in (h, g))
     hdg, gg = _iv_mul_ints(*h, *taylor(g1, g2, m3)), _iv_mul_ints(*g, *taylor(g0, g1, m2))
     lo, hi = _round_out(hdg[0] + gg[0], hdg[1] + gg[1], S)
@@ -484,8 +490,7 @@ def _tau_partial_12(x: CertifiedInterval) -> CertifiedInterval:
     `CertifiedInterval` Horner.  At k <= 12 the coefficients are small and
     the widening it suffers (about 2^(k/2)-fold) does not matter.
     """
-    h_lo, h_hi, h_den = _common_numerators(iv_entropy_nat(x))
-    g_lo, g_hi, g_den = _common_numerators(iv_ln_ratio(x))
+    (h_lo, h_hi, h_den), (g_lo, g_hi, g_den) = map(_common_numerators, _entropy_pair(x))
     x_lo, x_hi, d = _common_numerators(x)
     powers = _powers(d, 11)
     lo = hi = 0
@@ -539,23 +544,23 @@ def tau_gamma(gamma: float, K: int = 12) -> TauGammaResult:
     The tail majorizes k^(1+gamma) by k^m with m = ceil(1+gamma), so gamma
     is limited to (0, 2].  Reports the sign when the tail-widened interval
     separates from zero, UNKNOWN otherwise.  Each weight k^(1+gamma) is
-    exp((1+gamma) ln k) on mpmath's raw intervals at 120 bits; its dyadic
-    endpoints m 2^e, times 2^-(k+1), go onto the least exponent among them.
+    exp((1+gamma) ln k) on raw intervals at 120 bits, ln k by `_ln_int`; its
+    dyadic endpoints m 2^e, times 2^-(k+1), go onto the least exponent.
     """
     if not 0 < gamma <= 2:
         raise ValueError(f"gamma must lie in (0, 2], got {gamma}")
     if K < 1:
         raise ValueError(f"need K >= 1, got {K}")
-    from mpmath.libmp import mpi_exp, mpi_log, mpi_mul
+    from mpmath.libmp import mpi_exp, mpi_mul
     power = _mpi(CertifiedInterval.point(1 + gamma))
     ends = {}
     for k in range(1, K + 1):  # k = 1 gives exp(0 * power) = 1 exactly
-        w = mpi_exp(mpi_mul(mpi_log(_mpi(k), _PREC), power, _PREC), _PREC)
+        w = mpi_exp(mpi_mul(_ln_int(k), power, _PREC), _PREC)
         ends[k] = [(m, e - k - 1) for m, e in map(_dyadic, w)]
     e_min = min(e for end in ends.values() for _, e in end)  # <= -2, from k = 1
     weights = {k: tuple(m << (e - e_min) for m, e in end) for k, end in ends.items()}
     p = solve_p()
-    acc = _derivative_series(p, iv_entropy_nat(p), iv_ln_ratio(p), weights, -e_min)
+    acc = _derivative_series(p, *_entropy_pair(p), weights, -e_min)
     m = math.ceil(1 + gamma)
     tail = dyadic_tail(lambda k: Fraction(51, 40) * (k ** (m + 1) + k**m), m + 1, K + 1)
     widened = acc.widen(tail)

@@ -14,10 +14,11 @@ as step-by-step `CertifiedInterval` arithmetic.  `analytics` sums whole
 derivative series on integer numerators with `_iv_mul_ints`, and only
 `tau_certify` still runs `_iv_horner`.  Two things round, always outward,
 so every output encloses the true image of its input.  The transcendental
-maps (log2, the natural-log entropy and its derivative ln((1-x)/x)) run on
-mpmath's raw (lo, hi) interval tuples, through the `mpmath.libmp` kernels
-that mpmath's `iv` context calls, at the explicit precision `_PREC` (120
-bits), so they read and write no mpmath state.  And fixed-point intervals,
+maps (log2, and the natural-log entropy with its derivative ln((1-x)/x),
+one `_entropy_pair`) run on mpmath's raw (lo, hi) interval tuples, through
+the `mpmath.libmp` kernels that mpmath's `iv` context calls, at the
+explicit precision `_PREC` (120 bits), so they read and write no mpmath
+state; `_ln_int` takes the log of an integer.  And fixed-point intervals,
 integer pairs over 2^_FIX_BITS (256 bits), round each product and
 quotient with `_round_out`, floor below and ceiling above;
 `analytics.derivative_series_at_p` evaluates its closed form in them, so
@@ -234,10 +235,19 @@ def _mpi(x) -> tuple:
             libmp.from_rational(x.hi.numerator, x.hi.denominator, _PREC, libmp.round_ceiling))
 
 
-def _ln2() -> tuple:
-    """ln 2 as a raw interval at _PREC bits."""
-    from mpmath.libmp import mpi_log
-    return mpi_log(_mpi(2), _PREC)
+def _ln_int(n: int) -> tuple:
+    """ln n for an integer n >= 1 as a raw interval at _PREC bits.
+
+    For 2 <= n < 2^_PREC, n enters exactly and ln n is irrational, so its
+    ceiling is the successor of its floor: one `mpf_log` where `mpi_log`
+    runs two.  ln 1 is exactly 0, and past 2^_PREC n enters rounded outward.
+    """
+    import mpmath.libmp as libmp
+    if n == 1 or n.bit_length() > _PREC:
+        return libmp.mpi_log(_mpi(n), _PREC)
+    lo = libmp.mpf_log(libmp.from_int(n), _PREC, libmp.round_floor)
+    _, man, exp, bc = lo
+    return lo, libmp.from_man_exp((man << (_PREC - bc)) + 1, exp - (_PREC - bc))
 
 
 def _dyadic(raw: tuple) -> tuple[int, int]:
@@ -257,7 +267,7 @@ def _from_mpi(x: tuple) -> CertifiedInterval:
 
 @lru_cache(maxsize=None)
 def ln2_interval() -> CertifiedInterval:
-    return _from_mpi(_ln2())
+    return _from_mpi(_ln_int(2))
 
 
 def iv_log2(ci: CertifiedInterval) -> CertifiedInterval:
@@ -265,23 +275,23 @@ def iv_log2(ci: CertifiedInterval) -> CertifiedInterval:
     if ci.lo <= 0:
         raise ValueError(f"log of nonpositive interval {ci}")
     from mpmath.libmp import mpi_div, mpi_log
-    return _from_mpi(mpi_div(mpi_log(_mpi(ci), _PREC), _ln2(), _PREC))
+    return _from_mpi(mpi_div(mpi_log(_mpi(ci), _PREC), _ln_int(2), _PREC))
 
 
-def iv_entropy_nat(ci: CertifiedInterval) -> CertifiedInterval:
-    """Enclosure of -x ln x - (1-x) ln(1-x); requires interval inside (0,1)."""
-    if not (0 < ci.lo and ci.hi < 1):
-        raise ValueError(f"entropy needs an interval inside (0,1), got {ci}")
-    from mpmath.libmp import mpi_log, mpi_mul, mpi_neg, mpi_sub
-    x = _mpi(ci)
-    x_ln_x, y_ln_y = (mpi_mul(v, mpi_log(v, _PREC), _PREC) for v in (x, mpi_sub(_mpi(1), x, _PREC)))
-    return _from_mpi(mpi_sub(mpi_neg(x_ln_x, _PREC), y_ln_y, _PREC))
+def _entropy_pair(ci: CertifiedInterval) -> tuple[CertifiedInterval, CertifiedInterval]:
+    """Enclosures of H(x) = -x ln x - (1-x) ln(1-x) and H'(x) = ln((1-x)/x); requires ci inside (0,1).
 
-
-def iv_ln_ratio(ci: CertifiedInterval) -> CertifiedInterval:
-    """Enclosure of ln((1-x)/x), the derivative of the natural-log entropy."""
+    x and 1 - x enter mpmath once each and both maps read them.  1 - x is
+    the rounded difference; where its lower end reaches 0 (ci.hi within
+    about 2^-_PREC of 1) it enters from the exact rationals 1 - ci instead.
+    """
     if not (0 < ci.lo and ci.hi < 1):
         raise ValueError(f"need an interval inside (0,1), got {ci}")
-    from mpmath.libmp import mpi_div, mpi_log, mpi_sub
+    from mpmath.libmp import mpf_sign, mpi_div, mpi_log, mpi_mul, mpi_neg, mpi_sub
     x = _mpi(ci)
-    return _from_mpi(mpi_log(mpi_div(mpi_sub(_mpi(1), x, _PREC), x, _PREC), _PREC))
+    y = mpi_sub(_mpi(1), x, _PREC)
+    if mpf_sign(y[0]) <= 0:
+        y = _mpi(1 - ci)
+    x_ln_x, y_ln_y = (mpi_mul(v, mpi_log(v, _PREC), _PREC) for v in (x, y))
+    return (_from_mpi(mpi_sub(mpi_neg(x_ln_x, _PREC), y_ln_y, _PREC)),
+            _from_mpi(mpi_log(mpi_div(y, x, _PREC), _PREC)))

@@ -17,7 +17,7 @@ import pytest
 import mgms
 from mgms.analytics import _jet_bounds, _minkowski_K, binary_entropy, p_float
 from mgms.core import BinaryWord, chain_length_counts, fibonacci
-from mgms.intervals import CertifiedInterval, iv_entropy_nat, iv_ln_ratio
+from mgms.intervals import CertifiedInterval, _entropy_pair
 from mgms.measures import BlockAssignment, chain_breakdown, pdelta_logprob
 from mgms.polynomials import EntropyPolynomial, entropy_poly
 
@@ -213,6 +213,16 @@ def _from_iv(x) -> CertifiedInterval:
     return CertifiedInterval(*ends)
 
 
+def iv_entropy_nat(ci: CertifiedInterval) -> CertifiedInterval:
+    """Enclosure of H(x) = -x ln x - (1-x) ln(1-x): the first of the package's (H, H') pair."""
+    return _entropy_pair(ci)[0]
+
+
+def iv_ln_ratio(ci: CertifiedInterval) -> CertifiedInterval:
+    """Enclosure of H'(x) = ln((1-x)/x): the second of the package's (H, H') pair."""
+    return _entropy_pair(ci)[1]
+
+
 def reference_hf_derivative_at(k: int, x: CertifiedInterval) -> CertifiedInterval:
     """(H F_{k-1})'(x), with F_{k-1} and F'_{k-1} in the Taylor form at x.lo and H, H' enclosed per term."""
     m, h = k - 1, x.width
@@ -289,6 +299,23 @@ def reference_solve_p(width) -> CertifiedInterval:
         else:
             hi = mid
     return CertifiedInterval(lo, hi)
+
+
+def integer_bisection_p(width) -> CertifiedInterval:
+    """Bisection of [5/10, 6/10] on integer numerators, as `solve_p` ran it before its Newton bracket.
+
+    After j halvings the bracket is [N/D, (N+1)/D] with D = 10 * 2^j, and it
+    halves while 1/D > width; the sign of the cubic at (N+1)/D is that of
+    the integer (N+1)^3 - (N+1)^2 D + 2 (N+1) D^2 - D^3.
+    """
+    width = Fraction(width)
+    lo, den = 5, 10
+    while width.numerator * den < width.denominator:
+        lo, den = 2 * lo, 2 * den
+        n = lo + 1
+        if n * n * (n - den) + den * den * (2 * n - den) < 0:
+            lo = n
+    return CertifiedInterval(Fraction(lo, den), Fraction(lo + 1, den))
 
 
 def iv_log2_int(n: int) -> CertifiedInterval:

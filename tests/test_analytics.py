@@ -37,15 +37,18 @@ from mgms.analytics import (
     tau_gamma,
 )
 from mgms.core import chain_length
-from mgms.intervals import _FIX_BITS, CertifiedInterval, iv_entropy_nat, iv_ln_ratio, ln2_interval
+from mgms.intervals import _FIX_BITS, CertifiedInterval, ln2_interval
 from mgms.measures import BlockAssignment, MarkovParams, markov_cylinder_logprob, pdelta_logprob
 from mgms.polynomials import _coefficient_rows, entropy_poly
 
 from conftest import (
     A_closed,
     horner_hf_derivative_at,
+    integer_bisection_p,
     iter_golden_words,
     iter_multiplicative_prefixes,
+    iv_entropy_nat,
+    iv_ln_ratio,
     reference_derivative_partials,
     reference_dim_minkowski_enclosure,
     reference_dyadic_power_tail,
@@ -65,9 +68,9 @@ class TestCubicRoot:
         assert sympy.expand(x**3 - (1 - x) ** 2 - (x**3 - x**2 + 2 * x - 1)) == 0
 
     def test_bisection_needs_no_checks(self):
-        # solve_p checks neither its first bracket nor a midpoint that is the root:
-        # f(1/2) < 0 < f(3/5), and f has no rational root (the rational root
-        # theorem leaves +-1, and f(1) = 1, f(-1) = -5)
+        # no bracket endpoint N/D is the root, so the signs f(N/D) < 0 < f((N+1)/D)
+        # fix N = floor(pD): f(1/2) < 0 < f(3/5), and f has no rational root (the
+        # rational root theorem leaves +-1, and f(1) = 1, f(-1) = -5)
         f = lambda v: v**3 - v**2 + 2 * v - 1
         assert f(Fraction(1, 2)) == Fraction(-1, 8) and f(Fraction(3, 5)) == Fraction(7, 125)
         assert (f(1), f(-1)) == (1, -5)
@@ -103,6 +106,12 @@ class TestCubicRoot:
         got, ref = solve_p(width), reference_solve_p(width)
         assert (got.lo, got.hi) == (ref.lo, ref.hi)
         assert got.width <= Fraction(width)
+
+    def test_newton_bracket_equals_integer_bisection(self):
+        # the Newton bracket is the one bisection finds, N = floor(pD), at every D = 10 * 2^j
+        for width in (*(Fraction(1, 2**j) for j in range(1, 401)), 1.0, 0.07, 1e-300):
+            got, ref = solve_p(width), integer_bisection_p(width)
+            assert (got.lo, got.hi) == (ref.lo, ref.hi), width
 
     @pytest.mark.parametrize("width", [math.nan, math.inf, -math.inf, 0, 0.0, -1e-3, Fraction(-1, 2)])
     def test_bad_width_rejected(self, width):
@@ -234,9 +243,10 @@ class TestDimensions:
         with pytest.raises(ValueError):
             dim_minkowski(0.0)
 
-    @pytest.mark.parametrize("tol", [1e-3, 1e-6, 1e-30, 1e-60])
+    @pytest.mark.parametrize("tol", [1e-2, 1e-3, 1e-6, 1e-30, 1e-60, 1e-100, 5e-324])
     def test_minkowski_enclosure_equals_interval_per_term(self, tol):
-        # at 1e-60 the Fibonacci numbers pass the 120-bit mpmath precision
+        # at 1e-60 and below the Fibonacci numbers pass the 120-bit mpmath precision,
+        # where each end of ln F_{k+1} takes its own log
         got, ref = dim_minkowski_enclosure(tol), reference_dim_minkowski_enclosure(tol)
         assert (got.lo, got.hi) == (ref.lo, ref.hi)
 

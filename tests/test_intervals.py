@@ -7,23 +7,26 @@ from fractions import Fraction
 import pytest
 
 from mgms.intervals import (
+    _PREC,
     CertifiedInterval,
     _common_numerators,
     _dyadic,
+    _entropy_pair,
     _from_mpi,
     _iv_horner,
     _iv_mul_ints,
+    _ln_int,
     _powers,
-    iv_entropy_nat,
-    iv_ln_ratio,
     iv_log2,
     iv_polyval,
     ln2_interval,
 )
 from mgms.analytics import solve_p, tau_gamma
+from mgms.core import fibonacci
 from mgms.polynomials import entropy_poly
 
-from conftest import _from_iv, _iv, _to_iv, iv_ln, iv_log2_int, iv_log2_ratio, object_horner, reference_tau_gamma_partial
+from conftest import (_from_iv, _iv, _to_iv, iv_entropy_nat, iv_ln, iv_ln_ratio, iv_log2_int, iv_log2_ratio,
+                      object_horner, reference_tau_gamma_partial)
 
 
 def box(a, b) -> CertifiedInterval:
@@ -155,6 +158,34 @@ def test_bridge_rejects_bad_domains(fn):
         for ci in (box(Fraction(1, 2), 1), box(Fraction(1, 2), Fraction(3, 2))):
             with pytest.raises(ValueError):
                 fn(ci)
+
+
+def test_one_log_per_integer_gives_mpmath_ceiling():
+    # below 2^_PREC, ln n (n >= 2) takes its upper end as the successor of its floor;
+    # that must be mpmath's own ceiling for every integer the package logs there:
+    # F_{k+1} (Minkowski terms) and k up to 20000 (tau_gamma weights)
+    from mpmath.libmp import from_int, mpf_log, mpi_log, round_ceiling, round_floor
+    fibs = [fibonacci(k + 1) for k in range(1, 200) if fibonacci(k + 1) < 2**_PREC]
+    assert len(fibs) > 160
+    for n in (*fibs, *range(2, 20001)):
+        x = from_int(n)
+        assert _ln_int(n) == (mpf_log(x, _PREC, round_floor), mpf_log(x, _PREC, round_ceiling)), n
+    for n in (1, 2**_PREC + 1, fibonacci(200), 3**200):  # ln 1 = 0 exactly; past 2^_PREC, two logs
+        assert _ln_int(n) == mpi_log(_iv().mpf(n)._mpi_, _PREC), n
+
+
+def test_entropy_pair_next_to_one_widens():
+    # hi within 2^-120 of 1 rounds up to 1, so the rounded 1 - x has lower end 0 and
+    # its log is -inf; 1 - x then enters from its exact ends and both maps stay finite
+    import mpmath
+
+    ci = box(Fraction(1, 2), 1 - Fraction(1, 2**130))
+    h, g = _entropy_pair(ci)
+    with mpmath.workprec(200):
+        for t in (ci.lo, Fraction(3, 4), 1 - Fraction(1, 2**64), ci.hi):
+            x = mpmath.mpf(t.numerator) / t.denominator
+            for enc, value in ((h, -x * mpmath.log(x) - (1 - x) * mpmath.log(1 - x)), (g, mpmath.log((1 - x) / x))):
+                assert enc.contains(Fraction(*mpmath.libmp.to_rational(value._mpf_))), (t, enc)
 
 
 def test_ln2_interval():
