@@ -31,7 +31,7 @@ _EXPORTS = {
         "expected_zero_count_prefix", "gauge_log2", "hausdorff_dim", "partition_entropy", "p_float",
         "solve_p", "tau_certify", "tau_gamma",
     ),
-    "core": ("BinaryWord", "chain_length", "fibonacci"),
+    "core": ("BinaryWord", "fibonacci"),
     "experiments": (
         "DeviationReport", "TrajectoryReport", "Verdict", "density_trajectory", "hoeffding_check",
         "lower_bound_trajectory", "upper_bound_telescoping", "zero_count_deviation_check",
@@ -39,7 +39,7 @@ _EXPORTS = {
     "intervals": ("CertifiedInterval",),
     "measures": (
         "BlockAssignment", "LogProb", "MarkovParams", "SampledPoint", "markov_cylinder_logprob",
-        "pdelta_logprob", "sample_chain", "sample_point",
+        "pdelta_logprob", "sample_point",
     ),
     "polynomials": ("EntropyPolynomial", "entropy_poly"),
 }

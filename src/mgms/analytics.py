@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 from .core import chain_length_counts, fibonacci, log2_count_cylinders
 from .intervals import (
@@ -273,11 +273,11 @@ def _zero_count_jet(m: int, Q: int, E: int, d: int, qm: int, dm: int) -> tuple[i
 
 
 def _derivative_series(x: CertifiedInterval, h: CertifiedInterval, g: CertifiedInterval,
-                       weights: dict[int, tuple[int, int]], shift: int) -> CertifiedInterval:
-    """Enclosure of sum_k w_k (H F_{k-1})'(x), keys k >= 1, on closed-form chain terms.
+                       weights: Sequence[tuple[int, int]], shift: int) -> CertifiedInterval:
+    """Enclosure of sum_k w_k (H F_{k-1})'(x) over k = 1..K on closed-form chain terms.
 
     h and g enclose H(x) and H'(x) = ln((1-x)/x) (`intervals._entropy_pair`);
-    weights[k] = (lo, hi) are integers with 0 <= lo <= hi,
+    weights[k-1] = (lo, hi) are integers with 0 <= lo <= hi, K = len(weights),
     and w_k is the interval [lo, hi] / 2^shift; x lies inside (0,1).  With
     m = k-1, q = x-1 and u = 1/(2-x), F_{k-1} = 1 + L_m and
 
@@ -299,14 +299,13 @@ def _derivative_series(x: CertifiedInterval, h: CertifiedInterval, g: CertifiedI
     each monomial, and the triangle inequality sums these.
 
     H(x) and H'(x) are put over one denominator hg for the whole series.
-    With x = [n/d, (n+w)/d], q^m and d^m are updated once per term, and
-    every term, weight product included, lands over hg d^2 E^4 d^m 2^shift,
-    where E = 2d - n.  The running sum is
-    multiplied by d when m steps, so no term needs a gcd, and it is reduced
-    to `Fraction` once.  Products take the endpoints `CertifiedInterval`
-    arithmetic takes (`_iv_mul_ints`, inline for the weights), so the result is
-    exactly the per-term `CertifiedInterval` sum of (H F' + H' F) times the
-    weight.  A term costs O(1) operations on integers of O(m log d) bits,
+    With x = [n/d, (n+w)/d] and Q = n - d, every term, weight product
+    included, lands over hg d^2 E^4 d^m 2^shift, where E = 2d - n.  Each
+    step of m multiplies Q^m by Q, and d^m and the running sum by d, so no
+    term needs a gcd, and the sum is reduced to `Fraction` once.  Products
+    take the endpoints `CertifiedInterval` arithmetic takes (`_iv_mul_ints`,
+    inline for the weights), so the result is exactly the per-term
+    `CertifiedInterval` sum of (H F' + H' F) times the weight.  A term costs O(1) operations on integers of O(m log d) bits,
     and its width does not grow with k: the monomial coefficients of
     F_{k-1}, which grow like 2^k, are never formed.
     """
@@ -318,12 +317,10 @@ def _derivative_series(x: CertifiedInterval, h: CertifiedInterval, g: CertifiedI
     f_slope, df_slope, rem = dd * E * w, dd * d * w, w * w * EE * EE
     f_scale, df_scale = dd * EE, dd * d * E
     lo = hi = 0
-    m_at, qm, dm = 0, 1, 1
-    for k, (w_lo, w_hi) in sorted(weights.items()):
-        m = k - 1
-        if m > m_at:
-            step = d ** (m - m_at)
-            lo, hi, qm, dm, m_at = lo * step, hi * step, qm * Q ** (m - m_at), dm * step, m
+    qm = dm = 1
+    for m, (w_lo, w_hi) in enumerate(weights):  # m = k - 1
+        if m:
+            lo, hi, qm, dm = lo * d, hi * d, qm * Q, dm * d
         a0, a1, a2 = _zero_count_jet(m, Q, E, d, qm, dm)
         m2, m3 = _jet_bounds(m)
         # F and F' as numerators over dd E^4 dm: center + [0, slope] + [-r, r]
@@ -553,12 +550,12 @@ def tau_gamma(gamma: float, K: int = 12) -> TauGammaResult:
         raise ValueError(f"need K >= 1, got {K}")
     from mpmath.libmp import mpi_exp, mpi_mul
     power = _mpi(CertifiedInterval.point(1 + gamma))
-    ends = {}
+    ends = []
     for k in range(1, K + 1):  # k = 1 gives exp(0 * power) = 1 exactly
         w = mpi_exp(mpi_mul(_ln_int(k), power, _PREC), _PREC)
-        ends[k] = [(m, e - k - 1) for m, e in map(_dyadic, w)]
-    e_min = min(e for end in ends.values() for _, e in end)  # <= -2, from k = 1
-    weights = {k: tuple(m << (e - e_min) for m, e in end) for k, end in ends.items()}
+        ends.append([(m, e - k - 1) for m, e in map(_dyadic, w)])
+    e_min = min(e for end in ends for _, e in end)  # <= -2, from k = 1
+    weights = [tuple(m << (e - e_min) for m, e in end) for end in ends]
     p = solve_p()
     acc = _derivative_series(p, *_entropy_pair(p), weights, -e_min)
     m = math.ceil(1 + gamma)

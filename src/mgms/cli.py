@@ -450,6 +450,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # an input too large for this machine, such as a 2^40 prefix
+        print("usage error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
+        return 2
     except CertificationError as exc:
         print(f"certification failure: {exc}", file=sys.stderr)
         return 1

@@ -4,13 +4,13 @@ A binary word u = u_1...u_n (1-based, matching the usual symbolic-dynamics
 convention) is *golden-admissible* if it has no adjacent pair 11, and a
 *multiplicative prefix* if u_k u_{2k} = 0 whenever 2k <= n.  The two are
 linked by the chain decomposition: for odd i, the chain J(i) = {i, 2i, 4i,
-...} meets {1,...,n} in chain_length(n, i) positions, the chains partition
-{1,...,n}, and u is a multiplicative prefix iff every chain restriction is
-golden-admissible.
+...} meets {1,...,n} in the (n // i).bit_length() = 1 + floor(log2(n/i))
+positions i 2^t <= n, the chains partition {1,...,n}, and u is a
+multiplicative prefix iff every chain restriction is golden-admissible.
 
 Counting is exact: golden words of length k are counted by the Fibonacci
 number F_{k+1} (F_1 = 1, F_2 = 2), and multiplicative prefixes of length n
-by the product of F_{chain_length+1} over chains, which
+by the product of F_{k+1} over chains of length k, which
 `log2_count_cylinders` takes to a float log2 for dimension estimates.  A
 word is its string of 0/1 symbols, so counting and the word operations run
 on Python ints and strings alone; numpy loads only with
@@ -31,9 +31,7 @@ if TYPE_CHECKING:
 __all__ = [
     "BinaryWord",
     "block_of",
-    "chain_length",
     "chain_length_counts",
-    "assemble_from_chains",
     "fibonacci",
     "log2_count_cylinders",
 ]
@@ -122,31 +120,12 @@ class BinaryWord:
         return self.n - self.count_ones()
 
 
-def _require_odd(i: int) -> int:
+def block_of(i: int) -> int:
+    """Dyadic block of an odd chain start: floor(log2 i), so 2^b <= i < 2^(b+1)."""
     i = int(i)
     if i < 1 or i % 2 == 0:
         raise ValueError(f"chain index must be an odd positive integer, got {i}")
-    return i
-
-
-def block_of(i: int) -> int:
-    """Dyadic block of an odd chain start: floor(log2 i), so 2^b <= i < 2^(b+1)."""
-    return _require_odd(i).bit_length() - 1
-
-
-def chain_length(n: int, i: int) -> int:
-    """Number of chain positions i, 2i, 4i, ... inside {1,...,n}.
-
-    Equals 1 + floor(log2(n/i)), computed with integer shifts so powers of
-    two land on the correct side of the boundary.
-    """
-    i = _require_odd(i)
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"prefix length must be positive, got {n}")
-    if i > n:
-        raise ValueError(f"chain start {i} exceeds prefix length {n}")
-    return (n // i).bit_length()
+    return i.bit_length() - 1
 
 
 def chain_length_counts(n: int) -> dict[int, int]:
@@ -162,26 +141,6 @@ def chain_length_counts(n: int) -> dict[int, int]:
             counts[k] = c
         k += 1
     return counts
-
-
-def assemble_from_chains(n: int, chains: dict[int, BinaryWord]) -> BinaryWord:
-    """Interleave per-chain words back into a word of length n.
-
-    `chains` must map every odd i <= n to a word of length chain_length(n, i).
-    """
-    out = ["0"] * n
-    seen = 0
-    for i, w in chains.items():
-        i = _require_odd(i)
-        k = chain_length(n, i)
-        if len(w) != k:
-            raise ValueError(f"chain J({i}) needs length {k}, got {len(w)}")
-        for t, sym in enumerate(str(w)):
-            out[(i << t) - 1] = sym
-        seen += k
-    if seen != n:
-        raise ValueError("chains do not cover the prefix")
-    return BinaryWord.from_string("".join(out))
 
 
 # -- counting ---------------------------------------------------------------

@@ -17,12 +17,15 @@ around n ~ 1300.
 Sampling is deterministic: every symbol is a pure function of
 (seed, trial, chain index, position along the chain), so words extend
 monotonically in n and chain-parallel evaluation is schedule-independent.
+`sample_point` is the scalar sampler: one loop over the chains that
+composes `rng.fold` in Python ints and writes each symbol into one list,
+so it shares no numpy code with the batch path it is checked against.
 
 The batch path works on uint8 matrices of sampled symbols.
 `sample_bits_batch` works in blocks of rows (trials) by chains: it folds
 each chain's key once, then draws position i 2^t of the chains J(i) one
 level t at a time inside the block, through strided column slices,
-bit-for-bit as the scalar walk of `sample_point`; a draw is one mix and
+bit-for-bit as `sample_point` draws them; a draw is one mix and
 one integer compare against an exact threshold.  `logprob_prefix_grid` is
 the one vectorized log-mass kernel: a gather from a per-block cost table,
 then a cumulative sum.  Both work in blocks of at most `_CHUNK` cells, so
@@ -43,12 +46,10 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .analytics import p_float
-from .core import BinaryWord, assemble_from_chains, block_of, chain_length
+from .core import BinaryWord, block_of
 
 if TYPE_CHECKING:
     import numpy as np
-
-    from .rng import RandomStream
 
 __all__ = [
     "LogProb",
@@ -58,7 +59,6 @@ __all__ = [
     "markov_cylinder_logprob",
     "pdelta_logprob",
     "chain_breakdown",
-    "sample_chain",
     "sample_point",
     "sample_bits_batch",
     "logprob_prefix_grid",
@@ -161,7 +161,7 @@ def chain_breakdown(assign: BlockAssignment, u: BinaryWord) -> Iterator[tuple]:
     for i in range(1, n + 1, 2):
         b = block_of(i)
         r = assign.param(b)
-        chain = [word[(i << t) - 1] for t in range((n // i).bit_length())]  # chain_length(n, i)
+        chain = [word[(i << t) - 1] for t in range((n // i).bit_length())]  # positions i 2^t <= n
         yield i, b, r, chain, _walk(r, chain)
 
 
@@ -193,36 +193,31 @@ class SampledPoint:
     descriptor: tuple  # sorted (key, value) pairs of the measure description
 
 
-def sample_chain(params: MarkovParams, k: int, stream: RandomStream) -> BinaryWord:
-    """Draw a length-k golden Markov word; position t consumes stream.uniform(t)."""
-    if k < 1:
-        raise ValueError(f"chain length must be >= 1, got {k}")
-    one_prob = 1.0 - params.r
-    bits = []
-    prev = 0
-    for t in range(k):
-        prev = 0 if prev == 1 else int(stream.uniform(t) < one_prob)
-        bits.append(prev)
-    return BinaryWord.from_bits(bits)
-
-
 def sample_point(assign: BlockAssignment, n: int, seed: int) -> SampledPoint:
     """Sample a multiplicative prefix of length n, chain by chain.
 
-    Chain J(i) is drawn with the block parameter of i from the substream
-    (seed, 0, i), so extending n never resamples earlier symbols and the
-    result is independent of chain evaluation order.
+    Chain J(i) has the key fold(fold(fold(0, seed), 0), i), trial 0 of the
+    batch sampler.  Position i 2^t draws u = (fold(key, t) >> 11) 2^-53 and
+    holds a 1 when u < 1 - p_b, b the block of i, and the chain's previous
+    symbol is 0.  So extending n never resamples earlier symbols and the
+    result is independent of chain evaluation order.  Pure Python integer
+    folds, no numpy arithmetic: the independent reference for
+    `sample_bits_batch`.
     """
     if n < 1:
         raise ValueError(f"prefix length must be >= 1, got {n}")
-    from .rng import RandomStream
+    from .rng import fold
 
-    chains: dict[int, BinaryWord] = {}
+    trial_key = fold(fold(0, int(seed)), 0)  # int(): fold would overflow on a numpy integer
+    out = ["0"] * n
     for i in range(1, n + 1, 2):
-        params = MarkovParams(assign.param(block_of(i)))
-        stream = RandomStream(seed, 0, i)
-        chains[i] = sample_chain(params, chain_length(n, i), stream)
-    word = assemble_from_chains(n, chains)
+        one_prob = 1.0 - assign.param(block_of(i))
+        key = fold(trial_key, i)
+        prev = "0"
+        for t in range((n // i).bit_length()):  # positions i 2^t <= n
+            prev = "1" if prev == "0" and (fold(key, t) >> 11) * 2.0**-53 < one_prob else "0"
+            out[(i << t) - 1] = prev
+    word = BinaryWord("".join(out))
     return SampledPoint(word=word, seed=seed, descriptor=tuple(sorted(assign.describe().items())))
 
 

@@ -9,15 +9,17 @@ Every uniform draw is a pure function of an integer key tuple, typically
   * the stream is stable across platforms and library versions (pure
     64-bit integer arithmetic, SplitMix64 finalizer).
 
-The scalar path (`RandomStream`) and the vectorized path share the same
-key-folding arithmetic; tests pin them against each other and against
-frozen reference values.  The vectorized path splits the folds where the
+The key of a substream is fold(fold(fold(0, seed), trial), chain), and
+its uniform at a position is (fold(key, pos) >> 11) 2^-53, the top 53
+bits of one more fold; `measures.sample_point` composes `fold` that way
+in exact Python ints.  The vectorized path splits the folds where the
 samplers reuse them: `chain_keys` folds (seed, trial, chain) once per
 chain, and `uniform_grid` folds in one position with one mix.  It returns
 the 53-bit numerators k of the uniforms k 2^-53 rather than the doubles,
 and `threshold(q)` turns a probability into the integer K with
 k < K exactly when k 2^-53 < q, so a draw is one mix and one integer
-compare.
+compare.  Tests pin the two paths against each other and against frozen
+reference values.
 """
 
 from __future__ import annotations
@@ -42,35 +44,11 @@ def mix64(z: int) -> int:
 
 
 def fold(h: int, v: int) -> int:
-    """Absorb one key component into a running 64-bit hash."""
+    """Absorb one key component, a Python int read modulo 2^64, into a 64-bit hash."""
     return mix64(h ^ ((v * _SPREAD) & _MASK))
 
 
-def key_of(*parts: int) -> int:
-    h = 0
-    for v in parts:
-        h = fold(h, int(v) & _MASK)
-    return h
-
-
-def unit_double(h: int) -> float:
-    """Map a 64-bit hash to a double in [0, 1) using its top 53 bits."""
-    return (h >> 11) * 2.0**-53
-
-
-class RandomStream:
-    """A keyed substream; `uniform(pos)` is deterministic in (key, pos)."""
-
-    __slots__ = ("_key",)
-
-    def __init__(self, *key_parts: int):
-        self._key = key_of(*key_parts)
-
-    def uniform(self, pos: int) -> float:
-        return unit_double(fold(self._key, pos))
-
-
-# vectorized twin of the scalar path -------------------------------------
+# vectorized folds --------------------------------------------------------
 
 _U = np.uint64
 _NP_GOLDEN = _U(_GOLDEN)
@@ -94,8 +72,8 @@ def chain_keys(seed: int, trials: np.ndarray, chains: np.ndarray) -> np.ndarray:
     """Substream keys of the (trial, chain) grid, as a fresh uint64 array.
 
     Returns shape (len(trials), len(chains)); the (a, b) entry equals
-    key_of(seed, trials[a], chains[b]).  `trials` and `chains` are never
-    written.
+    fold(fold(fold(0, seed), trials[a]), chains[b]).  `trials` and
+    `chains` are never written.
     """
     h0 = fold(0, seed & _MASK)  # scalar folds in exact Python ints
     ht = trials.astype(_U)  # a fresh copy, mixed in place
@@ -110,8 +88,9 @@ def uniform_grid(keys: np.ndarray, pos: int) -> np.ndarray:
     """53-bit numerators of the uniforms at one position of keyed substreams.
 
     Returns a fresh uint64 array k of the shape of `keys` (as `chain_keys`
-    builds them) with RandomStream(seed, trial, chain).uniform(pos) equal
-    to k * 2**-53 exactly.  One mix per entry; `keys` is never written.
+    builds them) with k equal to fold(key, pos) >> 11, so the uniform of
+    each substream at pos is k * 2**-53.  One mix per entry; `keys` is
+    never written.
     """
     h = keys ^ _U((int(pos) * _SPREAD) & _MASK)  # the position fold in Python ints: no overflow warning
     _np_mix64(h)

@@ -36,7 +36,6 @@ from mgms.analytics import (
     tau_certify,
     tau_gamma,
 )
-from mgms.core import chain_length
 from mgms.intervals import _FIX_BITS, CertifiedInterval, ln2_interval
 from mgms.measures import BlockAssignment, MarkovParams, markov_cylinder_logprob, pdelta_logprob
 from mgms.polynomials import _coefficient_rows, entropy_poly
@@ -271,7 +270,7 @@ class TestDimensions:
 
 def term(k: int, x: CertifiedInterval) -> CertifiedInterval:
     """(H F_{k-1})'(x): one term of the series kernel, weight 1."""
-    return _derivative_series(x, iv_entropy_nat(x), iv_ln_ratio(x), {k: (1, 1)}, 0)
+    return _derivative_series(x, iv_entropy_nat(x), iv_ln_ratio(x), [(0, 0)] * (k - 1) + [(1, 1)], 0)
 
 
 class TestDerivativeSeries:
@@ -432,9 +431,9 @@ class TestSeriesKernelMatchesFractionLoops:
     def test_kernel_takes_integer_weights_over_a_power_of_two(self, shift):
         # k = 1 is the term (H F_0)'(p) = H'(p) < 0, so its unequal weight runs the w_hi branch
         p = solve_p()
-        weights = {k: (3, 5) if k % 2 else (1, 1) for k in range(1, 25)}
+        weights = [(3, 5) if k % 2 else (1, 1) for k in range(1, 25)]  # k = 1..24
         ref = CertifiedInterval.point(0)
-        for k, (lo, hi) in weights.items():
+        for k, (lo, hi) in enumerate(weights, 1):
             w = CertifiedInterval(Fraction(lo, 2**shift), Fraction(hi, 2**shift))
             ref = ref + reference_hf_derivative_at(k, p) * w
         assert reference_hf_derivative_at(1, p).hi < 0
@@ -662,7 +661,7 @@ class TestZeroCountExpectations:
     def test_prefix_expectation_is_chain_sum(self, p_val):
         for n in (5, 17, 100, 1023):
             manual = sum(
-                expected_zero_count_chain(p_val, chain_length(n, i)) for i in range(1, n + 1, 2)
+                expected_zero_count_chain(p_val, (n // i).bit_length()) for i in range(1, n + 1, 2)
             )
             assert expected_zero_count_prefix(n) == pytest.approx(manual, abs=1e-9)
 

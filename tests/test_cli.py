@@ -3,9 +3,14 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mgms
 from conftest import loaded_modules
 from mgms.analytics import CertificationError, Gauge, covering_sum
 from mgms.cli import main
@@ -338,6 +343,25 @@ def test_unwritable_out_is_one_line_usage_error(tmp_path, capsys, argv):
         assert err.startswith(f"usage error: cannot write --out {target}: ")
         assert err.count("\n") == 1 and "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_out_of_memory_is_one_line_usage_error():
+    # a 2^40-symbol telescope needs terabytes; under a 2 GiB address-space limit on
+    # the child alone, the failed allocation is a usage error, not a traceback
+    resource = pytest.importorskip("resource")
+    limit = 2 << 30
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(mgms.__file__).resolve().parents[1]))
+    argv = [sys.executable, "-m", "mgms.cli", "experiment", "telescope", "--seed", "1", "--ell-max", "40"]
+    run = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120,
+                         preexec_fn=cap_address_space)
+    assert run.returncode == 2
+    assert run.stdout == ""
+    assert run.stderr.startswith("usage error: ") and run.stderr.count("\n") == 1
+    assert "Traceback" not in run.stderr
 
 
 @pytest.mark.parametrize("argv", ["--help", "--version", "experiment --help"])

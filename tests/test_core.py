@@ -7,14 +7,12 @@ import pytest
 
 from mgms.core import (
     BinaryWord,
-    assemble_from_chains,
     block_of,
-    chain_length,
     chain_length_counts,
     fibonacci,
     log2_count_cylinders,
 )
-from mgms.measures import BlockAssignment, MarkovParams, markov_cylinder_logprob, pdelta_logprob
+from mgms.measures import BlockAssignment, MarkovParams, chain_breakdown, markov_cylinder_logprob, pdelta_logprob
 
 from conftest import (
     all_words,
@@ -41,8 +39,8 @@ def is_multiplicative_prefix(u: BinaryWord) -> bool:
 
 
 def partition(n: int) -> dict[int, int]:
-    """Odd i <= n to chain_length(n, i)."""
-    return {i: chain_length(n, i) for i in range(1, n + 1, 2)}
+    """Odd i <= n to the length of the chain J(i) that `chain_breakdown` walks in a word of length n."""
+    return {i: len(symbols) for i, _, _, symbols, _ in chain_breakdown(BlockAssignment(), BinaryWord("0" * n))}
 
 
 class TestBinaryWord:
@@ -111,7 +109,7 @@ class TestBinaryWord:
             assert is_golden_word(u) == (not (u.array[1:] & u.array[:-1]).any())
             assert is_multiplicative_prefix(u) == (not (u.array[: n // 2] & u.array[1::2]).any())
             for i, chain in chains_of(u).items():
-                idx = [(i << t) - 1 for t in range(chain_length(n, i))]
+                idx = [(i << t) - 1 for t in range(len(chain))]
                 assert chain == BinaryWord.from_array(u.array[idx])
 
     @pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65])
@@ -165,27 +163,19 @@ class TestChains:
 
     @pytest.mark.parametrize("n,i,k", [(6, 3, 2), (6, 5, 1), (8, 1, 4), (1, 1, 1), (7, 7, 1)])
     def test_chain_length_examples(self, n, i, k):
-        assert chain_length(n, i) == k
+        assert partition(n)[i] == k
 
     def test_chain_length_matches_log_formula(self):
         rng = random.Random(3)
-        for _ in range(500):
-            n = rng.randint(1, 10**9)
-            i = rng.randrange(1, n + 1, 2)
-            k = chain_length(n, i)
-            assert 2 ** (k - 1) * i <= n < 2**k * i
+        for n in [*range(1, 257), *(rng.randint(257, 10**5) for _ in range(5))]:
+            for i, k in partition(n).items():
+                assert 2 ** (k - 1) * i <= n < 2**k * i
 
     def test_chain_length_power_of_two_boundaries(self):
         # exactness at powers of two: i * 2^(k-1) == n must count position n
-        assert chain_length(8, 1) == 4
-        assert chain_length(16, 1) == 5
-        assert chain_length(12, 3) == 3
-
-    def test_chain_length_errors(self):
-        with pytest.raises(ValueError):
-            chain_length(4, 5)
-        with pytest.raises(ValueError):
-            chain_length(6, 4)
+        assert partition(8)[1] == 4
+        assert partition(16)[1] == 5
+        assert partition(12)[3] == 3
 
     @pytest.mark.parametrize("n,expected", [(3, {1: 2, 3: 1}), (6, {1: 3, 3: 2, 5: 1}), (1, {1: 1})])
     def test_partition_examples(self, n, expected):
@@ -210,21 +200,6 @@ class TestChains:
         assert [block_of(i) for i in (1, 3, 5, 7, 9, 15, 17)] == [0, 1, 2, 2, 3, 3, 4]
         with pytest.raises(ValueError):
             block_of(4)
-
-    def test_reassembling_chains_reconstructs_word(self):
-        rng = random.Random(23)
-        for _ in range(100):
-            n = rng.randint(1, 200)
-            u = BinaryWord.from_bits([rng.randint(0, 1) for _ in range(n)])
-            assert assemble_from_chains(n, chains_of(u)) == u
-
-    def test_assembly_checks_lengths_and_coverage(self):
-        with pytest.raises(ValueError, match="needs length 2"):
-            assemble_from_chains(6, {1: word("010"), 3: word("0"), 5: word("1")})
-        with pytest.raises(ValueError, match="do not cover"):
-            assemble_from_chains(6, {1: word("010"), 3: word("01")})
-        with pytest.raises(ValueError):
-            assemble_from_chains(6, {2: word("0")})
 
 
 class TestCounting:

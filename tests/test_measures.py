@@ -10,7 +10,7 @@ import pytest
 from scipy import stats
 
 from mgms.analytics import expected_zero_count_prefix
-from mgms.core import BinaryWord, block_of, chain_length
+from mgms.core import BinaryWord, block_of
 from mgms.measures import (
     BlockAssignment,
     LogProb,
@@ -20,12 +20,11 @@ from mgms.measures import (
     markov_cylinder_logprob,
     pdelta_logprob,
     sample_bits_batch,
-    sample_chain,
     sample_point,
 )
 from mgms import measures
 from mgms.experiments import DEFAULT_N_GRID
-from mgms.rng import RandomStream, chain_keys, uniform_grid
+from mgms.rng import chain_keys, fold, uniform_grid
 
 from conftest import (
     brute_is_multiplicative,
@@ -304,7 +303,7 @@ class TestChainProducts:
         parts = list(chain_breakdown(a, u))
         assert [i for i, *_ in parts] == list(range(1, len(u) + 1, 2))
         for i, b, r, symbols, mass in parts:
-            rest = BinaryWord.from_array(u.array[[(i << t) - 1 for t in range(chain_length(len(u), i))]])
+            rest = BinaryWord.from_array(u.array[[(i << t) - 1 for t in range((len(u) // i).bit_length())]])
             assert (b, r) == (block_of(i), a.param(block_of(i)))
             assert symbols == rest.array.tolist()
             assert mass == markov_cylinder_logprob(MarkovParams(r), rest).value
@@ -356,42 +355,54 @@ class TestIdentityGap:
 
 
 class TestSampling:
-    def test_chain_sampler_is_golden_and_deterministic(self, p_val):
-        params = MarkovParams(p_val)
-        for seed in range(30):
-            s = RandomStream(seed, 0, 1)
-            u = sample_chain(params, 40, s)
-            assert len(u) == 40
-            assert all(not (a and b) for a, b in zip(u.array, u.array[1:]))
-            assert u == sample_chain(params, 40, RandomStream(seed, 0, 1))
+    # chain J(1) of a sampled word: the symbols x_1 x_2 x_4 ..., drawn with parameter p
+    # (block 0), so BlockAssignment(0.0, p=r) samples the golden Markov law with parameter r
 
-    def test_chain_sampler_never_emits_one_after_one(self, p_val):
-        params = MarkovParams(0.3)  # many ones
-        arrs = [sample_chain(params, 200, RandomStream(s, 0, 1)).array for s in range(20)]
-        for a in arrs:
-            assert not np.any(a[1:] & a[:-1])
+    def test_chain_sampler_is_golden_and_deterministic(self):
+        a = BlockAssignment(0.0)
+        for seed in range(30):
+            u = sample_point(a, 2**12, seed).word
+            chain = chains_of(u)[1].array
+            assert len(chain) == 13
+            assert not np.any(chain[1:] & chain[:-1])
+            assert u == sample_point(a, 2**12, seed).word
+
+    def test_chain_sampler_never_emits_one_after_one(self):
+        a = BlockAssignment(0.0, p=0.3)  # many ones
+        for seed in range(20):
+            for chain in chains_of(sample_point(a, 1024, seed).word).values():
+                assert not np.any(chain.array[1:] & chain.array[:-1])
 
     def test_one_frequency_matches_initial_law(self):
-        params = MarkovParams(0.6)
-        draws = np.array(
-            [sample_chain(params, 1, RandomStream(9, t, 1))[1] for t in range(100_000)]
-        )
+        a = BlockAssignment(0.0, p=0.6)
+        draws = np.array([sample_point(a, 1, seed).word[1] for seed in range(100_000)])
         freq = draws.mean()
         se = math.sqrt(0.4 * 0.6 / draws.size)
         assert abs(freq - 0.4) <= 3 * se
 
     def test_length_two_distribution(self):
-        params = MarkovParams(0.55)
+        a = BlockAssignment(0.0, p=0.55)
         counts = {"00": 0, "01": 0, "10": 0}
         trials = 60_000
-        for t in range(trials):
-            u = sample_chain(params, 2, RandomStream(4, t, 1))
-            counts[str(u)] += 1
+        for seed in range(trials):
+            counts[str(sample_point(a, 2, seed).word)] += 1  # x_1 x_2 is the chain J(1)
         expected = {"00": 0.55**2, "01": 0.55 * 0.45, "10": 0.45}
         chi = sum(
             (counts[w] - trials * q) ** 2 / (trials * q) for w, q in expected.items()
         )
         assert chi < stats.chi2.ppf(1 - 1e-3, df=2)
+
+    # sha256 of the words of sample_point over deltas x lengths x seeds, as the
+    # per-chain sampler with keyed stream objects drew them, one word per line
+    SAMPLE_POINT_DIGEST = "abfdc50ef52b2d5d806b145678163d6fa67a87367b95b73d0d37dadc42b834e6"
+
+    def test_sample_point_digest_is_frozen(self):
+        h = hashlib.sha256()
+        for delta in (0, 0.03, 0.05, 0.2):
+            for n in (1, 2, 5, 97, 257, 4097):
+                for seed in (0, 21, -7, 2**64 + 3, np.int64(7)):
+                    h.update(str(sample_point(BlockAssignment(delta), n, seed).word).encode() + b"\n")
+        assert h.hexdigest() == self.SAMPLE_POINT_DIGEST
 
     def test_sample_point_contract(self):
         a = BlockAssignment(delta=0.05)
@@ -414,7 +425,7 @@ class TestSampling:
         trials = 4000
         bits = sample_bits_batch(a, n, seed=13, trials=np.arange(trials))
         for i in (1, 3, 9, 25, 47):
-            k = chain_length(n, i)
+            k = (n // i).bit_length()  # positions i 2^t <= n
             params = MarkovParams(a.param(block_of(i)))
             idx = [i * 2**t for t in range(k)]
             sub = bits[:, idx]
@@ -435,15 +446,16 @@ class TestSampling:
         a = BlockAssignment(delta=0.03)
         bits = sample_bits_batch(a, 97, seed=21, trials=np.array([0, 4]))
         assert "".join(map(str, bits[0, 1:])) == str(sample_point(a, 97, seed=21).word)
-        # trial-4 row reproduces the per-chain walk with trial key 4
+        # trial-4 row reproduces the chain walk keyed fold(fold(fold(0, seed), 4), i)
         manual = np.zeros(98, dtype=np.uint8)
         for i in range(1, 98, 2):
-            params = MarkovParams(a.param(block_of(i)))
-            chain = sample_chain(params, chain_length(97, i), RandomStream(21, 4, i))
-            m = i
-            for sym in chain.array:
-                manual[m] = sym
-                m <<= 1
+            key = fold(fold(fold(0, 21), 4), i)
+            one_prob = 1.0 - a.param(block_of(i))
+            prev, m, t = 0, i, 0
+            while m <= 97:
+                prev = 0 if prev else int((fold(key, t) >> 11) * 2.0**-53 < one_prob)
+                manual[m] = prev
+                m, t = m << 1, t + 1
         assert np.array_equal(bits[1], manual)
 
     def test_vector_logprob_matches_reference_and_flags_forbidden(self):

@@ -15,14 +15,14 @@ import mgms
 from conftest import loaded_modules, run_fresh
 
 # every name `mgms` exported when its __init__ imported all submodules eagerly,
-# with the module it came from then
+# with the module it came from then, less the since-deleted `chain_length` and `sample_chain`
 EXPORTED = {
     "analytics": (
         "CertificationError", "Gauge", "GaugeFamily", "binary_entropy", "derivative_series_at_p",
         "dim_minkowski", "expected_zero_count_chain", "expected_zero_count_prefix", "gauge_log2",
         "hausdorff_dim", "partition_entropy", "p_float", "solve_p", "tau_certify", "tau_gamma",
     ),
-    "core": ("BinaryWord", "chain_length", "fibonacci"),
+    "core": ("BinaryWord", "fibonacci"),
     "experiments": (
         "DeviationReport", "TrajectoryReport", "Verdict", "box_dimension_estimate", "covering_sum",
         "density_trajectory", "hoeffding_check", "lower_bound_trajectory",
@@ -31,7 +31,7 @@ EXPORTED = {
     "intervals": ("CertifiedInterval",),
     "measures": (
         "BlockAssignment", "LogProb", "MarkovParams", "SampledPoint", "markov_cylinder_logprob",
-        "pdelta_logprob", "sample_chain", "sample_point",
+        "pdelta_logprob", "sample_point",
     ),
     "polynomials": ("EntropyPolynomial", "entropy_poly"),
 }
@@ -64,14 +64,11 @@ class TestNamespace:
 # every scalar word operation and the cylinder count, on Python ints and strings
 WORD_OPS = """
 import sys
-from mgms.core import (BinaryWord, assemble_from_chains, block_of, chain_length, chain_length_counts,
-                       fibonacci, log2_count_cylinders)
+from mgms.core import BinaryWord, block_of, chain_length_counts, fibonacci, log2_count_cylinders
 u = BinaryWord.from_bits([0, 1, 0, 0, 1, 0])
 assert [u[k] for k in range(1, 7)] == list(u) == [0, 1, 0, 0, 1, 0]
 assert str(u.prefix(4)) == "0100" and u.count_ones() == 2 and u.count_zeros() == 4
-chains = {1: BinaryWord("010"), 3: BinaryWord("00"), 5: BinaryWord("1")}
-assert [chain_length(6, i) for i in chains] == [3, 2, 1] and [block_of(i) for i in chains] == [0, 1, 2]
-assert assemble_from_chains(6, chains) == u
+assert [block_of(i) for i in (1, 3, 5)] == [0, 1, 2]
 assert chain_length_counts(6) == {1: 1, 2: 1, 3: 1} and fibonacci(7) == 21
 assert round(2 ** log2_count_cylinders(6)) == 30
 assert "numpy" not in sys.modules
@@ -190,7 +187,8 @@ UNREACHED = {
     "polynomials._horner": "behind the two evaluators",
     "intervals.iv_polyval": "behind the two evaluators on an interval",
     **{f"core.BinaryWord.{name}": _VALUE_TYPE for name in (
-        "__getitem__", "__iter__", "__repr__", "count_ones", "count_zeros", "empty", "from_array")},
+        "__getitem__", "__iter__", "__repr__", "count_ones", "count_zeros", "empty", "from_array",
+        "from_bits")},
     **{f"intervals.CertifiedInterval.{name}": _VALUE_TYPE for name in (
         "__add__", "__mul__", "__rsub__", "__str__", "__sub__", "_coerce", "contains", "is_negative")},
 }

@@ -7,22 +7,30 @@ import numpy as np
 import pytest
 
 from mgms.measures import BlockAssignment
-from mgms.rng import RandomStream, chain_keys, key_of, mix64, threshold, uniform_grid, unit_double, fold
+from mgms.rng import chain_keys, fold, mix64, threshold, uniform_grid
+
+
+# The scalar stream composes fold in Python ints, as measures.sample_point does: the
+# key of (seed, trial, chain) is fold(fold(fold(0, seed), trial), chain), and its
+# uniform at pos is (fold(key, pos) >> 11) * 2**-53, the top 53 bits of one more fold.
 
 
 def test_uniforms_in_unit_interval():
-    s = RandomStream(123, 0, 7)
-    vals = [s.uniform(t) for t in range(1000)]
+    key = fold(fold(fold(0, 123), 0), 7)
+    vals = [(fold(key, t) >> 11) * 2.0**-53 for t in range(1000)]
     assert all(0.0 <= v < 1.0 for v in vals)
     assert abs(sum(vals) / len(vals) - 0.5) < 0.05
 
 
 def test_determinism_and_key_sensitivity():
-    a = RandomStream(1, 0, 3).uniform(5)
-    assert a == RandomStream(1, 0, 3).uniform(5)
-    assert a != RandomStream(1, 0, 5).uniform(5)
-    assert a != RandomStream(2, 0, 3).uniform(5)
-    assert a != RandomStream(1, 0, 3).uniform(6)
+    def draw(seed, chain, pos):
+        return fold(fold(fold(fold(0, seed), 0), chain), pos) >> 11
+
+    a = draw(1, 3, 5)
+    assert a == draw(1, 3, 5)
+    assert a != draw(1, 5, 5)
+    assert a != draw(2, 3, 5)
+    assert a != draw(1, 3, 6)
 
 
 def test_vector_grid_matches_scalar():
@@ -30,29 +38,30 @@ def test_vector_grid_matches_scalar():
     chains = np.array([1, 3, 999], dtype=np.int64)
     keys = chain_keys(42, trials, chains)
     assert keys.dtype == np.uint64 and keys.shape == (3, 3)
+    scalar = [[fold(fold(fold(0, 42), int(tr)), int(ch)) for ch in chains] for tr in trials]
+    assert keys.tolist() == scalar
     for pos in (0, 5, 2**40 + 3):
         grid = uniform_grid(keys, pos)
         assert grid.dtype == np.uint64 and grid.shape == keys.shape
-        for a, tr in enumerate(trials):
-            for b, ch in enumerate(chains):
-                assert int(keys[a, b]) == key_of(42, int(tr), int(ch))
-                assert int(grid[a, b]) < 2**53
-                assert int(grid[a, b]) * 2**-53 == RandomStream(42, int(tr), int(ch)).uniform(pos)
-    assert np.array_equal(grid * 2.0**-53, [[RandomStream(42, int(tr), int(ch)).uniform(2**40 + 3)
-                                             for ch in chains] for tr in trials])
+        assert grid.tolist() == [[fold(key, pos) >> 11 for key in row] for row in scalar]
+        assert int(grid.max()) < 2**53
+    assert np.array_equal(grid * 2.0**-53, [[(fold(key, 2**40 + 3) >> 11) * 2.0**-53 for key in row]
+                                             for row in scalar])
 
 
 def test_stream_values_are_frozen():
     # regression pins: any change to the mixing arithmetic breaks replay
     assert mix64(0) == 16294208416658607535
     assert fold(0, 1) == 3246858695411730098
-    assert RandomStream(1, 0, 3).uniform(0) == 0.5757975972827197
-    assert RandomStream(2026, 5, 101).uniform(9) == 0.3333960347509588
+    assert (fold(fold(fold(fold(0, 1), 0), 3), 0) >> 11) * 2.0**-53 == 0.5757975972827197
+    assert (fold(fold(fold(fold(0, 2026), 5), 101), 9) >> 11) * 2.0**-53 == 0.3333960347509588
 
 
-def test_key_of_composes_folds():
-    assert key_of(4, 5, 6) == fold(fold(fold(0, 4), 5), 6)
-    assert unit_double(2**64 - 1) < 1.0
+def test_fold_reads_components_modulo_2_64():
+    # a negative or oversized seed folds as its residue, and the top draw stays below 1
+    assert fold(0, -7) == fold(0, 2**64 - 7) and fold(0, 2**64 + 3) == fold(0, 3)
+    assert int(chain_keys(-7, np.array([0]), np.array([1]))[0, 0]) == fold(fold(fold(0, -7), 0), 1)
+    assert ((2**64 - 1) >> 11) * 2.0**-53 < 1.0
 
 
 def test_grid_leaves_its_inputs_alone_and_warns_nothing():
@@ -67,7 +76,7 @@ def test_grid_leaves_its_inputs_alone_and_warns_nothing():
         uniform_grid(keys[:, :2], 7)  # a column prefix, as the samplers pass it
     assert np.array_equal(trials, before[0]) and np.array_equal(chains, before[1])
     assert np.array_equal(keys, kept)
-    assert int(grid[1, 2]) * 2**-53 == RandomStream(2026, 5, 2**40 + 1).uniform(2**40 + 3)
+    assert int(grid[1, 2]) == fold(fold(fold(fold(0, 2026), 5), 2**40 + 1), 2**40 + 3) >> 11
 
 
 # probabilities the samplers compare against: 1/2 (Rademacher), 1 - p and
