@@ -3,19 +3,17 @@
 Everything here is either exact (rational arithmetic), certified (interval
 enclosures with rigorous tails), or an explicitly labelled float formula.
 
-The derivative series around p take F_{k-1} = 1 + L_{k-1} in closed form
-and enclose F_{k-1} and F'_{k-1} by a second-order Taylor form whose
-remainder bound holds on every interval inside (0,1).  `tau_gamma` sums
-them term by term in one kernel, `_derivative_series`: a term costs O(1)
-integer operations instead of a degree-(k-1) Horner run, every term and
-the running sum stay integer numerators, and the endpoints equal those of
-per-term `CertifiedInterval` arithmetic exactly.  `derivative_series_at_p(K)`
-has weights 2^-(k+1), so its whole truncated sum G_K = sum F_{k-1} / 2^(k+1)
-is closed-form (`_truncated_jet`): it is (H G_K)'(p), evaluated once in
-outward-rounded fixed point over 2^256, and lies inside the per-term sum
-widened by that rounding alone.  `tau_certify` still sums its twelve terms by interval
-Horner on the coefficients of F_{k-1} (`_tau_partial_12`), which keeps its
-certificate byte for byte.
+The weighted derivative series around p, sum_k w_k (H F_{k-1})'(p), take
+F_{k-1} = 1 + L_{k-1} in closed form and are (H G_w)'(p) for
+G_w = sum_k w_k F_{k-1}.  One fixed-point finish, `_hg_derivative`,
+encloses that from the jet of G_w at the left end of p's enclosure: a
+Taylor form whose remainder bound holds on every interval inside (0,1),
+and H, H' over 2^256, rounded outward.  `derivative_series_at_p(K)` has
+weights 2^-(k+1) and its jet in closed form (`_truncated_jet`);
+`tau_gamma` sums the jet of its explicit weights term by term
+(`_weighted_jet`).  `tau_certify` still sums its twelve terms by interval
+Horner on the coefficients of F_{k-1} (`_tau_partial_12`), which keeps
+its certificate byte for byte.
 
 Conventions.  Entropy comes in two scales and both are used deliberately:
 
@@ -42,7 +40,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import NamedTuple, Optional, Sequence
 
 from .core import chain_length_counts, fibonacci, log2_count_cylinders
@@ -243,14 +241,17 @@ def dim_minkowski_enclosure(tol: float = 1e-6) -> CertifiedInterval:
 def _jet_bounds(m: int) -> tuple[int, int]:
     """(M2, M3): the sums of |c| over the monomials c q^j u^i of L''_m and L'''_m.
 
+    With q = x - 1 and u = 1/(2-x), L_m = m u - q^2 u^2 + q^(m+2) u^2 and
+    du/dx = u^2, so
     L''_m  = 2m u^3 - 2u^2 - 8q u^3 - 6q^2 u^4
              + (m+2)(m+1) q^m u^2 + 4(m+2) q^(m+1) u^3 + 6 q^(m+2) u^4,
     L'''_m = 6m u^4 - 12u^3 - 36q u^4 - 24q^2 u^5 + (m+2)(m+1)m q^(m-1) u^2
              + 6(m+2)(m+1) q^m u^3 + 18(m+2) q^(m+1) u^4 + 24 q^(m+2) u^5.
 
     For m >= 1 no two monomials coincide, so M2 = m^2 + 9m + 32 and
-    M3 = m^3 + 9m^2 + 44m + 144, both even.  For m = 0 every coefficient
-    cancels (L_0 = 0) and both bounds are 0.
+    M3 = m^3 + 9m^2 + 44m + 144; for m = 0 every coefficient cancels
+    (L_0 = 0) and both are 0.  On (0,1), -1 < q < 0 and 1/2 < u < 1, so
+    |L''_m| <= M2 and |L'''_m| <= M3 there.
     """
     if m == 0:
         return 0, 0
@@ -272,69 +273,31 @@ def _zero_count_jet(m: int, Q: int, E: int, d: int, qm: int, dm: int) -> tuple[i
     return a0, a1, a2
 
 
-def _derivative_series(x: CertifiedInterval, h: CertifiedInterval, g: CertifiedInterval,
-                       weights: Sequence[tuple[int, int]], shift: int) -> CertifiedInterval:
-    """Enclosure of sum_k w_k (H F_{k-1})'(x) over k = 1..K on closed-form chain terms.
+def _weighted_jet(weights: Sequence[int], shift: int, n: int,
+                  d: int) -> tuple[tuple[tuple[int, int], ...], tuple[int, int]]:
+    """`_truncated_jet` for G_w = sum_k w_k F_{k-1}, w_k = weights[k-1] / 2^shift >= 0, k = 1..K.
 
-    h and g enclose H(x) and H'(x) = ln((1-x)/x) (`intervals._entropy_pair`);
-    weights[k-1] = (lo, hi) are integers with 0 <= lo <= hi, K = len(weights),
-    and w_k is the interval [lo, hi] / 2^shift; x lies inside (0,1).  With
-    m = k-1, q = x-1 and u = 1/(2-x), F_{k-1} = 1 + L_m and
-
-        L_m = m u - q^2 u^2 + q^(m+2) u^2;
-
-    du/dx = u^2, so d(q^j u^i) = j q^(j-1) u^i + i q^j u^(i+1) gives L'_m,
-    L''_m and L'''_m as sums of monomials c q^j u^i with integer c
-    (`_zero_count_jet`, `_jet_bounds`).  On x = [a, b] each term encloses
-    F = F_{k-1} and F' by a second-order Taylor form at a:
-
-        F(x)  in F(a)  + [0, b-a] F'(a)  + [-1, 1] (b-a)^2 M2 / 2,
-        F'(x) in F'(a) + [0, b-a] F''(a) + [-1, 1] (b-a)^2 M3 / 2,
-
-    with F(a), F'(a) and F''(a) exact, and M2, M3 the sums of |c| over the
-    monomials of L''_m and L'''_m.  This is Lagrange's remainder,
-    F(t) = F(a) + (t-a) F'(a) + (t-a)^2 F''(xi)/2 for some xi in [a, t],
-    once |F''| <= M2 and |F'''| <= M3 on x.  Both hold on every x inside
-    (0,1): there -1 < q < 0 and 1/2 < u < 1, so |c q^j u^i| <= |c| for
-    each monomial, and the triangle inequality sums these.
-
-    H(x) and H'(x) are put over one denominator hg for the whole series.
-    With x = [n/d, (n+w)/d] and Q = n - d, every term, weight product
-    included, lands over hg d^2 E^4 d^m 2^shift, where E = 2d - n.  Each
-    step of m multiplies Q^m by Q, and d^m and the running sum by d, so no
-    term needs a gcd, and the sum is reduced to `Fraction` once.  Products
-    take the endpoints `CertifiedInterval` arithmetic takes (`_iv_mul_ints`,
-    inline for the weights), so the result is exactly the per-term
-    `CertifiedInterval` sum of (H F' + H' F) times the weight.  A term costs O(1) operations on integers of O(m log d) bits,
-    and its width does not grow with k: the monomial coefficients of
-    F_{k-1}, which grow like 2^k, are never formed.
+    The numerators of `_zero_count_jet` put every term of G_w, G_w' and
+    G_w'' over d^(K-1) E^(2,3,4) 2^shift: each step of m = k-1 multiplies
+    Q^m by Q, and d^m and the three sums by d, so a term costs O(1)
+    operations on integers of O(m log d) bits.  The sums are rounded outward
+    once each; the remainder sums are exact numerators over 2^shift.
     """
-    hg = math.lcm(h.lo.denominator, h.hi.denominator, g.lo.denominator, g.hi.denominator)
-    h_lo, h_hi, g_lo, g_hi = (f.numerator * (hg // f.denominator) for f in (h.lo, h.hi, g.lo, g.hi))
-    n, n_hi, d = _common_numerators(x)
-    w, Q, E = n_hi - n, n - d, 2 * d - n
-    dd, EE = d * d, E * E
-    f_slope, df_slope, rem = dd * E * w, dd * d * w, w * w * EE * EE
-    f_scale, df_scale = dd * EE, dd * d * E
-    lo = hi = 0
+    Q, E = n - d, 2 * d - n
+    EE = E * E
+    s0 = s1 = s2 = m2 = m3 = 0
     qm = dm = 1
-    for m, (w_lo, w_hi) in enumerate(weights):  # m = k - 1
+    for m, w in enumerate(weights):  # m = k - 1
         if m:
-            lo, hi, qm, dm = lo * d, hi * d, qm * Q, dm * d
+            s0, s1, s2, qm, dm = s0 * d, s1 * d, s2 * d, qm * Q, dm * d
         a0, a1, a2 = _zero_count_jet(m, Q, E, d, qm, dm)
-        m2, m3 = _jet_bounds(m)
-        # F and F' as numerators over dd E^4 dm: center + [0, slope] + [-r, r]
-        # (M2 and M3 are even, so the halves are exact)
-        rem_m = rem * dm
-        f_c, f_s, f_r = f_scale * (dm * EE + a0), f_slope * a1, m2 // 2 * rem_m
-        df_c, df_s, df_r = df_scale * a1, df_slope * a2, m3 // 2 * rem_m
-        hdf_lo, hdf_hi = _iv_mul_ints(h_lo, h_hi, df_c + min(df_s, 0) - df_r, df_c + max(df_s, 0) + df_r)
-        gf_lo, gf_hi = _iv_mul_ints(g_lo, g_hi, f_c + min(f_s, 0) - f_r, f_c + max(f_s, 0) + f_r)
-        t_lo, t_hi = hdf_lo + gf_lo, hdf_hi + gf_hi
-        lo += t_lo * (w_lo if t_lo >= 0 else w_hi)
-        hi += t_hi * (w_hi if t_hi >= 0 else w_lo)
-    den = hg * dd * EE * EE * dm << shift
-    return CertifiedInterval(Fraction(lo, den), Fraction(hi, den))
+        b2, b3 = _jet_bounds(m)
+        s0, s1, s2 = s0 + w * (dm * EE + a0), s1 + w * a1, s2 + w * a2
+        m2, m3 = m2 + w * b2, m3 + w * b3
+    den = dm << shift
+    jet = tuple(_round_out(s << _FIX_BITS, s << _FIX_BITS, den * E**i)
+                for i, s in enumerate((s0, d * s1, d * d * s2), 2))
+    return jet, (m2, m3)
 
 
 def dyadic_tail(f, degree: int, K: int) -> Fraction:
@@ -414,48 +377,55 @@ def _truncated_jet(K: int, n: int, d: int) -> tuple[tuple[tuple[int, int], ...],
     return jet, (m2, m3)
 
 
-def derivative_series_at_p(K: int) -> CertifiedInterval:
-    """Enclosure of sum_k (H F_{k-1})'(p) / 2^(k+1), widened by a rigorous tail.
+def _hg_derivative(x: CertifiedInterval, jet_at, shift: int) -> CertifiedInterval:
+    """(H G)'(x) = H G' + H' G on x = [a, b] inside (0,1), for G = sum_k w_k F_{k-1}.
 
-    The infinite series vanishes (p maximizes A), so the returned interval
-    must contain 0.  The partial sum is (H G_K)'(x) = H G_K' + H' G_K on
-    x = solve_p() = [a, b], with G_K = sum_{k<=K} F_{k-1} / 2^(k+1) in
-    closed form (`_truncated_jet`).  G_K and G_K' are enclosed on x by the
-    one-sided Taylor form of `_derivative_series`, at a:
-
-        G_K(x)  in G_K(a)  + [0, b-a] G_K'(a)  + [-1, 1] (b-a)^2 sum w_m M2(m) / 2,
-        G_K'(x) in G_K'(a) + [0, b-a] G_K''(a) + [-1, 1] (b-a)^2 sum w_m M3(m) / 2,
-
-    and combined with the mpmath enclosures of H and H' in fixed point over
-    2^_FIX_BITS, every step rounded outward.  By subdistributivity this lies
-    inside the per-term sum of (H F' + H' F) / 2^(k+1), widened only by the
-    rounding, a few units of 2^-_FIX_BITS, and at p the two widths differ
-    by no more than that.  The cost is O(log K) operations on integers of a few hundred
-    bits plus K bits for A and B, and the endpoints stay near _FIX_BITS
-    bits before the tail.  Tail: |(H F_{k-1})'(p)| <= 0.7(3k+3) + 0.3(3k+3)/2
-    = 2.55 (k+1), summing to 2.55 (K+3) 2^-(K+1), added exactly.  The width
-    is 1.0e-10 at K = 40, 1.8e-22 at K = 80, and from K ~ 110 on about
-    3.17e-24, the enclosure of p propagated through H and H'.
+    jet_at(n, d) encloses G, G' and G'' at a = n/d in fixed point and gives
+    the remainder sums sum_k w_k M2(k-1) and sum_k w_k M3(k-1) over 2^shift
+    (`_truncated_jet`, `_weighted_jet`).  On x, G lies in
+    G(a) + [0, b-a] G'(a) + [-1, 1] (b-a)^2 sum_k w_k M2(k-1) / 2, and G'
+    likewise with G'' and M3: Lagrange's remainder, as F_{k-1} = 1 + L_{k-1}
+    and `_jet_bounds` bounds L'' and L''' on (0,1).  These meet the mpmath
+    enclosures of H and H' (`intervals._entropy_pair`) over 2^_FIX_BITS,
+    every step rounded outward; by subdistributivity the result lies inside
+    the per-term sum of w_k (H F'_{k-1} + H' F_{k-1}), each term in the same
+    Taylor form, widened by a few units of 2^-_FIX_BITS.
     """
-    if K < 1:
-        raise ValueError(f"need K >= 1, got {K}")
-    x = solve_p()
     n, n_hi, d = _common_numerators(x)
     w, S = n_hi - n, 1 << _FIX_BITS
-    (g0, g1, g2), (m2, m3) = _truncated_jet(K, n, d)
+    (g0, g1, g2), (m2, m3) = jet_at(n, d)
 
-    def taylor(c, s, m):  # c + [0, w/d] s + [-1, 1] (w/d)^2 m / 2^(K+2), over 2^_FIX_BITS
+    def taylor(c, s, m):  # c + [0, w/d] s + [-1, 1] (w/d)^2 m / 2^(shift+1), over 2^_FIX_BITS
         s_lo, s_hi = _round_out(w * min(s[0], 0), w * max(s[1], 0), d)
         r = w * w * m << _FIX_BITS
-        r_lo, r_hi = _round_out(-r, r, d * d << (K + 2))
+        r_lo, r_hi = _round_out(-r, r, d * d << (shift + 1))
         return c[0] + s_lo + r_lo, c[1] + s_hi + r_hi
 
     h, g = map(_common_numerators, _entropy_pair(x))
     h, g = (_round_out(lo << _FIX_BITS, hi << _FIX_BITS, den) for lo, hi, den in (h, g))
     hdg, gg = _iv_mul_ints(*h, *taylor(g1, g2, m3)), _iv_mul_ints(*g, *taylor(g0, g1, m2))
     lo, hi = _round_out(hdg[0] + gg[0], hdg[1] + gg[1], S)
-    tail = Fraction(51, 20) * Fraction(K + 3, 2 ** (K + 1))
-    return CertifiedInterval(Fraction(lo, S), Fraction(hi, S)).widen(tail)
+    return CertifiedInterval(Fraction(lo, S), Fraction(hi, S))
+
+
+def derivative_series_at_p(K: int) -> CertifiedInterval:
+    """Enclosure of sum_k (H F_{k-1})'(p) / 2^(k+1), widened by a rigorous tail.
+
+    The infinite series vanishes (p maximizes A), so the returned interval
+    must contain 0.  The partial sum is (H G_K)'(x) on x = solve_p(), with
+    G_K = sum_{k<=K} F_{k-1} / 2^(k+1) in closed form (`_truncated_jet`)
+    and the fixed-point finish of `_hg_derivative`.  The cost is O(log K)
+    operations on integers of a few hundred bits plus K bits for A and B,
+    and the endpoints stay near _FIX_BITS bits before the tail.  Tail:
+    |(H F_{k-1})'(p)| <= 0.7(3k+3) + 0.3(3k+3)/2 = 2.55 (k+1), summing to
+    2.55 (K+3) 2^-(K+1), added exactly.  The width is 1.0e-10 at K = 40,
+    1.8e-22 at K = 80, and from K ~ 110 on about 3.17e-24, the enclosure of
+    p propagated through H and H'.
+    """
+    if K < 1:
+        raise ValueError(f"need K >= 1, got {K}")
+    acc = _hg_derivative(solve_p(), partial(_truncated_jet, K), K + 1)
+    return acc.widen(Fraction(51, 20) * Fraction(K + 3, 2 ** (K + 1)))
 
 
 @dataclass(frozen=True)
@@ -556,8 +526,11 @@ def tau_gamma(gamma: float, K: int = 12) -> TauGammaResult:
         ends.append([(m, e - k - 1) for m, e in map(_dyadic, w)])
     e_min = min(e for end in ends for _, e in end)  # <= -2, from k = 1
     weights = [tuple(m << (e - e_min) for m, e in end) for end in ends]
-    p = solve_p()
-    acc = _derivative_series(p, *_entropy_pair(p), weights, -e_min)
+    # sum the lower ends; the rest of w_k moves the sum by at most
+    # (w_hi - w_lo) |(H F_{k-1})'(p)| <= (w_hi - w_lo) 2.55 (k+1), as in the tail
+    spread = sum((hi - lo) * 51 * k for k, (lo, hi) in enumerate(weights, 2)) << _FIX_BITS
+    acc = _hg_derivative(solve_p(), partial(_weighted_jet, [lo for lo, _ in weights], -e_min), -e_min)
+    acc = acc.widen(Fraction(-(-spread // (20 << -e_min)), 1 << _FIX_BITS))
     m = math.ceil(1 + gamma)
     tail = dyadic_tail(lambda k: Fraction(51, 40) * (k ** (m + 1) + k**m), m + 1, K + 1)
     widened = acc.widen(tail)

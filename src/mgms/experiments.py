@@ -279,16 +279,6 @@ def _check_half_word_identity(lp: float, n0_full: int, n0_half: int, n: int, s: 
         raise AssertionError("half-word zero-count identity violated beyond tolerance")
 
 
-def _zero_counts(x: np.ndarray, points: Sequence[int]) -> dict:
-    """N0(x_1^m) for each m of the sorted `points`, from one row of symbols
-    (x_m in column m), summing each symbol once."""
-    counts, ones, last = {}, 0, 0
-    for m in points:
-        ones += int(x[last + 1 : m + 1].sum(dtype=np.int64))
-        counts[m], last = m - ones, m
-    return counts
-
-
 def density_trajectory(
     measure: BlockAssignment,
     gauge: Gauge,
@@ -321,7 +311,7 @@ def density_trajectory(
         if not np.all(np.isfinite(lp)):
             raise AssertionError("sampled point has zero measure; sampler broken")
         if measure.delta == 0:
-            zeros = _zero_counts(bits[0], half_word_points)
+            zeros = dict(zip(half_word_points, zero_count_from_bits(bits, half_word_points)[0].tolist()))
             for j, n in enumerate(n_grid):
                 if n % 2 == 0:
                     _check_half_word_identity(lp[j], zeros[n], zeros[n // 2], n, s)
@@ -464,7 +454,7 @@ def upper_bound_telescoping(exponent: float, ell_max: int, seed: int) -> Telesco
     bits = sample_bits_batch(measure, n_max, seed, np.array([0]))
     s = s_float()
     ln2 = math.log(2)
-    n0 = list(_zero_counts(bits[0], [2**j for j in range(ell_max + 1)]).values())
+    n0 = zero_count_from_bits(bits, [2**j for j in range(ell_max + 1)])[0].tolist()
     gauge = Gauge.psi_g(exponent)
     # log-masses at n = 4..2^ell (gauge domain; j = 1 is covered by the closed form)
     lps = logprob_prefix_grid(measure, bits, [2**j for j in range(2, ell_max + 1)])[0]
@@ -745,7 +735,7 @@ def zero_count_deviation_check(
 
     def centered_zero_count(idx: np.ndarray, n_: int) -> np.ndarray:
         bits = sample_bits_batch(measure, 2 * n_, seed, idx)
-        return np.abs(zero_count_from_bits(bits, 2 * n_).astype(np.float64) - mean(n_))
+        return np.abs(zero_count_from_bits(bits, [2 * n_])[:, 0].astype(np.float64) - mean(n_))
 
     rows = _tail_rows(centered_zero_count, zero_count_bound, ts, ns, trials)
     fit_x = [r.t * r.t * r.n for r in rows if 0 < r.empirical < 1]

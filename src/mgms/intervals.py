@@ -10,9 +10,9 @@ unreduced; `iv_polyval` reduces them to `Fraction` once, for
 and the benchmark tracer call.  Its interval
 products (`_iv_mul_ints`) form only the two endpoint products min/max would
 pick when a factor is nonnegative, so the endpoints are the same rationals
-as step-by-step `CertifiedInterval` arithmetic.  `analytics` sums whole
-derivative series on integer numerators with `_iv_mul_ints`, and only
-`tau_certify` still runs `_iv_horner`.  Two things round, always outward,
+as step-by-step `CertifiedInterval` arithmetic.  `analytics` multiplies
+its fixed-point intervals with `_iv_mul_ints`, and only `tau_certify`
+still runs `_iv_horner`.  Two things round, always outward,
 so every output encloses the true image of its input.  The transcendental
 maps (log2, and the natural-log entropy with its derivative ln((1-x)/x),
 one `_entropy_pair`) run on mpmath's raw (lo, hi) interval tuples, through
@@ -20,12 +20,12 @@ the `mpmath.libmp` kernels that mpmath's `iv` context calls, at the
 explicit precision `_PREC` (120 bits), so they read and write no mpmath
 state; `_ln_int` takes the log of an integer.  And fixed-point intervals,
 integer pairs over 2^_FIX_BITS (256 bits), round each product and
-quotient with `_round_out`, floor below and ceiling above;
-`analytics.derivative_series_at_p` evaluates its closed form in them, so
-no endpoint grows with the number of terms.  The mpmath endpoints are
-dyadic: `_dyadic` reads each as an integer mantissa and exponent (inf and
-nan raise), `_from_mpi` turns them into Fractions exactly, and `analytics`
-sums them as integers over one power of two.  mpmath loads on the first
+quotient with `_round_out`, floor below and ceiling above; the weighted
+derivative series of `analytics` (`derivative_series_at_p`, `tau_gamma`)
+finish in them, so no endpoint grows with the number of terms.  The
+mpmath endpoints are dyadic: `_dyadic` reads each as an integer mantissa
+and exponent (inf and nan raise), `_from_mpi` turns them into Fractions
+exactly, and `analytics` sums them as integers over one power of two.  mpmath loads on the first
 transcendental call: each function imports the kernels it runs.
 """
 

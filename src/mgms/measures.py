@@ -238,14 +238,16 @@ _CHUNK = (1 << 16) + 512
 def _block_table(n: int) -> np.ndarray:
     """Dyadic block floor(log2 i) of the chain J(i) through each position 0..n.
 
-    i is the odd part of the position; entry 0 is unused (0).  Blocks are
-    below 64, so uint8 holds them and 4 * block + 3 as well.
+    i is the odd part of m, so the block is floor(log2 m) less the 2-adic
+    valuation of m, built in place on uint8, which holds blocks below 64 and
+    4 * block + 3 as well.  Entry 0 is unused (0).
     """
     import numpy as np
 
-    m = np.arange(1, n + 1, dtype=np.int64)
     block = np.zeros(n + 1, dtype=np.uint8)
-    block[1:] = np.frexp((m // (m & -m)).astype(np.float64))[1] - 1
+    for t in range(1, int(n).bit_length()):
+        block[1 << t :] += 1
+        block[1 << t :: 1 << t] -= 1
     block.flags.writeable = False
     return block
 
@@ -356,10 +358,15 @@ def sample_bits_batch(
     return bits
 
 
-def zero_count_from_bits(bits: np.ndarray, n: int) -> np.ndarray:
-    """N0 of the first n symbols, per row."""
-    if not 1 <= n < bits.shape[1]:
-        raise ValueError(f"n={n} outside the sampled range")
+def zero_count_from_bits(bits: np.ndarray, ns: Sequence[int]) -> np.ndarray:
+    """N0 of the first n symbols per row (x_m in column m), for each n of the strictly
+    increasing ns, as int64 of shape (rows, len(ns)); each symbol is summed once."""
     import numpy as np
 
-    return n - bits[:, 1 : n + 1].sum(axis=1, dtype=np.int64)
+    ends = [0, *map(int, ns)]
+    if any(a >= b for a, b in zip(ends, ends[1:])) or ends[-1] >= bits.shape[1]:
+        raise ValueError(f"prefix lengths must increase strictly within 1..{bits.shape[1] - 1}, got {ends[1:]}")
+    ones = np.zeros((len(bits), len(ends)), dtype=np.int64)
+    for j, (lo, hi) in enumerate(zip(ends, ends[1:]), 1):
+        ones[:, j] = ones[:, j - 1] + bits[:, lo + 1 : hi + 1].sum(axis=1, dtype=np.int64)
+    return np.array(ends[1:], dtype=np.int64) - ones[:, 1:]

@@ -15,7 +15,7 @@ integer-numerator Horner `intervals.iv_polyval`.
 
 The coefficients grow like 2^k, and interval Horner on them widens an
 enclosure about 2^(k/2)-fold, so the run-time series use the closed form
-F_k = 1 + L_k instead (`analytics._derivative_series`).  Only
+F_k = 1 + L_k instead (`analytics._zero_count_jet`).  Only
 `analytics.tau_certify` still evaluates these coefficients, for k <= 11;
 the tests use the rest as the oracle of that closed form.
 """

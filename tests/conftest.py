@@ -147,13 +147,14 @@ def entropy_poly_closed_form(k: int) -> EntropyPolynomial:
 
 
 # -- the derivative series around p, one CertifiedInterval operation at a time --
-# The package's integer-numerator series kernel takes F_{k-1} = 1 + L_{k-1} and
-# F'_{k-1} in a second-order Taylor form with closed-form chain terms; its
-# endpoints must equal these per-term Fraction loops exactly.
-# `derivative_series_at_p` sums the same terms in closed form, in fixed point,
-# and must lie inside the per-term loop widened by its rounding budget.
-# `tau_certify` alone keeps interval Horner on the coefficients of F_{k-1},
-# which `horner_hf_derivative_at` reproduces.
+# The package sums weighted series sum_k w_k (H F_{k-1})'(x) as (H G_w)'(x):
+# the jet of G_w = sum_k w_k F_{k-1} at x.lo (`_truncated_jet` in closed
+# form, `_weighted_jet` for explicit weights), a Taylor form on x and H, H'
+# in fixed point.  It must enclose the Fraction sums of the jet below, and lie
+# inside the per-term loops of `reference_hf_derivative_at` (the same Taylor
+# form per term) widened by its rounding budget.  `tau_certify` alone keeps
+# interval Horner on the coefficients of F_{k-1}, which
+# `horner_hf_derivative_at` reproduces.
 
 
 def reference_zero_count_jet(m: int, a: Fraction) -> tuple[Fraction, Fraction, Fraction]:
@@ -166,15 +167,20 @@ def reference_zero_count_jet(m: int, a: Fraction) -> tuple[Fraction, Fraction, F
     return L0, L1, L2
 
 
-def reference_truncated_jet(K: int, a: Fraction) -> tuple[Fraction, ...]:
-    """(G_K, G_K', G_K'') at a, G_K = sum_{k<=K} F_{k-1} / 2^(k+1), and the remainder sums
-    sum_{m<K} M2(m) / 2^(m+2) and sum_{m<K} M3(m) / 2^(m+2), all summed term by term."""
+def reference_weighted_jet(weights, shift: int, a: Fraction) -> tuple[Fraction, ...]:
+    """(G_w, G_w', G_w'') at a, G_w = sum_k w_k F_{k-1} with w_k = weights[k-1] / 2^shift, and
+    the remainder sums sum_k w_k M2(k-1) and sum_k w_k M3(k-1), all summed term by term."""
     sums = [Fraction(0)] * 5
-    for m in range(K):
+    for m, w in enumerate(weights):
         L0, L1, L2 = reference_zero_count_jet(m, a)
         for i, v in enumerate((1 + L0, L1, L2, *_jet_bounds(m))):
-            sums[i] += Fraction(v, 2 ** (m + 2))
+            sums[i] += Fraction(w, 2**shift) * v
     return tuple(sums)
+
+
+def reference_truncated_jet(K: int, a: Fraction) -> tuple[Fraction, ...]:
+    """`reference_weighted_jet` for G_K = sum_{k<=K} F_{k-1} / 2^(k+1)."""
+    return reference_weighted_jet([1 << (K - k) for k in range(1, K + 1)], K + 1, a)
 
 
 # -- mpmath's interval context: the oracle for the raw-interval bridge -----------
@@ -267,6 +273,17 @@ def reference_tau_gamma_partial(x: CertifiedInterval, gamma: float, K: int,
         w = iv.exp(iv.log(iv.mpf(k)) * iv.mpf(1 + gamma)) if k > 1 else iv.mpf(1)
         acc = acc + term(k, x) * _from_iv(w) * Fraction(1, 2 ** (k + 1))
     return acc
+
+
+# tau_gamma sums its lower weights in fixed point and widens by the rest of each
+# weight, so it need not hold the per-term loop's endpoints; it holds them to this
+TAU_GAMMA_SLACK = Fraction(1, 10**30)
+
+
+def near_tau_gamma_reference(got: CertifiedInterval, ref: CertifiedInterval) -> bool:
+    """got lies inside ref widened by TAU_GAMMA_SLACK and is no wider than ref plus it."""
+    return (ref.lo - TAU_GAMMA_SLACK <= got.lo and got.hi <= ref.hi + TAU_GAMMA_SLACK
+            and got.width <= ref.width + TAU_GAMMA_SLACK)
 
 
 def object_horner(coeffs, x):

@@ -576,3 +576,43 @@ class TestBatchKernels:
         assert hashlib.sha256(bits.tobytes()).hexdigest() == bits_sha
         grid = logprob_prefix_grid(a, bits, DEFAULT_N_GRID)
         assert hashlib.sha256(grid.tobytes()).hexdigest() == grid_sha
+
+    @staticmethod
+    def _python_blocks(n: int) -> list[int]:
+        # floor(log2) of the odd part of each position 1..n, on Python ints
+        return [0] + [(m >> ((m & -m).bit_length() - 1)).bit_length() - 1 for m in range(1, n + 1)]
+
+    def test_block_table_equals_python_oracle(self):
+        for n in (*range(1, 301), 2**16 + 3, 2**20):
+            table = measures._block_table.__wrapped__(n)
+            assert table.dtype == np.uint8 and table.tolist() == self._python_blocks(n), n
+
+    def test_block_table_allocates_about_its_own_size(self):
+        # 2^20 one-byte entries: the table once, and no full-length int64 or float64 temporary
+        import tracemalloc
+
+        n = 2**20
+        tracemalloc.start()
+        try:
+            measures._block_table.__wrapped__(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * n, peak
+
+    def test_zero_counts_equal_python_count(self):
+        rng = np.random.default_rng(5)
+        for rows, n in ((1, 1), (1, 257), (3, 1000), (64, 4096)):
+            bits = np.zeros((rows, n + 1), dtype=np.uint8)
+            bits[:, 1:] = rng.random((rows, n)) < rng.random((rows, 1))
+            for _ in range(5):
+                ns = sorted(set(rng.integers(1, n + 1, size=rng.integers(1, 8)).tolist()))
+                got = measures.zero_count_from_bits(bits, ns)
+                assert got.dtype == np.int64 and got.shape == (rows, len(ns))
+                want = [[sum(1 for v in row[1 : m + 1] if v == 0) for m in ns] for row in bits.tolist()]
+                assert got.tolist() == want
+
+    @pytest.mark.parametrize("ns", [[3, 2], [2, 2], [0, 4], [-1], [9], [4, 9]])
+    def test_zero_counts_reject_unsorted_repeated_or_out_of_range(self, ns):
+        with pytest.raises(ValueError):
+            measures.zero_count_from_bits(np.zeros((2, 9), dtype=np.uint8), ns)

@@ -116,7 +116,7 @@ def test_entry_points_load_no_submodule(argv):
 
 # sha256 of the endpoints of tau_gamma(0.5, 20).value as "lo_num/lo_den\nhi_num/hi_den\n",
 # the digest test_analytics.test_enclosure_endpoints_are_frozen freezes
-TAU_GAMMA_DIGEST = "88106a0f96a823b264d4ef6581b91350baa17ea125da190f687a2ba08148aefd"
+TAU_GAMMA_DIGEST = "c3e76bf5ad231bbdcf18f9e88879f848b02b49e346fc41730130ec4b7d24b5e0"
 
 
 def test_tau_gamma_as_first_interval_op_is_frozen():
