@@ -48,13 +48,13 @@ from .analytics import (
 )
 from .core import chain_length_counts
 from .measures import (
-    _CHUNK,
     BlockAssignment,
+    _chain_walk,
     logprob_prefix_grid,
     sample_bits_batch,
     zero_count_from_bits,
 )
-from .rng import chain_keys, threshold, uniform_grid
+from .rng import threshold
 
 __all__ = [
     "Verdict",
@@ -82,14 +82,15 @@ __all__ = [
 DEFAULT_SEEDS = tuple(range(100))
 DEFAULT_EPSILON = 0.25
 _TRIAL_CHUNK = 4096
+_TREND_LEVEL = 0.95  # the confidence level of the Theil-Sen band of a trend
 # the trend verdict uses the grid points beyond the floor, or the whole grid
 # when fewer than this many lie beyond it
 MIN_TREND_POINTS = 3
 
 
-def _theilslopes(y, x, alpha: float = 0.95) -> tuple[float, float, float]:
+def _theilslopes(y, x) -> tuple[float, float, float]:
     """Theil-Sen slope of y on x (the median of the pairwise slopes over
-    distinct x) and Sen's (1968) band at level alpha: order statistics of the
+    distinct x) and Sen's (1968) band at _TREND_LEVEL: order statistics of the
     slopes placed by the normal approximation, with the eq. 2.6 variance
     corrected for ties in x and y; NaN when ties leave that variance negative.
     """
@@ -105,7 +106,7 @@ def _theilslopes(y, x, alpha: float = 0.95) -> tuple[float, float, float]:
         return (float(np.median(slopes)) if pairs else math.nan), math.nan, math.nan
     from statistics import NormalDist  # here, so that the paths without a trend never load it
 
-    z_sigma = NormalDist().inv_cdf((1 - alpha) / 2) * math.sqrt(sigsq)  # negative
+    z_sigma = NormalDist().inv_cdf((1 - _TREND_LEVEL) / 2) * math.sqrt(sigsq)  # negative
     lo = max(round((pairs + z_sigma) / 2) - 1, 0)
     hi = min(round((pairs - z_sigma) / 2), pairs - 1)
     return float(np.median(slopes)), float(slopes[lo]), float(slopes[hi])
@@ -234,7 +235,7 @@ class TrajectoryReport(_Report):
         return (
             f"{self.experiment}: verdict {self.verdict} "
             f"(Theil-Sen slope {self.slope:.4g} per log2 n, "
-            f"95% CI [{self.slope_ci[0]:.4g}, {self.slope_ci[1]:.4g}], "
+            f"{_TREND_LEVEL:.0%} CI [{self.slope_ci[0]:.4g}, {self.slope_ci[1]:.4g}], "
             f"{points}, {len(self.seeds)} seeds)"
         )
 
@@ -254,7 +255,7 @@ def _trend_verdict(
         idx = list(range(len(n_grid)))
     ns = [n_grid[j] for j in idx]
     ys = [medians[j] for j in idx]
-    slope, lo, hi = stats.theilslopes(ys, np.log2(ns), alpha=0.95)  # against log2 n
+    slope, lo, hi = stats.theilslopes(ys, np.log2(ns))  # against log2 n
     if slope < 0:
         verdict = Verdict.DECREASING
     elif slope > 0:
@@ -547,15 +548,14 @@ class DeviationReport(_Report):
 
     def summary_line(self) -> str:
         state = "OK (no exceedance)" if self.all_ok else "EXCEEDANCE FOUND"
-        extra = ""
-        if self.fit:
-            extra = f", fitted c2={self.fit.get('c2', float('nan')):.3g}, c3={self.fit.get('c3', float('nan')):.3g}"
+        c2, c3 = (math.nan if self.fit.get(k) is None else self.fit[k] for k in ("c2", "c3"))
+        extra = f", fitted c2={c2:.3g}, c3={c3:.3g}" if self.fit else ""
         return f"{self.experiment}: {len(self.rows)} cells, bounds {state}{extra}"
 
 
 @dataclass(frozen=True)
 class Rademacher:
-    """Independent uniform +-1 summands (C = 1)."""
+    """Independent uniform +-1 summands (C = 1), drawn on `measures._chain_walk`."""
 
     @property
     def bound_C(self) -> float:
@@ -565,12 +565,11 @@ class Rademacher:
         return {"distribution": "rademacher", "C": 1.0}
 
     def sample_sums(self, seed: int, trials: np.ndarray, n: int) -> np.ndarray:
-        half = threshold(0.5)
         out = np.zeros(len(trials), dtype=np.float64)
-        for rows, cols in _sum_blocks(len(trials), n, 8192):
-            keys = chain_keys(seed, trials[rows], cols)
-            ones = np.count_nonzero(uniform_grid(keys, 0) < half, axis=1)
-            out[rows] += 2 * ones - len(cols)  # the exact sum of the +-1 summands
+        # level 0 of n chains at 1/2, 8192 summands a block: one trial's temporaries stay near 0.25 MiB
+        for rows, _, (one,) in _chain_walk(seed, trials, range(n), np.array([threshold(0.5)]),
+                                           np.broadcast_to(0, (n,)), [n], 8192):
+            out[rows] += 2 * np.count_nonzero(one, axis=1) - one.shape[1]  # a 1 is +1: the exact sum
         return out
 
 
@@ -579,7 +578,7 @@ class CenteredChainLogMass:
     """Centered log2 cylinder masses of golden Markov words of length k.
 
     X = log2 mu[u] + H^mu(alpha_k) has zero mean; |X| <= C with C the exact
-    maximum over the finitely many admissible cylinders.
+    maximum over the admissible cylinders; u is k levels of `measures._chain_walk`.
     """
 
     k: int
@@ -616,32 +615,20 @@ class CenteredChainLogMass:
         return {"distribution": "centered_log_mass", "k": self.k, "r": self.r, "C": self.bound_C}
 
     def sample_sums(self, seed: int, trials: np.ndarray, n: int) -> np.ndarray:
-        """Sum of n independent centered log-masses per trial."""
+        """Sum of n independent centered log-masses per trial: k levels of n chains."""
         # cost of a symbol at 2 prev + sym: free 0, free 1, 0 forced by a 1
         table = np.array([math.log2(self.r), math.log2(1.0 - self.r), 0.0])
-        one_below = threshold(1.0 - self.r)
+        one_below = np.array([threshold(1.0 - self.r)])
         H = self.entropy
         out = np.zeros(len(trials), dtype=np.float64)
-        for rows, cols in _sum_blocks(len(trials), n, 2048):
-            keys = chain_keys(seed, trials[rows], cols)
-            mass = np.zeros(keys.shape, dtype=np.float64)
-            prev = np.zeros(keys.shape, dtype=np.uint8)
-            for t in range(self.k):
-                one = (uniform_grid(keys, t) < one_below) & (prev == 0)
+        for rows, _, levels in _chain_walk(seed, trials, range(n), one_below, np.broadcast_to(0, (n,)),
+                                           [n] * self.k, 2048):  # tests pin this float summation order
+            x = [one.view(np.uint8) for one in levels]
+            mass = table[x[0]]
+            for prev, one in zip(x, x[1:]):
                 mass += table[2 * prev + one]
-                prev = one.view(np.uint8)
             out[rows] += (mass + H).sum(axis=1)
         return out
-
-
-def _sum_blocks(trials: int, n: int, width: int):
-    """(rows, cols) blocks of the trial-by-summand grid, at most _CHUNK cells
-    each: row slices of trials, then column chunks of at most `width`
-    summands; each row meets its chunks in order."""
-    height = max(1, _CHUNK // max(1, min(n, width)))
-    for r0 in range(0, trials, height):
-        for start in range(0, n, width):
-            yield slice(r0, r0 + height), np.arange(start, min(n, start + width), dtype=np.int64)
 
 
 def _tail_rows(statistic, bound, ts: Sequence[float], ns: Sequence[int], trials: int) -> list[DeviationRow]:
@@ -744,11 +731,12 @@ def zero_count_deviation_check(
     if len(fit_x) >= 3:
         res = stats.linregress(fit_x, fit_y)
         tcrit = stats.t.ppf(0.975, len(fit_x) - 2)
+        num = lambda v: v if math.isfinite(v) else None  # JSON has no NaN: such a number is null
         fit = {
-            "c2": math.exp(res.intercept),
-            "c3": -res.slope,
-            "c3_ci": [-res.slope - tcrit * res.stderr, -res.slope + tcrit * res.stderr],
-            "r_value": res.rvalue,
+            "c2": num(math.exp(res.intercept)),
+            "c3": num(-res.slope),
+            "c3_ci": [num(-res.slope - tcrit * res.stderr), num(-res.slope + tcrit * res.stderr)],
+            "r_value": num(res.rvalue),  # NaN when the log-frequencies are constant
             "points": len(fit_x),
         }
     config = {

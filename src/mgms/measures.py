@@ -21,18 +21,18 @@ monotonically in n and chain-parallel evaluation is schedule-independent.
 composes `rng.fold` in Python ints and writes each symbol into one list,
 so it shares no numpy code with the batch path it is checked against.
 
-The batch path works on uint8 matrices of sampled symbols.
-`sample_bits_batch` works in blocks of rows (trials) by chains: it folds
-each chain's key once, then draws position i 2^t of the chains J(i) one
-level t at a time inside the block, through strided column slices,
-bit-for-bit as `sample_point` draws them; a draw is one mix and
-one integer compare against an exact threshold.  `logprob_prefix_grid` is
-the one vectorized log-mass kernel: a gather from a per-block cost table,
-then a cumulative sum.  Both work in blocks of at most `_CHUNK` cells, so
-temporaries stay in cache whatever n is.  There is one scalar walk,
-`_walk`, over a list of symbols: `markov_cylinder_logprob` runs it on a
-word and `chain_breakdown` on each chain restriction, whose masses
-`pdelta_logprob` sums.  They stay as the readable definitions that
+Every Monte Carlo draw runs on one keyed walk, `_chain_walk`: per block of
+rows (trials) by chains it folds each chain's key once, then draws level
+by level, a 1 only after a 0, bit-for-bit as `sample_point`; a draw is one
+mix and one integer compare against an exact threshold.
+`sample_bits_batch` writes level t of chain J(i) to position i 2^t, and
+`experiments` adds its deviation sums up from the levels.
+`logprob_prefix_grid` is the one vectorized log-mass kernel: a gather from
+a per-block cost table, then a cumulative sum.  Both work in blocks of at
+most `_CHUNK` cells, so temporaries stay in cache whatever n is.  There is
+one scalar walk, `_walk`, over a list of symbols: `markov_cylinder_logprob`
+runs it on a word and `chain_breakdown` on each chain restriction, whose
+masses `pdelta_logprob` sums.  They stay as the readable definitions that
 tests and benchmark checks compare against.  The scalar walk reads a word
 through `str`, so it runs without numpy; the samplers and the batch
 kernels import numpy and `rng` when they are called.
@@ -308,6 +308,39 @@ def logprob_prefix_grid(
     return out
 
 
+def _chain_walk(seed: int, trials: np.ndarray, chains: range, below: np.ndarray, group: np.ndarray,
+                active: Sequence[int], width: int | None = None) -> Iterator[tuple]:
+    """The keyed golden chain walk of every sampler, in blocks of at most _CHUNK
+    cells: rows (trials) by up to `width` chains (default _CHUNK).
+
+    Chain c of row r is keyed fold(fold(fold(0, seed), trials[r]), chains[c]);
+    the first active[t] chains (non-increasing in t) reach level t, where a
+    chain holds a 1 when uniform_grid(key, t) < below[group[c]] after a 0 (a
+    table and an index per chain, so no n thresholds are stored).  Yields
+    (rows, a, levels) per block, in order along each row: its row slice, its
+    first chain a and one bool array (rows, m) per level, for chains a..a+m-1.
+    """
+    import numpy as np
+
+    from .rng import chain_keys, uniform_grid
+
+    width = max(1, min(len(chains), _CHUNK, width or _CHUNK))  # chains per block
+    height = _CHUNK // width  # rows per block
+    for r0 in range(0, len(trials), height):
+        rows = slice(r0, r0 + height)
+        for a in range(0, len(chains), width):
+            part = chains[a : a + width]
+            keys = chain_keys(seed, trials[rows], np.arange(part.start, part.stop, part.step))
+            thresholds = below[group[a : a + width]]
+            levels = []
+            for t, m in enumerate(min(len(part), reach - a) for reach in active if reach > a):
+                one = uniform_grid(keys[:, :m], t) < thresholds[:m]
+                if t:  # a 1 at the previous level forces a 0
+                    one &= ~levels[-1][:, :m]
+                levels.append(one)
+            yield rows, a, levels
+
+
 def sample_bits_batch(
     assign: BlockAssignment, n: int, seed: int, trials: np.ndarray
 ) -> np.ndarray:
@@ -316,45 +349,24 @@ def sample_bits_batch(
     Returns a uint8 array of shape (len(trials), n+1); column m holds
     symbol x_m (column 0 is padding).  Row t reproduces the scalar
     sample_point word when trials[t] = 0, and more generally the chain
-    walk with streams (seed, trials[t], i).
-
-    The work runs in blocks of rows (trials) by chains, at most _CHUNK
-    cells each.  A block folds the keys of its chains once, then walks
-    levels t = 0, 1, ... for as long as its first chain reaches level t:
-    chain i reaches it when i 2^t <= n, so the chains at level t are a
-    prefix of the block.  Position i 2^t of the chain i = 2j+1 is column j
-    of the strided slice step::2*step with step = 2^t, and its chain
-    predecessor i 2^(t-1) is column j of step/2::step.
+    walk with streams (seed, trials[t], i).  Chain i = 2j+1 reaches level t
+    of `_chain_walk` when i 2^t <= n, and its symbol there is x_(i 2^t),
+    column j of the strided slice step::2*step with step = 2^t.
     """
     if n < 1:
         raise ValueError(f"prefix length must be >= 1, got {n}")
     import numpy as np
 
-    from .rng import chain_keys, threshold, uniform_grid
+    from .rng import threshold
 
     trials = np.asarray(trials, dtype=np.uint64)
     block = _block_table(n)[1::2]  # the block of chain i = 2j+1 at index j
-    params = assign.params_for_blocks(int(block.max()))
-    one_below = np.array([threshold(1.0 - r) for r in params])  # per block
+    one_below = np.array([threshold(1.0 - r) for r in assign.params_for_blocks(int(block.max()))])
     bits = np.zeros((len(trials), n + 1), dtype=np.uint8)
-    chains = len(block)
-    width = min(chains, _CHUNK)  # chains per block
-    height = _CHUNK // width  # rows per block
-    for r0 in range(0, len(trials), height):
-        rows = bits[r0 : r0 + height]
-        for a in range(0, chains, width):
-            b = min(a + width, chains)
-            keys = chain_keys(seed, trials[r0 : r0 + height], np.arange(2 * a + 1, 2 * b, 2))
-            below = one_below[block[a:b]]
-            t = 0
-            while (2 * a + 1) << t <= n:  # the block's first chain reaches level t
-                step = 1 << t
-                m = min(b, (n // step + 1) >> 1) - a  # its chains 2j+1 <= n / step
-                one = uniform_grid(keys[:, :m], t) < below[:m]
-                if t:  # a 1 at the chain predecessor forces a 0
-                    one &= rows[:, step >> 1 :: step][:, a : a + m] == 0
-                rows[:, step :: 2 * step][:, a : a + m] = one
-                t += 1
+    active = [((n >> t) + 1) >> 1 for t in range(int(n).bit_length())]  # the chains 2j+1 <= n / 2^t
+    for rows, a, levels in _chain_walk(seed, trials, range(1, n + 1, 2), one_below, block, active):
+        for t, one in enumerate(levels):
+            bits[rows, 1 << t :: 2 << t][:, a : a + one.shape[1]] = one
     return bits
 
 

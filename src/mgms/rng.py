@@ -12,14 +12,14 @@ Every uniform draw is a pure function of an integer key tuple, typically
 The key of a substream is fold(fold(fold(0, seed), trial), chain), and
 its uniform at a position is (fold(key, pos) >> 11) 2^-53, the top 53
 bits of one more fold; `measures.sample_point` composes `fold` that way
-in exact Python ints.  The vectorized path splits the folds where the
-samplers reuse them: `chain_keys` folds (seed, trial, chain) once per
-chain, and `uniform_grid` folds in one position with one mix.  It returns
-the 53-bit numerators k of the uniforms k 2^-53 rather than the doubles,
-and `threshold(q)` turns a probability into the integer K with
-k < K exactly when k 2^-53 < q, so a draw is one mix and one integer
-compare.  Tests pin the two paths against each other and against frozen
-reference values.
+in exact Python ints.  Only `measures._chain_walk` calls the vectorized
+path, which splits the folds that the walk reuses: `chain_keys` folds
+(seed, trial, chain) once per chain, and `uniform_grid` folds in one
+position with one mix.  It returns the 53-bit numerators k of the
+uniforms k 2^-53 rather than the doubles, and `threshold(q)` turns a
+probability into the integer K with k < K exactly when k 2^-53 < q, so
+a draw is one mix and one integer compare.  Tests pin the two paths
+against each other and against frozen reference values.
 """
 
 from __future__ import annotations

@@ -301,6 +301,52 @@ class TestHoeffding:
         sums = d.sample_sums(7, np.arange(trials, dtype=np.uint64), n)
         assert hashlib.sha256(sums.tobytes()).hexdigest() == digest
 
+    @pytest.mark.parametrize("dist", [Rademacher(), CenteredChainLogMass(1, p_float()),
+                                      CenteredChainLogMass(3, p_float()), CenteredChainLogMass(6, 0.3)],
+                             ids=["rademacher", "logmass1", "logmass3", "logmass6"])
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
+    def test_sums_equal_a_scalar_walk(self, dist, n, monkeypatch):
+        # summand j of trial tr walks the chain keyed fold(fold(fold(0, seed), tr), j) in
+        # Python ints; 64-cell blocks split 5 trials by n summands into rows and columns
+        from mgms import measures
+        from mgms.rng import fold, threshold
+
+        monkeypatch.setattr(measures, "_CHUNK", 64)
+        trials = np.arange(5, dtype=np.uint64) * 3 + 2
+        got = dist.sample_sums(11, trials, n)
+        rademacher = isinstance(dist, Rademacher)
+        k, below = (1, int(threshold(0.5))) if rademacher else (dist.k, int(threshold(1.0 - dist.r)))
+        for tr, value in zip(trials.tolist(), got):
+            terms = []
+            for j in range(n):
+                key = fold(fold(fold(0, 11), tr), j)
+                symbols = [0]
+                for t in range(k):
+                    symbols.append(int(symbols[-1] == 0 and fold(key, t) >> 11 < below))
+                terms.append(2.0 * symbols[1] - 1.0 if rademacher
+                             else measures._walk(dist.r, symbols[1:]) + dist.entropy)
+            if rademacher:
+                assert value == sum(terms)  # exact integers
+            else:
+                assert abs(value - math.fsum(terms)) <= 1e-12 * math.fsum(map(abs, terms))
+
+    @pytest.mark.parametrize("dist", [Rademacher(), CenteredChainLogMass(3, p_float())],
+                             ids=["rademacher", "logmass3"])
+    def test_sums_memory_does_not_grow_with_n(self, dist):
+        # the summands are drawn in blocks: a chain index or threshold array
+        # of length n would take 16 MB here
+        import tracemalloc
+
+        trials = np.arange(1, dtype=np.uint64)
+        dist.sample_sums(7, trials, 10)  # the cached entropy is computed outside the trace
+        tracemalloc.start()
+        try:
+            dist.sample_sums(7, trials, 2 * 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_logmass_entropy_is_computed_once(self, monkeypatch):
         # a hoeffding run reads entropy through bound_C, describe and
         # sample_sums: one entropy call per instance
@@ -402,7 +448,7 @@ class TestStatistics:
 
     @pytest.mark.parametrize("ns, ys, frozen", TIED)
     def test_theil_sen_on_tied_grids_is_frozen(self, ns, ys, frozen):
-        got = experiments.stats.theilslopes(ys, np.log2(ns), alpha=0.95)
+        got = experiments.stats.theilslopes(ys, np.log2(ns))
         assert repr(got) == repr(frozen)
 
     def test_theil_sen_matches_scipy_on_random_ties(self):
@@ -414,7 +460,7 @@ class TestStatistics:
                 x[0] += 1.0
             y = rng.integers(-3, 4, n) / 2.0 if rng.random() < 0.5 else rng.normal(size=n)
             ref = scipy_stats.theilslopes(y, x, alpha=0.95)
-            got = experiments.stats.theilslopes(y, x, alpha=0.95)
+            got = experiments.stats.theilslopes(y, x)
             assert repr(got) == repr((float(ref[0]), float(ref[2]), float(ref[3])))
 
     def test_line_fit_matches_scipy(self):

@@ -3,6 +3,7 @@
 import hashlib
 import importlib
 import inspect
+import json
 import os
 import random
 import sys
@@ -256,3 +257,22 @@ def test_every_function_is_reached(perfbench, tmp_path, capsys):
     keys = {(os.path.realpath(c.co_filename), c.co_firstlineno, c.co_name) for c in reached.values()}
     unreached = {name for key, name in _package_functions().items() if key not in keys}
     assert unreached == set(UNREACHED)
+
+
+def _not_json(constant: str):
+    raise ValueError(f"{constant} is not JSON")
+
+
+# the log-frequencies of this fit are constant, so its r and the band of c3 are NaN
+CONSTANT_FIT_ARGV = "experiment ldev2 --seed 1 --trials 3 --n-grid 2,3,4,5,6 --t-grid 0.1,0.2 --format json"
+
+
+@pytest.mark.parametrize("argv", [a for a in PROBE_ARGV if "--format json" in a] + [CONSTANT_FIT_ARGV])
+def test_json_output_is_strict(argv, capsys):
+    # json.dumps writes a NaN or an infinity as a bare token that strict parsers refuse
+    import mgms.cli
+
+    assert mgms.cli.main(argv.split()) == 0
+    payload = json.loads(capsys.readouterr().out, parse_constant=_not_json)
+    if argv == CONSTANT_FIT_ARGV:
+        assert payload["fit"]["r_value"] is None and payload["fit"]["c3_ci"] == [None, None]
