@@ -49,13 +49,14 @@ from .intervals import (
     _PREC,
     CertifiedInterval,
     _common_numerators,
-    _dyadic,
     _entropy_pair,
     _iv_horner,
     _iv_mul_ints,
     _ln_int,
-    _mpi,
+    _mpf,
+    _outward,
     _powers,
+    _round,
     _round_out,
     iv_log2,
     ln2_interval,
@@ -214,25 +215,23 @@ def dim_minkowski(tol: float = 1e-6) -> SeriesValue:
 def dim_minkowski_enclosure(tol: float = 1e-6) -> CertifiedInterval:
     """Certified enclosure of the Minkowski dimension (partial sum + tail).
 
-    Each term 2^-(k+1) log2 F_{k+1} is enclosed as ln(F_{k+1}) / ln 2 on
-    mpmath's raw numbers at 120 bits: `_ln_int` (one `mpf_log` while
-    F_{k+1} < 2^120), then `mpf_div` of each end by the far end of ln 2.
-    Its dyadic endpoints m 2^e become m 2^(e-k-1); the lower ones, and the
-    upper ones with the exact tail (K+2) 2^-(K+1), are summed exactly as two
-    integers over one power of two, each reduced to `Fraction` once.
+    Each term 2^-(k+1) log2 F_{k+1} is ln(F_{k+1}) / ln 2: each integer
+    end of `_ln_int` (one `mpf_log` while F_{k+1} < 2^120) over the far
+    end of ln 2, rounded outward by `intervals._round`.  A term is at
+    least 2^-(k+2), so its ends are integers over 2^E, E = K+1+_PREC; the
+    lower ones, and the upper ones with the exact tail (K+2) 2^-(K+1),
+    are summed there as two integers, each reduced to `Fraction` once.
     """
-    from mpmath.libmp import mpf_div, round_ceiling, round_floor
     K = _minkowski_K(tol)
-    ln2_lo, ln2_hi = _ln_int(2)
-    ends = ([], [(K + 2, -(K + 1))])  # (m, e) of the lower and upper endpoints
+    (l, el), (u, eu) = _ln_int(2)
+    E, lo, hi = K + 1 + _PREC, 0, (K + 2) << _PREC
     for k in range(1, K + 1):
-        ln_lo, ln_hi = _ln_int(fibonacci(k + 1))
-        term = mpf_div(ln_lo, ln2_hi, _PREC, round_floor), mpf_div(ln_hi, ln2_lo, _PREC, round_ceiling)
-        for end, (m, e) in zip(ends, map(_dyadic, term)):
-            end.append((m, e - k - 1))
-    e_min = min(e for end in ends for _, e in end)  # <= -(K+1), from the tail
-    lo, hi = (sum(m << (e - e_min) for m, e in end) for end in ends)
-    return CertifiedInterval(Fraction(lo, 1 << -e_min), Fraction(hi, 1 << -e_min))
+        (a, ea), (b, eb) = _ln_int(fibonacci(k + 1))
+        m, e = _round(a, u, False, ea - eu + E - k - 1)
+        lo += m << e
+        m, e = _round(b, l, True, eb - el + E - k - 1)
+        hi += m << e
+    return CertifiedInterval(Fraction(lo, 1 << E), Fraction(hi, 1 << E))
 
 
 # -- derivative series around p (natural-log scale) -----------------------------
@@ -385,7 +384,7 @@ def _hg_derivative(x: CertifiedInterval, jet_at, shift: int) -> CertifiedInterva
     (`_truncated_jet`, `_weighted_jet`).  On x, G lies in
     G(a) + [0, b-a] G'(a) + [-1, 1] (b-a)^2 sum_k w_k M2(k-1) / 2, and G'
     likewise with G'' and M3: Lagrange's remainder, as F_{k-1} = 1 + L_{k-1}
-    and `_jet_bounds` bounds L'' and L''' on (0,1).  These meet the mpmath
+    and `_jet_bounds` bounds L'' and L''' on (0,1).  These meet the 120-bit
     enclosures of H and H' (`intervals._entropy_pair`) over 2^_FIX_BITS,
     every step rounded outward; by subdistributivity the result lies inside
     the per-term sum of w_k (H F'_{k-1} + H' F_{k-1}), each term in the same
@@ -511,19 +510,20 @@ def tau_gamma(gamma: float, K: int = 12) -> TauGammaResult:
     The tail majorizes k^(1+gamma) by k^m with m = ceil(1+gamma), so gamma
     is limited to (0, 2].  Reports the sign when the tail-widened interval
     separates from zero, UNKNOWN otherwise.  Each weight k^(1+gamma) is
-    exp((1+gamma) ln k) on raw intervals at 120 bits, ln k by `_ln_int`; its
-    dyadic endpoints m 2^e, times 2^-(k+1), go onto the least exponent.
+    exp((1+gamma) ln k) at 120 bits, ln k by `_ln_int` and the product by
+    `intervals._round`; its dyadic endpoints m 2^e, times 2^-(k+1), go
+    onto the least exponent.
     """
     if not 0 < gamma <= 2:
         raise ValueError(f"gamma must lie in (0, 2], got {gamma}")
     if K < 1:
         raise ValueError(f"need K >= 1, got {K}")
-    from mpmath.libmp import mpi_exp, mpi_mul
-    power = _mpi(CertifiedInterval.point(1 + gamma))
+    (p_lo, e_lo), (p_hi, e_hi) = _outward(CertifiedInterval.point(1 + gamma))
     ends = []
     for k in range(1, K + 1):  # k = 1 gives exp(0 * power) = 1 exactly
-        w = mpi_exp(mpi_mul(_ln_int(k), power, _PREC), _PREC)
-        ends.append([(m, e - k - 1) for m, e in map(_dyadic, w)])
+        (a, ea), (b, eb) = _ln_int(k)
+        w = _mpf("exp", _round(a * p_lo, 1, False, ea + e_lo), _round(b * p_hi, 1, True, eb + e_hi))
+        ends.append([(m, e - k - 1) for m, e in w])
     e_min = min(e for end in ends for _, e in end)  # <= -2, from k = 1
     weights = [tuple(m << (e - e_min) for m, e in end) for end in ends]
     # sum the lower ends; the rest of w_k moves the sum by at most

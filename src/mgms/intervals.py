@@ -7,26 +7,24 @@ integer numerators over one common denominator d^m, reads the powers of d
 from a table that a whole series can share, and returns the numerators
 unreduced; `iv_polyval` reduces them to `Fraction` once, for
 `EntropyPolynomial.evaluate`, which only the tests (as the Horner oracle)
-and the benchmark tracer call.  Its interval
-products (`_iv_mul_ints`) form only the two endpoint products min/max would
-pick when a factor is nonnegative, so the endpoints are the same rationals
-as step-by-step `CertifiedInterval` arithmetic.  `analytics` multiplies
-its fixed-point intervals with `_iv_mul_ints`, and only `tau_certify`
-still runs `_iv_horner`.  Two things round, always outward,
-so every output encloses the true image of its input.  The transcendental
-maps (log2, and the natural-log entropy with its derivative ln((1-x)/x),
-one `_entropy_pair`) run on mpmath's raw (lo, hi) interval tuples, through
-the `mpmath.libmp` kernels that mpmath's `iv` context calls, at the
-explicit precision `_PREC` (120 bits), so they read and write no mpmath
-state; `_ln_int` takes the log of an integer.  And fixed-point intervals,
-integer pairs over 2^_FIX_BITS (256 bits), round each product and
-quotient with `_round_out`, floor below and ceiling above; the weighted
-derivative series of `analytics` (`derivative_series_at_p`, `tau_gamma`)
-finish in them, so no endpoint grows with the number of terms.  The
-mpmath endpoints are dyadic: `_dyadic` reads each as an integer mantissa
-and exponent (inf and nan raise), `_from_mpi` turns them into Fractions
-exactly, and `analytics` sums them as integers over one power of two.  mpmath loads on the first
-transcendental call: each function imports the kernels it runs.
+and the benchmark tracer call.  Its interval products (`_iv_mul_ints`) form
+only the two endpoint products min/max would pick when a factor is
+nonnegative, so the endpoints are the same rationals as step-by-step
+`CertifiedInterval` arithmetic.  `analytics` multiplies its fixed-point
+intervals with `_iv_mul_ints`, and only `tau_certify` still runs
+`_iv_horner`.  Two things round, always outward, so every output encloses
+the true image of its input.  The transcendental maps (log2, and the
+natural-log entropy with its derivative ln((1-x)/x), one `_entropy_pair`)
+work on integer ends (m, e), standing for m 2^e, at `_PREC` (120) bits:
+every rounding that is not a transcendental is one integer floor or
+ceiling, `_round`, which gives the ends of mpmath's correctly rounded `iv`
+context bit for bit, and mpmath only takes logs and exps (`_mpf`,
+`_ln_int`) at that explicit precision, reading and writing no mpmath state;
+it loads on the first such call.  And fixed-point intervals, integer pairs
+over 2^_FIX_BITS (256 bits), round each product and quotient with
+`_round_out`, floor below and ceiling above; the weighted derivative series
+of `analytics` (`derivative_series_at_p`, `tau_gamma`) finish in them, so
+no endpoint grows with the number of terms.
 """
 
 from __future__ import annotations
@@ -226,72 +224,94 @@ def iv_polyval(coeffs, x: CertifiedInterval) -> CertifiedInterval:
 _PREC = 120  # bits of every transcendental endpoint
 
 
-def _mpi(x) -> tuple:
-    """x, an int or a CertifiedInterval, as a raw interval rounded outward to _PREC bits (floor, ceiling)."""
+def _round(num: int, den: int, up: bool, shift: int = 0) -> tuple[int, int]:
+    """(m, e), |m| < 2^_PREC, with m 2^e the floor (ceiling if up) of num/den * 2^shift at _PREC bits; den > 0.
+
+    mpmath's +, -, * and / round correctly, so this gives their endpoints; m need not be odd.
+    """
+    if not num:
+        return 0, 0
+    s = _PREC - num.bit_length() + den.bit_length()  # |num| 2^s / den lies in [2^(_PREC-1), 2^(_PREC+1))
+    n, d = (num << s, den) if s >= 0 else (num, den << -s)
+    q = -(-n // d) if up else n // d
+    while abs(q) >> _PREC:  # at most twice: one bit too many, then a carry onto 2^_PREC
+        s -= 1
+        q = -(-q >> 1) if up else q >> 1
+    return q, shift - s
+
+
+def _outward(ci: CertifiedInterval) -> tuple:
+    """ci rounded outward to _PREC bits, as (m, e) ends: floor, ceiling."""
+    return _round(ci.lo.numerator, ci.lo.denominator, False), _round(ci.hi.numerator, ci.hi.denominator, True)
+
+
+def _mpf(fn: str, lo: tuple[int, int], hi: tuple[int, int]) -> tuple:
+    """mpmath's `mpf_log` or `mpf_exp` (fn "log" or "exp") at _PREC bits: floor at the end lo, ceiling at hi."""
     import mpmath.libmp as libmp  # cheaper than a from-import, once per series term
-    if isinstance(x, int):
-        return libmp.from_int(x, _PREC, libmp.round_floor), libmp.from_int(x, _PREC, libmp.round_ceiling)
-    return (libmp.from_rational(x.lo.numerator, x.lo.denominator, _PREC, libmp.round_floor),
-            libmp.from_rational(x.hi.numerator, x.hi.denominator, _PREC, libmp.round_ceiling))
+    f, raw = libmp.mpf_log if fn == "log" else libmp.mpf_exp, libmp.from_man_exp
+    return _dyadic(f(raw(*lo), _PREC, libmp.round_floor)), _dyadic(f(raw(*hi), _PREC, libmp.round_ceiling))
 
 
 def _ln_int(n: int) -> tuple:
-    """ln n for an integer n >= 1 as a raw interval at _PREC bits.
+    """ln n for an integer n >= 1 as (m, e) ends at _PREC bits: floor, ceiling.
 
-    For 2 <= n < 2^_PREC, n enters exactly and ln n is irrational, so its
-    ceiling is the successor of its floor: one `mpf_log` where `mpi_log`
-    runs two.  ln 1 is exactly 0, and past 2^_PREC n enters rounded outward.
+    For 2 <= n < 2^_PREC, ln n is irrational, so its ceiling is the successor (m 2^s + 1, e - s),
+    s = _PREC - bits(m), of its floor (m, e): one `mpf_log`.  Past 2^_PREC n rounds outward first.
     """
-    import mpmath.libmp as libmp
+    if n < 1:
+        raise ValueError(f"need an integer n >= 1, got {n}")
     if n == 1 or n.bit_length() > _PREC:
-        return libmp.mpi_log(_mpi(n), _PREC)
-    lo = libmp.mpf_log(libmp.from_int(n), _PREC, libmp.round_floor)
-    _, man, exp, bc = lo
-    return lo, libmp.from_man_exp((man << (_PREC - bc)) + 1, exp - (_PREC - bc))
+        return _mpf("log", _round(n, 1, False), _round(n, 1, True))
+    import mpmath.libmp as libmp
+    m, e = _dyadic(libmp.mpf_log(libmp.from_int(n), _PREC, libmp.round_floor))
+    s = _PREC - m.bit_length()
+    return (m, e), ((m << s) + 1, e - s)
 
 
 def _dyadic(raw: tuple) -> tuple[int, int]:
-    """(m, e) with m 2^e the value of mpmath's raw (sign, man, exp, bc) tuple; zero reads as (0, 0).
-
-    inf and nan, a zero mantissa with a negative bit count, raise; their exponent is never read.
-    """
+    """(m, e) with m 2^e the value of mpmath's raw (sign, man, exp, bc) tuple, zero as (0, 0); inf and nan raise."""
     sign, man, exp, bc = raw
     if bc < 0:
         raise ValueError(f"mpmath endpoint is not a finite number: {raw}")
     return (-int(man) if sign else int(man)), exp
 
 
-def _from_mpi(x: tuple) -> CertifiedInterval:
-    return CertifiedInterval(*(Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e) for m, e in map(_dyadic, x)))
+def _interval(lo: tuple[int, int], hi: tuple[int, int]) -> CertifiedInterval:
+    return CertifiedInterval(*(Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e) for m, e in (lo, hi)))
 
 
 @lru_cache(maxsize=None)
 def ln2_interval() -> CertifiedInterval:
-    return _from_mpi(_ln_int(2))
+    return _interval(*_ln_int(2))
 
 
 def iv_log2(ci: CertifiedInterval) -> CertifiedInterval:
     """Enclosure of log2 over the interval, as ln x / ln 2; requires lo > 0."""
     if ci.lo <= 0:
         raise ValueError(f"log of nonpositive interval {ci}")
-    from mpmath.libmp import mpi_div, mpi_log
-    return _from_mpi(mpi_div(mpi_log(_mpi(ci), _PREC), _ln_int(2), _PREC))
+    (a, ea), (b, eb) = _mpf("log", *_outward(ci))
+    (l, el), (u, eu) = _ln_int(2)  # each end over the end of ln 2 that moves it outward, as `mpi_div` picks
+    return _interval(_round(a, u, False, ea - eu) if a >= 0 else _round(a, l, False, ea - el),
+                     _round(b, l, True, eb - el) if b >= 0 else _round(b, u, True, eb - eu))
 
 
 def _entropy_pair(ci: CertifiedInterval) -> tuple[CertifiedInterval, CertifiedInterval]:
     """Enclosures of H(x) = -x ln x - (1-x) ln(1-x) and H'(x) = ln((1-x)/x); requires ci inside (0,1).
 
-    x and 1 - x enter mpmath once each and both maps read them.  1 - x is
-    the rounded difference; where its lower end reaches 0 (ci.hi within
-    about 2^-_PREC of 1) it enters from the exact rationals 1 - ci instead.
+    Each step rounds outward as mpmath's `mpi_*` kernels do.  1 - x is the rounded difference, or,
+    where its lower end reaches 0 (ci.hi within about 2^-_PREC of 1), rounded from 1 - ci.
     """
     if not (0 < ci.lo and ci.hi < 1):
         raise ValueError(f"need an interval inside (0,1), got {ci}")
-    from mpmath.libmp import mpf_sign, mpi_div, mpi_log, mpi_mul, mpi_neg, mpi_sub
-    x = _mpi(ci)
-    y = mpi_sub(_mpi(1), x, _PREC)
-    if mpf_sign(y[0]) <= 0:
-        y = _mpi(1 - ci)
-    x_ln_x, y_ln_y = (mpi_mul(v, mpi_log(v, _PREC), _PREC) for v in (x, y))
-    return (_from_mpi(mpi_sub(mpi_neg(x_ln_x, _PREC), y_ln_y, _PREC)),
-            _from_mpi(mpi_log(mpi_div(y, x, _PREC), _PREC)))
+    (x_lo, ex_lo), (x_hi, ex_hi) = x = _outward(ci)
+    y = _round((1 << -ex_hi) - x_hi, 1, False, ex_hi), _round((1 << -ex_lo) - x_lo, 1, True, ex_lo)  # x <= 1
+    (y_lo, ey_lo), (y_hi, ey_hi) = y = y if y[0][0] > 0 else _outward(1 - ci)
+    # v = x, y lies in (0, 1], where ln <= 0, so -v ln v is [-v_lo (ln v)_hi, -v_hi (ln v)_lo], and H their sum
+    terms = ([], [])
+    for ((v_lo, ev_lo), (v_hi, ev_hi)), ((l_lo, el_lo), (l_hi, el_hi)) in ((v, _mpf("log", *v)) for v in (x, y)):
+        terms[0].append(_round(-v_lo * l_hi, 1, False, ev_lo + el_hi))
+        terms[1].append(_round(-v_hi * l_lo, 1, True, ev_hi + el_lo))
+    e_min = min(e for end in terms for _, e in end)
+    h = (_round(sum(m << (e - e_min) for m, e in end), 1, up, e_min) for end, up in zip(terms, (False, True)))
+    return _interval(*h), _interval(*_mpf("log", _round(y_lo, x_hi, False, ey_lo - ex_hi),
+                                                  _round(y_hi, x_lo, True, ey_hi - ex_lo)))

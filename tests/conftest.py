@@ -17,7 +17,7 @@ import pytest
 import mgms
 from mgms.analytics import _jet_bounds, _minkowski_K, binary_entropy, p_float
 from mgms.core import BinaryWord, chain_length_counts, fibonacci
-from mgms.intervals import CertifiedInterval, _entropy_pair
+from mgms.intervals import _PREC, CertifiedInterval
 from mgms.measures import BlockAssignment, chain_breakdown, pdelta_logprob
 from mgms.polynomials import EntropyPolynomial, entropy_poly
 
@@ -183,10 +183,10 @@ def reference_truncated_jet(K: int, a: Fraction) -> tuple[Fraction, ...]:
     return reference_weighted_jet([1 << (K - k) for k in range(1, K + 1)], K + 1, a)
 
 
-# -- mpmath's interval context: the oracle for the raw-interval bridge -----------
-# mgms runs its transcendentals on mpmath's raw interval tuples through the
-# mpmath.libmp kernels; these go through mpmath's `iv` context objects instead,
-# and read the endpoints back with mpmath's own `to_rational`.
+# -- mpmath's interval context: the oracle for the certified transcendentals ----
+# mgms rounds its products, quotients and differences on integers and calls
+# only mpmath's mpf_log and mpf_exp; these go through mpmath's `iv` context
+# objects instead, and read the endpoints back with mpmath's own `to_rational`.
 
 
 def _iv():
@@ -209,24 +209,66 @@ def _to_iv(ci: CertifiedInterval):
 
 def _from_iv(x) -> CertifiedInterval:
     """The endpoints of an mpmath interval as Fractions, exactly; inf and nan raise."""
+    return from_raw(x._mpi_)
+
+
+# -- mpmath's raw-interval kernels: the oracle for the integer rounding step ------
+# mgms rounds every product, quotient and difference of its transcendental
+# enclosures itself, as integers, and calls mpmath only for mpf_log and
+# mpf_exp; these run every step on mpmath's raw (lo, hi) tuples through the
+# `mpi_*` kernels of mpmath.libmp that the `iv` context calls, at the same
+# explicit 120 bits, so their endpoints must equal the package's bit for bit.
+
+
+def raw_interval(x) -> tuple:
+    """x, an int or a CertifiedInterval, as a raw interval rounded outward to _PREC bits (floor, ceiling)."""
+    import mpmath.libmp as libmp
+
+    if isinstance(x, int):
+        return libmp.from_int(x, _PREC, libmp.round_floor), libmp.from_int(x, _PREC, libmp.round_ceiling)
+    return (libmp.from_rational(x.lo.numerator, x.lo.denominator, _PREC, libmp.round_floor),
+            libmp.from_rational(x.hi.numerator, x.hi.denominator, _PREC, libmp.round_ceiling))
+
+
+def from_raw(x: tuple) -> CertifiedInterval:
+    """The endpoints of a raw interval as Fractions, exactly; inf and nan raise."""
     from mpmath import libmp
 
     ends = []
-    for raw in x._mpi_:
+    for raw in x:
         if raw in (libmp.finf, libmp.fninf, libmp.fnan):
             raise ValueError(f"mpmath endpoint is not a finite number: {raw}")
         ends.append(Fraction(*libmp.to_rational(raw)))
     return CertifiedInterval(*ends)
 
 
+def raw_entropy_pair(ci: CertifiedInterval) -> tuple[CertifiedInterval, CertifiedInterval]:
+    """H(x) = -x ln x - (1-x) ln(1-x) and H'(x) = ln((1-x)/x) on raw intervals; requires ci inside (0,1).
+
+    1 - x is the rounded difference; where its lower end reaches 0 it is
+    rounded from the exact rationals 1 - ci instead.
+    """
+    if not (0 < ci.lo and ci.hi < 1):
+        raise ValueError(f"need an interval inside (0,1), got {ci}")
+    from mpmath.libmp import mpf_sign, mpi_div, mpi_log, mpi_mul, mpi_neg, mpi_sub
+
+    x = raw_interval(ci)
+    y = mpi_sub(raw_interval(1), x, _PREC)
+    if mpf_sign(y[0]) <= 0:
+        y = raw_interval(1 - ci)
+    x_ln_x, y_ln_y = (mpi_mul(v, mpi_log(v, _PREC), _PREC) for v in (x, y))
+    return (from_raw(mpi_sub(mpi_neg(x_ln_x, _PREC), y_ln_y, _PREC)),
+            from_raw(mpi_log(mpi_div(y, x, _PREC), _PREC)))
+
+
 def iv_entropy_nat(ci: CertifiedInterval) -> CertifiedInterval:
-    """Enclosure of H(x) = -x ln x - (1-x) ln(1-x): the first of the package's (H, H') pair."""
-    return _entropy_pair(ci)[0]
+    """Enclosure of H(x) = -x ln x - (1-x) ln(1-x), on the raw-interval kernels."""
+    return raw_entropy_pair(ci)[0]
 
 
 def iv_ln_ratio(ci: CertifiedInterval) -> CertifiedInterval:
-    """Enclosure of H'(x) = ln((1-x)/x): the second of the package's (H, H') pair."""
-    return _entropy_pair(ci)[1]
+    """Enclosure of H'(x) = ln((1-x)/x), on the raw-interval kernels."""
+    return raw_entropy_pair(ci)[1]
 
 
 def reference_hf_derivative_at(k: int, x: CertifiedInterval) -> CertifiedInterval:

@@ -6,17 +6,20 @@ from fractions import Fraction
 
 import pytest
 
+from hypothesis import example, given, settings, strategies as st
+
 from mgms.intervals import (
     _PREC,
     CertifiedInterval,
     _common_numerators,
     _dyadic,
     _entropy_pair,
-    _from_mpi,
+    _interval,
     _iv_horner,
     _iv_mul_ints,
     _ln_int,
     _powers,
+    _round,
     iv_log2,
     iv_polyval,
     ln2_interval,
@@ -26,7 +29,7 @@ from mgms.core import fibonacci
 from mgms.polynomials import entropy_poly
 
 from conftest import (_from_iv, _iv, _to_iv, iv_entropy_nat, iv_ln, iv_ln_ratio, iv_log2_int, iv_log2_ratio,
-                      near_tau_gamma_reference, object_horner, reference_tau_gamma_partial)
+                      near_tau_gamma_reference, object_horner, raw_entropy_pair, reference_tau_gamma_partial)
 
 
 def box(a, b) -> CertifiedInterval:
@@ -88,13 +91,77 @@ def test_dyadic_reader():
     iv = _iv()
     assert [_dyadic(raw) for raw in iv.mpf([-3, 0.375])._mpi_] == [(-3, 0), (3, -3)]
     assert _dyadic(iv.mpf(0)._mpi_[0]) == (0, 0)
-    for read in (_from_mpi, lambda raw: _from_iv(iv.make_mpf(raw))):
+    assert _interval((-3, 0), (1, 70)) == box(-3, 2**70)
+    assert _interval((-3, -3), (3, -3)) == box(Fraction(-3, 8), Fraction(3, 8))
+    for read in (lambda raw: _interval(*map(_dyadic, raw)), lambda raw: _from_iv(iv.make_mpf(raw))):
         assert read(iv.mpf([-3, 2**70])._mpi_) == box(-3, 2**70)
         assert read(iv.mpf([-0.375, 0.375])._mpi_) == box(Fraction(-3, 8), Fraction(3, 8))
         # an unbounded or nan endpoint must not read as 0
         for x in (iv.mpf([-math.inf, math.inf]), iv.mpf([1, math.inf]), iv.mpf(math.nan)):
             with pytest.raises(ValueError):
                 read(x._mpi_)
+
+
+def value(end: tuple[int, int]) -> Fraction:
+    """m 2^e of an (m, e) end, exactly."""
+    m, e = end
+    return Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e)
+
+
+def mpmath_value(raw: tuple) -> Fraction:
+    from mpmath.libmp import to_rational
+
+    return Fraction(*to_rational(raw))
+
+
+OPERAND = st.integers(1, 2**400)
+
+
+def assert_round_is_mpmath(num: int, den: int, shift: int = 0) -> None:
+    """`_round` in both directions against mpmath's `from_rational` and `mpf_div` at _PREC bits."""
+    from mpmath.libmp import from_int, from_rational, mpf_div, round_ceiling, round_floor
+
+    for up, rnd in ((False, round_floor), (True, round_ceiling)):
+        m, e = _round(num, den, up, shift)
+        assert abs(m) < 2**_PREC and (m == 0) == (num == 0), (num, den, up)
+        quotients = from_rational(num, den, _PREC, rnd), mpf_div(from_int(num), from_int(den), _PREC, rnd)
+        assert [value((m, e - shift))] * 2 == list(map(mpmath_value, quotients)), (num, den, up)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(num=OPERAND, den=st.one_of(st.just(1), OPERAND), negative=st.booleans(), exact=st.booleans(),
+       shift=st.integers(-300, 300))
+@example(num=2**121 - 1, den=1, negative=False, exact=False, shift=0)  # the ceiling carries to 2^121
+@example(num=2**121 - 1, den=1, negative=True, exact=False, shift=0)   # and so does the negative floor
+@example(num=2**200 - 1, den=2**80, negative=False, exact=False, shift=5)
+def test_round_is_mpmath_rounding(num, den, negative, exact, shift):
+    if exact:  # an exact quotient: num = den * q
+        num = den * (num >> den.bit_length() or 1)
+    assert_round_is_mpmath(-num if negative else num, den, shift)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(a=st.integers(-(2**_PREC) + 1, 2**_PREC - 1), b=st.integers(1, 2**_PREC - 1),
+       ea=st.integers(-400, 400), eb=st.integers(-400, 400))
+def test_round_divides_dyadics_as_mpf_div(a, b, ea, eb):
+    # the quotient of two _PREC-bit ends, as iv_log2 and dim_minkowski_enclosure form it
+    from mpmath.libmp import from_man_exp, mpf_div, round_ceiling, round_floor
+
+    for up, rnd in ((False, round_floor), (True, round_ceiling)):
+        want = mpf_div(from_man_exp(a, ea), from_man_exp(b, eb), _PREC, rnd)
+        assert value(_round(a, b, up, ea - eb)) == mpmath_value(want), (a, b, ea, eb, up)
+
+
+def test_round_carries_and_zero():
+    for bits in (_PREC + 1, _PREC + 2, 300):
+        top = 2**bits - 1  # bits ones: the ceiling (and the floor of its negative) carries to 2^bits
+        assert value(_round(top, 1, True)) == 2**bits and value(_round(-top, 1, False)) == -(2**bits)
+        assert value(_round(top, 1, False)) == top >> (bits - _PREC) << (bits - _PREC)
+        assert_round_is_mpmath(top, 1)
+        assert_round_is_mpmath(-top, 3)
+    assert _round(0, 7, True, 12) == _round(0, 1, False) == (0, 0)
+    for den in (1, 3, 2**119, 2**121 + 1):  # exact quotients
+        assert_round_is_mpmath(den * 5, den, -4)
 
 
 def _bridge_cases() -> list[CertifiedInterval]:
@@ -131,13 +198,16 @@ def oracle_ln_ratio(ci):
 
 
 def test_bridge_equals_the_interval_context():
-    # the raw-tuple kernels at an explicit 120 bits against mpmath's `iv` objects, endpoint for endpoint
+    # the package and the raw-interval kernels at an explicit 120 bits against mpmath's `iv` objects,
+    # endpoint for endpoint
     cases = _bridge_cases()
     assert len(cases) == 200 and any(max(ci.lo.denominator, ci.hi.denominator) > 2**120 for ci in cases)
     for ci in cases:
         for got, ref in ((iv_log2, oracle_log2), (iv_entropy_nat, oracle_entropy_nat), (iv_ln_ratio, oracle_ln_ratio)):
             a, b = got(ci), ref(ci)
             assert (a.lo, a.hi) == (b.lo, b.hi), (got.__name__, ci)
+        # the package's integer rounding against the raw-interval kernels that the `iv` context runs
+        assert [(a.lo, a.hi) for a in _entropy_pair(ci)] == [(b.lo, b.hi) for b in raw_entropy_pair(ci)], ci
     # integers past 2^120, where the entry rounds outward
     for n in (2**120 + 1, 2**121 - 1, 3**90, 10**40 + 7):
         a, b = iv_log2(CertifiedInterval.point(n)), iv_log2_int(n)
@@ -152,7 +222,7 @@ def test_bridge_equals_the_interval_context():
             assert max(max(f.numerator.bit_length(), f.denominator.bit_length()) for f in (v.lo, v.hi)) < 400, (gamma, K)
 
 
-@pytest.mark.parametrize("fn", [iv_log2, iv_entropy_nat, iv_ln_ratio])
+@pytest.mark.parametrize("fn", [iv_log2, iv_entropy_nat, iv_ln_ratio, _entropy_pair])
 def test_bridge_rejects_bad_domains(fn):
     for ci in (box(0, Fraction(1, 2)), box(Fraction(-1, 3), Fraction(1, 3))):
         with pytest.raises(ValueError):
@@ -172,9 +242,17 @@ def test_one_log_per_integer_gives_mpmath_ceiling():
     assert len(fibs) > 160
     for n in (*fibs, *range(2, 20001)):
         x = from_int(n)
-        assert _ln_int(n) == (mpf_log(x, _PREC, round_floor), mpf_log(x, _PREC, round_ceiling)), n
+        ends = [mpmath_value(mpf_log(x, _PREC, rnd)) for rnd in (round_floor, round_ceiling)]
+        assert list(map(value, _ln_int(n))) == ends, n
     for n in (1, 2**_PREC + 1, fibonacci(200), 3**200):  # ln 1 = 0 exactly; past 2^_PREC, two logs
-        assert _ln_int(n) == mpi_log(_iv().mpf(n)._mpi_, _PREC), n
+        assert list(map(value, _ln_int(n))) == list(map(mpmath_value, mpi_log(_iv().mpf(n)._mpi_, _PREC))), n
+
+
+@pytest.mark.parametrize("n", [0, -1, -3, -(2**130)])
+def test_ln_int_rejects_nonpositive_integers(n):
+    # ln 0 would read as an interval with a -inf end, and ln of a negative would raise mpmath's ComplexResult
+    with pytest.raises(ValueError, match="n >= 1"):
+        _ln_int(n)
 
 
 def test_entropy_pair_next_to_one_widens():
@@ -184,11 +262,12 @@ def test_entropy_pair_next_to_one_widens():
 
     ci = box(Fraction(1, 2), 1 - Fraction(1, 2**130))
     h, g = _entropy_pair(ci)
+    assert ((h.lo, h.hi), (g.lo, g.hi)) == tuple((b.lo, b.hi) for b in raw_entropy_pair(ci))
     with mpmath.workprec(200):
         for t in (ci.lo, Fraction(3, 4), 1 - Fraction(1, 2**64), ci.hi):
             x = mpmath.mpf(t.numerator) / t.denominator
-            for enc, value in ((h, -x * mpmath.log(x) - (1 - x) * mpmath.log(1 - x)), (g, mpmath.log((1 - x) / x))):
-                assert enc.contains(Fraction(*mpmath.libmp.to_rational(value._mpf_))), (t, enc)
+            for enc, exact in ((h, -x * mpmath.log(x) - (1 - x) * mpmath.log(1 - x)), (g, mpmath.log((1 - x) / x))):
+                assert enc.contains(mpmath_value(exact._mpf_)), (t, enc)
 
 
 def test_ln2_interval():

@@ -1,5 +1,6 @@
 """The package namespace and what each cold entry point imports."""
 
+import ast
 import hashlib
 import importlib
 import inspect
@@ -153,6 +154,28 @@ def test_certified_output_ignores_the_global_interval_precision(perfbench):
                 assert iv.prec == 53
     finally:
         iv.prec = saved
+
+
+# mpmath's correctly rounded arithmetic, which `intervals._round` replaces: the package may call
+# mpmath only for a transcendental (`mpf_log`, `mpf_exp`) and to build or read its arguments
+MPMATH_ARITHMETIC = {"mpf_div", "mpf_mul", "mpf_add", "mpf_sub", "from_rational"}
+
+
+def test_mpmath_only_takes_logs_and_exps():
+    used = []
+    for path in sorted(Path(mgms.__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name.rsplit(".", 1)[-1]
+            else:
+                continue
+            if name in MPMATH_ARITHMETIC or name.startswith("mpi_"):
+                used.append(f"{path.name}:{getattr(node, 'lineno', '?')} {name}")
+    assert used == []
 
 
 # -- what the benchmark and the CLI reach ----------------------------------------------
