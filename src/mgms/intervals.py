@@ -246,9 +246,9 @@ def _outward(ci: CertifiedInterval) -> tuple:
 
 
 def _mpf(fn: str, lo: tuple[int, int], hi: tuple[int, int]) -> tuple:
-    """mpmath's `mpf_log` or `mpf_exp` (fn "log" or "exp") at _PREC bits: floor at the end lo, ceiling at hi."""
+    """mpmath's `mpf_<fn>` (fn "log" or "exp") at _PREC bits: floor at the end lo, ceiling at hi."""
     import mpmath.libmp as libmp  # cheaper than a from-import, once per series term
-    f, raw = libmp.mpf_log if fn == "log" else libmp.mpf_exp, libmp.from_man_exp
+    f, raw = getattr(libmp, "mpf_" + fn), libmp.from_man_exp
     return _dyadic(f(raw(*lo), _PREC, libmp.round_floor)), _dyadic(f(raw(*hi), _PREC, libmp.round_ceiling))
 
 

@@ -6,8 +6,6 @@ from fractions import Fraction
 
 import pytest
 
-from hypothesis import example, given, settings, strategies as st
-
 from mgms.intervals import (
     _PREC,
     CertifiedInterval,
@@ -114,7 +112,10 @@ def mpmath_value(raw: tuple) -> Fraction:
     return Fraction(*to_rational(raw))
 
 
-OPERAND = st.integers(1, 2**400)
+def operand(rng: random.Random) -> int:
+    """An integer in [1, 2^400]: uniform at a random bit length, or next to a power of two."""
+    bits = rng.randrange(1, 401)
+    return rng.choice((rng.randrange(2 ** (bits - 1), 2**bits), 2**bits - 1, 2**bits, 2 ** (bits - 1) + 1))
 
 
 def assert_round_is_mpmath(num: int, den: int, shift: int = 0) -> None:
@@ -128,28 +129,33 @@ def assert_round_is_mpmath(num: int, den: int, shift: int = 0) -> None:
         assert [value((m, e - shift))] * 2 == list(map(mpmath_value, quotients)), (num, den, up)
 
 
-@settings(derandomize=True, max_examples=400, deadline=None)
-@given(num=OPERAND, den=st.one_of(st.just(1), OPERAND), negative=st.booleans(), exact=st.booleans(),
-       shift=st.integers(-300, 300))
-@example(num=2**121 - 1, den=1, negative=False, exact=False, shift=0)  # the ceiling carries to 2^121
-@example(num=2**121 - 1, den=1, negative=True, exact=False, shift=0)   # and so does the negative floor
-@example(num=2**200 - 1, den=2**80, negative=False, exact=False, shift=5)
-def test_round_is_mpmath_rounding(num, den, negative, exact, shift):
-    if exact:  # an exact quotient: num = den * q
-        num = den * (num >> den.bit_length() or 1)
-    assert_round_is_mpmath(-num if negative else num, den, shift)
+def test_round_is_mpmath_rounding():
+    rng = random.Random(20261020)
+    # the ceiling (and the negative floor) of 2^121 - 1 carries to 2^121, and that of 2^120 - 1/2 to 2^120
+    cases = [(2**121 - 1, 1, 0), (-(2**121 - 1), 1, 0), (2**121 - 1, 2, 0), (2**200 - 1, 2**80, 5)]
+    while len(cases) < 400:
+        num, den = operand(rng), 1 if rng.random() < 0.25 else operand(rng)
+        if rng.random() < 0.25:  # an exact quotient: num = den * q
+            num = den * (num >> den.bit_length() or 1)
+        cases.append((-num if rng.random() < 0.5 else num, den, rng.randint(-300, 300)))
+    for num, den, shift in cases:
+        assert_round_is_mpmath(num, den, shift)
 
 
-@settings(derandomize=True, max_examples=300, deadline=None)
-@given(a=st.integers(-(2**_PREC) + 1, 2**_PREC - 1), b=st.integers(1, 2**_PREC - 1),
-       ea=st.integers(-400, 400), eb=st.integers(-400, 400))
-def test_round_divides_dyadics_as_mpf_div(a, b, ea, eb):
+def test_round_divides_dyadics_as_mpf_div():
     # the quotient of two _PREC-bit ends, as iv_log2 and dim_minkowski_enclosure form it
     from mpmath.libmp import from_man_exp, mpf_div, round_ceiling, round_floor
 
-    for up, rnd in ((False, round_floor), (True, round_ceiling)):
-        want = mpf_div(from_man_exp(a, ea), from_man_exp(b, eb), _PREC, rnd)
-        assert value(_round(a, b, up, ea - eb)) == mpmath_value(want), (a, b, ea, eb, up)
+    rng = random.Random(20261021)
+    top = 2**_PREC - 1
+    cases = [(0, 1, 0, 0), (top, 1, 0, 0), (-top, top, 7, -3), (1, top, -400, 400), (top, 3, 400, -400)]
+    while len(cases) < 300:
+        a, b = (rng.randrange(1, 2 ** rng.randint(1, _PREC)) for _ in range(2))
+        cases.append((-a if rng.random() < 0.5 else a, b, rng.randint(-400, 400), rng.randint(-400, 400)))
+    for a, b, ea, eb in cases:
+        for up, rnd in ((False, round_floor), (True, round_ceiling)):
+            want = mpf_div(from_man_exp(a, ea), from_man_exp(b, eb), _PREC, rnd)
+            assert value(_round(a, b, up, ea - eb)) == mpmath_value(want), (a, b, ea, eb, up)
 
 
 def test_round_carries_and_zero():
