@@ -15,6 +15,10 @@ stdout, no --out file.
 Every report goes through one writer, `_write`: --format plain or json
 everywhere, and csv for `experiment` alone, whose reports have the flat
 CSV schema (`--format csv` on dims, tau or measure is a usage error).
+Each handler passes its plain text and zero-argument builders of the
+JSON body and the CSV rows, and `_write` runs only the one --format asks
+for: plain output builds neither, so it computes no config hash and
+loads no hashlib, which --format json and csv do.
 `experiment cover` and `density` take all four --gauge families from
 one table, `_gauge`.  Stochastic experiments require --seed; reports
 embed the full config and library version, and rerunning a config
@@ -34,7 +38,7 @@ import argparse
 import json
 import math
 import sys
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from . import __version__
 
@@ -88,24 +92,28 @@ def _interval_line(name: str, ci: CertifiedInterval) -> str:
     )
 
 
-def _write(args, payload: dict, text: str, rows: Optional[list[tuple]] = None) -> None:
+def _write(args, text: str, payload: Callable[[], dict],
+           rows: Optional[Callable[[], list[tuple]]] = None) -> None:
     """Write one report in --format, to --out or to stdout.
 
-    `payload` is the JSON body, which gains the library and schema
-    versions; `text` is the plain report; `rows` are the CSV rows
-    `experiment,n,statistic,value,seed_count,config_hash` under a header
-    naming payload["config"].  Only `experiment` admits --format csv.
+    `text` is the plain report.  `payload` and `rows` build the other
+    formats and run only when one is asked for: `payload()` is the JSON
+    body, which gains the library and schema versions, and its "config"
+    heads the CSV; `rows()` are the CSV rows
+    `experiment,n,statistic,value,seed_count,config_hash`.  Only
+    `experiment` admits --format csv.  Plain output calls neither, so it
+    computes no config hash and never loads hashlib.
     """
     from .analytics import SCHEMA_VERSION
 
     if args.format == "json":
-        payload = {"version": __version__, "schema_version": SCHEMA_VERSION, **payload}
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        body = {"version": __version__, "schema_version": SCHEMA_VERSION, **payload()}
+        text = json.dumps(body, sort_keys=True, indent=2) + "\n"
     elif args.format == "csv":
-        config = json.dumps(payload["config"], sort_keys=True, separators=(",", ":"), default=str)
+        config = json.dumps(payload()["config"], sort_keys=True, separators=(",", ":"), default=str)
         lines = [f"# mgms {__version__} schema_version={SCHEMA_VERSION}", "# config: " + config,
                  "experiment,n,statistic,value,seed_count,config_hash"]
-        lines += [f"{exp},{n},{stat},{value!r},{seeds},{h}" for exp, n, stat, value, seeds, h in rows]
+        lines += [f"{exp},{n},{stat},{value!r},{seeds},{h}" for exp, n, stat, value, seeds, h in rows()]
         text = "\n".join(lines) + "\n"
     if args.out:
         try:
@@ -129,12 +137,6 @@ def cmd_dims(args) -> int:
     s = hausdorff_dim()
     dm_val, dm_tail = dim_minkowski(args.tol)
     dm = dim_minkowski_enclosure(args.tol)
-    payload = {
-        "config": {"command": "dims", "tol": args.tol},
-        "p": _interval_dict(p),
-        "s": _interval_dict(s),
-        "dim_minkowski": {**_interval_dict(dm), "partial": dm_val, "tail_bound": dm_tail},
-    }
     lines = [
         f"mgms {__version__} -- certified dimension constants",
         _interval_line("p      (root of p^3 = (1-p)^2)", p),
@@ -142,7 +144,12 @@ def cmd_dims(args) -> int:
         _interval_line(f"dim_M  (Minkowski dimension, tail < {args.tol:g})", dm),
         "",
     ]
-    _write(args, payload, "\n".join(lines))
+    _write(args, "\n".join(lines), lambda: {
+        "config": {"command": "dims", "tol": args.tol},
+        "p": _interval_dict(p),
+        "s": _interval_dict(s),
+        "dim_minkowski": {**_interval_dict(dm), "partial": dm_val, "tail_bound": dm_tail},
+    })
     return 0
 
 
@@ -151,13 +158,6 @@ def cmd_tau(args) -> int:
 
     cert = tau_certify()  # raises CertificationError on failure
     lower = float(cert.margin)
-    payload = {
-        "config": {"command": "tau"},
-        "partial_12": _interval_dict(cert.partial_12),
-        "tail_bound": _interval_dict(cert.tail_bound),
-        "certified_lower_bound": lower,
-        "verdict": cert.sign,
-    }
     lines = [
         f"mgms {__version__} -- series constant certification",
         _interval_line("partial sum (k <= 12)", cert.partial_12),
@@ -167,7 +167,13 @@ def cmd_tau(args) -> int:
         f"tau > 0 CERTIFIED (margin {lower:.6f})",
         "",
     ]
-    _write(args, payload, "\n".join(lines))
+    _write(args, "\n".join(lines), lambda: {
+        "config": {"command": "tau"},
+        "partial_12": _interval_dict(cert.partial_12),
+        "tail_bound": _interval_dict(cert.tail_bound),
+        "certified_lower_bound": lower,
+        "verdict": cert.sign,
+    })
     return 0
 
 
@@ -197,15 +203,6 @@ def cmd_measure(args) -> int:
                      for i, b, r, symbols, mass in chain_breakdown(assign, u)]
         label = ("chain product measure P_mu" if args.pdelta in (None, 0.0)
                  else f"block-perturbed measure, delta = {args.pdelta}")
-    payload = {
-        "config": {"command": "measure", "word": word_str,
-                   "mu": args.mu, "pmu": args.pmu, "pdelta": args.pdelta},
-        "measure": label,
-        "word": word_str,
-        "log2_probability": None if lp.is_zero else lp.value,
-        "probability_zero": lp.is_zero,
-        "chains": breakdown,
-    }
     lines = [f"{label}; word {word_str}"]
     if lp.is_zero:
         lines.append("log2 P[u] = ZERO (word not admissible)")
@@ -217,7 +214,15 @@ def cmd_measure(args) -> int:
         lines.append(f"  chain J({c['i']}): '{c['restriction']}'{blk}"
                      f" parameter {c['parameter']:.10f}  contribution {mass}")
     lines.append("")
-    _write(args, payload, "\n".join(lines))
+    _write(args, "\n".join(lines), lambda: {
+        "config": {"command": "measure", "word": word_str,
+                   "mu": args.mu, "pmu": args.pmu, "pdelta": args.pdelta},
+        "measure": label,
+        "word": word_str,
+        "log2_probability": None if lp.is_zero else lp.value,
+        "probability_zero": lp.is_zero,
+        "chains": breakdown,
+    })
     return 0
 
 
@@ -336,9 +341,10 @@ def cmd_experiment(args) -> int:
             kwargs["n_grid"] = n_grid
         report = zero_count_deviation_check(**kwargs)
 
-    _write(args, report.to_json_dict(), report.summary_line() + "\n", report.to_csv_rows())
+    summary = report.summary_line()
+    _write(args, summary + "\n", report.to_json_dict, report.to_csv_rows)
     if args.out:
-        print(report.summary_line())
+        print(summary)
     return 0
 
 
@@ -365,12 +371,19 @@ def _telescope_g(spec: str, ell_max: int) -> float:
 def _write_series(kind: str, values: dict, args, extra: dict) -> int:
     from .analytics import config_hash
 
-    config = {"experiment": kind, "n_grid": sorted(values), **extra}
-    h = config_hash(config)
-    payload = {"config": config, "config_hash": h,
-               "values": {str(n): values[n] for n in sorted(values)}}
-    text = f"{kind}: " + ", ".join(f"n={n}: {values[n]:.6f}" for n in sorted(values)) + "\n"
-    _write(args, payload, text, [(kind, n, kind, values[n], 0, h) for n in sorted(values)])
+    grid = sorted(values)
+    config = {"experiment": kind, "n_grid": grid, **extra}
+
+    def payload() -> dict:
+        return {"config": config, "config_hash": config_hash(config),
+                "values": {str(n): values[n] for n in grid}}
+
+    def rows() -> list[tuple]:
+        h = config_hash(config)
+        return [(kind, n, kind, values[n], 0, h) for n in grid]
+
+    text = f"{kind}: " + ", ".join(f"n={n}: {values[n]:.6f}" for n in grid) + "\n"
+    _write(args, text, payload, rows)
     return 0
 
 

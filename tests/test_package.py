@@ -1,11 +1,13 @@
 """The package namespace and what each cold entry point imports."""
 
 import ast
+import functools
 import hashlib
 import importlib
 import inspect
 import json
 import os
+import pkgutil
 import random
 import sys
 import types
@@ -76,18 +78,24 @@ assert round(2 ** log2_count_cylinders(6)) == 30
 assert "numpy" not in sys.modules
 """
 
+# plain output builds no JSON or CSV, so it computes no config hash: the absent-check
+# matches by dotted prefix, which does not cover the underscore name
+NO_HASH = ["hashlib", "_hashlib"]
+
 # test id: (argv of a fresh process, modules it must not load, modules it must load)
 IMPORT_BUDGET = {
     "word ops": (["-c", WORD_OPS], ["numpy"], ["mgms.core"]),
     "dims": (["-m", "mgms.cli", "dims"], ["numpy"], ["mgms.analytics", "mpmath"]),
     "tau": (["-m", "mgms.cli", "tau"], ["numpy"], ["mgms.analytics", "mpmath"]),
     "experiment boxdim": (["-m", "mgms.cli", "experiment", "boxdim", "--n-grid", "16,1024,65536"],
-                          ["numpy", "mpmath"], ["mgms.analytics"]),
+                          ["numpy", "mpmath", *NO_HASH], ["mgms.analytics"]),
+    "experiment boxdim json": (["-m", "mgms.cli", "experiment", "boxdim", "--n-grid", "16,1024",
+                                "--format", "json"], ["numpy", "mpmath"], ["mgms.analytics", "hashlib"]),
     # either exponent is a float: s = -log2 p_float(), dim_M a Fibonacci sum
     "experiment cover": (["-m", "mgms.cli", "experiment", "cover", "--exponent", "dimm",
-                          "--n-grid", "1024,16384"], ["numpy", "mpmath"], ["mgms.analytics"]),
+                          "--n-grid", "1024,16384"], ["numpy", "mpmath", *NO_HASH], ["mgms.analytics"]),
     "experiment cover s": (["-m", "mgms.cli", "experiment", "cover", "--n-grid", "1024,16384"],
-                           ["numpy", "mpmath"], ["mgms.analytics"]),
+                           ["numpy", "mpmath", *NO_HASH], ["mgms.analytics"]),
     # the scalar chain walk reads the word as a string
     "measure --pdelta": (["-m", "mgms.cli", "measure", "--pdelta", "0.05", "0100100010"],
                          ["numpy", "mpmath"], ["mgms.measures"]),
@@ -96,7 +104,14 @@ IMPORT_BUDGET = {
     "measure --mu": (["-m", "mgms.cli", "measure", "--mu", "0.3", "0100100010"],
                      ["numpy", "mpmath"], ["mgms.measures"]),
     "experiment telescope": (["-m", "mgms.cli", "experiment", "telescope", "--seed", "1", "--ell-max", "8"],
-                             ["mpmath"], ["mgms.experiments", "numpy"]),
+                             ["mpmath", *NO_HASH], ["mgms.experiments", "numpy"]),
+    "experiment telescope csv": (["-m", "mgms.cli", "experiment", "telescope", "--seed", "1",
+                                  "--ell-max", "8", "--format", "csv"],
+                                 ["mpmath"], ["mgms.experiments", "hashlib"]),
+    "experiment density": (["-m", "mgms.cli", "experiment", "density", "--seed", "1", "--seeds", "2",
+                            "--n-grid", "16,64,256"], ["mpmath", *NO_HASH], ["mgms.experiments", "numpy"]),
+    "experiment hoeffding": (["-m", "mgms.cli", "experiment", "hoeffding", "--seed", "1", "--trials", "200",
+                              "--n", "20"], ["mpmath", *NO_HASH], ["mgms.experiments", "numpy"]),
 }
 
 
@@ -229,6 +244,7 @@ PROBE_ARGV = [
     "experiment density --seed 1 --seeds 2 --n-grid 16,64,256 --gauge pure --format json",
     "experiment lower --seed 1 --seeds 2 --n-grid 16,64,256 --format csv",
     "experiment telescope --seed 1 --ell-max 8",
+    "experiment telescope --seed 1 --ell-max 8 --format csv",
     "experiment telescope --seed 1 --g t^1.5 --ell-max 8 --format json",
     "experiment hoeffding --seed 1 --trials 200 --n 20",
     "experiment hoeffding --seed 1 --distribution logmass --k 3 --n 20 --trials 200",
@@ -239,20 +255,48 @@ PROBE_ARGV = [
 ]
 
 
+def _code_of(member) -> list[types.CodeType]:
+    """The code objects behind one namespace entry: a function, one behind a cache or other
+    wrapper, a static or class method, a cached property or a property's accessors."""
+    if isinstance(member, property):
+        return [f.__code__ for f in (member.fget, member.fset, member.fdel) if f is not None]
+    if isinstance(member, (staticmethod, classmethod)):
+        member = member.__func__
+    elif isinstance(member, functools.cached_property):
+        member = member.func
+    member = inspect.unwrap(member)
+    return [member.__code__] if isinstance(member, types.FunctionType) else []
+
+
 def _package_functions() -> dict[tuple, str]:
-    """(file, first line, name) of every def in src/mgms, to its module-qualified name."""
+    """(file, first line, name) of every def in src/mgms, to its module-qualified name.
+
+    Read from the code objects of the imported modules, not from the files, so an edit
+    to a file while the suite runs cannot shift the lines: module functions and class
+    members from each namespace, nested defs from the constants of their parent's code.
+    """
     found = {}
 
-    def walk(code, prefix, module):
+    def walk(code, name):
+        found[(os.path.realpath(code.co_filename), code.co_firstlineno, code.co_name)] = name
         for const in code.co_consts:
             if isinstance(const, types.CodeType) and not const.co_name.startswith("<"):
-                name = prefix + const.co_name
-                if const.co_flags & inspect.CO_NEWLOCALS:  # a function, not a class body
-                    found[(const.co_filename, const.co_firstlineno, const.co_name)] = f"{module}.{name}"
-                walk(const, name + ".", module)
+                walk(const, f"{name}.{const.co_name}")
 
-    for path in sorted(Path(mgms.__file__).resolve().parent.glob("*.py")):
-        walk(compile(path.read_text(encoding="utf-8"), str(path), "exec"), "", path.stem)
+    submodules = [importlib.import_module(f"mgms.{m.name}") for m in pkgutil.iter_modules(mgms.__path__)]
+    for module in (mgms, *submodules):
+        filename = os.path.realpath(module.__file__)
+        stem = Path(filename).stem
+        namespaces, seen = [("", vars(module))], set()
+        while namespaces:
+            prefix, namespace = namespaces.pop()
+            for member in list(namespace.values()):
+                if isinstance(member, type) and member.__module__ == module.__name__ and member not in seen:
+                    seen.add(member)
+                    namespaces.append((f"{prefix}{member.__name__}.", vars(member)))
+                for code in _code_of(member):
+                    if os.path.realpath(code.co_filename) == filename and not code.co_name.startswith("<"):
+                        walk(code, f"{stem}.{prefix}{code.co_name}")
     return found
 
 
