@@ -15,9 +15,9 @@ The names below resolve on first access (PEP 562), so `import mgms` loads no
 submodule and `from mgms import X` loads only the submodule that defines X.
 numpy loads with `rng`, `experiments`, the first sampler or batch kernel
 of `measures`, or `core`'s array bridge `BinaryWord.from_array` and
-`BinaryWord.array`; mpmath loads with the first
-transcendental interval operation, which the float constants `p_float`
-and `s_float` never run.
+`BinaryWord.array`; mpmath loads only with the exps of `tau_gamma`'s
+weights and with the Student-t quantile of the `ldev2` fit, since every
+certified logarithm is integer code.
 """
 
 __version__ = "0.1.0"

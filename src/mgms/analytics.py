@@ -50,10 +50,10 @@ from .intervals import (
     CertifiedInterval,
     _common_numerators,
     _entropy_pair,
+    _exp,
     _iv_horner,
     _iv_mul_ints,
     _ln_int,
-    _mpf,
     _outward,
     _powers,
     _round,
@@ -216,7 +216,7 @@ def dim_minkowski_enclosure(tol: float = 1e-6) -> CertifiedInterval:
     """Certified enclosure of the Minkowski dimension (partial sum + tail).
 
     Each term 2^-(k+1) log2 F_{k+1} is ln(F_{k+1}) / ln 2: each integer
-    end of `_ln_int` (one `mpf_log` while F_{k+1} < 2^120) over the far
+    end of `_ln_int` (one `intervals._ln` while F_{k+1} < 2^120) over the far
     end of ln 2, rounded outward by `intervals._round`.  A term is at
     least 2^-(k+2), so its ends are integers over 2^E, E = K+1+_PREC; the
     lower ones, and the upper ones with the exact tail (K+2) 2^-(K+1),
@@ -510,8 +510,10 @@ def tau_gamma(gamma: float, K: int = 12) -> TauGammaResult:
     The tail majorizes k^(1+gamma) by k^m with m = ceil(1+gamma), so gamma
     is limited to (0, 2].  Reports the sign when the tail-widened interval
     separates from zero, UNKNOWN otherwise.  Each weight k^(1+gamma) is
-    exp((1+gamma) ln k) at 120 bits, ln k by `_ln_int` and the product by
-    `intervals._round`; its dyadic endpoints m 2^e, times 2^-(k+1), go
+    exp((1+gamma) ln k) at 120 bits, ln k by `_ln_int`, the product by
+    `intervals._round` and the exp by mpmath (`intervals._exp`, the one
+    transcendental the package still leaves to mpmath); its dyadic
+    endpoints m 2^e, times 2^-(k+1), go
     onto the least exponent.
     """
     if not 0 < gamma <= 2:
@@ -522,7 +524,7 @@ def tau_gamma(gamma: float, K: int = 12) -> TauGammaResult:
     ends = []
     for k in range(1, K + 1):  # k = 1 gives exp(0 * power) = 1 exactly
         (a, ea), (b, eb) = _ln_int(k)
-        w = _mpf("exp", _round(a * p_lo, 1, False, ea + e_lo), _round(b * p_hi, 1, True, eb + e_hi))
+        w = _exp(_round(a * p_lo, 1, False, ea + e_lo), _round(b * p_hi, 1, True, eb + e_hi))
         ends.append([(m, e - k - 1) for m, e in w])
     e_min = min(e for end in ends for _, e in end)  # <= -2, from k = 1
     weights = [tuple(m << (e - e_min) for m, e in end) for end in ends]

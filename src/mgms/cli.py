@@ -25,11 +25,12 @@ embed the full config and library version, and rerunning a config
 reproduces the report body byte for byte.
 
 Each handler imports the modules it runs, so a cold process pays only for
-those: `dims` and `tau` load mpmath but not numpy; `measure`,
-`experiment boxdim` and `cover` load neither; `telescope`, `density` and
-`hoeffding` load numpy but not mpmath (an s-gauge takes the float
-s = -log2 p); `lower` and `ldev2` load both, for the certified tau bound
-and the Student-t quantile; `--version` loads no other mgms module.
+those: `dims`, `tau`, `measure`, `experiment boxdim` and `cover` load
+neither numpy nor mpmath (the certified logarithms are integer code);
+`telescope`, `density`, `hoeffding` and `lower` load numpy but not
+mpmath (an s-gauge takes the float s = -log2 p, and `lower`'s tau bound
+is certified without it); `ldev2` loads both, for the Student-t
+quantile; `--version` loads no other mgms module.
 """
 
 from __future__ import annotations

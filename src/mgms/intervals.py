@@ -18,8 +18,11 @@ natural-log entropy with its derivative ln((1-x)/x), one `_entropy_pair`)
 work on integer ends (m, e), standing for m 2^e, at `_PREC` (120) bits:
 every rounding that is not a transcendental is one integer floor or
 ceiling, `_round`, which gives the ends of mpmath's correctly rounded `iv`
-context bit for bit, and mpmath only takes logs and exps (`_mpf`,
-`_ln_int`) at that explicit precision, reading and writing no mpmath state;
+context bit for bit, and every logarithm end is one `_ln`, which reduces its
+argument by a power of two and a table of ln(j/2^_S), sums an atanh
+series on integers, and returns the correctly rounded floor and ceiling
+by Ziv's test.  Only the exps of `tau_gamma`'s weights call mpmath
+(`_exp`), at that explicit precision, reading and writing no mpmath state;
 it loads on the first such call.  And fixed-point intervals, integer pairs
 over 2^_FIX_BITS (256 bits), round each product and quotient with
 `_round_out`, floor below and ceiling above; the weighted derivative series
@@ -219,7 +222,7 @@ def iv_polyval(coeffs, x: CertifiedInterval) -> CertifiedInterval:
     return CertifiedInterval(Fraction(lo, scale), Fraction(hi, scale))
 
 
-# -- mpmath bridge ------------------------------------------------------------
+# -- rounding to _PREC bits and logarithms on integers --------------------------
 
 _PREC = 120  # bits of every transcendental endpoint
 
@@ -245,27 +248,142 @@ def _outward(ci: CertifiedInterval) -> tuple:
     return _round(ci.lo.numerator, ci.lo.denominator, False), _round(ci.hi.numerator, ci.hi.denominator, True)
 
 
-def _mpf(fn: str, lo: tuple[int, int], hi: tuple[int, int]) -> tuple:
-    """mpmath's `mpf_<fn>` (fn "log" or "exp") at _PREC bits: floor at the end lo, ceiling at hi."""
-    import mpmath.libmp as libmp  # cheaper than a from-import, once per series term
-    f, raw = getattr(libmp, "mpf_" + fn), libmp.from_man_exp
-    return _dyadic(f(raw(*lo), _PREC, libmp.round_floor)), _dyadic(f(raw(*hi), _PREC, libmp.round_ceiling))
+_S = 7  # the table holds ln(j / 2^_S) for 3/4 <= j / 2^_S <= 3/2
+_J0 = 3 << (_S - 2)  # its first j
+_GUARD = 30  # bits past _PREC in the first pass of `_ln`
+_table = (0, 0, [], 0)  # (bits, ln 2, entries, err): each within err of its value times 2^bits
+
+
+def _atanh(a: int, b: int, bits: int) -> tuple[int, int]:
+    """(s, n) with s <= atanh(a/b) 2^bits < s + n, for integers 0 <= a <= b/2.
+
+    The series t + t^3/3 + t^5/5 + ... (t = a/b) is summed on floors over 2^bits: each
+    power is the floor of the last one times floor(t^2 2^bits), and the loop stops at the
+    first power that floors to 0, at divisor d.  With t <= 1/2 each power is short of its
+    value by less than 2 units, so each term by less than 2 (the first by less than 1), and
+    the terms the loop drops add up to less than 1: the deficit is below d + 1 units.
+    """
+    s = p = (a << bits) // b
+    q = (a * a << bits) // (b * b)
+    d = 1
+    while p:
+        p = p * q >> bits
+        d += 2
+        s += p // d
+    return s, d + 1
+
+
+def _ln_table(bits: int) -> tuple:
+    """The table at `bits` or more bits: (bits, ln 2, [ln(j/2^_S) for j from _J0 to 2 _J0], err).
+
+    Built on the first log and rebuilt only when a log needs more bits, at no fewer than
+    _PREC + 64; a constant of the algorithm, so no result depends on when it was built.
+    Starting from ln 1 = 0 at j = 2^_S, each entry above adds ln((j+1)/j) = 2 atanh(1/(2j+1))
+    to its lower neighbour, and each entry below subtracts ln((j+1)/j) from its upper one.
+    Every `_atanh` is a lower bound, so the entries above 2^_S are too low and those below
+    too high, each by less than the sum of the deficits on its side; ln 2 = ln(3/2) - ln(3/4)
+    is too low by less than both sums together, err.
+    """
+    global _table
+    if _table[0] < bits:
+        bits = max(bits, _PREC + 64)
+        up, down, err = [0], [0], 0
+        for j in range(1 << _S, 2 * _J0):  # ln((j+1)/2^_S) from ln(j/2^_S)
+            s, n = _atanh(1, 2 * j + 1, bits)
+            up.append(up[-1] + 2 * s)
+            err += 2 * n
+        for j in range((1 << _S) - 1, _J0 - 1, -1):  # ln(j/2^_S) from ln((j+1)/2^_S)
+            s, n = _atanh(1, 2 * j + 1, bits)
+            down.append(down[-1] - 2 * s)
+            err += 2 * n
+        _table = bits, up[-1] - down[-1], down[:0:-1] + up, err
+    return _table
+
+
+def _ln_sum(m: int, e: int, guard: int) -> tuple[int, int, int]:
+    """(r, B, W) with |ln(m 2^e) 2^W - r| < B, for an integer m >= 1: one pass of `_ln`.
+
+    With x = m 2^e = f 2^k, 3/4 <= f < 3/2, and j = round(f 2^_S),
+    ln x = k ln 2 + ln(j/2^_S) + 2 atanh(t),  t = (f 2^_S - j)/(f 2^_S + j),  |t| < 2^-(_S+1).
+    Next to 1, where k = 0 and j = 2^_S, ln x = 2 atanh(t) needs no table, and |ln x| >= 2|t|
+    >= 2^-z with z = bits(f 2^_S + j) - bits(f 2^_S - j) (numerators over one denominator);
+    elsewhere |ln x| > 2^-9.  So W = _PREC + guard + z (z = 0 away from 1) keeps guard bits
+    below the last of _PREC significant ones.  The error bound is
+    B = 2n + ((|k| + 1) err >> shift) + 2 units of 2^-W: 2n bounds the doubled deficit n of
+    `_atanh`, and the table part k ln 2 + ln(j/2^_S), off by less than (|k| + 1) err units of
+    2^-(W + shift), drops shift bits with one floor.
+    """
+    c = m.bit_length()
+    if 4 * m < 3 << c:
+        c -= 1  # f = m / 2^c
+    k, j = c + e, ((m << (_S + 1) >> c) + 1) >> 1
+    a, b = (m << _S) - (j << c), (m << _S) + (j << c)
+    near = k == 0 and j == 1 << _S
+    W = _PREC + guard + (b.bit_length() - abs(a).bit_length() if near else 0)
+    s, n = _atanh(abs(a), b, W)
+    r, B = (2 * s if a >= 0 else -2 * s), 2 * n
+    if not near:
+        bits, ln2, entries, err = _ln_table(W + 16 + abs(k).bit_length())
+        shift = bits - W
+        r += (k * ln2 + entries[j - _J0]) >> shift
+        B += ((abs(k) + 1) * err >> shift) + 2
+    return r, B, W
+
+
+def _ln(m: int, e: int) -> tuple:
+    """ln(m 2^e) for an integer m >= 1 as (m, e) ends at _PREC bits: the correct floor and ceiling.
+
+    Ziv's test on `_ln_sum`: when r - B and r + B lie in one binade and share their top _PREC
+    bits, those bits over 2^-W are the _PREC-bit floor of both ends and so of ln x between
+    them, and one unit more is its ceiling, because ln x, irrational for every dyadic x != 1,
+    lies strictly above its floor.  Otherwise the sum runs again with 64 more guard bits.
+    The loop ends: B 2^-W shrinks to 0 as W grows (B grows with W only through the number of
+    series terms), and ln x lies at a positive distance from every _PREC-bit number.
+    ln 1 = 0 is returned exactly, before the loop.  The ends are values: m may be 2^_PREC.
+    """
+    if m < 1:
+        raise ValueError(f"need an integer m >= 1, got {m}")
+    if e <= 0 and m == 1 << -e:
+        return (0, 0), (0, 0)
+    guard = _GUARD
+    while True:
+        r, B, W = _ln_sum(m, e, guard)
+        lo, hi = r - B, r + B
+        bits = abs(lo).bit_length()
+        shift = bits - _PREC
+        if shift > 0 and abs(hi).bit_length() == bits and lo >> shift == hi >> shift:
+            q = lo >> shift
+            return (q, shift - W), (q + 1, shift - W)
+        guard += 64
+
+
+def _ln_ends(lo: tuple[int, int], hi: tuple[int, int]) -> tuple:
+    """ln over the interval [lo, hi] of (m, e) ends, m >= 1: the floor of ln lo, the ceiling of ln hi."""
+    return _ln(*lo)[0], _ln(*hi)[1]
 
 
 def _ln_int(n: int) -> tuple:
     """ln n for an integer n >= 1 as (m, e) ends at _PREC bits: floor, ceiling.
 
-    For 2 <= n < 2^_PREC, ln n is irrational, so its ceiling is the successor (m 2^s + 1, e - s),
-    s = _PREC - bits(m), of its floor (m, e): one `mpf_log`.  Past 2^_PREC n rounds outward first.
+    Below 2^_PREC, n enters exactly and one `_ln` gives both ends.  Past 2^_PREC n rounds
+    outward first, and each end takes its own log.
     """
     if n < 1:
         raise ValueError(f"need an integer n >= 1, got {n}")
-    if n == 1 or n.bit_length() > _PREC:
-        return _mpf("log", _round(n, 1, False), _round(n, 1, True))
-    import mpmath.libmp as libmp
-    m, e = _dyadic(libmp.mpf_log(libmp.from_int(n), _PREC, libmp.round_floor))
-    s = _PREC - m.bit_length()
-    return (m, e), ((m << s) + 1, e - s)
+    if n.bit_length() > _PREC:
+        return _ln_ends(_round(n, 1, False), _round(n, 1, True))
+    return _ln(n, 0)
+
+
+# -- mpmath bridge: exp only ------------------------------------------------------
+
+
+def _exp(lo: tuple[int, int], hi: tuple[int, int]) -> tuple:
+    """mpmath's `mpf_exp` at _PREC bits: floor at the end lo, ceiling at hi; loads mpmath on first use."""
+    import mpmath.libmp as libmp  # cheaper than a from-import, once per series term
+    raw = libmp.from_man_exp
+    return (_dyadic(libmp.mpf_exp(raw(*lo), _PREC, libmp.round_floor)),
+            _dyadic(libmp.mpf_exp(raw(*hi), _PREC, libmp.round_ceiling)))
 
 
 def _dyadic(raw: tuple) -> tuple[int, int]:
@@ -289,7 +407,7 @@ def iv_log2(ci: CertifiedInterval) -> CertifiedInterval:
     """Enclosure of log2 over the interval, as ln x / ln 2; requires lo > 0."""
     if ci.lo <= 0:
         raise ValueError(f"log of nonpositive interval {ci}")
-    (a, ea), (b, eb) = _mpf("log", *_outward(ci))
+    (a, ea), (b, eb) = _ln_ends(*_outward(ci))
     (l, el), (u, eu) = _ln_int(2)  # each end over the end of ln 2 that moves it outward, as `mpi_div` picks
     return _interval(_round(a, u, False, ea - eu) if a >= 0 else _round(a, l, False, ea - el),
                      _round(b, l, True, eb - el) if b >= 0 else _round(b, u, True, eb - eu))
@@ -308,10 +426,10 @@ def _entropy_pair(ci: CertifiedInterval) -> tuple[CertifiedInterval, CertifiedIn
     (y_lo, ey_lo), (y_hi, ey_hi) = y = y if y[0][0] > 0 else _outward(1 - ci)
     # v = x, y lies in (0, 1], where ln <= 0, so -v ln v is [-v_lo (ln v)_hi, -v_hi (ln v)_lo], and H their sum
     terms = ([], [])
-    for ((v_lo, ev_lo), (v_hi, ev_hi)), ((l_lo, el_lo), (l_hi, el_hi)) in ((v, _mpf("log", *v)) for v in (x, y)):
+    for ((v_lo, ev_lo), (v_hi, ev_hi)), ((l_lo, el_lo), (l_hi, el_hi)) in ((v, _ln_ends(*v)) for v in (x, y)):
         terms[0].append(_round(-v_lo * l_hi, 1, False, ev_lo + el_hi))
         terms[1].append(_round(-v_hi * l_lo, 1, True, ev_hi + el_lo))
     e_min = min(e for end in terms for _, e in end)
     h = (_round(sum(m << (e - e_min) for m, e in end), 1, up, e_min) for end, up in zip(terms, (False, True)))
-    return _interval(*h), _interval(*_mpf("log", _round(y_lo, x_hi, False, ey_lo - ex_hi),
-                                                  _round(y_hi, x_lo, True, ey_hi - ex_lo)))
+    return _interval(*h), _interval(*_ln_ends(_round(y_lo, x_hi, False, ey_lo - ex_hi),
+                                              _round(y_hi, x_lo, True, ey_hi - ex_lo)))

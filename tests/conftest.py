@@ -184,9 +184,11 @@ def reference_truncated_jet(K: int, a: Fraction) -> tuple[Fraction, ...]:
 
 
 # -- mpmath's interval context: the oracle for the certified transcendentals ----
-# mgms rounds its products, quotients and differences on integers and calls
-# only mpmath's mpf_log and mpf_exp; these go through mpmath's `iv` context
-# objects instead, and read the endpoints back with mpmath's own `to_rational`.
+# mgms rounds its products, quotients and differences on integers, takes its
+# logs on integers (`intervals._ln`) and calls mpmath only for mpf_exp; these
+# go through mpmath's `iv` context objects instead, and read the endpoints back
+# with mpmath's own `to_rational`.  Both round each log correctly away from 1;
+# next to 1 mpmath's directed logs can miss (`test_intervals.reference_ln`).
 
 
 def _iv():
@@ -214,8 +216,8 @@ def _from_iv(x) -> CertifiedInterval:
 
 # -- mpmath's raw-interval kernels: the oracle for the integer rounding step ------
 # mgms rounds every product, quotient and difference of its transcendental
-# enclosures itself, as integers, and calls mpmath only for mpf_log and
-# mpf_exp; these run every step on mpmath's raw (lo, hi) tuples through the
+# enclosures itself, as integers, and takes its logs on integers too; these
+# run every step on mpmath's raw (lo, hi) tuples through the
 # `mpi_*` kernels of mpmath.libmp that the `iv` context calls, at the same
 # explicit 120 bits, so their endpoints must equal the package's bit for bit.
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import mgms.intervals as intervals
 from mgms.intervals import (
     _PREC,
     CertifiedInterval,
@@ -15,7 +16,11 @@ from mgms.intervals import (
     _interval,
     _iv_horner,
     _iv_mul_ints,
+    _ln,
     _ln_int,
+    _ln_sum,
+    _ln_table,
+    _outward,
     _powers,
     _round,
     iv_log2,
@@ -240,8 +245,8 @@ def test_bridge_rejects_bad_domains(fn):
 
 
 def test_one_log_per_integer_gives_mpmath_ceiling():
-    # below 2^_PREC, ln n (n >= 2) takes its upper end as the successor of its floor;
-    # that must be mpmath's own ceiling for every integer the package logs there:
+    # below 2^_PREC one `_ln` gives both ends of ln n (n >= 2), the ceiling as the successor
+    # of the floor; both must be mpmath's own for every integer the package logs there:
     # F_{k+1} (Minkowski terms) and k up to 20000 (tau_gamma weights)
     from mpmath.libmp import from_int, mpf_log, mpi_log, round_ceiling, round_floor
     fibs = [fibonacci(k + 1) for k in range(1, 200) if fibonacci(k + 1) < 2**_PREC]
@@ -256,9 +261,147 @@ def test_one_log_per_integer_gives_mpmath_ceiling():
 
 @pytest.mark.parametrize("n", [0, -1, -3, -(2**130)])
 def test_ln_int_rejects_nonpositive_integers(n):
-    # ln 0 would read as an interval with a -inf end, and ln of a negative would raise mpmath's ComplexResult
+    # ln 0 is -inf and ln of a negative is not real: neither has a finite enclosure
     with pytest.raises(ValueError, match="n >= 1"):
         _ln_int(n)
+    with pytest.raises(ValueError, match="m >= 1"):
+        _ln(n, 0)
+
+
+# -- the log kernel `_ln`: correctly rounded ends, its error bound, its table and Ziv's loop ----
+
+
+def odd(end: tuple[int, int]) -> tuple[int, int]:
+    """(m, e) with m odd or zero, for the same value m 2^e: as mpmath stores its mantissas."""
+    m, e = end
+    tz = (m & -m).bit_length() - 1 if m else 0
+    return m >> tz, e + tz
+
+
+def mpmath_ln_ends(m: int, e: int) -> list[tuple[int, int]]:
+    """mpmath's floor and ceiling of ln(m 2^e) at _PREC bits, odd-normalized."""
+    from mpmath.libmp import from_man_exp, mpf_log, round_ceiling, round_floor
+
+    return [_dyadic(mpf_log(from_man_exp(m, e), _PREC, rnd)) for rnd in (round_floor, round_ceiling)]
+
+
+def reference_ln(m: int, e: int) -> tuple[Fraction, Fraction]:
+    """An enclosure of ln(m 2^e) at least 300 bits narrow.
+
+    Within 2^-40 of 1 it is the series u - u^2/2 + u^3/3 - ... (u = m 2^e - 1, exactly) to
+    ten terms, with its tail bound |u|^11 / (11 (1 - |u|)): mpmath's directed logs miss
+    ln x there.  Of the inputs next to 1 that `test_ln_next_to_one_is_correctly_rounded`
+    draws, its 120-bit floor and ceiling miss 3 of 2000 within 2^-100 of 1, and both its
+    120-bit and 300-bit ends miss 527 of 1000 within 2^-180.  Elsewhere the enclosure is
+    mpmath's floor and ceiling at 300 bits.
+    """
+    from mpmath.libmp import from_man_exp, mpf_log, round_ceiling, round_floor
+
+    u = value((m, e)) - 1
+    if abs(u) < Fraction(1, 2**40):
+        s = sum(Fraction((-1) ** (k + 1), k) * u**k for k in range(1, 11))
+        tail = abs(u) ** 11 / (11 * (1 - abs(u)))
+        return s - tail, s + tail
+    return tuple(mpmath_value(mpf_log(from_man_exp(m, e), 300, rnd)) for rnd in (round_floor, round_ceiling))
+
+
+def ln_ends_of(lo: Fraction, hi: Fraction) -> list[tuple[int, int]]:
+    """The _PREC-bit floor of lo and ceiling of hi, odd-normalized, when the enclosure [lo, hi] fixes
+    both (its ends share their floor), as the floor and ceiling of what it encloses."""
+    floors = [_round(x.numerator, x.denominator, False) for x in (lo, hi)]
+    assert floors[0] == floors[1], (lo, hi)
+    return [odd(floors[0]), odd(_round(hi.numerator, hi.denominator, True))]
+
+
+def p_ends() -> list[tuple[int, int]]:
+    """The (m, e) ends that `_entropy_pair` logs at p: those of p, of 1 - p and of (1 - p)/p."""
+    (x_lo, ex_lo), (x_hi, ex_hi) = x = _outward(solve_p())
+    (y_lo, ey_lo), (y_hi, ey_hi) = y = _outward(1 - solve_p())
+    return [*x, *y, _round(y_lo, x_hi, False, ey_lo - ex_hi), _round(y_hi, x_lo, True, ey_hi - ex_lo)]
+
+
+def kernel_inputs(rng: random.Random, count: int) -> list[tuple[int, int]]:
+    """Random (m, e) in (0, 2): 120-bit dyadics, shorter and longer ones, and ones next to 1."""
+    cases = []
+    for _ in range(count):
+        bits = rng.choice((_PREC, _PREC, rng.randint(1, 400)))
+        m = rng.randrange(2 ** (bits - 1), 2**bits)
+        cases.append((m, -bits + rng.choice((1, 0, 0, -1, -rng.randint(2, 200)))))
+        # 120-bit dyadics within 2^-100 of 1, above and below, and 201-bit ones within 2^-180
+        d = rng.randrange(1, 2**19)
+        cases += [(2 ** (_PREC - 1) + d, 1 - _PREC), (2**_PREC - d, -_PREC), (2**200 + (d if d % 2 else -d), -200)]
+    return cases
+
+
+def test_ln_is_mpmath_rounding():
+    # floor and ceiling of ln at _PREC bits against mpmath's own, for every integer the package
+    # logs (2..20000 for tau_gamma's weights, F_2..F_1086 for dims down to --tol 5e-324, whose
+    # ends past 2^120 enter rounded), the ends at p, powers of two, and random dyadics in (0, 2)
+    # away from 1
+    fibs = [fibonacci(k) for k in range(2, 1087)]
+    cases = [(n, 0) for n in (*range(2, 20001), *fibs)]
+    cases += [end for f in fibs if f.bit_length() > _PREC for end in (_round(f, 1, False), _round(f, 1, True))]
+    cases += p_ends() + [(1, e) for e in range(-1100, 1101) if e] + [(3, e) for e in range(-1100, 1101, 13)]
+    cases += [(m, e) for m, e in kernel_inputs(random.Random(20261022), 3000) if abs(value((m, e)) - 1) > 2**-40]
+    assert len(cases) > 25000
+    for m, e in cases:
+        assert list(map(odd, _ln(m, e))) == mpmath_ln_ends(m, e), (m, e)
+
+
+def test_ln_next_to_one_is_correctly_rounded():
+    # next to 1 mpmath's ends can miss ln x (see reference_ln); there the floor and
+    # ceiling must be those of the series enclosure, and ln 1 = 0 exactly
+    rng = random.Random(20261023)
+    cases = [(m, e) for m, e in kernel_inputs(rng, 1000) if abs(value((m, e)) - 1) < 2**-40]
+    cases += [(2**_PREC - 1, -_PREC), (2**(_PREC - 1) + 1, 1 - _PREC), (2**400 + 1, -400), (2**400 - 1, -400)]
+    assert len(cases) > 3000
+    for m, e in cases:
+        assert list(map(odd, _ln(m, e))) == ln_ends_of(*reference_ln(m, e)), (m, e)
+    for m, e in [(1, 0), (2, -1), (2**_PREC, -_PREC), (2**1000, -1000)]:
+        assert _ln(m, e) == ((0, 0), (0, 0))
+
+
+def test_ln_sum_error_bound_holds():
+    # one pass encloses ln x in [r - B, r + B] over 2^W, at guards from below 0 to past the default,
+    # with B a few dozen units: the bound is honest, not merely sound
+    rng = random.Random(20261024)
+    fibs = [fibonacci(k) for k in range(2, 1087, 7)]
+    cases = kernel_inputs(rng, 150) + [(n, 0) for n in (*rng.sample(range(2, 20001), 100), *fibs)] + p_ends()
+    cases += [(1, e) for e in (-1074, -1, 1, 7, 1023)]
+    for m, e in cases:
+        lo, hi = reference_ln(m, e)
+        for guard in (-60, 0, intervals._GUARD, 90):
+            r, B, W = _ln_sum(m, e, guard)
+            assert r - B <= lo * 2**W and hi * 2**W <= r + B and 0 < B < 128, (m, e, guard)
+
+
+def test_ln_table_matches_an_independent_series():
+    # every entry ln(j / 2^S), and ln 2, against 2 atanh((j - 2^S)/(j + 2^S)) summed on Fractions
+    # with its tail bound, within the err the table states; err is below 2^16 units of 2^-bits
+    bits, ln2, entries, err = _ln_table(1)  # builds the table if no log has yet
+    one = 2**intervals._S
+    assert bits >= _PREC + 64 and len(entries) == intervals._J0 + 1 and 0 < err < 2**16
+    for j, entry in [*enumerate(entries, intervals._J0), (2 * one, ln2)]:
+        t = Fraction(j - one, j + one)
+        s = 2 * sum(t ** (2 * k + 1) / (2 * k + 1) for k in range(120))
+        tail = 2 * abs(t) ** 241 / (241 * (1 - t * t))
+        assert abs(entry - s * 2**bits) + tail * 2**bits < err, j
+    assert _ln_table(bits) is _ln_table(1)  # built once; a log at no more bits reads the same table
+
+
+def test_ziv_loop_raises_precision(monkeypatch):
+    # with too few guard bits the first pass cannot decide the floor; the loop must run
+    # again, at more bits, and return the same ends
+    rng = random.Random(20261025)
+    cases = [(n, 0) for n in rng.sample(range(2, 20001), 200)] + kernel_inputs(rng, 50) + p_ends()
+    want = [_ln(m, e) for m, e in cases]
+    passes = []
+    monkeypatch.setattr(intervals, "_ln_sum", lambda *a: passes.append(a) or _ln_sum(*a))
+    for guard in (-40, 0):
+        monkeypatch.setattr(intervals, "_GUARD", guard)
+        passes.clear()
+        assert [_ln(m, e) for m, e in cases] == want, guard
+        assert len(passes) > 1.9 * len(cases), guard
 
 
 def test_entropy_pair_next_to_one_widens():

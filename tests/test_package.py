@@ -85,8 +85,11 @@ NO_HASH = ["hashlib", "_hashlib"]
 # test id: (argv of a fresh process, modules it must not load, modules it must load)
 IMPORT_BUDGET = {
     "word ops": (["-c", WORD_OPS], ["numpy"], ["mgms.core"]),
-    "dims": (["-m", "mgms.cli", "dims"], ["numpy"], ["mgms.analytics", "mpmath"]),
-    "tau": (["-m", "mgms.cli", "tau"], ["numpy"], ["mgms.analytics", "mpmath"]),
+    # the certified logarithms are integer code: neither the constants nor lower's tau bound load mpmath
+    "dims": (["-m", "mgms.cli", "dims"], ["numpy", "mpmath"], ["mgms.analytics"]),
+    "tau": (["-m", "mgms.cli", "tau"], ["numpy", "mpmath"], ["mgms.analytics"]),
+    "experiment lower": (["-m", "mgms.cli", "experiment", "lower", "--seed", "1", "--seeds", "2",
+                          "--n-grid", "16,64,256"], ["mpmath", *NO_HASH], ["mgms.analytics", "numpy"]),
     "experiment boxdim": (["-m", "mgms.cli", "experiment", "boxdim", "--n-grid", "16,1024,65536"],
                           ["numpy", "mpmath", *NO_HASH], ["mgms.analytics"]),
     "experiment boxdim json": (["-m", "mgms.cli", "experiment", "boxdim", "--n-grid", "16,1024",
@@ -146,7 +149,7 @@ def test_tau_gamma_as_first_interval_op_is_frozen():
 
 
 def test_certified_output_ignores_the_global_interval_precision(perfbench):
-    # mgms passes its 120 bits to mpmath's interval kernels and never reads or writes iv.prec:
+    # mgms passes its 120 bits to mpmath's exp and never reads or writes iv.prec:
     # with iv.prec at 53 before a cold call (every mgms cache cleared, as the certify benchmark
     # clears them) and again before a warm one, the endpoints keep their frozen digests
     from mpmath import iv
@@ -171,12 +174,13 @@ def test_certified_output_ignores_the_global_interval_precision(perfbench):
         iv.prec = saved
 
 
-# mpmath's correctly rounded arithmetic, which `intervals._round` replaces: the package may call
-# mpmath only for a transcendental (`mpf_log`, `mpf_exp`) and to build or read its arguments
-MPMATH_ARITHMETIC = {"mpf_div", "mpf_mul", "mpf_add", "mpf_sub", "from_rational"}
+# mpmath's correctly rounded arithmetic, which `intervals._round` replaces, and its log, which
+# `intervals._ln` replaces: the package may call mpmath only for `mpf_exp` and to build or read
+# its arguments
+MPMATH_REPLACED = {"mpf_div", "mpf_mul", "mpf_add", "mpf_sub", "from_rational", "mpf_log", "from_int"}
 
 
-def test_mpmath_only_takes_logs_and_exps():
+def test_mpmath_only_takes_exps():
     used = []
     for path in sorted(Path(mgms.__file__).resolve().parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -188,7 +192,7 @@ def test_mpmath_only_takes_logs_and_exps():
                 name = node.name.rsplit(".", 1)[-1]
             else:
                 continue
-            if name in MPMATH_ARITHMETIC or name.startswith("mpi_"):
+            if name in MPMATH_REPLACED or name.startswith("mpi_"):
                 used.append(f"{path.name}:{getattr(node, 'lineno', '?')} {name}")
     assert used == []
 
