@@ -35,9 +35,7 @@ p^3 = (1-p)^2 (re-verified symbolically in the tests).
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -141,7 +139,10 @@ def solve_p(width: Fraction = Fraction(1, 2**80)) -> CertifiedInterval:
     """Certified enclosure of the root of p^3 = (1-p)^2 in (0,1).
 
     The bracket is [N/D, (N+1)/D] with D = 10 * 2^j for the least j with
-    1/D <= width, as j halvings of [1/2, 3/5] give it.  The sign of
+    1/D <= width, as j halvings of [1/2, 3/5] give it.  With width = a/b
+    that j is the least with 10a 2^j >= b: 0 when 10a has more bits than
+    b, else the j at which 10a 2^j has as many bits as b, or the next one
+    if 10a 2^j < b there.  The sign of
     f(x) = x^3 - x^2 + 2x - 1 at N/D is that of the exact integer
     g(N) = N^3 - N^2 D + 2 N D^2 - D^3.  Integer Newton on g from the float
     root runs until its step is 0; the exact signs g(N) < 0 < g(N+1) then
@@ -153,9 +154,9 @@ def solve_p(width: Fraction = Fraction(1, 2**80)) -> CertifiedInterval:
     width = Fraction(width)
     if width <= 0:
         raise ValueError("width must be positive")
-    den = 10
-    while width.numerator * den < width.denominator:  # 1/den > width
-        den *= 2
+    a, b = 10 * width.numerator, width.denominator  # the least j with a 2^j >= b
+    j = max(0, b.bit_length() - a.bit_length())
+    den = 10 << (j + 1 if a << j < b else j)
     n = int(Fraction(0.5698402909980532) * den)  # the float root
     while step := _cubic(n, den) // (3 * n * n - 2 * n * den + 2 * den * den):
         n -= step
@@ -216,7 +217,7 @@ def dim_minkowski_enclosure(tol: float = 1e-6) -> CertifiedInterval:
     """Certified enclosure of the Minkowski dimension (partial sum + tail).
 
     Each term 2^-(k+1) log2 F_{k+1} is ln(F_{k+1}) / ln 2: each integer
-    end of `_ln_int` (one `intervals._ln` while F_{k+1} < 2^120) over the far
+    end of `_ln_int` (one `intervals._ln`, F_{k+1} exact) over the far
     end of ln 2, rounded outward by `intervals._round`.  A term is at
     least 2^-(k+2), so its ends are integers over 2^E, E = K+1+_PREC; the
     lower ones, and the upper ones with the exact tail (K+2) 2^-(K+1),
@@ -427,8 +428,7 @@ def derivative_series_at_p(K: int) -> CertifiedInterval:
     return acc.widen(Fraction(51, 20) * Fraction(K + 3, 2 ** (K + 1)))
 
 
-@dataclass(frozen=True)
-class TauCertificate:
+class TauCertificate(NamedTuple):
     """Outcome of the positivity certification of tau = sum k (HF_{k-1})'(p)/2^(k+1)."""
 
     partial_12: CertifiedInterval
@@ -587,8 +587,7 @@ class GaugeFamily(Enum):
     PSI_G = "psi_g"
 
 
-@dataclass(frozen=True)
-class Gauge:
+class Gauge(NamedTuple):
     """A gauge in log2 form at dyadic scales: log2 gauge(2^-n).
 
     PURE_S:    -n s
@@ -689,6 +688,7 @@ def box_dimension_estimate(n: int) -> float:
 def config_hash(config: dict) -> str:
     """Stable 12-hex digest of a canonicalized config mapping."""
     import hashlib
+    import json
 
     blob = json.dumps(config, sort_keys=True, separators=(",", ":"), default=str)
     return hashlib.sha256(blob.encode()).hexdigest()[:12]

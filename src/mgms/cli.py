@@ -26,17 +26,19 @@ reproduces the report body byte for byte.
 
 Each handler imports the modules it runs, so a cold process pays only for
 those: `dims`, `tau`, `measure`, `experiment boxdim` and `cover` load
-neither numpy nor mpmath (the certified logarithms are integer code);
+neither numpy nor mpmath (the certified logarithms are integer code), and,
+in plain output, neither dataclasses (with the inspect, ast and dis it
+pulls in) nor json: their records are tuples (`typing.NamedTuple`) and
+only --format json and csv import json;
 `telescope`, `density`, `hoeffding` and `lower` load numpy but not
 mpmath (an s-gauge takes the float s = -log2 p, and `lower`'s tau bound
 is certified without it); `ldev2` loads both, for the Student-t
-quantile; `--version` loads no other mgms module.
+quantile; `--version` loads no other mgms module, and no json.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from typing import TYPE_CHECKING, Callable, Optional
@@ -103,14 +105,18 @@ def _write(args, text: str, payload: Callable[[], dict],
     heads the CSV; `rows()` are the CSV rows
     `experiment,n,statistic,value,seed_count,config_hash`.  Only
     `experiment` admits --format csv.  Plain output calls neither, so it
-    computes no config hash and never loads hashlib.
+    computes no config hash and never loads json or hashlib.
     """
     from .analytics import SCHEMA_VERSION
 
     if args.format == "json":
+        import json
+
         body = {"version": __version__, "schema_version": SCHEMA_VERSION, **payload()}
         text = json.dumps(body, sort_keys=True, indent=2) + "\n"
     elif args.format == "csv":
+        import json
+
         config = json.dumps(payload()["config"], sort_keys=True, separators=(",", ":"), default=str)
         lines = [f"# mgms {__version__} schema_version={SCHEMA_VERSION}", "# config: " + config,
                  "experiment,n,statistic,value,seed_count,config_hash"]

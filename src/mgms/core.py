@@ -21,9 +21,8 @@ kernels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 if TYPE_CHECKING:
     import numpy as np
@@ -37,19 +36,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BinaryWord:
+class BinaryWord(NamedTuple("BinaryWord", [("symbols", str)])):
     """Immutable 0/1 word with 1-based indexing, held as its string of symbols.
 
     `word[k]` returns the k-th symbol for 1 <= k <= len(word), and
-    `str(word)` is the string itself.
+    `str(word)` is the string itself.  A record of one field: equality and
+    the hash are those of the tuple (symbols,).  It keeps an instance dict
+    (no __slots__), where `array` caches itself.
     """
 
-    symbols: str
-
-    def __post_init__(self):
-        if not set(self.symbols) <= {"0", "1"}:
-            raise ValueError(f"not a 0/1 string: {self.symbols!r}")
+    def __new__(cls, symbols: str):
+        if not set(symbols) <= {"0", "1"}:
+            raise ValueError(f"not a 0/1 string: {symbols!r}")
+        return tuple.__new__(cls, (symbols,))
 
     # -- construction ------------------------------------------------------
 

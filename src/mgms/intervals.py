@@ -34,11 +34,10 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, repeat
-from typing import Union
+from typing import NamedTuple, Union
 
 Rational = Union[int, Fraction]
 Scalar = Union[int, float, Fraction]
@@ -49,18 +48,20 @@ def _to_fraction(x: Scalar) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-@dataclass(frozen=True)
-class CertifiedInterval:
-    """Closed interval [lo, hi] with exact rational endpoints."""
+class CertifiedInterval(NamedTuple("CertifiedInterval", [("lo", Fraction), ("hi", Fraction)])):
+    """Closed interval [lo, hi] with exact rational endpoints.
 
-    lo: Fraction
-    hi: Fraction
+    A record: equality and the hash are those of the tuple (lo, hi), and
+    + and * are the interval operations below, not the tuple ones.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "lo", _to_fraction(self.lo))
-        object.__setattr__(self, "hi", _to_fraction(self.hi))
-        if self.lo > self.hi:
-            raise ValueError(f"empty interval: lo={self.lo} > hi={self.hi}")
+    __slots__ = ()
+
+    def __new__(cls, lo: Scalar, hi: Scalar):
+        lo, hi = _to_fraction(lo), _to_fraction(hi)
+        if lo > hi:
+            raise ValueError(f"empty interval: lo={lo} > hi={hi}")
+        return tuple.__new__(cls, (lo, hi))
 
     @staticmethod
     def point(x: Scalar) -> "CertifiedInterval":
@@ -363,15 +364,12 @@ def _ln_ends(lo: tuple[int, int], hi: tuple[int, int]) -> tuple:
 
 
 def _ln_int(n: int) -> tuple:
-    """ln n for an integer n >= 1 as (m, e) ends at _PREC bits: floor, ceiling.
+    """ln n for an integer n >= 1 as (m, e) ends at _PREC bits: the correct floor and ceiling.
 
-    Below 2^_PREC, n enters exactly and one `_ln` gives both ends.  Past 2^_PREC n rounds
-    outward first, and each end takes its own log.
+    n enters exactly, however many bits it has, and one `_ln` gives both ends.
     """
     if n < 1:
         raise ValueError(f"need an integer n >= 1, got {n}")
-    if n.bit_length() > _PREC:
-        return _ln_ends(_round(n, 1, False), _round(n, 1, True))
     return _ln(n, 0)
 
 

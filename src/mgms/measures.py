@@ -41,9 +41,8 @@ kernels import numpy and `rng` when they are called.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional, Sequence
 
 from .analytics import p_float
 from .core import BinaryWord, block_of
@@ -66,15 +65,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LogProb:
+class LogProb(NamedTuple("LogProb", [("value", float)])):
     """Base-2 log probability; NEG_INFINITY is the exact zero sentinel."""
 
-    value: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if math.isnan(self.value) or self.value > 1e-12:
-            raise ValueError(f"log2 probability must be <= 0, got {self.value}")
+    def __new__(cls, value: float):
+        if math.isnan(value) or value > 1e-12:
+            raise ValueError(f"log2 probability must be <= 0, got {value}")
+        return tuple.__new__(cls, (value,))
 
     @property
     def is_zero(self) -> bool:
@@ -84,15 +83,15 @@ class LogProb:
         return 0.0 if self.is_zero else 2.0**self.value
 
 
-@dataclass(frozen=True)
-class MarkovParams:
+class MarkovParams(NamedTuple("MarkovParams", [("r", float)])):
     """Golden Markov measure parameter: initial law (r, 1-r), no 11 transition."""
 
-    r: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0.0 < self.r < 1.0:
-            raise ValueError(f"parameter must lie in (0,1), got {self.r}")
+    def __new__(cls, r: float):
+        if not 0.0 < r < 1.0:
+            raise ValueError(f"parameter must lie in (0,1), got {r}")
+        return tuple.__new__(cls, (r,))
 
 
 def _walk(r: float, symbols: Sequence[int]) -> float:
@@ -121,20 +120,24 @@ def markov_cylinder_logprob(params: MarkovParams, u: BinaryWord) -> LogProb:
     return LogProb(_walk(params.r, list(map(int, str(u)))))
 
 
-@dataclass(frozen=True)
-class BlockAssignment:
-    """Per-dyadic-block chain parameters p_b: p_0 = p, p_b = p + delta/b (b >= 1)."""
+class BlockAssignment(NamedTuple("BlockAssignment", [("delta", float), ("p", float)])):
+    """Per-dyadic-block chain parameters p_b: p_0 = p, p_b = p + delta/b (b >= 1).
 
-    delta: float = 0.0
-    p: float = field(default_factory=p_float)
+    p defaults to p_float().
+    """
 
-    def __post_init__(self):
-        if self.delta < 0:
-            raise ValueError(f"delta must be >= 0, got {self.delta}")
-        if not 0.0 < self.p < 1.0:
-            raise ValueError(f"p must lie in (0,1), got {self.p}")
-        if not self.p + self.delta < 1.0:
-            raise ValueError(f"p + delta must stay below 1, got {self.p + self.delta}")
+    __slots__ = ()
+
+    def __new__(cls, delta: float = 0.0, p: Optional[float] = None):
+        if p is None:
+            p = p_float()
+        if delta < 0:
+            raise ValueError(f"delta must be >= 0, got {delta}")
+        if not 0.0 < p < 1.0:
+            raise ValueError(f"p must lie in (0,1), got {p}")
+        if not p + delta < 1.0:
+            raise ValueError(f"p + delta must stay below 1, got {p + delta}")
+        return tuple.__new__(cls, (delta, p))
 
     def param(self, block: int) -> float:
         if block < 0:
@@ -184,8 +187,7 @@ def pdelta_logprob(assign: BlockAssignment, u: BinaryWord) -> LogProb:
 # -- sampling -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SampledPoint:
+class SampledPoint(NamedTuple):
     """A measure-typical prefix with its reproducibility key."""
 
     word: BinaryWord

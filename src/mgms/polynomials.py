@@ -22,14 +22,13 @@ the tests use the rest as the oracle of that closed form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .intervals import CertifiedInterval, iv_polyval
 
 
-@dataclass(frozen=True)
-class EntropyPolynomial:
+class EntropyPolynomial(NamedTuple):
     """F_k as an exact integer coefficient vector (ascending powers, degree k)."""
 
     index: int

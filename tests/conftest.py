@@ -387,12 +387,24 @@ def iv_log2_int(n: int) -> CertifiedInterval:
     return _from_iv(iv.log(iv.mpf(n)) / iv.log(iv.mpf(2)))
 
 
-def reference_dim_minkowski_enclosure(tol: float) -> CertifiedInterval:
+def exact_log2_int(n: int) -> CertifiedInterval:
+    """log2 n for an integer n >= 2 taken exactly, however many bits it has: mpmath's correctly
+    rounded 120-bit floor and ceiling of ln n, over the iv context's ln 2.  Below 2^120 this is
+    `iv_log2_int`; past it `iv_log2_int` rounds n outward to 120 bits first."""
+    from mpmath.libmp import from_int, mpf_log, round_ceiling, round_floor
+
+    iv = _iv()
+    x = from_int(n)
+    ln_n = iv.make_mpf((mpf_log(x, 120, round_floor), mpf_log(x, 120, round_ceiling)))
+    return _from_iv(ln_n / iv.log(iv.mpf(2)))
+
+
+def reference_dim_minkowski_enclosure(tol: float, log2_int=exact_log2_int) -> CertifiedInterval:
     """sum_{k<=K} 2^-(k+1) log2 F_{k+1} as one CertifiedInterval per term, plus the tail."""
     K = _minkowski_K(tol)
     acc = CertifiedInterval.point(0)
     for k in range(1, K + 1):
-        acc = acc + iv_log2_int(fibonacci(k + 1)) * Fraction(1, 2 ** (k + 1))
+        acc = acc + log2_int(fibonacci(k + 1)) * Fraction(1, 2 ** (k + 1))
     return CertifiedInterval(acc.lo, acc.hi + Fraction(K + 2, 2 ** (K + 1)))
 
 

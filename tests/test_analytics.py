@@ -50,6 +50,7 @@ from conftest import (
     iter_multiplicative_prefixes,
     iv_entropy_nat,
     iv_ln_ratio,
+    iv_log2_int,
     near_tau_gamma_reference,
     reference_derivative_partials,
     reference_dim_minkowski_enclosure,
@@ -115,6 +116,19 @@ class TestCubicRoot:
         for width in (*(Fraction(1, 2**j) for j in range(1, 401)), 1.0, 0.07, 1e-300):
             got, ref = solve_p(width), integer_bisection_p(width)
             assert (got.lo, got.hi) == (ref.lo, ref.hi), width
+
+    @pytest.mark.parametrize("width", [
+        Fraction(1, 2**80), 1, Fraction(1, 10), Fraction(1, 3), 1e-300, 5e-324, Fraction(1, 10**1000),
+    ])
+    def test_denominator_is_the_doubling_loops(self, width):
+        # D = 10 * 2^j from bit lengths is the D that doubling from 10 while 1/D > width
+        # reached (1 and 1/10 keep D = 10), and N the one bisection at that D finds
+        w, den = Fraction(width), 10
+        while w.numerator * den < w.denominator:
+            den *= 2
+        got, ref = solve_p(width), integer_bisection_p(width)
+        assert got.hi - got.lo == Fraction(1, den)
+        assert (got.lo, got.hi) == (ref.lo, ref.hi)
 
     @pytest.mark.parametrize("width", [math.nan, math.inf, -math.inf, 0, 0.0, -1e-3, Fraction(-1, 2)])
     def test_bad_width_rejected(self, width):
@@ -248,10 +262,16 @@ class TestDimensions:
 
     @pytest.mark.parametrize("tol", [1e-2, 1e-3, 1e-6, 1e-30, 1e-60, 1e-100, 5e-324])
     def test_minkowski_enclosure_equals_interval_per_term(self, tol):
-        # at 1e-60 and below the Fibonacci numbers pass the 120-bit mpmath precision,
-        # where each end of ln F_{k+1} takes its own log
+        # at 1e-60 and below the Fibonacci numbers pass 2^120 and still enter exactly:
+        # each term's ends are the correctly rounded ends of ln F_{k+1}
         got, ref = dim_minkowski_enclosure(tol), reference_dim_minkowski_enclosure(tol)
         assert (got.lo, got.hi) == (ref.lo, ref.hi)
+
+    @pytest.mark.parametrize("tol", [1e-60, 1e-100, 5e-324])
+    def test_exact_entry_nests_inside_the_rounded_one(self, tol):
+        # F_{k+1} past 2^120 rounded outward to 120 bits, each end with its own log, gave a wider enclosure
+        got, wide = dim_minkowski_enclosure(tol), reference_dim_minkowski_enclosure(tol, iv_log2_int)
+        assert wide.lo < got.lo and got.hi <= wide.hi
 
     @pytest.mark.parametrize("tol", [5e-324, 1e-322, 2e-321, 1e-320, 1e-6])
     def test_minkowski_cutoff_is_exact(self, tol):

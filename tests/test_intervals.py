@@ -245,18 +245,17 @@ def test_bridge_rejects_bad_domains(fn):
 
 
 def test_one_log_per_integer_gives_mpmath_ceiling():
-    # below 2^_PREC one `_ln` gives both ends of ln n (n >= 2), the ceiling as the successor
-    # of the floor; both must be mpmath's own for every integer the package logs there:
-    # F_{k+1} (Minkowski terms) and k up to 20000 (tau_gamma weights)
-    from mpmath.libmp import from_int, mpf_log, mpi_log, round_ceiling, round_floor
-    fibs = [fibonacci(k + 1) for k in range(1, 200) if fibonacci(k + 1) < 2**_PREC]
-    assert len(fibs) > 160
-    for n in (*fibs, *range(2, 20001)):
+    # one `_ln` gives both ends of ln n, the ceiling as the successor of the floor (n >= 2) and
+    # ln 1 = 0 exactly; both must be mpmath's correctly rounded ends for every integer the package
+    # logs: F_{k+1} (Minkowski terms), past 2^_PREC from k = 173 on and still entered exactly,
+    # and k up to 20000 (tau_gamma weights)
+    from mpmath.libmp import from_int, mpf_log, round_ceiling, round_floor
+    fibs = [fibonacci(k + 1) for k in range(1, 200)]
+    assert sum(n >= 2**_PREC for n in fibs) > 20
+    for n in (*fibs, *range(1, 20001), 2**_PREC + 1, 3**200):
         x = from_int(n)
         ends = [mpmath_value(mpf_log(x, _PREC, rnd)) for rnd in (round_floor, round_ceiling)]
         assert list(map(value, _ln_int(n))) == ends, n
-    for n in (1, 2**_PREC + 1, fibonacci(200), 3**200):  # ln 1 = 0 exactly; past 2^_PREC, two logs
-        assert list(map(value, _ln_int(n))) == list(map(mpmath_value, mpi_log(_iv().mpf(n)._mpi_, _PREC))), n
 
 
 @pytest.mark.parametrize("n", [0, -1, -3, -(2**130)])

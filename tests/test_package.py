@@ -8,9 +8,11 @@ import inspect
 import json
 import os
 import pkgutil
+import math
 import random
 import sys
 import types
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -81,31 +83,35 @@ assert "numpy" not in sys.modules
 # plain output builds no JSON or CSV, so it computes no config hash: the absent-check
 # matches by dotted prefix, which does not cover the underscore name
 NO_HASH = ["hashlib", "_hashlib"]
+# the records of the numpy-free paths are tuples, and plain output writes no JSON: no
+# dataclasses, with the inspect, ast and dis it loads, and no json
+NO_RECORD_MACHINERY = ["dataclasses", "inspect", "json"]
 
 # test id: (argv of a fresh process, modules it must not load, modules it must load)
 IMPORT_BUDGET = {
-    "word ops": (["-c", WORD_OPS], ["numpy"], ["mgms.core"]),
+    "word ops": (["-c", WORD_OPS], ["numpy", *NO_RECORD_MACHINERY], ["mgms.core"]),
     # the certified logarithms are integer code: neither the constants nor lower's tau bound load mpmath
-    "dims": (["-m", "mgms.cli", "dims"], ["numpy", "mpmath"], ["mgms.analytics"]),
-    "tau": (["-m", "mgms.cli", "tau"], ["numpy", "mpmath"], ["mgms.analytics"]),
+    "dims": (["-m", "mgms.cli", "dims"], ["numpy", "mpmath", *NO_RECORD_MACHINERY], ["mgms.analytics"]),
+    "tau": (["-m", "mgms.cli", "tau"], ["numpy", "mpmath", *NO_RECORD_MACHINERY], ["mgms.analytics"]),
     "experiment lower": (["-m", "mgms.cli", "experiment", "lower", "--seed", "1", "--seeds", "2",
                           "--n-grid", "16,64,256"], ["mpmath", *NO_HASH], ["mgms.analytics", "numpy"]),
     "experiment boxdim": (["-m", "mgms.cli", "experiment", "boxdim", "--n-grid", "16,1024,65536"],
-                          ["numpy", "mpmath", *NO_HASH], ["mgms.analytics"]),
+                          ["numpy", "mpmath", *NO_HASH, *NO_RECORD_MACHINERY], ["mgms.analytics"]),
     "experiment boxdim json": (["-m", "mgms.cli", "experiment", "boxdim", "--n-grid", "16,1024",
-                                "--format", "json"], ["numpy", "mpmath"], ["mgms.analytics", "hashlib"]),
+                                "--format", "json"], ["numpy", "mpmath"], ["mgms.analytics", "hashlib", "json"]),
     # either exponent is a float: s = -log2 p_float(), dim_M a Fibonacci sum
     "experiment cover": (["-m", "mgms.cli", "experiment", "cover", "--exponent", "dimm",
-                          "--n-grid", "1024,16384"], ["numpy", "mpmath", *NO_HASH], ["mgms.analytics"]),
+                          "--n-grid", "1024,16384"], ["numpy", "mpmath", *NO_HASH, *NO_RECORD_MACHINERY],
+                         ["mgms.analytics"]),
     "experiment cover s": (["-m", "mgms.cli", "experiment", "cover", "--n-grid", "1024,16384"],
-                           ["numpy", "mpmath", *NO_HASH], ["mgms.analytics"]),
+                           ["numpy", "mpmath", *NO_HASH, *NO_RECORD_MACHINERY], ["mgms.analytics"]),
     # the scalar chain walk reads the word as a string
     "measure --pdelta": (["-m", "mgms.cli", "measure", "--pdelta", "0.05", "0100100010"],
-                         ["numpy", "mpmath"], ["mgms.measures"]),
+                         ["numpy", "mpmath", *NO_RECORD_MACHINERY], ["mgms.measures"]),
     "measure --pmu": (["-m", "mgms.cli", "measure", "--pmu", "0100100010"],
-                      ["numpy", "mpmath"], ["mgms.measures"]),
+                      ["numpy", "mpmath", *NO_RECORD_MACHINERY], ["mgms.measures"]),
     "measure --mu": (["-m", "mgms.cli", "measure", "--mu", "0.3", "0100100010"],
-                     ["numpy", "mpmath"], ["mgms.measures"]),
+                     ["numpy", "mpmath", *NO_RECORD_MACHINERY], ["mgms.measures"]),
     "experiment telescope": (["-m", "mgms.cli", "experiment", "telescope", "--seed", "1", "--ell-max", "8"],
                              ["mpmath", *NO_HASH], ["mgms.experiments", "numpy"]),
     "experiment telescope csv": (["-m", "mgms.cli", "experiment", "telescope", "--seed", "1",
@@ -132,6 +138,92 @@ def test_entry_points_load_no_submodule(argv):
     loaded = loaded_modules(argv)
     assert "mgms" in loaded
     assert [m for m in loaded if m.startswith("mgms.")] == []
+    assert "json" not in loaded
+
+
+# -- the records: tuples that read, compare and hash as the frozen dataclasses they were ----
+
+def _records():
+    from mgms.analytics import Gauge, GaugeFamily, TauCertificate, p_float
+    from mgms.core import BinaryWord
+    from mgms.intervals import CertifiedInterval
+    from mgms.measures import BlockAssignment, LogProb, MarkovParams, SampledPoint, sample_point
+    from mgms.polynomials import EntropyPolynomial, entropy_poly
+
+    p = p_float()
+    point = CertifiedInterval.point(Fraction(159, 2048))
+    descriptor = (("delta", 0.05), ("measure", "P_delta"), ("p", p))
+    # id: (record, an equal one built another way, an unequal one, its field values, a field,
+    #      its repr and hash as the dataclass gave them (None where a str, an enum or None in it
+    #      makes the hash vary from process to process), bad builds with their ValueError texts)
+    return {
+        "BinaryWord": (BinaryWord("010010"), BinaryWord.from_bits([0, 1, 0, 0, 1, 0]), BinaryWord("01001"),
+                       ("010010",), "symbols", "BinaryWord('010010')", None,
+                       [(lambda: BinaryWord("012"), "not a 0/1 string: '012'")]),
+        "CertifiedInterval": (
+            CertifiedInterval(Fraction(1, 3), 0.5), CertifiedInterval(lo=Fraction(1, 3), hi=Fraction(1, 2)),
+            CertifiedInterval.point(Fraction(1, 3)), (Fraction(1, 3), Fraction(1, 2)), "lo",
+            "CertifiedInterval(lo=Fraction(1, 3), hi=Fraction(1, 2))", -2843216766309380078,
+            [(lambda: CertifiedInterval(1, 0), "empty interval: lo=1 > hi=0")]),
+        "TauCertificate": (
+            TauCertificate(CertifiedInterval(1, 2), point, Fraction(7, 9), "POSITIVE"),
+            TauCertificate(partial_12=CertifiedInterval(1, 2), tail_bound=point, margin=Fraction(7, 9),
+                           sign="POSITIVE"),
+            TauCertificate(CertifiedInterval(1, 2), point, Fraction(7, 8), "POSITIVE"),
+            (CertifiedInterval(1, 2), point, Fraction(7, 9), "POSITIVE"), "margin",
+            "TauCertificate(partial_12=CertifiedInterval(lo=Fraction(1, 1), hi=Fraction(2, 1)), "
+            "tail_bound=CertifiedInterval(lo=Fraction(159, 2048), hi=Fraction(159, 2048)), "
+            "margin=Fraction(7, 9), sign='POSITIVE')", None, []),
+        "Gauge": (Gauge.phi_gamma(0.002, 0.5, 0.75), Gauge(GaugeFamily.PHI_GAMMA, 0.75, c=0.002, gamma=0.5),
+                  Gauge.phi(0.002, 0.75), (GaugeFamily.PHI_GAMMA, 0.75, 0.002, None, 0.5), "s",
+                  "Gauge(family=<GaugeFamily.PHI_GAMMA: 'phi_gamma'>, s=0.75, c=0.002, theta=None, gamma=0.5)",
+                  None, [(lambda: Gauge.phi(-1.0), "coefficient must be positive, got -1.0"),
+                         (lambda: Gauge.phi_gamma(0.1, 0.0), "need c > 0 and gamma > 0")]),
+        "EntropyPolynomial": (entropy_poly(3), EntropyPolynomial(3, (2, 2, -1, 1)), entropy_poly(2),
+                              (3, (2, 2, -1, 1)), "coeffs", "EntropyPolynomial(index=3, coeffs=(2, 2, -1, 1))",
+                              -7082048156770163579, [(lambda: entropy_poly(-1), "index must be >= 0, got -1")]),
+        "LogProb": (LogProb(-1.5), LogProb(value=-1.5), LogProb(-math.inf), (-1.5,), "value",
+                    "LogProb(value=-1.5)", -5159742379068131841,
+                    [(lambda: LogProb(0.5), "log2 probability must be <= 0, got 0.5"),
+                     (lambda: LogProb(math.nan), "log2 probability must be <= 0, got nan")]),
+        "MarkovParams": (MarkovParams(0.25), MarkovParams(r=0.25), MarkovParams(0.5), (0.25,), "r",
+                         "MarkovParams(r=0.25)", 2443369451713584472,
+                         [(lambda: MarkovParams(1.0), "parameter must lie in (0,1), got 1.0")]),
+        "BlockAssignment": (
+            BlockAssignment(0.05), BlockAssignment(delta=0.05, p=p), BlockAssignment(), (0.05, p), "p",
+            "BlockAssignment(delta=0.05, p=0.5698402909980532)", 4510324737823726440,
+            [(lambda: BlockAssignment(-0.1), "delta must be >= 0, got -0.1"),
+             (lambda: BlockAssignment(0.0, 1.5), "p must lie in (0,1), got 1.5"),
+             (lambda: BlockAssignment(0.6), "p + delta must stay below 1, got 1.1698402909980532")]),
+        "SampledPoint": (
+            sample_point(BlockAssignment(0.05), 10, 3), SampledPoint(BinaryWord("0100100000"), 3, descriptor),
+            SampledPoint(BinaryWord("0100100000"), 4, descriptor), (BinaryWord("0100100000"), 3, descriptor),
+            "word", "SampledPoint(word=BinaryWord('0100100000'), seed=3, descriptor=(('delta', 0.05), "
+            "('measure', 'P_delta'), ('p', 0.5698402909980532)))", None, []),
+    }
+
+
+@pytest.mark.parametrize("name", list(_records()))
+def test_record_reads_compares_and_hashes_as_before(name):
+    record, equal, unequal, values, field, text, digest, bad = _records()[name]
+    assert type(record).__name__ == name and repr(record) == text
+    assert record == equal and record != unequal
+    assert hash(record) == hash(equal) == hash(values)  # a frozen dataclass hashed its field tuple
+    if digest is not None:
+        assert hash(record) == digest
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(unequal, field))
+    for build, message in bad:
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == message
+
+
+def test_binary_word_caches_its_array():
+    from mgms.core import BinaryWord
+
+    word = BinaryWord("0110")
+    assert word.array is word.array and word.array.tolist() == [0, 1, 1, 0]
 
 
 # sha256 of the endpoints of tau_gamma(0.5, 20).value as "lo_num/lo_den\nhi_num/hi_den\n",
