@@ -13,11 +13,13 @@ mildly corrected gauges, zero for stronger corrections).
 
 The names below resolve on first access (PEP 562), so `import mgms` loads no
 submodule and `from mgms import X` loads only the submodule that defines X.
-numpy loads with `rng`, `experiments`, the first sampler or batch kernel
-of `measures`, or `core`'s array bridge `BinaryWord.from_array` and
-`BinaryWord.array`; mpmath loads only with the exps of `tau_gamma`'s
-weights and with the Student-t quantile of the `ldev2` fit, since every
-certified logarithm is integer code.
+numpy loads with `experiments`, the batch sampler and kernels of
+`measures` (which `telescoping` calls only past 2^17 symbols), the first
+vectorized fold of `rng`, or `core`'s array bridge `BinaryWord.from_array`
+and `BinaryWord.array`; `measures.sample_point` and the scalar folds of
+`rng` run on Python ints.  mpmath loads only with the exps of
+`tau_gamma`'s weights and with the Student-t quantile of the `ldev2` fit,
+since every certified logarithm is integer code.
 """
 
 __version__ = "0.1.0"
@@ -34,7 +36,7 @@ _EXPORTS = {
     "core": ("BinaryWord", "fibonacci"),
     "experiments": (
         "DeviationReport", "TrajectoryReport", "Verdict", "density_trajectory", "hoeffding_check",
-        "lower_bound_trajectory", "upper_bound_telescoping", "zero_count_deviation_check",
+        "lower_bound_trajectory", "zero_count_deviation_check",
     ),
     "intervals": ("CertifiedInterval",),
     "measures": (
@@ -42,6 +44,7 @@ _EXPORTS = {
         "pdelta_logprob", "sample_point",
     ),
     "polynomials": ("EntropyPolynomial", "entropy_poly"),
+    "telescoping": ("upper_bound_telescoping",),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 _SUBMODULES = (*_EXPORTS, "rng")

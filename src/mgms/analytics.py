@@ -83,6 +83,7 @@ __all__ = [
     "covering_sum",
     "box_dimension_estimate",
     "config_hash",
+    "Verdict",
     "SCHEMA_VERSION",
     "DEFAULT_N_GRID",
 ]
@@ -692,3 +693,27 @@ def config_hash(config: dict) -> str:
 
     blob = json.dumps(config, sort_keys=True, separators=(",", ":"), default=str)
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
+
+
+# -- what the experiment reports share ------------------------------------------
+
+
+class Verdict:
+    INCREASING = "INCREASING"
+    DECREASING = "DECREASING"
+    INCONCLUSIVE = "INCONCLUSIVE"
+    BOUNDED = "BOUNDED"
+    UNBOUNDED = "UNBOUNDED"
+
+
+class _Report:
+    """What every experiment report shares: its config hash and JSON header."""
+
+    __slots__ = ()  # so a NamedTuple report keeps no instance dict
+
+    @property
+    def hash(self) -> str:
+        return config_hash(self.config)
+
+    def _json(self, **body) -> dict:
+        return {"schema_version": SCHEMA_VERSION, "config": self.config, "config_hash": self.hash, **body}

@@ -29,11 +29,14 @@ those: `dims`, `tau`, `measure`, `experiment boxdim` and `cover` load
 neither numpy nor mpmath (the certified logarithms are integer code), and,
 in plain output, neither dataclasses (with the inspect, ast and dis it
 pulls in) nor json: their records are tuples (`typing.NamedTuple`) and
-only --format json and csv import json;
-`telescope`, `density`, `hoeffding` and `lower` load numpy but not
-mpmath (an s-gauge takes the float s = -log2 p, and `lower`'s tau bound
-is certified without it); `ldev2` loads both, for the Student-t
-quantile; `--version` loads no other mgms module, and no json.
+only --format json and csv import json.  So does `telescope` up to
+--ell-max 17 (the default is 16), which imports only `mgms.telescoping`:
+the scalar sampler draws its one word; past that it loads numpy for the
+batch sampler, but not the experiments module.  `density`, `hoeffding`
+and `lower` load numpy and dataclasses but not mpmath (an s-gauge takes
+the float s = -log2 p, and `lower`'s tau bound is certified without it);
+`ldev2` loads both, for the Student-t quantile; `--version` loads no
+other mgms module, and no json.
 """
 
 from __future__ import annotations
@@ -302,6 +305,12 @@ def cmd_experiment(args) -> int:
                              extra={"gauge": gauge.describe()})
     if kind == "boxdim":
         return _write_series("boxdim", {n: box_dimension_estimate(n) for n in n_grid}, args, extra={})
+    # one sampled word: the scalar sampler up to 2^17 symbols, numpy only past that
+    if kind == "telescope":
+        from .telescoping import upper_bound_telescoping
+
+        exponent = _telescope_g(args.g, args.ell_max)
+        return _write_report(args, _checked(upper_bound_telescoping, exponent, args.ell_max, args.seed))
 
     from .experiments import (
         DEFAULT_EPSILON,
@@ -312,7 +321,6 @@ def cmd_experiment(args) -> int:
         deviation_threshold,
         hoeffding_check,
         lower_bound_trajectory,
-        upper_bound_telescoping,
         zero_count_deviation_check,
     )
     from .measures import BlockAssignment
@@ -325,9 +333,6 @@ def cmd_experiment(args) -> int:
         report = _checked(density_trajectory, measure, _gauge(args), n_grid, seeds)
     elif kind == "lower":
         report = _checked(lower_bound_trajectory, args.delta, args.c, n_grid, seeds)
-    elif kind == "telescope":
-        exponent = _telescope_g(args.g, args.ell_max)
-        report = _checked(upper_bound_telescoping, exponent, args.ell_max, args.seed)
     elif kind == "hoeffding":
         dist = (Rademacher() if args.distribution == "rademacher"
                 else CenteredChainLogMass(args.k, BlockAssignment(0.0).p))
@@ -347,7 +352,11 @@ def cmd_experiment(args) -> int:
         if args.n_grid is not None:
             kwargs["n_grid"] = n_grid
         report = zero_count_deviation_check(**kwargs)
+    return _write_report(args, report)
 
+
+def _write_report(args, report) -> int:
+    """Write an experiment report; with --out, its summary line goes to stdout too."""
     summary = report.summary_line()
     _write(args, summary + "\n", report.to_json_dict, report.to_csv_rows)
     if args.out:

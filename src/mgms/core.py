@@ -102,6 +102,10 @@ class BinaryWord(NamedTuple("BinaryWord", [("symbols", str)])):
     def __str__(self) -> str:
         return self.symbols
 
+    def __getnewargs__(self) -> tuple[str]:
+        # copy and pickle rebuild the word from this; the tuple's own reads the word through __iter__
+        return (self.symbols,)
+
     def __repr__(self) -> str:
         return f"BinaryWord({self.symbols!r})"
 

@@ -37,6 +37,8 @@ from .analytics import (
     DEFAULT_N_GRID,
     SCHEMA_VERSION,
     Gauge,
+    Verdict,
+    _Report,
     box_dimension_estimate,
     config_hash,
     covering_sum,
@@ -55,6 +57,7 @@ from .measures import (
     zero_count_from_bits,
 )
 from .rng import threshold
+from .telescoping import TelescopingReport, upper_bound_telescoping
 
 __all__ = [
     "Verdict",
@@ -157,25 +160,6 @@ def deviation_threshold(n: int, epsilon: float = DEFAULT_EPSILON) -> float:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     return float(n) ** (-epsilon)
-
-
-class _Report:
-    """What every experiment report shares: its config hash and JSON header."""
-
-    @property
-    def hash(self) -> str:
-        return config_hash(self.config)
-
-    def _json(self, **body) -> dict:
-        return {"schema_version": SCHEMA_VERSION, "config": self.config, "config_hash": self.hash, **body}
-
-
-class Verdict:
-    INCREASING = "INCREASING"
-    DECREASING = "DECREASING"
-    INCONCLUSIVE = "INCONCLUSIVE"
-    BOUNDED = "BOUNDED"
-    UNBOUNDED = "UNBOUNDED"
 
 
 @dataclass(frozen=True)
@@ -385,122 +369,6 @@ def lower_bound_trajectory(
                    inconclusive_reason=reason)
 
 
-# -- telescoping upper-bound diagnostic ------------------------------------------
-
-
-@dataclass(frozen=True)
-class TelescopingReport(_Report):
-    """Dyadic-scale increments b_j and their telescoped partial sums."""
-
-    ell_max: int
-    seed: int
-    exponent: float                      # g(t) = t^exponent
-    b: tuple[float, ...]                 # b_1..b_ell
-    partial_sums: tuple[float, ...]
-    closed_forms: tuple[float, ...]
-    max_identity_gap: float
-    inverse_g_partials: tuple[float, ...]
-    divergence_flag: str
-    config: dict
-
-    def to_json_dict(self) -> dict:
-        return self._json(
-            experiment="telescope",
-            b=list(self.b),
-            partial_sums=list(self.partial_sums),
-            closed_forms=list(self.closed_forms),
-            max_identity_gap=self.max_identity_gap,
-            inverse_g_partials=list(self.inverse_g_partials),
-            divergence_flag=self.divergence_flag,
-        )
-
-    def to_csv_rows(self) -> list[tuple]:
-        h = self.hash
-        rows = []
-        for j, bj in enumerate(self.b, start=1):
-            rows.append(("telescope", 2**j, "b_j", bj, 1, h))
-            rows.append(("telescope", 2**j, "partial_sum", self.partial_sums[j - 1], 1, h))
-        rows.append(("telescope", 2**self.ell_max, "max_identity_gap", self.max_identity_gap, 1, h))
-        return rows
-
-    def summary_line(self) -> str:
-        return (
-            f"telescope: sum 1/g {self.divergence_flag}, "
-            f"max telescoping gap {self.max_identity_gap:.3g}, "
-            f"partial sum b_1..b_{self.ell_max} = {self.partial_sums[-1]:.4f}"
-        )
-
-
-def upper_bound_telescoping(exponent: float, ell_max: int, seed: int) -> TelescopingReport:
-    """Evaluate b_j = [log2 P_mu[x_1^(2^j)] - log2 psi_g(2^-2^j)] / 2^j dyadically,
-    for g(t) = t^exponent.
-
-    The half-word identity gives
-    b_j = (s/2)(N0(x_1^(2^j))/2^j - N0(x_1^(2^(j-1)))/2^(j-1))
-    + 1/((ln 2) g(j)), and partial sums telescope to
-    (s/2)(N0(x_1^(2^ell))/2^ell - N0(x_1^1)) + sum_j 1/((ln 2) g(j)),
-    which diverges to +infinity exactly when sum 1/g does (the zero-count
-    bracket stays bounded).  Both the telescoping identity and the direct
-    measure-vs-gauge evaluation of b_j are checked numerically at every
-    scale.  The divergence flag is exact: sum_j j^-e diverges if and only
-    if e <= 1 (the integral test).
-    """
-    exponent = float(exponent)
-    if not math.isfinite(exponent):
-        raise ValueError(f"exponent must be finite, got {exponent}")
-    if ell_max < 2:
-        raise ValueError(f"need ell_max >= 2, got {ell_max}")
-    n_max = 2**ell_max
-    measure = BlockAssignment(delta=0.0)
-    bits = sample_bits_batch(measure, n_max, seed, np.array([0]))
-    s = s_float()
-    ln2 = math.log(2)
-    n0 = zero_count_from_bits(bits, [2**j for j in range(ell_max + 1)])[0].tolist()
-    gauge = Gauge.psi_g(exponent)
-    # log-masses at n = 4..2^ell (gauge domain; j = 1 is covered by the closed form)
-    lps = logprob_prefix_grid(measure, bits, [2**j for j in range(2, ell_max + 1)])[0]
-    b = []
-    direct_gaps = []
-    closed = []
-    inv_g = []
-    acc = 0.0
-    for j in range(1, ell_max + 1):
-        nj = 2**j
-        g = float(j) ** exponent
-        if g <= 0:
-            raise ValueError(f"g({j}) must be positive, got {g}")
-        inc = 1.0 / (ln2 * g)
-        b.append((s / 2.0) * (n0[j] / 2**j - n0[j - 1] / 2 ** (j - 1)) + inc)
-        if j >= 2:
-            direct_gaps.append(abs(b[-1] - (lps[j - 2] - gauge_log2(gauge, nj)) / nj))
-        acc += inc
-        inv_g.append(acc)
-        closed.append((s / 2.0) * (n0[j] / 2**j - n0[0]) + acc)
-    partials = np.cumsum(b)
-    gaps = [abs(partials[j] - closed[j]) for j in range(ell_max)]
-    gaps += direct_gaps
-    max_gap = float(max(gaps))
-
-    config = {
-        "experiment": "telescope",
-        "g": "t" if exponent == 1 else f"t^{int(exponent) if exponent.is_integer() else exponent!r}",
-        "ell_max": ell_max,
-        "seed": seed,
-    }
-    return TelescopingReport(
-        ell_max=ell_max,
-        seed=seed,
-        exponent=exponent,
-        b=tuple(float(x) for x in b),
-        partial_sums=tuple(float(x) for x in partials),
-        closed_forms=tuple(float(x) for x in closed),
-        max_identity_gap=max_gap,
-        inverse_g_partials=tuple(float(x) for x in inv_g),
-        divergence_flag=Verdict.UNBOUNDED if exponent <= 1 else Verdict.BOUNDED,
-        config=config,
-    )
-
-
 # -- deviation checks --------------------------------------------------------------
 
 
@@ -567,8 +435,8 @@ class Rademacher:
     def sample_sums(self, seed: int, trials: np.ndarray, n: int) -> np.ndarray:
         out = np.zeros(len(trials), dtype=np.float64)
         # level 0 of n chains at 1/2, 8192 summands a block: one trial's temporaries stay near 0.25 MiB
-        for rows, _, (one,) in _chain_walk(seed, trials, range(n), np.array([threshold(0.5)]),
-                                           np.broadcast_to(0, (n,)), [n], 8192):
+        half = np.array([threshold(0.5)], dtype=np.uint64)
+        for rows, _, (one,) in _chain_walk(seed, trials, range(n), half, np.broadcast_to(0, (n,)), [n], 8192):
             out[rows] += 2 * np.count_nonzero(one, axis=1) - one.shape[1]  # a 1 is +1: the exact sum
         return out
 
@@ -618,7 +486,7 @@ class CenteredChainLogMass:
         """Sum of n independent centered log-masses per trial: k levels of n chains."""
         # cost of a symbol at 2 prev + sym: free 0, free 1, 0 forced by a 1
         table = np.array([math.log2(self.r), math.log2(1.0 - self.r), 0.0])
-        one_below = np.array([threshold(1.0 - self.r)])
+        one_below = np.array([threshold(1.0 - self.r)], dtype=np.uint64)
         H = self.entropy
         out = np.zeros(len(trials), dtype=np.float64)
         for rows, _, levels in _chain_walk(seed, trials, range(n), one_below, np.broadcast_to(0, (n,)),

@@ -1,6 +1,8 @@
 """Word combinatorics, chain decomposition, and exact counting."""
 
+import copy
 import math
+import pickle
 import random
 
 import pytest
@@ -119,6 +121,13 @@ class TestBinaryWord:
         u = BinaryWord.from_bits(bits)
         assert list(u) == bits
         assert u.count_ones() == sum(bits)
+
+    @pytest.mark.parametrize("s", ["", "0", "0101", "0110" * 40])
+    def test_copy_and_pickle_round_trip(self, s):
+        # a tuple record rebuilds from __getnewargs__, which would read the word through __iter__
+        u = BinaryWord(s)
+        for twin in (copy.copy(u), copy.deepcopy(u), pickle.loads(pickle.dumps(u))):
+            assert type(twin) is BinaryWord and twin == u and twin.symbols == s
 
 
 class TestAdmissibility:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from mgms import experiments
+from mgms import experiments, telescoping
 from mgms.analytics import (
     Gauge,
     dim_minkowski,
@@ -195,6 +195,9 @@ class TestTelescoping:
     FROZEN = [
         (1, 12, 3, "092b3d43d79a5bfa9c7132c62312ca5c48166994fd6e4cd1501c17dc50b30546"),
         (2, 16, 5, "5f7167f24eafa36b6881ef70096f40fad7bdf15d4491692827ca84a55094c534"),
+        # the largest scalar word, and one past it: both as the batch kernels computed them
+        (1, 17, 7, "2dd548e5d18c3fa889e00e32cd4963c73659c0e69198fb4490ea3096034b4268"),
+        (1.5, 18, 2, "8de091a637f3db2aee53e1b2e198a3c66d8afc0cbcc2249fc43883eb90970d57"),
     ]
 
     @pytest.mark.parametrize("exponent, ell_max, seed, digest", FROZEN)
@@ -202,6 +205,37 @@ class TestTelescoping:
         rep = upper_bound_telescoping(exponent, ell_max, seed)
         text = json.dumps(rep.to_json_dict(), sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    # the two sources of N0 and the log-masses: the scalar sampler with one pass over its word,
+    # and the batch sampler with the numpy kernels, which sums the same costs in the same order
+    @pytest.mark.parametrize("seed", [0, 1, 9, -3])
+    def test_scalar_and_batch_counts_are_identical(self, seed):
+        measure = BlockAssignment(0.0)
+        for ell_max in range(2, 19):
+            assert telescoping._scalar_counts(measure, ell_max, seed) == \
+                telescoping._batch_counts(measure, ell_max, seed)
+
+    @pytest.mark.parametrize("exponent", [0.5, 1, 1.5, 2])
+    @pytest.mark.parametrize("ell_max", [2, 5, 12, 16, 17])
+    def test_report_does_not_depend_on_the_sampler(self, exponent, ell_max, monkeypatch):
+        scalar = upper_bound_telescoping(exponent, ell_max, seed=3)
+        monkeypatch.setattr(telescoping, "_SCALAR_ELL_MAX", 1)
+        assert upper_bound_telescoping(exponent, ell_max, seed=3) == scalar
+
+    def test_only_small_words_take_the_scalar_sampler(self, monkeypatch):
+        taken = []
+
+        def source(name):
+            def counts(measure, ell_max, seed):
+                taken.append((name, ell_max))
+                return [0] * (ell_max + 1), [0.0] * (ell_max + 1)
+            return counts
+
+        for name in ("_scalar_counts", "_batch_counts"):
+            monkeypatch.setattr(telescoping, name, source(name))
+        for ell_max in (2, 17, 18):
+            upper_bound_telescoping(1, ell_max, seed=0)
+        assert taken == [("_scalar_counts", 2), ("_scalar_counts", 17), ("_batch_counts", 18)]
 
 
 class TestHoeffding:

@@ -85,6 +85,21 @@ def inline_pdelta_logprob(assign: BlockAssignment, u: BinaryWord) -> LogProb:
     return LogProb(total)
 
 
+def reference_sample_point(assign, n, seed):
+    """The chain-by-chain walk that sample_point packs into lanes: one fold per
+    draw, compared as a double."""
+    trial_key = fold(fold(0, int(seed)), 0)
+    out = ["0"] * n
+    for i in range(1, n + 1, 2):
+        one_prob = 1.0 - assign.param(block_of(i))
+        key = fold(trial_key, i)
+        prev = "0"
+        for t in range((n // i).bit_length()):  # positions i 2^t <= n
+            prev = "1" if prev == "0" and (fold(key, t) >> 11) * 2.0**-53 < one_prob else "0"
+            out[(i << t) - 1] = prev
+    return "".join(out)
+
+
 # Fancy-index forms of the batch sampler and the log-mass grid, kept as
 # oracles: sample_bits_batch and logprob_prefix_grid must equal them bit for bit.
 
@@ -412,6 +427,28 @@ class TestSampling:
         longer = sample_point(a, 400, seed=11)
         assert str(longer.word)[:257] == str(pt.word)
         assert pt.descriptor == longer.descriptor
+
+    # lengths on both sides of the powers of two and of the first two packed blocks of chains
+    @pytest.mark.parametrize("delta", [0.0, 0.03, 0.3])
+    def test_sample_point_equals_the_chain_walk(self, delta):
+        a = BlockAssignment(delta)
+        for n in (1, 2, 3, 4, 5, 7, 8, 9, 97, 1000, 8191, 8192, 8193, 8195, 2**14 + 3):
+            for seed in (0, 5, -7, 2**64 + 3):
+                assert str(sample_point(a, n, seed).word) == reference_sample_point(a, n, seed)
+
+    @pytest.mark.parametrize("lanes", [1, 2, 3, 7])
+    def test_any_number_of_lanes_draws_the_same_word(self, lanes, monkeypatch):
+        monkeypatch.setattr(measures, "_LANES", lanes)
+        a = BlockAssignment(0.05)
+        for n in (1, 2, 5, 16, 63, 64, 65, 200):
+            assert str(sample_point(a, n, 11).word) == reference_sample_point(a, n, 11)
+
+    # telescope draws up to 2^17 symbols with the scalar sampler, more with the batch one
+    @pytest.mark.parametrize("delta", [0.0, 0.05])
+    def test_sample_point_is_batch_row_zero_at_2_16(self, delta):
+        a = BlockAssignment(delta)
+        bits = sample_bits_batch(a, 2**16, seed=5, trials=np.array([0]))
+        assert (bits[0, 1:] + ord("0")).tobytes().decode() == str(sample_point(a, 2**16, seed=5).word)
 
     def test_sample_point_differs_across_seeds(self):
         a = BlockAssignment(delta=0.0)

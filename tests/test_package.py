@@ -112,11 +112,16 @@ IMPORT_BUDGET = {
                       ["numpy", "mpmath", *NO_RECORD_MACHINERY], ["mgms.measures"]),
     "measure --mu": (["-m", "mgms.cli", "measure", "--mu", "0.3", "0100100010"],
                      ["numpy", "mpmath", *NO_RECORD_MACHINERY], ["mgms.measures"]),
+    # up to 2^17 symbols the scalar sampler draws the word: no numpy, no experiments module
     "experiment telescope": (["-m", "mgms.cli", "experiment", "telescope", "--seed", "1", "--ell-max", "8"],
-                             ["mpmath", *NO_HASH], ["mgms.experiments", "numpy"]),
+                             ["numpy", "mpmath", "mgms.experiments", *NO_HASH, *NO_RECORD_MACHINERY],
+                             ["mgms.telescoping"]),
+    "experiment telescope ell 18": (["-m", "mgms.cli", "experiment", "telescope", "--seed", "1",
+                                     "--ell-max", "18"], ["mpmath", "mgms.experiments", *NO_HASH],
+                                    ["mgms.telescoping", "numpy"]),
     "experiment telescope csv": (["-m", "mgms.cli", "experiment", "telescope", "--seed", "1",
                                   "--ell-max", "8", "--format", "csv"],
-                                 ["mpmath"], ["mgms.experiments", "hashlib"]),
+                                 ["numpy", "mpmath"], ["mgms.telescoping", "hashlib"]),
     "experiment density": (["-m", "mgms.cli", "experiment", "density", "--seed", "1", "--seeds", "2",
                             "--n-grid", "16,64,256"], ["mpmath", *NO_HASH], ["mgms.experiments", "numpy"]),
     "experiment hoeffding": (["-m", "mgms.cli", "experiment", "hoeffding", "--seed", "1", "--trials", "200",
@@ -324,6 +329,7 @@ UNREACHED = {
     **{f"core.BinaryWord.{name}": _VALUE_TYPE for name in (
         "__getitem__", "__iter__", "__repr__", "count_ones", "count_zeros", "empty", "from_array",
         "from_bits")},
+    "core.BinaryWord.__getnewargs__": "copy and pickle call it, which no run does",
     **{f"intervals.CertifiedInterval.{name}": _VALUE_TYPE for name in (
         "__add__", "__mul__", "__rsub__", "__str__", "__sub__", "_coerce", "contains", "is_negative")},
 }
@@ -337,9 +343,11 @@ PROBE_ARGV = [
     "experiment cover --gauge phi_gamma --n-grid 16,1024", "experiment cover --gauge phi --n-grid 16,64",
     "experiment cover --exponent dimm --gauge pure --n-grid 16,1024 --format json",
     "experiment density --seed 1 --seeds 2 --n-grid 16,64,256",
+    "experiment density --seed 1 --seeds 2 --n-grid 16,64,256 --delta 0",  # checks the half-word identity
     "experiment density --seed 1 --seeds 2 --n-grid 16,64,256 --gauge pure --format json",
     "experiment lower --seed 1 --seeds 2 --n-grid 16,64,256 --format csv",
     "experiment telescope --seed 1 --ell-max 8",
+    "experiment telescope --seed 1 --ell-max 18",  # past the scalar sampler: the batch kernels
     "experiment telescope --seed 1 --ell-max 8 --format csv",
     "experiment telescope --seed 1 --g t^1.5 --ell-max 8 --format json",
     "experiment hoeffding --seed 1 --trials 200 --n 20",
@@ -396,11 +404,12 @@ def _package_functions() -> dict[tuple, str]:
     return found
 
 
-def test_every_function_is_reached(perfbench, tmp_path, capsys):
+def test_every_function_is_reached(perfbench, tmp_path, capsys, monkeypatch):
     _, _, workloads = perfbench
     import mgms.cli
 
     workloads.clear_caches()  # a cached function runs only on a miss
+    monkeypatch.setattr(mgms.rng, "_U", None)  # so the vector folds bind numpy's constants again
     reached = {}
     sys.setprofile(lambda frame, event, arg: reached.setdefault(id(frame.f_code), frame.f_code)
                    if event == "call" else None)

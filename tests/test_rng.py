@@ -1,18 +1,19 @@
 """Counter-based stream: determinism, scalar/vector agreement, stability."""
 
 import math
+import random
 import warnings
 
 import numpy as np
 import pytest
 
 from mgms.measures import BlockAssignment
-from mgms.rng import chain_keys, fold, mix64, threshold, uniform_grid
+from mgms.rng import chain_keys, fold, fold_lanes, mix64, pack_lanes, threshold, uniform_grid
 
 
-# The scalar stream composes fold in Python ints, as measures.sample_point does: the
-# key of (seed, trial, chain) is fold(fold(fold(0, seed), trial), chain), and its
-# uniform at pos is (fold(key, pos) >> 11) * 2**-53, the top 53 bits of one more fold.
+# The scalar stream composes fold in Python ints: the key of (seed, trial, chain) is
+# fold(fold(fold(0, seed), trial), chain), and its uniform at pos is
+# (fold(key, pos) >> 11) * 2**-53, the top 53 bits of one more fold.
 
 
 def test_uniforms_in_unit_interval():
@@ -47,6 +48,24 @@ def test_vector_grid_matches_scalar():
         assert int(grid.max()) < 2**53
     assert np.array_equal(grid * 2.0**-53, [[(fold(key, 2**40 + 3) >> 11) * 2.0**-53 for key in row]
                                              for row in scalar])
+
+
+def _unpack(packed, count):
+    return [(packed >> (128 * k)) & (2**128 - 1) for k in range(count)]
+
+
+def test_lanes_fold_as_the_scalar_does():
+    # the extremes of each half of a lane: carries, products and shifts must stay in their lane
+    rng = random.Random(3)
+    hs = [0, 1, 2**63, 2**64 - 1] + [rng.getrandbits(64) for _ in range(60)]
+    vs = [2**64 - 1, 0, 7, 2**63 + 5] + [rng.getrandbits(64) for _ in range(60)]
+    ones = pack_lanes([1] * len(hs))
+    assert _unpack(ones, len(hs)) == [1] * len(hs)
+    assert _unpack(pack_lanes(hs), len(hs)) == hs
+    assert _unpack(fold_lanes(pack_lanes(hs), pack_lanes(vs), ones), len(hs)) == list(map(fold, hs, vs))
+    key = fold(0, 2026)
+    assert _unpack(fold_lanes(key * ones, 9 * ones, ones), len(hs)) == [fold(key, 9)] * len(hs)
+    assert fold_lanes(0, 0, pack_lanes([])) == 0
 
 
 def test_stream_values_are_frozen():
