@@ -483,18 +483,31 @@ class CenteredChainLogMass:
         return {"distribution": "centered_log_mass", "k": self.k, "r": self.r, "C": self.bound_C}
 
     def sample_sums(self, seed: int, trials: np.ndarray, n: int) -> np.ndarray:
-        """Sum of n independent centered log-masses per trial: k levels of n chains."""
-        # cost of a symbol at 2 prev + sym: free 0, free 1, 0 forced by a 1
-        table = np.array([math.log2(self.r), math.log2(1.0 - self.r), 0.0])
+        """Sum of n independent centered log-masses per trial: k levels of n chains.
+
+        A chain's first min(k, 8) symbols, level t in bit t, index one table
+        of their masses; each later level adds its cost.  Both add the costs
+        in level order, so the masses are those of a level-by-level sum.
+        """
+        # cost of a symbol at 2 prev + sym: free 0, free 1, 0 forced by a 1 (and a pair 11, never drawn)
+        cost = np.array([math.log2(self.r), math.log2(1.0 - self.r), 0.0, 0.0])
+        head = min(self.k, 8)
+        bits = [(np.arange(1 << head) >> t) & 1 for t in range(head)]
+        patterns = cost[bits[0]]
+        for prev, one in zip(bits, bits[1:]):
+            patterns += cost[2 * prev + one]
         one_below = np.array([threshold(1.0 - self.r)], dtype=np.uint64)
         H = self.entropy
         out = np.zeros(len(trials), dtype=np.float64)
         for rows, _, levels in _chain_walk(seed, trials, range(n), one_below, np.broadcast_to(0, (n,)),
                                            [n] * self.k, 2048):  # tests pin this float summation order
             x = [one.view(np.uint8) for one in levels]
-            mass = table[x[0]]
-            for prev, one in zip(x, x[1:]):
-                mass += table[2 * prev + one]
+            code = x[0].copy()
+            for t in range(1, head):
+                code |= x[t] << t
+            mass = patterns[code]
+            for prev, one in zip(x[head - 1 :], x[head:]):
+                mass += cost[2 * prev + one]
             out[rows] += (mass + H).sum(axis=1)
         return out
 

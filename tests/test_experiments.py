@@ -38,6 +38,26 @@ from mgms.measures import BlockAssignment, pdelta_logprob, sample_point
 
 from conftest import iter_golden_words
 
+
+def level_by_level_logmass_sums(dist, seed, trials, n):
+    """`CenteredChainLogMass.sample_sums` as one gather and one add per level:
+    the masses of the pattern table must equal these bit for bit."""
+    from mgms.measures import _chain_walk
+    from mgms.rng import threshold
+
+    # cost of a symbol at 2 prev + sym: free 0, free 1, 0 forced by a 1
+    table = np.array([math.log2(dist.r), math.log2(1.0 - dist.r), 0.0])
+    one_below = np.array([threshold(1.0 - dist.r)], dtype=np.uint64)
+    out = np.zeros(len(trials), dtype=np.float64)
+    for rows, _, levels in _chain_walk(seed, trials, range(n), one_below, np.broadcast_to(0, (n,)),
+                                       [n] * dist.k, 2048):
+        x = [one.view(np.uint8) for one in levels]
+        mass = table[x[0]]
+        for prev, one in zip(x, x[1:]):
+            mass += table[2 * prev + one]
+        out[rows] += (mass + dist.entropy).sum(axis=1)
+    return out
+
 GRID_SMALL = [2**j for j in range(4, 13)]
 SEEDS_SMALL = list(range(24))
 
@@ -334,6 +354,38 @@ class TestHoeffding:
         d = Rademacher() if dist == "rademacher" else CenteredChainLogMass(3, p_float())
         sums = d.sample_sums(7, np.arange(trials, dtype=np.uint64), n)
         assert hashlib.sha256(sums.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("k", [1, 3, 8, 9, 20])
+    @pytest.mark.parametrize("r", [p_float(), 0.3])
+    @pytest.mark.parametrize("n", [1, 2047, 2049, 4100])
+    def test_logmass_sums_equal_the_level_by_level_sum(self, k, r, n):
+        # n crosses the 2048-chain blocks; k = 9 and 20 add levels past the pattern table
+        dist = CenteredChainLogMass(k, r)
+        trials = np.arange(40, dtype=np.uint64) * 3 + 1
+        assert np.array_equal(dist.sample_sums(5, trials, n), level_by_level_logmass_sums(dist, 5, trials, n))
+
+    @pytest.mark.parametrize("dist, width", [(Rademacher(), 8192), (CenteredChainLogMass(3, p_float()), 2048)],
+                             ids=["rademacher", "logmass3"])
+    @pytest.mark.parametrize("trials", [1, 37, 4096])
+    @pytest.mark.parametrize("n", [1, 77, 2049, 8193])
+    def test_constant_depth_keeps_its_blocks(self, dist, width, trials, n, monkeypatch):
+        # row blocks of `width` chains, rows outer: the float summation order the frozen sums pin
+        from mgms import measures
+
+        seen = []
+        walk = measures._chain_walk
+
+        def recording(*args):
+            for rows, a, levels in walk(*args):
+                seen.append((rows.start, rows.stop, a, levels[0].shape[1]))
+                yield rows, a, levels
+
+        monkeypatch.setattr(experiments, "_chain_walk", recording)
+        dist.sample_sums(7, np.arange(trials, dtype=np.uint64), n)
+        cols = min(n, width)
+        height = measures._CHUNK // cols
+        assert seen == [(r0, r0 + height, a, min(cols, n - a))
+                        for r0 in range(0, trials, height) for a in range(0, n, cols)]
 
     @pytest.mark.parametrize("dist", [Rademacher(), CenteredChainLogMass(1, p_float()),
                                       CenteredChainLogMass(3, p_float()), CenteredChainLogMass(6, 0.3)],

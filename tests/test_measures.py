@@ -24,7 +24,7 @@ from mgms.measures import (
 )
 from mgms import measures
 from mgms.experiments import DEFAULT_N_GRID
-from mgms.rng import chain_keys, fold, uniform_grid
+from mgms.rng import chain_keys, fold, threshold, uniform_grid
 
 from conftest import (
     brute_is_multiplicative,
@@ -136,9 +136,9 @@ def reference_sample_bits_batch(assign, n, seed, trials):
 def reference_logprob_prefix_grid(assign, bits, n_list):
     n_max = bits.shape[1] - 1
     block = _reference_blocks(n_max)
-    params = assign.params_for_blocks(int(block[1:].max()))
-    log_r = np.log2(params)
-    log_q = np.log2(1.0 - params)
+    params = assign.params_for_blocks(int(block[1:].max())).tolist()
+    log_r = np.array([math.log2(r) for r in params])  # the logs of the scalar walk
+    log_q = np.array([math.log2(1.0 - r) for r in params])
     x = bits[:, 1:]
     lb = block[1:]
     m = np.arange(1, n_max + 1)
@@ -585,6 +585,57 @@ class TestBatchKernels:
         got = sample_bits_batch(assign, n, 29, idx)
         assert got.shape == (trials, n + 1)
         assert np.array_equal(got, reference_sample_bits_batch(assign, n, 29, idx))
+
+    @pytest.mark.parametrize("rows", [1, 3, 37, 4096])
+    @pytest.mark.parametrize("n", [1, 2, 3, 255, 1024, 1025])
+    def test_chain_walk_visits_every_cell_once(self, rows, n):
+        # the walk of sample_bits_batch: chain 2j + 1 reaches level t when (2j + 1) 2^t <= n
+        chains = range(1, n + 1, 2)
+        active = [((n >> t) + 1) >> 1 for t in range(n.bit_length())]
+        below = np.array([threshold(0.5)], dtype=np.uint64)
+        visits = np.zeros((len(active), rows, len(chains)), dtype=np.uint8)
+        last = np.full(rows, -1)  # the first chain of each row's latest block
+        for block, a, levels in measures._chain_walk(5, np.arange(rows), chains, below,
+                                                     np.zeros(len(chains), dtype=np.intp), active):
+            assert levels and levels[0].size <= measures._CHUNK
+            assert (last[block] < a).all()  # in order along each row
+            last[block] = a
+            for t, one in enumerate(levels):
+                assert one.shape == (levels[0].shape[0], min(levels[0].shape[1], active[t] - a))
+                visits[t, block, a : a + one.shape[1]] += 1
+        for t, reach in enumerate(active):
+            assert (visits[t, :, :reach] == 1).all() and not visits[t, :, reach:].any()
+
+    def test_ldev2_shape_draws_deep_levels_once(self, monkeypatch):
+        # ldev2 at n = 512: 4096 rows of 1024 symbols took 352 uniform_grid calls
+        # when each 129-row block drew all 11 levels
+        from mgms import rng
+
+        sizes = []
+        grid = rng.uniform_grid
+        monkeypatch.setattr(rng, "uniform_grid", lambda keys, pos: sizes.append(keys.size) or grid(keys, pos))
+        sample_bits_batch(BlockAssignment(0.0), 1024, 3, np.arange(4096))
+        assert len(sizes) <= 80
+        assert sum(sizes) == 4096 * 1024  # one draw per symbol
+
+    def test_prefix_grid_adds_math_log2_costs_in_position_order(self):
+        # np.log2 and math.log2 differ by an ulp on about 1 double in 500, and
+        # 200 measures give 4000 logs, so a table from np.log2 would fail here
+        rng = np.random.default_rng(33)
+        n = 1023
+        for _ in range(200):
+            p = rng.uniform(0.05, 0.95)
+            assign = BlockAssignment(rng.uniform(0.0, 0.99 * min(0.3, 1.0 - p)), p=p)
+            bits = sample_bits_batch(assign, n, 1, [0, 1])
+            got = logprob_prefix_grid(assign, bits, range(1, n + 1))
+            for row, x in zip(got.tolist(), bits.tolist()):
+                total, want = 0.0, []
+                for m in range(1, n + 1):
+                    r = assign.param(block_of(m // (m & -m)))
+                    if not (m % 2 == 0 and x[m // 2]):  # a 0 forced by a 1 costs nothing
+                        total += math.log2(1.0 - r) if x[m] else math.log2(r)
+                    want.append(total)
+                assert row == want, assign
 
     def test_ldev2_shape_digest_is_frozen(self):
         # sha256 of the 4096-trial prefixes of length 1024 that ldev2 draws at
