@@ -36,9 +36,10 @@ p^3 = (1-p)^2 (re-verified symbolically in the tests).
 from __future__ import annotations
 
 import math
+import operator
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
 from typing import NamedTuple, Optional, Sequence
 
 from .core import chain_length_counts, fibonacci, log2_count_cylinders
@@ -209,7 +210,8 @@ def dim_minkowski(tol: float = 1e-6) -> SeriesValue:
     with that bound, rounded up to a float.  Limit value ~0.82429.
     """
     K = _minkowski_K(tol)
-    value = sum(2.0 ** -(k + 1) * math.log2(fibonacci(k + 1)) for k in range(1, K + 1))
+    terms = (2.0 ** -(k + 1) * math.log2(fibonacci(k + 1)) for k in range(1, K + 1))
+    value = reduce(operator.add, terms, 0.0)  # left to right: sum() compensates from Python 3.12 on
     bound = math.ldexp(K + 2, -(K + 1))  # exact unless subnormal
     return SeriesValue(value, bound if bound >= Fraction(K + 2, 2 ** (K + 1)) else math.nextafter(bound, math.inf))
 
@@ -569,12 +571,13 @@ def expected_zero_count_chain(p_val: float, k: int) -> float:
 def expected_zero_count_prefix(n: int, p_val: Optional[float] = None) -> float:
     """E[N_0(x_1^n)] under the chain product measure with parameter p.
 
-    Sums L_k over the exact chain-length partition of {1,...,n}.
+    Sums L_k over the exact chain-length partition of {1,...,n}, k ascending.
     """
     if n < 1:
         raise ValueError(f"prefix length must be >= 1, got {n}")
     p = p_float() if p_val is None else _check_unit_open(p_val)
-    return sum(c * expected_zero_count_chain(p, k) for k, c in chain_length_counts(n).items())
+    terms = (c * expected_zero_count_chain(p, k) for k, c in chain_length_counts(n).items())
+    return reduce(operator.add, terms, 0.0)  # left to right, as in dim_minkowski
 
 
 # -- gauges -----------------------------------------------------------------------
@@ -610,7 +613,7 @@ class Gauge(NamedTuple):
 
     @staticmethod
     def phi(c: float, s: Optional[float] = None) -> "Gauge":
-        if c <= 0:
+        if not c > 0:  # NaN too
             raise ValueError(f"coefficient must be positive, got {c}")
         return Gauge(GaugeFamily.PHI, s=s_float() if s is None else float(s), c=float(c))
 
@@ -620,7 +623,7 @@ class Gauge(NamedTuple):
 
     @staticmethod
     def phi_gamma(c: float, gamma: float, s: Optional[float] = None) -> "Gauge":
-        if c <= 0 or gamma <= 0:
+        if not (c > 0 and gamma > 0):  # NaN too
             raise ValueError("need c > 0 and gamma > 0")
         return Gauge(
             GaugeFamily.PHI_GAMMA, s=s_float() if s is None else float(s), c=float(c), gamma=float(gamma)

@@ -7,6 +7,9 @@ linked by the chain decomposition: for odd i, the chain J(i) = {i, 2i, 4i,
 ...} meets {1,...,n} in the (n // i).bit_length() = 1 + floor(log2(n/i))
 positions i 2^t <= n, the chains partition {1,...,n}, and u is a
 multiplicative prefix iff every chain restriction is golden-admissible.
+`chains_reaching` counts, level by level, the chains that reach i 2^t <= n:
+the samplers draw level t of that many chains, and `chain_length_counts`
+takes the chain lengths from the differences of consecutive levels.
 
 Counting is exact: golden words of length k are counted by the Fibonacci
 number F_{k+1} (F_1 = 1, F_2 = 2), and multiplicative prefixes of length n
@@ -21,7 +24,8 @@ kernels.
 from __future__ import annotations
 
 import math
-from functools import cached_property
+import operator
+from functools import cached_property, reduce
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 if TYPE_CHECKING:
@@ -31,6 +35,7 @@ __all__ = [
     "BinaryWord",
     "block_of",
     "chain_length_counts",
+    "chains_reaching",
     "fibonacci",
     "log2_count_cylinders",
 ]
@@ -131,19 +136,18 @@ def block_of(i: int) -> int:
     return i.bit_length() - 1
 
 
-def chain_length_counts(n: int) -> dict[int, int]:
-    """Map k to the number of chains of length k, i.e. #odds in (n/2^k, n/2^(k-1)]."""
+def chains_reaching(n: int) -> list[int]:
+    """#odd i with i 2^t <= n, for t = 0..floor(log2 n): the first chains J(1), J(3), ... reach level t."""
     n = int(n)
     if n < 1:
         raise ValueError(f"prefix length must be positive, got {n}")
-    counts: dict[int, int] = {}
-    k = 1
-    while (n >> (k - 1)) >= 1:
-        c = ((n >> (k - 1)) + 1) // 2 - ((n >> k) + 1) // 2
-        if c:
-            counts[k] = c
-        k += 1
-    return counts
+    return [((n >> t) + 1) >> 1 for t in range(n.bit_length())]
+
+
+def chain_length_counts(n: int) -> dict[int, int]:
+    """Map k to the number of chains of length k, i.e. #odds in (n/2^k, n/2^(k-1)]."""
+    reach = [*chains_reaching(n), 0]
+    return {k: reach[k - 1] - reach[k] for k in range(1, len(reach)) if reach[k - 1] > reach[k]}
 
 
 # -- counting ---------------------------------------------------------------
@@ -162,4 +166,5 @@ def fibonacci(k: int) -> int:
 
 def log2_count_cylinders(n: int) -> float:
     """log2 of the number of multiplicative prefixes of length n, prod F_{k+1}^c, in float."""
-    return sum(c * math.log2(fibonacci(k + 1)) for k, c in chain_length_counts(n).items())
+    terms = (c * math.log2(fibonacci(k + 1)) for k, c in chain_length_counts(n).items())
+    return reduce(operator.add, terms, 0.0)  # left to right: sum() compensates from Python 3.12 on

@@ -52,6 +52,7 @@ from .core import chain_length_counts
 from .measures import (
     BlockAssignment,
     _chain_walk,
+    golden_costs,
     logprob_prefix_grid,
     sample_bits_batch,
     zero_count_from_bits,
@@ -346,6 +347,8 @@ def lower_bound_trajectory(
     `density_trajectory`, it raises ValueError on a grid of fewer than
     MIN_TREND_POINTS points.
     """
+    if not (math.isfinite(delta) and math.isfinite(c)):
+        raise ValueError(f"delta and c must be finite, got delta={delta}, c={c}")
     measure = BlockAssignment(delta=float(delta))
     gauge = Gauge.phi(c=float(c)) if c > 0 else Gauge.pure()
     report = density_trajectory(measure, gauge, n_grid, seeds, verdict_floor=4096)
@@ -467,10 +470,9 @@ class CenteredChainLogMass:
     @cached_property
     def bound_C(self) -> float:
         # largest and smallest log2 mass of a word ending in 0 and in 1, one
-        # symbol at a time as measures._walk adds them (a 1 costs log2(1-r), a
-        # free 0 log2 r, a 0 forced by a 1 nothing); float addition is
+        # symbol at a time as measures._walk adds them; float addition is
         # monotone, so these are the extremes over every admissible word
-        log_r, log_q = math.log2(self.r), math.log2(1.0 - self.r)
+        log_r, log_q, _, _ = golden_costs(self.r)
         hi0 = lo0 = 0.0
         hi1, lo1 = -math.inf, math.inf
         for _ in range(self.k):
@@ -489,8 +491,8 @@ class CenteredChainLogMass:
         of their masses; each later level adds its cost.  Both add the costs
         in level order, so the masses are those of a level-by-level sum.
         """
-        # cost of a symbol at 2 prev + sym: free 0, free 1, 0 forced by a 1 (and a pair 11, never drawn)
-        cost = np.array([math.log2(self.r), math.log2(1.0 - self.r), 0.0, 0.0])
+        # cost of a symbol at 2 prev + sym; the pair 11 (-inf) is never drawn
+        cost = np.array(golden_costs(self.r))
         head = min(self.k, 8)
         bits = [(np.arange(1 << head) >> t) & 1 for t in range(head)]
         patterns = cost[bits[0]]

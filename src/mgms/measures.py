@@ -2,8 +2,11 @@
 
 The golden Markov measure with parameter r has initial law (r, 1-r) and
 transitions 0 -> {0 w.p. r, 1 w.p. 1-r}, 1 -> 0 w.p. 1, so a cylinder mass
-factors symbol-by-symbol: a 1 always costs (1-r), a 0 costs r unless it is
-forced after a 1 (cost 1).  Product measures on multiplicative cylinders
+factors symbol-by-symbol: every log2 mass here sums prices from one table,
+`golden_costs(r)` at 2 pred + x, where a free 0 costs log2 r, a 1 log2(1-r),
+a 0 forced by a 1 nothing and the pair 11 -inf.  No price is +inf, so -inf
+stays in every later sum: the table is the only forbidden-pair path of the
+scalar walk and the kernel alike.  Product measures on multiplicative cylinders
 assign an independent Markov law to every chain J(i); the block-perturbed
 variant uses parameter p + delta/b on chains starting in dyadic block
 b >= 1 (block 0 keeps p), which is the Kolmogorov-consistent reading of
@@ -34,7 +37,7 @@ length 1024, where blocks of 129 rows by all 512 chains took 352).
 `sample_bits_batch` writes level t of chain J(i) to position i 2^t, and
 `experiments` adds its deviation sums up from the levels.
 `logprob_prefix_grid` is the one vectorized log-mass kernel: a gather from
-a per-block cost table, then a cumulative sum.  Both work in blocks of at
+the blocks' cost tables, then a cumulative sum.  Both work in blocks of at
 most `_CHUNK` cells, so temporaries stay in cache whatever n is.  There is
 one scalar walk, `_walk`, over a list of symbols: `markov_cylinder_logprob`
 runs it on a word and `chain_breakdown` on each chain restriction, whose
@@ -51,7 +54,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional, Sequence
 
 from .analytics import p_float
-from .core import BinaryWord, block_of
+from .core import BinaryWord, block_of, chains_reaching
 
 if TYPE_CHECKING:
     import numpy as np
@@ -64,6 +67,7 @@ __all__ = [
     "markov_cylinder_logprob",
     "pdelta_logprob",
     "chain_breakdown",
+    "golden_costs",
     "sample_point",
     "sample_bits_batch",
     "logprob_prefix_grid",
@@ -100,19 +104,22 @@ class MarkovParams(NamedTuple("MarkovParams", [("r", float)])):
         return tuple.__new__(cls, (r,))
 
 
+def golden_costs(r: float) -> tuple[float, float, float, float]:
+    """log2 price of a symbol x after pred under parameter r, at index 2 pred + x.
+
+    A free 0 costs log2 r and a 1 log2(1-r), a 0 forced by a 1 costs 0.0,
+    and the pair 11 costs -inf.  math.log2: np.log2 can differ by an ulp.
+    """
+    return (math.log2(r), math.log2(1.0 - r), 0.0, -math.inf)
+
+
 def _walk(r: float, symbols: Sequence[int]) -> float:
     """log2 golden Markov mass of a list of 0/1 symbols; -inf at a pair 11."""
-    log_r = math.log2(r)
-    log_q = math.log2(1.0 - r)
+    cost = golden_costs(r)
     total = 0.0
     prev = 0
     for sym in symbols:
-        if prev == 1:
-            if sym == 1:
-                return float("-inf")
-            # forced 0 after a 1: probability one
-        else:
-            total += log_q if sym else log_r
+        total += cost[2 * prev + sym]
         prev = sym
     return total
 
@@ -137,7 +144,7 @@ class BlockAssignment(NamedTuple("BlockAssignment", [("delta", float), ("p", flo
     def __new__(cls, delta: float = 0.0, p: Optional[float] = None):
         if p is None:
             p = p_float()
-        if delta < 0:
+        if not delta >= 0:  # NaN too
             raise ValueError(f"delta must be >= 0, got {delta}")
         if not 0.0 < p < 1.0:
             raise ValueError(f"p must lie in (0,1), got {p}")
@@ -149,11 +156,6 @@ class BlockAssignment(NamedTuple("BlockAssignment", [("delta", float), ("p", flo
         if block < 0:
             raise ValueError(f"block must be >= 0, got {block}")
         return self.p if block == 0 else self.p + self.delta / block
-
-    def params_for_blocks(self, max_block: int) -> np.ndarray:
-        import numpy as np
-
-        return np.array([self.param(b) for b in range(max_block + 1)], dtype=np.float64)
 
     def describe(self) -> dict:
         return {"measure": "P_mu" if self.delta == 0 else "P_delta", "p": self.p, "delta": self.delta}
@@ -228,21 +230,20 @@ def sample_point(assign: BlockAssignment, n: int, seed: int) -> SampledPoint:
     from .rng import fold, fold_lanes, pack_lanes, threshold
 
     trial_key = fold(fold(0, int(seed)), 0)  # int(): fold would overflow on a numpy integer
-    levels = n.bit_length()
+    active = chains_reaching(n)  # the chains 2c + 1 <= n / 2^t, at each level t
     # K 2^11 - 1 of each chain 2c + 1, c = 0, 1, ...: one chain in block 0, 2^(b-1) in block b >= 1
     limits = [(threshold(1.0 - assign.param(0)) << 11) - 1]
-    for b in range(1, levels):
+    for b in range(1, len(active)):
         limits += [(threshold(1.0 - assign.param(b)) << 11) - 1] * (1 << (b - 1))
     out = bytearray(b"0" * n)
-    chains = (n + 1) // 2
-    for c0 in range(0, chains, _LANES):
-        c1 = min(chains, c0 + _LANES)
+    for c0 in range(0, active[0], _LANES):
+        c1 = min(active[0], c0 + _LANES)
         ones = pack_lanes([1] * (c1 - c0))
         keys = fold_lanes(trial_key * ones, pack_lanes(range(2 * c0 + 1, 2 * c1, 2)), ones)
         tops = pack_lanes(limits[c0:c1]) + (ones << 64)
         prev = 0
-        for t in range(levels):
-            m = min(c1, ((n >> t) + 1) >> 1) - c0  # chains 2c + 1 <= n / 2^t of this block
+        for t, reach in enumerate(active):
+            m = min(c1, reach) - c0  # the chains of this block that reach level t
             if m <= 0:
                 break
             low = (1 << (128 * m)) - 1
@@ -292,15 +293,16 @@ def logprob_prefix_grid(
 ) -> np.ndarray:
     """log2 measure mass at several prefix lengths in one pass.
 
-    Vectorizes the per-chain Markov walk: position m in block b costs
-    log2(1-p_b) for a 1 and log2 p_b for a 0, except that a 0 forced by a 1
-    at its chain predecessor m/2 costs nothing.  That cost never depends on
-    the prefix length (the walk is Kolmogorov-consistent), so prefix
-    log-masses are cumulative sums of one cost vector.  `bits` holds 0/1
-    symbols in columns 1..n, as sample_bits_batch returns them.
+    Vectorizes the per-chain Markov walk: position m in block b pays the
+    price golden_costs(p_b)[2 x_{m/2} + x_m] (x_{m/2} = 0 at odd m), the
+    table of the scalar walk.  That price never depends on the prefix
+    length (the walk is Kolmogorov-consistent), so prefix log-masses are
+    cumulative sums of one cost vector.  `bits` holds 0/1 symbols in
+    columns 1..n, as sample_bits_batch returns them.
 
-    Returns shape (rows, len(n_list)); -inf marks a prefix that contains a
-    forbidden pair x_{m/2} = x_m = 1.
+    Returns shape (rows, len(n_list)).  A forbidden pair x_{m/2} = x_m = 1
+    reads -inf from the table, the only forbidden-pair path: no price is
+    +inf, so every prefix that contains the pair sums to -inf.
     """
     import numpy as np
 
@@ -309,38 +311,26 @@ def logprob_prefix_grid(
     if not ns or min(ns) < 1 or max(ns) > n_max:
         raise ValueError("grid outside the sampled range")
     block = _block_table(n_max)[1:]
-    params = assign.params_for_blocks(int(block.max())).tolist()
-    # cost of x_m in block b sits at 4b + 2 x_{m/2} + x_m (x_{m/2} = 0 at odd m);
-    # a 1 at the predecessor forces x_m, which then costs 0 (a forced 1 is flagged below);
-    # math.log2, as `_walk` takes them: np.log2 can differ from it by an ulp
-    table = np.zeros(4 * len(params))
-    table[0::4] = [math.log2(r) for r in params]
-    table[1::4] = [math.log2(1.0 - r) for r in params]
+    # the price of x_m in block b sits at 4b + 2 x_{m/2} + x_m
+    table = np.array([golden_costs(assign.param(b)) for b in range(int(block.max()) + 1)]).ravel()
     x = bits[:, 1:].astype(np.uint8, copy=False)  # no copy for sampled bits
     rows = len(x)
     grid = np.array(ns)
     out = np.empty((rows, len(ns)))
-    first_bad = np.full(rows, n_max + 1)  # position of each row's first forbidden pair
     carry = np.zeros(rows)
     # columns lo..hi-1 (positions lo+1..hi) at a time; the running sum enters
     # as the first term, so every prefix sum adds in the same order as one cumsum
     width = max(256, _CHUNK // max(rows, 1) & ~1)
     for lo in range(0, n_max, width):
         hi = min(lo + width, n_max)
-        pred = x[:, lo // 2 : lo // 2 + (hi - lo) // 2]  # x_j for the positions 2j in lo+1..hi
         idx = 4 * block[lo:hi] + x[:, lo:hi]
-        idx[:, 1::2] += 2 * pred
+        idx[:, 1::2] += 2 * x[:, lo // 2 : lo // 2 + (hi - lo) // 2]  # x_j at the positions 2j in lo+1..hi
         cost = table[idx]
         cost[:, 0] += carry  # exact: 0.0 + c is c in the first block
         np.cumsum(cost, axis=1, out=cost)
         carry = cost[:, -1]
-        bad = pred & x[:, lo + 1 : hi : 2]
-        hit = (first_bad > n_max) & bad.any(axis=1)
-        if hit.any():
-            first_bad[hit] = lo + 2 + 2 * bad[hit].argmax(axis=1)
         here = (lo < grid) & (grid <= hi)
         out[:, here] = cost[:, grid[here] - 1 - lo]
-    out[first_bad[:, None] <= grid] = -np.inf
     return out
 
 
@@ -408,11 +398,9 @@ def sample_bits_batch(
 
     trials = np.asarray(trials, dtype=np.uint64)
     block = _block_table(n)[1::2]  # the block of chain i = 2j+1 at index j
-    one_below = np.array([threshold(1.0 - r) for r in assign.params_for_blocks(int(block.max()))],
-                         dtype=np.uint64)
+    one_below = np.array([threshold(1.0 - assign.param(b)) for b in range(block.max() + 1)], np.uint64)
     bits = np.zeros((len(trials), n + 1), dtype=np.uint8)
-    active = [((n >> t) + 1) >> 1 for t in range(int(n).bit_length())]  # the chains 2j+1 <= n / 2^t
-    for rows, a, levels in _chain_walk(seed, trials, range(1, n + 1, 2), one_below, block, active):
+    for rows, a, levels in _chain_walk(seed, trials, range(1, n + 1, 2), one_below, block, chains_reaching(n)):
         for t, one in enumerate(levels):
             bits[rows, 1 << t :: 2 << t][:, a : a + one.shape[1]] = one
     return bits

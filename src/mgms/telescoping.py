@@ -22,7 +22,7 @@ from itertools import accumulate
 from typing import NamedTuple
 
 from .analytics import Gauge, Verdict, _Report, gauge_log2, s_float
-from .measures import BlockAssignment, sample_point
+from .measures import BlockAssignment, golden_costs, sample_point
 
 __all__ = ["TelescopingReport", "upper_bound_telescoping"]
 
@@ -37,10 +37,9 @@ _BITS = bytes.maketrans(b"01", b"\0\1")
 def _scalar_counts(measure: BlockAssignment, ell_max: int, seed: int) -> tuple[list[int], list[float]]:
     """N0 and the log2 mass of x_1^(2^j), j = 0..ell_max, from `sample_point` and one pass.
 
-    Position m costs log2 p for a 0 and log2(1-p) for a 1, except after a
-    1 at its chain predecessor m/2: a 0 there is forced and costs nothing,
-    and a 1 is a forbidden pair, zero mass from m on.  The costs add in
-    position order, as `logprob_prefix_grid`'s cumulative sum adds them.
+    Position m pays golden_costs(p)[x_m + 2 x_(m/2)] (x_(m/2) = 0 at odd m),
+    so a pair 11 is -inf from m on.  The costs add in position order, as
+    `logprob_prefix_grid`'s cumulative sum adds them.
     """
     n = 2**ell_max
     x = sample_point(measure, n, seed).word.symbols.encode().translate(_BITS)
@@ -48,7 +47,7 @@ def _scalar_counts(measure: BlockAssignment, ell_max: int, seed: int) -> tuple[l
     pred[1::2] = x[: n // 2]  # x_(m/2) at each even m
     # each position's cost index x_m + 2 x_(m/2): one big-int sum of the two 0/1 strings, no byte carries
     index = (int.from_bytes(x, "little") + 2 * int.from_bytes(pred, "little")).to_bytes(n, "little")
-    cost = (math.log2(measure.p), math.log2(1.0 - measure.p), 0.0, -math.inf)  # delta = 0: one parameter
+    cost = golden_costs(measure.p)  # delta = 0: one parameter
     logmass = list(accumulate(map(cost.__getitem__, index)))
     return ([2**j - x.count(1, 0, 2**j) for j in range(ell_max + 1)],
             [logmass[2**j - 1] for j in range(ell_max + 1)])

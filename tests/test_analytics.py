@@ -38,6 +38,7 @@ from mgms.analytics import (
     tau_certify,
     tau_gamma,
 )
+from mgms.core import chain_length_counts, fibonacci
 from mgms.intervals import _FIX_BITS, CertifiedInterval, ln2_interval
 from mgms.measures import BlockAssignment, MarkovParams, markov_cylinder_logprob, pdelta_logprob
 from mgms.polynomials import _coefficient_rows, entropy_poly
@@ -282,6 +283,14 @@ class TestDimensions:
         assert exact_tail < Fraction(tol) <= Fraction(K + 1, 2**K)
         tail = dim_minkowski(tol).tail_bound
         assert tail > 0 and Fraction(tail) >= exact_tail
+
+    @pytest.mark.parametrize("tol", [1e-2, 1e-6, 1e-30, 5e-324])
+    def test_minkowski_partial_sum_adds_left_to_right(self, tol):
+        # builtin sum() compensates from Python 3.12 on, and moved the 1e-6 value by an ulp
+        total = 0.0
+        for k in range(1, _minkowski_K(tol) + 1):
+            total += 2.0 ** -(k + 1) * math.log2(fibonacci(k + 1))
+        assert dim_minkowski(tol).value == total
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
     def test_non_finite_tol_rejected(self, tol):
@@ -715,6 +724,14 @@ class TestZeroCountExpectations:
         )
         assert expected_zero_count_prefix(n) == pytest.approx(brute, abs=1e-10)
 
+    @pytest.mark.parametrize("n", [1, 100, 256, 512, 1024, 2**20 + 1])
+    def test_prefix_expectation_adds_left_to_right(self, p_val, n):
+        # the ldev2 means: builtin sum() compensates from Python 3.12 on, and moved them by an ulp
+        total = 0.0
+        for k, c in sorted(chain_length_counts(n).items()):
+            total += c * expected_zero_count_chain(p_val, k)
+        assert expected_zero_count_prefix(n) == total
+
     def test_prefix_expectation_is_chain_sum(self, p_val):
         for n in (5, 17, 100, 1023):
             manual = sum(
@@ -800,6 +817,14 @@ class TestGauges:
             Gauge.phi(-0.1)
         with pytest.raises(ValueError):
             Gauge.phi_gamma(0.1, 0.0)
+
+    def test_nan_coefficients_are_refused(self):
+        # every comparison with NaN is False: a check written c <= 0 lets it through
+        with pytest.raises(ValueError, match="coefficient must be positive, got nan"):
+            Gauge.phi(math.nan)
+        for c, gamma in [(math.nan, 0.5), (0.1, math.nan)]:
+            with pytest.raises(ValueError, match="need c > 0 and gamma > 0"):
+                Gauge.phi_gamma(c, gamma)
 
     def test_psi_g_keeps_its_exponent_in_theta(self):
         g = Gauge.psi_g(1.5)

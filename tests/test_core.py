@@ -11,6 +11,7 @@ from mgms.core import (
     BinaryWord,
     block_of,
     chain_length_counts,
+    chains_reaching,
     fibonacci,
     log2_count_cylinders,
 )
@@ -205,6 +206,18 @@ class TestChains:
 
             assert counts == dict(Counter(partition(n).values()))
 
+    def test_chains_reaching_is_a_brute_count(self):
+        import numpy as np
+
+        # level t holds the odd i with i 2^t <= n
+        for n in [*range(1, 513), 2**20 - 1, 2**20, 2**20 + 1]:
+            odd = np.arange(1, n + 1, 2, dtype=np.int64)
+            brute = [int(np.count_nonzero(odd << t <= n)) for t in range(n.bit_length())]
+            assert chains_reaching(n) == brute, n
+            assert brute[-1] == 1 and int(np.count_nonzero(odd << n.bit_length() <= n)) == 0
+        with pytest.raises(ValueError, match="prefix length must be positive"):
+            chains_reaching(0)
+
     def test_block_of(self):
         assert [block_of(i) for i in (1, 3, 5, 7, 9, 15, 17)] == [0, 1, 2, 2, 3, 3, 4]
         with pytest.raises(ValueError):
@@ -253,6 +266,14 @@ class TestCounting:
         assert len(words) == count_cylinders(n)
         assert all(is_multiplicative_prefix(w) for w in words)
         assert len(set(map(str, words))) == len(words)
+
+    @pytest.mark.parametrize("n", [1, 7, 1000, 1024, 2**20 + 1])
+    def test_log2_count_adds_left_to_right(self, n):
+        # builtin sum() compensates from Python 3.12 on; this loop is the order on every version
+        total = 0.0
+        for k, c in sorted(chain_length_counts(n).items()):
+            total += c * math.log2(fibonacci(k + 1))
+        assert log2_count_cylinders(n) == total
 
     def test_big_counts_are_exact_integers(self):
         c = count_cylinders(2**20)

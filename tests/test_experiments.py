@@ -162,6 +162,13 @@ class TestLowerBoundTrajectory:
             expected = s * (n0_full / 2 - n0_half)
             assert rep.series[0][j] == pytest.approx(expected, abs=1e-7)
 
+    @pytest.mark.parametrize("delta, c", [(0.05, math.nan), (math.nan, 0.002), (0.05, math.inf),
+                                          (0.05, -math.inf)])
+    def test_non_finite_parameters_are_refused(self, delta, c):
+        # NaN fails every comparison of the admissibility gate, so it must be refused before it
+        with pytest.raises(ValueError, match="delta and c must be finite"):
+            lower_bound_trajectory(delta, c, n_grid=[16, 64, 256], seeds=[0, 1])
+
     def test_default_parameters_pass_gate(self):
         rep = lower_bound_trajectory(0.05, 0.002, n_grid=[16, 64, 256], seeds=[0, 1])
         assert rep.inconclusive_reason == ""

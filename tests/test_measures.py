@@ -117,7 +117,7 @@ def _reference_blocks(n: int) -> np.ndarray:
 def reference_sample_bits_batch(assign, n, seed, trials):
     trials = np.asarray(trials, dtype=np.uint64)
     block = _reference_blocks(n)
-    one_prob = 1.0 - assign.params_for_blocks(int(block.max()))
+    one_prob = 1.0 - np.array([assign.param(b) for b in range(int(block.max()) + 1)])
     bits = np.zeros((len(trials), n + 1), dtype=np.uint8)
     t = 0
     while (1 << t) <= n:
@@ -136,7 +136,7 @@ def reference_sample_bits_batch(assign, n, seed, trials):
 def reference_logprob_prefix_grid(assign, bits, n_list):
     n_max = bits.shape[1] - 1
     block = _reference_blocks(n_max)
-    params = assign.params_for_blocks(int(block[1:].max())).tolist()
+    params = [assign.param(b) for b in range(int(block[1:].max()) + 1)]
     log_r = np.array([math.log2(r) for r in params])  # the logs of the scalar walk
     log_q = np.array([math.log2(1.0 - r) for r in params])
     x = bits[:, 1:]
@@ -220,6 +220,14 @@ class TestMarkovCylinders:
             )
             assert lhs == pytest.approx(rhs, abs=1e-14)
 
+    @pytest.mark.parametrize("r", [0.3, 0.5698402909980532, 1e-300, 1 - 2**-53])
+    def test_golden_costs_table(self, r):
+        # one table at 2 pred + x: a free 0, a 1, a 0 forced by a 1, and the pair 11
+        costs = measures.golden_costs(r)
+        assert costs[:2] == (math.log2(r), math.log2(1.0 - r))
+        assert costs[2] == 0.0 and math.copysign(1.0, costs[2]) == 1.0
+        assert costs[3] == -math.inf
+
     def test_invalid_parameter(self):
         with pytest.raises(ValueError):
             MarkovParams(0.0)
@@ -274,6 +282,9 @@ class TestChainProducts:
             BlockAssignment(delta=0.5, p=0.6)  # p + delta >= 1
         with pytest.raises(ValueError):
             BlockAssignment(delta=0.0, p=1.5)
+        # NaN fails every comparison: it is refused as a delta, not as p + delta
+        with pytest.raises(ValueError, match="delta must be >= 0, got nan"):
+            BlockAssignment(delta=math.nan)
 
     @pytest.mark.parametrize("delta", [0.0, 0.05, 0.2])
     @pytest.mark.parametrize("n", range(1, 13))
