@@ -507,35 +507,40 @@ class CenteredChainLogMass:
             code = x[0].copy()
             for t in range(1, head):
                 code |= x[t] << t
-            mass = patterns[code]
+            mass = patterns.take(code)
             for prev, one in zip(x[head - 1 :], x[head:]):
-                mass += cost[2 * prev + one]
+                mass += cost.take(2 * prev + one)
             out[rows] += (mass + H).sum(axis=1)
         return out
 
 
 def _tail_rows(statistic, bound, ts: Sequence[float], ns: Sequence[int], trials: int) -> list[DeviationRow]:
-    """One DeviationRow per (n, t), n outer: the frequency of
-    statistic(trial ids, n) >= t n over trials 0..trials-1, drawn in chunks of
-    _TRIAL_CHUNK ids, against bound(t, n).
+    """One DeviationRow per (n, t), n outer: the frequency of the n-th array of
+    statistic(trial ids, ns) reaching t n over trials 0..trials-1, drawn in
+    chunks of _TRIAL_CHUNK ids, against bound(t, n).
 
     The stderr column is the binomial standard error at the bound value, so
     "empirical <= bound + 3 stderr" is the acceptance predicate per cell.
-    Raises ValueError when trials < 1 or any n < 1.
+    Raises ValueError when trials < 1, any n < 1 or any t is not finite
+    (a NaN t would pass: no value reaches NaN n).
     """
     if trials < 1:
         raise ValueError("trials must be positive")
     for n in ns:
         if n < 1:
             raise ValueError(f"need n >= 1, got {n}")
-    rows = []
-    for n in ns:
-        exceed = [0] * len(ts)  # by position, so a repeated t is counted once per entry
-        for start in range(0, trials, _TRIAL_CHUNK):
-            values = statistic(np.arange(start, min(trials, start + _TRIAL_CHUNK), dtype=np.uint64), n)
+    for t in ts:
+        if not math.isfinite(t):
+            raise ValueError(f"thresholds must be finite, got {t}")
+    exceed = [[0] * len(ts) for _ in ns]  # by position, so a repeated t or n is counted once per entry
+    for start in range(0, trials, _TRIAL_CHUNK):
+        idx = np.arange(start, min(trials, start + _TRIAL_CHUNK), dtype=np.uint64)
+        for counts, n, values in zip(exceed, ns, statistic(idx, ns)):
             for i, t in enumerate(ts):
-                exceed[i] += int(np.count_nonzero(values >= t * n))
-        for t, count in zip(ts, exceed):
+                counts[i] += int(np.count_nonzero(values >= t * n))
+    rows = []
+    for n, counts in zip(ns, exceed):
+        for t, count in zip(ts, counts):
             b = bound(t, n)
             se = math.sqrt(max(b * (1 - b), 1e-300) / trials)
             rows.append(DeviationRow(t=t, n=n, empirical=count / trials, bound=b, stderr=se,
@@ -554,7 +559,7 @@ def hoeffding_check(
     ts = [float(v) for v in (t if isinstance(t, (list, tuple)) else [t])]
     ns = [int(v) for v in (n if isinstance(n, (list, tuple)) else [n])]
     C = distribution.bound_C
-    rows = _tail_rows(lambda idx, n_: distribution.sample_sums(seed, idx, n_),
+    rows = _tail_rows(lambda idx, ns_: (distribution.sample_sums(seed, idx, n_) for n_ in ns_),
                       lambda tv, n_: min(1.0, math.exp(-(tv * tv) * n_ / (2.0 * C * C))) if tv > 0 else 1.0,
                       ts, ns, trials)
     config = {
@@ -596,18 +601,22 @@ def zero_count_deviation_check(
     Empirical frequencies of |N0*| >= t n are compared with the explicit
     chain-Hoeffding bound; on top, log-frequency is regressed on t^2 n to
     fit the exponential-decay shape (c2, c3), reported with a 95% CI for
-    the decay rate.
+    the decay rate.  Each chunk of trials is drawn once, to 2 max(n_grid),
+    and N0 is read off it at every 2n.
     """
     measure = BlockAssignment(delta=0.0)
     ts = [float(v) for v in t_grid]
     ns = [int(v) for v in n_grid]
     mean = lru_cache(maxsize=None)(lambda n_: expected_zero_count_prefix(2 * n_, measure.p))
 
-    def centered_zero_count(idx: np.ndarray, n_: int) -> np.ndarray:
-        bits = sample_bits_batch(measure, 2 * n_, seed, idx)
-        return np.abs(zero_count_from_bits(bits, [2 * n_])[:, 0].astype(np.float64) - mean(n_))
+    def centered_zero_counts(idx: np.ndarray, ns_: Sequence[int]) -> list[np.ndarray]:
+        # the keyed streams are prefix-consistent: one draw to 2 max(n) holds every shorter prefix
+        lengths = sorted({2 * n_ for n_ in ns_})
+        zeros = zero_count_from_bits(sample_bits_batch(measure, lengths[-1], seed, idx), lengths)
+        col = {m: j for j, m in enumerate(lengths)}
+        return [np.abs(zeros[:, col[2 * n_]].astype(np.float64) - mean(n_)) for n_ in ns_]
 
-    rows = _tail_rows(centered_zero_count, zero_count_bound, ts, ns, trials)
+    rows = _tail_rows(centered_zero_counts, zero_count_bound, ts, ns, trials)
     fit_x = [r.t * r.t * r.n for r in rows if 0 < r.empirical < 1]
     fit_y = [math.log(r.empirical) for r in rows if 0 < r.empirical < 1]
     fit: dict = {}

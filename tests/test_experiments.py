@@ -281,6 +281,19 @@ class TestHoeffding:
         with pytest.raises(ValueError, match="need n >= 1, got 0"):
             hoeffding_check(Rademacher(), t=0.1, n=[50, 0], trials=100, seed=1)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_threshold(self, t):
+        # a NaN t was reported as passing: empirical 0.0, bound 1.0, all_ok True
+        with pytest.raises(ValueError, match="thresholds must be finite"):
+            hoeffding_check(Rademacher(), t=[0.1, t], n=16, trials=20, seed=1)
+
+    def test_several_n_count_as_each_n_alone(self):
+        # the trial chunks are the outer loop, and each n still draws its own sums
+        dist = CenteredChainLogMass(3, p_float())
+        ts, ns = [0.05, 0.2], [40, 7, 40]
+        rows = hoeffding_check(dist, ts, ns, 5000, 9).rows
+        assert rows == tuple(row for n in ns for row in hoeffding_check(dist, ts, n, 5000, 9).rows)
+
     def test_zero_threshold_is_trivial(self):
         rep = hoeffding_check(Rademacher(), t=0.0, n=50, trials=2000, seed=1)
         (row,) = rep.rows
@@ -474,6 +487,23 @@ class TestZeroCountDeviation:
         # the message names n, not the prefix length 2n the sampler would see
         with pytest.raises(ValueError, match="need n >= 1, got -3$"):
             zero_count_deviation_check(t_grid=[0.1], n_grid=[-3], trials=100, seed=2)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_threshold(self, t):
+        # a NaN t was reported as passing: zero_count_bound(nan, n) is min(1.0, nan) = 1.0
+        with pytest.raises(ValueError, match="thresholds must be finite"):
+            zero_count_deviation_check(t_grid=[t], n_grid=[16], trials=20, seed=2)
+
+    def test_several_n_share_one_draw_per_chunk(self, monkeypatch):
+        # each chunk of trials is drawn once, to 2 max(n); the counts are those of each n alone
+        ts, ns = [0.05, 0.1, 0.3], (32, 8, 64, 32)
+        alone = [row for n in ns for row in zero_count_deviation_check(ts, [n], 5000, 11).rows]
+        calls = []
+        sample = experiments.sample_bits_batch
+        monkeypatch.setattr(experiments, "sample_bits_batch",
+                            lambda assign, n, seed, idx: calls.append((n, len(idx))) or sample(assign, n, seed, idx))
+        assert list(zero_count_deviation_check(ts, ns, 5000, 11).rows) == alone
+        assert calls == [(128, 4096), (128, 904)]
 
     def test_zero_threshold_has_frequency_one(self):
         rep = zero_count_deviation_check(t_grid=[0.0], n_grid=[32], trials=500, seed=2)

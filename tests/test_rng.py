@@ -83,6 +83,19 @@ def test_fold_reads_components_modulo_2_64():
     assert ((2**64 - 1) >> 11) * 2.0**-53 < 1.0
 
 
+@pytest.mark.parametrize("rows", [0, 1, 3])
+@pytest.mark.parametrize("dtype", [np.uint64, np.int64])
+def test_chain_keys_fold_every_row_count_without_writing_inputs(rows, dtype):
+    # one row folds its key into a copy of the chains, more rows broadcast it
+    trials = np.array([9, 2**63 + 1, 0][:rows], dtype=np.uint64)
+    chains = np.array([1, 5, 2**40 + 1], dtype=dtype)
+    before = (trials.copy(), chains.copy())
+    keys = chain_keys(2026, trials, chains)
+    assert keys.dtype == np.uint64 and keys.shape == (rows, 3)
+    assert keys.tolist() == [[fold(fold(fold(0, 2026), int(tr)), int(ch)) for ch in chains] for tr in trials]
+    assert np.array_equal(trials, before[0]) and np.array_equal(chains, before[1])
+
+
 def test_grid_leaves_its_inputs_alone_and_warns_nothing():
     trials = np.array([0, 5, 2**63 + 1], dtype=np.uint64)
     chains = np.array([1, 7, 2**40 + 1], dtype=np.uint64)
