@@ -370,8 +370,7 @@ def _chain_walk(seed: int, trials: np.ndarray, chains: range, below: np.ndarray,
             rows = slice(r0, r0 + height)
             for a in range(lo, hi, cols):
                 part = chains[a : min(a + cols, hi)]
-                chain_ids = np.arange(part.start, part.stop, part.step, dtype=np.uint64)
-                keys = chain_keys(seed, trials[rows], chain_ids)
+                keys = chain_keys(seed, trials[rows], np.arange(part.start, part.stop, part.step))
                 thresholds = below.take(group[a : a + len(part)])
                 levels = []
                 for t, m in enumerate(min(len(part), reach - a) for reach in active if reach > a):

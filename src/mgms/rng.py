@@ -20,12 +20,10 @@ of a Python int (`pack_lanes`) at once with exact big-int arithmetic.
 
 Only `measures._chain_walk` calls the vectorized twins, which split the
 folds that the walk reuses: `chain_keys` folds (seed, trial, chain) once
-per chain, in place on one fresh copy of the chains (for a single trial
-row that copy is the result), and `uniform_grid` folds in one position
-with one mix and returns the 53-bit numerators k of the uniforms k 2^-53
-rather than the doubles.  They import numpy on their first call, which
-binds its uint64 constants in this module, so later calls pay one `None`
-test for it.
+per chain, and `uniform_grid` folds in one position with one mix and
+returns the 53-bit numerators k of the uniforms k 2^-53 rather than the
+doubles.  They import numpy on their first call, which binds its uint64
+constants in this module, so later calls pay one `None` test for it.
 Tests pin the two paths against each other and against frozen reference
 values.
 """
@@ -147,12 +145,8 @@ def chain_keys(seed: int, trials: np.ndarray, chains: np.ndarray) -> np.ndarray:
     ht *= _NP_SPREAD
     ht ^= _U(h0)
     _np_mix64(ht)  # (T,)
-    hc = chains.astype(_U)  # a fresh copy too, folded in place
-    hc *= _NP_SPREAD
-    if len(ht) == 1:  # one row: its key enters the copy itself, with no broadcast array
-        hc ^= ht[0]
-        return _np_mix64(hc)[None, :]
-    return _np_mix64(ht[:, None] ^ hc[None, :])  # (T, C)
+    hc = ht[:, None] ^ (chains.astype(_U) * _NP_SPREAD)[None, :]
+    return _np_mix64(hc)  # (T, C)
 
 
 def uniform_grid(keys: np.ndarray, pos: int) -> np.ndarray:

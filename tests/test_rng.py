@@ -86,7 +86,7 @@ def test_fold_reads_components_modulo_2_64():
 @pytest.mark.parametrize("rows", [0, 1, 3])
 @pytest.mark.parametrize("dtype", [np.uint64, np.int64])
 def test_chain_keys_fold_every_row_count_without_writing_inputs(rows, dtype):
-    # one row folds its key into a copy of the chains, more rows broadcast it
+    # zero, one and three trial rows: every key is the scalar fold, and the inputs stay unwritten
     trials = np.array([9, 2**63 + 1, 0][:rows], dtype=np.uint64)
     chains = np.array([1, 5, 2**40 + 1], dtype=dtype)
     before = (trials.copy(), chains.copy())
