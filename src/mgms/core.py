@@ -8,8 +8,9 @@ linked by the chain decomposition: for odd i, the chain J(i) = {i, 2i, 4i,
 positions i 2^t <= n, the chains partition {1,...,n}, and u is a
 multiplicative prefix iff every chain restriction is golden-admissible.
 `chains_reaching` counts, level by level, the chains that reach i 2^t <= n:
-the samplers draw level t of that many chains, and `chain_length_counts`
-takes the chain lengths from the differences of consecutive levels.
+the samplers draw level t of that many chains, and `chain_classes` counts
+the chains of each dyadic block and length from them (`chain_length_counts`
+is its marginal).
 
 Counting is exact: golden words of length k are counted by the Fibonacci
 number F_{k+1} (F_1 = 1, F_2 = 2), and multiplicative prefixes of length n
@@ -34,6 +35,7 @@ if TYPE_CHECKING:
 __all__ = [
     "BinaryWord",
     "block_of",
+    "chain_classes",
     "chain_length_counts",
     "chains_reaching",
     "fibonacci",
@@ -144,10 +146,31 @@ def chains_reaching(n: int) -> list[int]:
     return [((n >> t) + 1) >> 1 for t in range(n.bit_length())]
 
 
+def chain_classes(n: int) -> dict[tuple[int, int], int]:
+    """Map (b, k) to the number of chains J(i) of block b = floor(log2 i) and length k, b then k ascending.
+
+    Block b holds the chains 2c + 1, 2^(b-1) <= c < 2^b (block 0: c = 0), of length m - b, m =
+    floor(log2 n), and m - b + 1 for those that reach level m - b: c < chains_reaching(n)[m - b].
+    """
+    reach = chains_reaching(n)
+    m = len(reach) - 1
+    classes = {}
+    for b in range(m + 1):
+        lo, hi = (1 << b) >> 1, min(1 << b, reach[0])
+        cut = min(max(reach[m - b], lo), hi)
+        if hi > cut:
+            classes[b, m - b] = hi - cut
+        if cut > lo:
+            classes[b, m - b + 1] = cut - lo
+    return classes
+
+
 def chain_length_counts(n: int) -> dict[int, int]:
-    """Map k to the number of chains of length k, i.e. #odds in (n/2^k, n/2^(k-1)]."""
-    reach = [*chains_reaching(n), 0]
-    return {k: reach[k - 1] - reach[k] for k in range(1, len(reach)) if reach[k - 1] > reach[k]}
+    """Map k to the number of chains of length k, k ascending: the marginal of `chain_classes`."""
+    counts: dict[int, int] = {}
+    for (_, k), count in chain_classes(n).items():
+        counts[k] = counts.get(k, 0) + count
+    return dict(sorted(counts.items()))
 
 
 # -- counting ---------------------------------------------------------------

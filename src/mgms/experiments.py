@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import types
+from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass, replace
 from functools import cached_property, lru_cache
 from typing import Sequence
@@ -45,15 +46,14 @@ from .analytics import (
     expected_zero_count_prefix,
     gauge_log2,
     partition_entropy,
-    s_float,
     tau_bits_lower_bound,
 )
-from .core import chain_length_counts
+from .core import chain_classes, chain_length_counts, chains_reaching
 from .measures import (
     BlockAssignment,
+    _block_table,
     _chain_walk,
     golden_costs,
-    logprob_prefix_grid,
     sample_bits_batch,
     zero_count_from_bits,
 )
@@ -68,6 +68,7 @@ __all__ = [
     "density_trajectory",
     "lower_bound_trajectory",
     "upper_bound_telescoping",
+    "block_one_counts",
     "Rademacher",
     "CenteredChainLogMass",
     "hoeffding_check",
@@ -252,17 +253,56 @@ def _trend_verdict(
     return verdict, slope, (lo, hi), monotone
 
 
-def _check_half_word_identity(lp: float, n0_full: int, n0_half: int, n: int, s: float) -> None:
-    """log2 P_mu[x_1^n] + n s must equal s (N0(x_1^n)/2 - N0(x_1^(n/2))) for even n.
+def block_one_counts(measure: BlockAssignment, n: int, seed: int, trials: np.ndarray,
+                     cuts: Sequence[int]) -> np.ndarray:
+    """O_b(k), the ones at positions m <= k in block b, for each prefix that
+    `sample_bits_batch(measure, n, seed, trials)` draws and each cut k in 1..n:
+    int64 of shape (rows, len(cuts), n.bit_length()), read off its walk with no bits array.
 
-    Tolerance is 1e-8 relative to the n s scale of the two cancelling
-    terms (the identity is exact in real arithmetic; the log-mass reaches
-    ~ -0.81 n, so absolute float error grows with n).
+    Level t of chain 2c + 1 is position (2c + 1) 2^t <= k when c < R = chains_reaching(k)[t],
+    and block b holds the chains e_b <= c < e_(b+1), e_b = 2^(b-1) (e_0 = 0).  So O_b(k)
+    sums F_t(min(R, e_(b+1))) - F_t(min(R, e_b)) over the levels, F_t(x) the ones of
+    the chains c < x at level t, which one `np.add.reduceat` per level block adds up.
     """
-    lhs = lp + n * s
-    rhs = s * (n0_full / 2.0 - n0_half)
-    if not abs(lhs - rhs) <= 1e-8 * max(1.0, n * s):
-        raise AssertionError("half-word zero-count identity violated beyond tolerance")
+    n, cuts = int(n), [int(k) for k in cuts]
+    if not cuts or min(cuts) < 1 or max(cuts) > n:
+        raise ValueError(f"cuts must lie in 1..{n}, got {cuts}")
+    levels = n.bit_length()
+    edges = [(1 << b) >> 1 for b in range(levels + 1)]
+    reach = np.array([chains_reaching(k) + [0] * (levels - k.bit_length()) for k in cuts])  # R by cut, level
+    points = [sorted({*edges, *reach[:, t].tolist()}) for t in range(levels)]  # every min(R, e) of level t
+    sums = [np.zeros((len(trials), len(p)), dtype=np.int64) for p in points]  # ones of p[j] <= c < p[j+1]
+    one_below = np.array([threshold(1.0 - measure.param(b)) for b in range(levels)], dtype=np.uint64)
+    for rows, a, ones in _chain_walk(seed, np.asarray(trials, dtype=np.uint64), range(1, n + 1, 2), one_below,
+                                     _block_table(n)[1::2], chains_reaching(n)):  # sample_bits_batch's walk
+        for t, one in enumerate(ones):
+            p = points[t]
+            j0, j1 = bisect_right(p, a) - 1, bisect_left(p, a + one.shape[1])
+            starts = [0, *(x - a for x in p[j0 + 1 : j1])]
+            sums[t][rows, j0:j1] += np.add.reduceat(one.view(np.uint8), starts, axis=1, dtype=np.int64)
+    total = np.zeros((len(trials), len(cuts), len(edges)), dtype=np.int64)  # sum over t of F_t(min(R, e))
+    for t, (p, s) in enumerate(zip(points, sums)):
+        total += (np.cumsum(s, axis=1) - s)[:, np.searchsorted(p, np.minimum.outer(reach[:, t], edges))]
+    return np.diff(total, axis=2)
+
+
+def _log_masses(measure: BlockAssignment, n_grid: Sequence[int], seeds: Sequence[int]) -> np.ndarray:
+    """log2 P[x_1^n] of trial 0 of each seed (rows) at each n of n_grid, each one `math.fsum`:
+    block b holds O_b(n) ones, O_b(n/2) zeros forced by them and L_b(n) - O_b(n) - O_b(n/2)
+    free zeros, L_b(n) its positions up to n (`chain_classes`)."""
+    cuts = sorted({m for n in n_grid for m in (n, n // 2)})
+    costs = [golden_costs(measure.param(b))[:2] for b in range(max(n_grid).bit_length())]
+    lengths = [[0] * len(costs) for _ in n_grid]
+    for length, n in zip(lengths, n_grid):
+        for (b, k), count in chain_classes(n).items():
+            length[b] += k * count
+    rows = []
+    for seed in seeds:
+        ones = dict(zip(cuts, block_one_counts(measure, max(n_grid), seed, np.array([0]), cuts)[0].tolist()))
+        rows.append([math.fsum(o * log_q + (size - o - h) * log_r
+                               for (log_r, log_q), size, o, h in zip(costs, length, ones[n], ones[n // 2]))
+                     for n, length in zip(n_grid, lengths)])
+    return np.array(rows, dtype=np.float64).reshape(len(seeds), len(n_grid))
 
 
 def density_trajectory(
@@ -274,11 +314,10 @@ def density_trajectory(
 ) -> TrajectoryReport:
     """Track d_n = log2 P[x_1^n] - log2 gauge(2^-n) across seeds and a grid.
 
-    One point is sampled per seed out to max(n_grid); d_n is evaluated on
-    the grid and summarized per n.  Every trajectory must have finite
-    log-mass on the whole grid, and for the unperturbed measure the
-    half-word zero-count identity is enforced at every even n.  The trend
-    needs at least MIN_TREND_POINTS grid points (ValueError otherwise).
+    One point is sampled per seed out to max(n_grid); d_n is evaluated on the
+    grid from its block one counts and summarized per n.  At delta = 0 those
+    counts give the half-word identity in real arithmetic (p^3 = (1-p)^2), so
+    it needs no check.  The trend needs at least MIN_TREND_POINTS grid points.
     """
     n_grid = tuple(sorted(int(n) for n in n_grid))
     if len(n_grid) < MIN_TREND_POINTS:
@@ -286,22 +325,8 @@ def density_trajectory(
     if n_grid[0] < 4:
         raise ValueError("grid must start at n >= 4")
     seeds = tuple(int(s) for s in seeds)
-    n_max = n_grid[-1]
     gauges = np.array([gauge_log2(gauge, n) for n in n_grid])
-    s = s_float()
-    rows = np.empty((len(seeds), len(n_grid)), dtype=np.float64)
-    half_word_points = sorted({m for n in n_grid if n % 2 == 0 for m in (n, n // 2)})
-    for row, seed in enumerate(seeds):
-        bits = sample_bits_batch(measure, n_max, seed, np.array([0]))
-        lp = logprob_prefix_grid(measure, bits, n_grid)[0]
-        if not np.all(np.isfinite(lp)):
-            raise AssertionError("sampled point has zero measure; sampler broken")
-        if measure.delta == 0:
-            zeros = dict(zip(half_word_points, zero_count_from_bits(bits, half_word_points)[0].tolist()))
-            for j, n in enumerate(n_grid):
-                if n % 2 == 0:
-                    _check_half_word_identity(lp[j], zeros[n], zeros[n // 2], n, s)
-        rows[row] = lp - gauges
+    rows = _log_masses(measure, n_grid, seeds) - gauges
     med, q1, q3 = _summaries(rows)
     verdict, slope, ci, monotone = _trend_verdict(n_grid, med, verdict_floor)
     config = {

@@ -35,10 +35,12 @@ depth changes, and the few deep chains share one head block of every row,
 so each level is drawn in a few large calls (68 for 4096 prefixes of
 length 1024, where blocks of 129 rows by all 512 chains took 352).
 `sample_bits_batch` writes level t of chain J(i) to position i 2^t, and
-`experiments` adds its deviation sums up from the levels.
-`logprob_prefix_grid` is the one vectorized log-mass kernel: a gather from
-the blocks' cost tables, then a cumulative sum.  Both work in blocks of at
-most `_CHUNK` cells, so temporaries stay in cache whatever n is.  Every
+`experiments` adds its deviation sums, and the per-block one counts that
+trajectory log-masses come from, up from the levels with no bits array.
+`logprob_prefix_grid`, read only by telescope's batch path, is the one
+vectorized log-mass kernel: a gather from the blocks' cost tables, then a
+cumulative sum.  Both work in blocks of at most `_CHUNK` cells, so
+temporaries stay in cache whatever n is.  Every
 lookup through an index array is one `ndarray.take`, which gathers a block
 in about a third of the time of `table[idx]`, and a forced zero is one
 `np.greater` in place.  There is one scalar walk, `_walk`, over a list of

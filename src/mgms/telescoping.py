@@ -10,8 +10,8 @@ Up to 2^`_SCALAR_ELL_MAX` symbols the word comes from the scalar sampler
 cold `mgms experiment telescope` (whose default is 2^16 symbols) loads no
 numpy; beyond that, from the batch sampler and kernels of `measures`.  Both
 sources give the same counts and the same log-masses bit for bit (the
-pass adds the costs in position order, as the kernel's cumulative sum
-does), and the b_j arithmetic is written once, in
+pass adds the costs in position order, as `logprob_prefix_grid`'s
+cumulative sum does), and the b_j arithmetic is written once, in
 `upper_bound_telescoping`.
 """
 

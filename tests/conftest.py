@@ -94,6 +94,49 @@ def count_cylinders(n: int) -> int:
     return math.prod(fibonacci(k + 1) ** c for k, c in chain_length_counts(n).items())
 
 
+def brute_chain_classes(n: int) -> dict[tuple[int, int], int]:
+    """(block, length) -> number of chains J(i), by visiting every odd i <= n."""
+    classes: dict[tuple[int, int], int] = {}
+    for i in range(1, n + 1, 2):
+        key = (i.bit_length() - 1, (n // i).bit_length())
+        classes[key] = classes.get(key, 0) + 1
+    return classes
+
+
+def chain_law(r, L: int) -> dict[tuple[int, int], object]:
+    """Law of (N1, e) for a golden Markov word of length L >= 1 under parameter r: its
+    number of ones and its last symbol, by a dynamic program over (ones, last symbol).
+
+    Exact on Fractions for a Fraction r, in float for a float r; only outcomes of
+    positive probability are keys.
+    """
+    if L < 1:
+        raise ValueError(f"need L >= 1, got {L}")
+    law = {(0, 0): r, (1, 1): 1 - r}
+    for _ in range(L - 1):
+        step: dict[tuple[int, int], object] = {}
+        for (ones, last), q in law.items():
+            step[ones, 0] = step.get((ones, 0), 0) + (q if last else q * r)  # a 1 forces a 0
+            if not last:
+                step[ones + 1, 1] = step.get((ones + 1, 1), 0) + q * (1 - r)
+        law = step
+    return law
+
+
+def block_of_positions(n: int) -> np.ndarray:
+    """floor(log2 i) for the odd part i of each position 1..n (index m - 1)."""
+    m = np.arange(1, n + 1, dtype=np.int64)
+    return np.frexp((m // (m & -m)).astype(np.float64))[1] - 1
+
+
+def bits_block_one_counts(bits: np.ndarray, cuts) -> np.ndarray:
+    """O_b(k) read off a bits array (x_m in column m), shape (rows, len(cuts), blocks)."""
+    n = bits.shape[1] - 1
+    block = block_of_positions(n)
+    return np.array([[np.bincount(block[:k], weights=row[1 : k + 1], minlength=n.bit_length())
+                      for k in cuts] for row in bits]).astype(np.int64)
+
+
 def chains_of(u: BinaryWord) -> dict[int, BinaryWord]:
     """The restriction u_i u_{2i} u_{4i} ... of u to each chain J(i), as `chain_breakdown` reads it."""
     chains = chain_breakdown(BlockAssignment(), u)

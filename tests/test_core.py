@@ -10,6 +10,7 @@ import pytest
 from mgms.core import (
     BinaryWord,
     block_of,
+    chain_classes,
     chain_length_counts,
     chains_reaching,
     fibonacci,
@@ -19,6 +20,7 @@ from mgms.measures import BlockAssignment, MarkovParams, chain_breakdown, markov
 
 from conftest import (
     all_words,
+    brute_chain_classes,
     brute_count_golden,
     brute_count_multiplicative,
     brute_is_golden,
@@ -217,6 +219,17 @@ class TestChains:
             assert brute[-1] == 1 and int(np.count_nonzero(odd << n.bit_length() <= n)) == 0
         with pytest.raises(ValueError, match="prefix length must be positive"):
             chains_reaching(0)
+
+    def test_chain_classes_is_a_brute_count(self):
+        # and chain_length_counts is its marginal, k ascending
+        for n in [*range(1, 301), 2**20 - 1, 2**20, 2**20 + 1]:
+            classes = chain_classes(n)
+            assert classes == brute_chain_classes(n), n
+            assert list(classes) == sorted(classes), n
+            marginal: dict[int, int] = {}
+            for (_, k), count in sorted(classes.items(), key=lambda kv: kv[0][1]):
+                marginal[k] = marginal.get(k, 0) + count
+            assert list(chain_length_counts(n).items()) == list(marginal.items()), n
 
     def test_block_of(self):
         assert [block_of(i) for i in (1, 3, 5, 7, 9, 15, 17)] == [0, 1, 2, 2, 3, 3, 4]

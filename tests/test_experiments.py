@@ -24,6 +24,7 @@ from mgms.experiments import (
     Rademacher,
     TrajectoryReport,
     Verdict,
+    block_one_counts,
     box_dimension_estimate,
     config_hash,
     covering_sum,
@@ -34,9 +35,9 @@ from mgms.experiments import (
     zero_count_bound,
     zero_count_deviation_check,
 )
-from mgms.measures import BlockAssignment, pdelta_logprob, sample_point
+from mgms.measures import BlockAssignment, pdelta_logprob, sample_bits_batch, sample_point, zero_count_from_bits
 
-from conftest import iter_golden_words
+from conftest import bits_block_one_counts, block_of_positions, iter_golden_words
 
 
 def level_by_level_logmass_sums(dist, seed, trials, n):
@@ -116,27 +117,64 @@ class TestDensityTrajectory:
         with pytest.raises(ValueError, match="grid points"):
             lower_bound_trajectory(0.05, 0.002, n_grid=grid, seeds=[0, 1])
 
-    def test_half_word_counts_on_an_irregular_grid(self, monkeypatch):
-        # odd points, halves inside and outside the grid, a repeated point
+    def test_half_word_counts_on_an_irregular_grid(self):
+        # odd points, halves inside and outside the grid, a repeated point: the one counts
+        # that density_trajectory reads are those of the bits array, and so are the zeros
         grid = [4, 6, 7, 12, 12, 99, 100, 200, 1000]
-        seen = []
-        check = experiments._check_half_word_identity
-        monkeypatch.setattr(experiments, "_check_half_word_identity",
-                            lambda lp, full, half, n, s: seen.append((n, full, half)) or check(lp, full, half, n, s))
-        density_trajectory(BlockAssignment(0.0), Gauge.pure(), n_grid=grid, seeds=[4, 9])
-        expect = []
-        for seed in (4, 9):
-            w = sample_point(BlockAssignment(0.0), 1000, seed).word
-            expect += [(n, w.prefix(n).count_zeros(), w.prefix(n // 2).count_zeros()) for n in grid if n % 2 == 0]
-        assert seen == expect
+        cuts = [m for n in grid for m in (n, n // 2)]
+        trials = np.array([0, 5, 17, 2**40])
+        for measure in (BlockAssignment(0.0), BlockAssignment(0.05)):
+            bits = sample_bits_batch(measure, 1000, 4, trials)
+            ones = block_one_counts(measure, 1000, 4, trials, cuts)
+            assert ones.shape == (4, len(cuts), 10)
+            assert np.array_equal(ones, bits_block_one_counts(bits, cuts))
+            distinct = sorted(set(cuts))
+            zeros = np.array(distinct) - ones[:, [cuts.index(k) for k in distinct]].sum(axis=2)
+            assert np.array_equal(zeros, zero_count_from_bits(bits, distinct))
 
-    def test_half_word_check_fires(self, monkeypatch):
-        grid = [16, 64, 100]
-        real = experiments.logprob_prefix_grid
-        monkeypatch.setattr(experiments, "logprob_prefix_grid",
-                            lambda a, bits, ns: real(a, bits, ns) + (np.array(ns) == 100) * 1e-3)
-        with pytest.raises(AssertionError, match="half-word"):
-            density_trajectory(BlockAssignment(0.0), Gauge.pure(), n_grid=grid, seeds=[0])
+    def test_one_counts_at_2_20(self):
+        n = 2**20
+        cuts = [n, n // 2, n - 1, 3 * 2**17 + 5, 1000, 1000, 1, 2]
+        trials = np.arange(3)
+        measure = BlockAssignment(0.3)
+        bits = sample_bits_batch(measure, n, 9, trials)
+        ones = block_one_counts(measure, n, 9, trials, cuts)
+        assert np.array_equal(ones, bits_block_one_counts(bits, cuts))
+        assert np.array_equal(n - ones[:, 0].sum(axis=1), zero_count_from_bits(bits, [n])[:, 0])
+
+    @pytest.mark.parametrize("cuts", [[], [0, 4], [5, 17]])
+    def test_one_counts_refuse_cuts_outside_the_prefix(self, cuts):
+        with pytest.raises(ValueError, match="cuts must lie in 1..16"):
+            block_one_counts(BlockAssignment(0.0), 16, 0, np.array([0]), cuts)
+
+    @pytest.mark.parametrize("delta", [0.0, 0.05, 0.3])
+    def test_log_masses_meet_a_50_digit_sum(self, delta):
+        # the same float parameters, summed at 50 digits over counts read off the bits array
+        from mpmath import mp
+
+        measure, grid, seed = BlockAssignment(delta), list(experiments.DEFAULT_N_GRID), 6
+        (got,) = experiments._log_masses(measure, grid, [seed])
+        bits = sample_bits_batch(measure, grid[-1], seed, np.array([0]))
+        cuts = sorted({m for n in grid for m in (n, n // 2)})
+        ones = dict(zip(cuts, bits_block_one_counts(bits, cuts)[0].tolist()))
+        block = block_of_positions(grid[-1])
+        with mp.workdps(50):
+            logs = [(mp.log(mp.mpf(r), 2), mp.log(mp.mpf(1.0 - r), 2))
+                    for r in map(measure.param, range(grid[-1].bit_length()))]
+            for n, value in zip(grid, got):
+                length = np.bincount(block[:n], minlength=len(logs)).tolist()
+                ref = mp.fsum(o * log_q + (size - o - h) * log_r
+                              for (log_r, log_q), size, o, h in zip(logs, length, ones[n], ones[n // 2]))
+                assert abs(value - ref) <= 1e-14 * abs(ref), (n, value, ref)
+
+    @pytest.mark.parametrize("delta", [0.0, 0.05])
+    def test_log_masses_equal_the_scalar_walk(self, delta):
+        measure, grid = BlockAssignment(delta), [4, 5, 16, 99, 1000, 2**12]
+        for seed in (0, 3):
+            (got,) = experiments._log_masses(measure, grid, [seed])
+            u = sample_point(measure, grid[-1], seed).word
+            for n, value in zip(grid, got):
+                assert value == pytest.approx(pdelta_logprob(measure, u.prefix(n)).value, rel=1e-13, abs=0)
 
 
 class TestLowerBoundTrajectory:

@@ -1,9 +1,11 @@
 """Measures: Markov cylinder masses, chain products, perturbation, sampling."""
 
+import collections
 import functools
 import hashlib
 import math
 import operator
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from mgms.rng import chain_keys, fold, threshold, uniform_grid
 
 from conftest import (
     brute_is_multiplicative,
+    chain_law,
     chains_of,
     iter_golden_words,
     iter_multiplicative_prefixes,
@@ -538,6 +541,62 @@ class TestSampling:
         mean = n0.mean()
         se = n0.std(ddof=1) / math.sqrt(trials)
         assert abs(mean - expected_zero_count_prefix(n)) <= 3 * se
+
+
+# chains of blocks 0 to 7 and lengths 11 down to 3 in a prefix of length 1024
+CHI2_CHAINS = (1, 3, 5, 7, 9, 15, 33, 65, 129)
+CHI2_SEEDS = (101, 202, 303, 404, 505)  # fixed before the test first ran
+
+
+def chain_chi2(bits: np.ndarray, assign: BlockAssignment) -> tuple[float, int]:
+    """Pearson's chi^2 of the (N1, last symbol) counts of the chains CHI2_CHAINS of the
+    sampled rows against `chain_law`, summed over the chains, with its degrees of freedom.
+
+    Cells of expected count below 5 are pooled into one, which joins the smallest other
+    cell when it is still below 5.  An outcome of law probability 0 fails at once.
+    """
+    trials, n = len(bits), bits.shape[1] - 1
+    chi2, dof = 0.0, 0
+    for i in CHI2_CHAINS:
+        chain = bits[:, [i << t for t in range((n // i).bit_length())]]
+        seen = collections.Counter(zip(chain.sum(axis=1).tolist(), chain[:, -1].tolist()))
+        law = chain_law(assign.param(block_of(i)), chain.shape[1])
+        assert set(seen) <= set(law), f"chain J({i}) drew an outcome of probability 0: {set(seen) - set(law)}"
+        cells = sorted((trials * q, seen[key]) for key, q in law.items())
+        small = [c for c in cells if c[0] < 5]
+        cells = [c for c in cells if c[0] >= 5]
+        if small:
+            pooled = (sum(e for e, _ in small), sum(o for _, o in small))
+            if pooled[0] < 5:  # cells are sorted: this is the smallest one of 5 or more
+                e, o = cells.pop(0)
+                pooled = (pooled[0] + e, pooled[1] + o)
+            cells.append(pooled)
+        chi2 += sum((o - e) ** 2 / e for e, o in cells)
+        dof += len(cells) - 1
+    return chi2, dof
+
+
+class TestChainLaws:
+    def test_chain_law_is_the_brute_law(self):
+        r = Fraction(3, 7)
+        for L in range(1, 10):
+            brute = collections.defaultdict(Fraction)
+            for u in iter_golden_words(L):
+                mass = Fraction(1)
+                for prev, x in zip((0, *u), u):
+                    mass *= 1 if prev else (1 - r if x else r)
+                brute[u.count_ones(), u[L]] += mass
+            law = chain_law(r, L)
+            assert law == dict(brute) and sum(law.values()) == 1
+            assert all(v == pytest.approx(float(law[k]), rel=1e-14) for k, v in chain_law(3 / 7, L).items())
+
+    @pytest.mark.parametrize("seed", CHI2_SEEDS)
+    def test_batch_sampler_follows_the_chain_laws(self, seed):
+        # the walk that the trajectory counts read: a biased threshold moves |z| far past 5
+        assign = BlockAssignment(0.05)
+        chi2, dof = chain_chi2(sample_bits_batch(assign, 1024, seed, np.arange(4096)), assign)
+        z = (chi2 - dof) / math.sqrt(2 * dof)
+        assert abs(z) < 5, (chi2, dof, z)
 
 
 class TestBatchKernels:

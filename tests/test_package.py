@@ -343,7 +343,7 @@ PROBE_ARGV = [
     "experiment cover --gauge phi_gamma --n-grid 16,1024", "experiment cover --gauge phi --n-grid 16,64",
     "experiment cover --exponent dimm --gauge pure --n-grid 16,1024 --format json",
     "experiment density --seed 1 --seeds 2 --n-grid 16,64,256",
-    "experiment density --seed 1 --seeds 2 --n-grid 16,64,256 --delta 0",  # checks the half-word identity
+    "experiment density --seed 1 --seeds 2 --n-grid 16,64,256 --delta 0",  # P_mu: one parameter
     "experiment density --seed 1 --seeds 2 --n-grid 16,64,256 --gauge pure --format json",
     "experiment lower --seed 1 --seeds 2 --n-grid 16,64,256 --format csv",
     "experiment telescope --seed 1 --ell-max 8",
