@@ -51,7 +51,7 @@ from .analytics import (
 from .core import chain_classes, chain_length_counts, chains_reaching
 from .measures import (
     BlockAssignment,
-    _block_table,
+    _chain_blocks,
     _chain_walk,
     golden_costs,
     sample_bits_batch,
@@ -274,7 +274,7 @@ def block_one_counts(measure: BlockAssignment, n: int, seed: int, trials: np.nda
     sums = [np.zeros((len(trials), len(p)), dtype=np.int64) for p in points]  # ones of p[j] <= c < p[j+1]
     one_below = np.array([threshold(1.0 - measure.param(b)) for b in range(levels)], dtype=np.uint64)
     for rows, a, ones in _chain_walk(seed, np.asarray(trials, dtype=np.uint64), range(1, n + 1, 2), one_below,
-                                     _block_table(n)[1::2], chains_reaching(n)):  # sample_bits_batch's walk
+                                     _chain_blocks(n), chains_reaching(n)):  # sample_bits_batch's walk
         for t, one in enumerate(ones):
             p = points[t]
             j0, j1 = bisect_right(p, a) - 1, bisect_left(p, a + one.shape[1])
@@ -317,7 +317,7 @@ def density_trajectory(
     One point is sampled per seed out to max(n_grid); d_n is evaluated on the
     grid from its block one counts and summarized per n.  At delta = 0 those
     counts give the half-word identity in real arithmetic (p^3 = (1-p)^2), so
-    it needs no check.  The trend needs at least MIN_TREND_POINTS grid points.
+    it needs no check.  The trend needs MIN_TREND_POINTS grid points and a seed.
     """
     n_grid = tuple(sorted(int(n) for n in n_grid))
     if len(n_grid) < MIN_TREND_POINTS:
@@ -325,6 +325,8 @@ def density_trajectory(
     if n_grid[0] < 4:
         raise ValueError("grid must start at n >= 4")
     seeds = tuple(int(s) for s in seeds)
+    if not seeds:
+        raise ValueError("seeds must name at least one seed, got none")
     gauges = np.array([gauge_log2(gauge, n) for n in n_grid])
     rows = _log_masses(measure, n_grid, seeds) - gauges
     med, q1, q3 = _summaries(rows)
@@ -370,7 +372,7 @@ def lower_bound_trajectory(
     The trend is fitted beyond the verdict floor 2^12, where the report
     also flags whether the median decreases monotonically.  Like
     `density_trajectory`, it raises ValueError on a grid of fewer than
-    MIN_TREND_POINTS points.
+    MIN_TREND_POINTS points or on no seeds.
     """
     if not (math.isfinite(delta) and math.isfinite(c)):
         raise ValueError(f"delta and c must be finite, got delta={delta}, c={c}")

@@ -6,11 +6,11 @@ factors symbol-by-symbol: every log2 mass here sums prices from one table,
 `golden_costs(r)` at 2 pred + x, where a free 0 costs log2 r, a 1 log2(1-r),
 a 0 forced by a 1 nothing and the pair 11 -inf.  No price is +inf, so -inf
 stays in every later sum: the table is the only forbidden-pair path of the
-scalar walk and the kernel alike.  Product measures on multiplicative cylinders
-assign an independent Markov law to every chain J(i); the block-perturbed
-variant uses parameter p + delta/b on chains starting in dyadic block
-b >= 1 (block 0 keeps p), which is the Kolmogorov-consistent reading of
-the perturbation.  That schedule is the only one: `BlockAssignment` holds
+scalar walk and of telescope's passes alike.  Product measures on
+multiplicative cylinders assign an independent Markov law to every chain
+J(i); the block-perturbed variant uses parameter p + delta/b on chains
+starting in dyadic block b >= 1 (block 0 keeps p), which is the
+Kolmogorov-consistent reading of the perturbation.  That schedule is the only one: `BlockAssignment` holds
 p and delta, and P_mu is its delta = 0 case.
 
 All probability arithmetic is base-2 logarithmic with an exact zero
@@ -37,19 +37,18 @@ length 1024, where blocks of 129 rows by all 512 chains took 352).
 `sample_bits_batch` writes level t of chain J(i) to position i 2^t, and
 `experiments` adds its deviation sums, and the per-block one counts that
 trajectory log-masses come from, up from the levels with no bits array.
-`logprob_prefix_grid`, read only by telescope's batch path, is the one
-vectorized log-mass kernel: a gather from the blocks' cost tables, then a
-cumulative sum.  Both work in blocks of at most `_CHUNK` cells, so
-temporaries stay in cache whatever n is.  Every
-lookup through an index array is one `ndarray.take`, which gathers a block
-in about a third of the time of `table[idx]`, and a forced zero is one
-`np.greater` in place.  There is one scalar walk, `_walk`, over a list of
-symbols: `markov_cylinder_logprob` runs it on a word and `chain_breakdown`
-on each chain restriction, whose masses `pdelta_logprob` sums.  They stay
-as the readable definitions that tests and benchmark checks compare
-against.  The scalar walk reads a word through `str`, so it runs without
-numpy, as does `sample_point`; the batch sampler and kernels import numpy
-when they are called.
+A sampled word's log-masses are priced where they are read: `telescoping`
+adds the prices of its one row in position order.  The walk works in
+blocks of at most `_CHUNK` cells, so temporaries stay in cache whatever n
+is.  Every lookup through an index array is one `ndarray.take`, which
+gathers a block in about a third of the time of `table[idx]`, and a forced
+zero is one `np.greater` in place.  There is one scalar walk, `_walk`,
+over a list of symbols: `markov_cylinder_logprob` runs it on a word and
+`chain_breakdown` on each chain restriction, whose masses `pdelta_logprob`
+sums.  They stay as the readable definitions that tests and benchmark
+checks compare against.  The scalar walk reads a word through `str`, so it
+runs without numpy, as does `sample_point`; the batch sampler and its walk
+import numpy when they are called.
 """
 
 from __future__ import annotations
@@ -75,7 +74,6 @@ __all__ = [
     "golden_costs",
     "sample_point",
     "sample_bits_batch",
-    "logprob_prefix_grid",
     "zero_count_from_bits",
 ]
 
@@ -265,78 +263,28 @@ def sample_point(assign: BlockAssignment, n: int, seed: int) -> SampledPoint:
 # -- vectorized twin (experiments engine) ----------------------------------------
 
 
-# Cells per temporary array of the batch kernels (about 512 KB of float64), so
-# no call allocates and frees megabytes of heap that the next one faults back
-# in.  Not 2^16 itself: there a 2^20 trajectory took 0.013 to 0.0165 s per call
-# from one fresh process to the next, as the import history fell, with no page
-# faults either way; at 2^15, 2^16 - 4096, -512, -256, -64, +64 and +512 every
-# process read 0.0125 to 0.0130 s (2-core Xeon).  Above 2^16, the 4096-trial
-# chunks of the deviation checks split into as many blocks as at 2^16.
+# Cells per temporary array of the chain walk and of the telescope's price
+# sums (about 512 KB of float64), so no call allocates and frees megabytes of
+# heap that the next one faults back in.  Not 2^16 itself: there a 2^20
+# trajectory took 0.013 to 0.0165 s per call from one fresh process to the
+# next, as the import history fell, with no page faults either way; at 2^15,
+# 2^16 - 4096, -512, -256, -64, +64 and +512 every process read 0.0125 to
+# 0.0130 s (2-core Xeon).  Above 2^16, the 4096-trial chunks of the deviation
+# checks split into as many blocks as at 2^16.
 _CHUNK = (1 << 16) + 512
 
 
 @lru_cache(maxsize=4)
-def _block_table(n: int) -> np.ndarray:
-    """Dyadic block floor(log2 i) of the chain J(i) through each position 0..n.
-
-    i is the odd part of m, so the block is floor(log2 m) less the 2-adic
-    valuation of m, built in place on uint8, which holds blocks below 64 and
-    4 * block + 3 as well.  Entry 0 is unused (0).
-    """
+def _chain_blocks(n: int) -> np.ndarray:
+    """Dyadic block floor(log2 i) of each chain J(i), i = 2c + 1 <= n, at index c, as uint8:
+    chain 1 in block 0, then the 2^(b-1) chains 2^b..2^(b+1) - 1 of each block b >= 1."""
     import numpy as np
 
-    block = np.zeros(n + 1, dtype=np.uint8)
-    for t in range(1, int(n).bit_length()):
-        block[1 << t :] += 1
-        block[1 << t :: 1 << t] -= 1
+    count = (int(n) + 1) // 2
+    edges = [min((1 << b) >> 1, count) for b in range(int(n).bit_length() + 1)]  # first chain c of block b
+    block = np.repeat(np.arange(len(edges) - 1, dtype=np.uint8), np.diff(edges))
     block.flags.writeable = False
     return block
-
-
-def logprob_prefix_grid(
-    assign: BlockAssignment, bits: np.ndarray, n_list: Sequence[int]
-) -> np.ndarray:
-    """log2 measure mass at several prefix lengths in one pass.
-
-    Vectorizes the per-chain Markov walk: position m in block b pays the
-    price golden_costs(p_b)[2 x_{m/2} + x_m] (x_{m/2} = 0 at odd m), the
-    table of the scalar walk.  That price never depends on the prefix
-    length (the walk is Kolmogorov-consistent), so prefix log-masses are
-    cumulative sums of one cost vector.  `bits` holds 0/1 symbols in
-    columns 1..n, as sample_bits_batch returns them.
-
-    Returns shape (rows, len(n_list)).  A forbidden pair x_{m/2} = x_m = 1
-    reads -inf from the table, the only forbidden-pair path: no price is
-    +inf, so every prefix that contains the pair sums to -inf.
-    """
-    import numpy as np
-
-    ns = [int(n) for n in n_list]
-    n_max = bits.shape[1] - 1
-    if not ns or min(ns) < 1 or max(ns) > n_max:
-        raise ValueError("grid outside the sampled range")
-    block = _block_table(n_max)[1:]
-    # the price of x_m in block b sits at 4b + 2 x_{m/2} + x_m
-    table = np.array([golden_costs(assign.param(b)) for b in range(int(block.max()) + 1)]).ravel()
-    x = bits[:, 1:].astype(np.uint8, copy=False)  # no copy for sampled bits
-    rows = len(x)
-    grid = np.array(ns)
-    out = np.empty((rows, len(ns)))
-    carry = np.zeros(rows)
-    # columns lo..hi-1 (positions lo+1..hi) at a time; the running sum enters
-    # as the first term, so every prefix sum adds in the same order as one cumsum
-    width = max(256, _CHUNK // max(rows, 1) & ~1)
-    for lo in range(0, n_max, width):
-        hi = min(lo + width, n_max)
-        idx = 4 * block[lo:hi] + x[:, lo:hi]
-        idx[:, 1::2] += 2 * x[:, lo // 2 : lo // 2 + (hi - lo) // 2]  # x_j at the positions 2j in lo+1..hi
-        cost = table.take(idx)
-        cost[:, 0] += carry  # exact: 0.0 + c is c in the first block
-        np.cumsum(cost, axis=1, out=cost)
-        carry = cost[:, -1]
-        here = (lo < grid) & (grid <= hi)
-        out[:, here] = cost[:, grid[here] - 1 - lo]
-    return out
 
 
 def _chain_walk(seed: int, trials: np.ndarray, chains: range, below: np.ndarray, group: np.ndarray,
@@ -402,7 +350,7 @@ def sample_bits_batch(
     from .rng import threshold
 
     trials = np.asarray(trials, dtype=np.uint64)
-    block = _block_table(n)[1::2]  # the block of chain i = 2j+1 at index j
+    block = _chain_blocks(n)  # the block of chain i = 2j+1 at index j
     one_below = np.array([threshold(1.0 - assign.param(b)) for b in range(block.max() + 1)], np.uint64)
     bits = np.zeros((len(trials), n + 1), dtype=np.uint8)
     for rows, a, levels in _chain_walk(seed, trials, range(1, n + 1, 2), one_below, block, chains_reaching(n)):

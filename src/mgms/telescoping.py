@@ -8,11 +8,11 @@ from its word x_1^(2^ell) is N0 and the log2 mass of each dyadic prefix.
 Up to 2^`_SCALAR_ELL_MAX` symbols the word comes from the scalar sampler
 `measures.sample_point` and one position-order pass over its string, so a
 cold `mgms experiment telescope` (whose default is 2^16 symbols) loads no
-numpy; beyond that, from the batch sampler and kernels of `measures`.  Both
-sources give the same counts and the same log-masses bit for bit (the
-pass adds the costs in position order, as `logprob_prefix_grid`'s
-cumulative sum does), and the b_j arithmetic is written once, in
-`upper_bound_telescoping`.
+numpy; beyond that, from row 0 of the batch sampler, whose prices add in
+position order too, as blocked numpy cumulative sums that each start from
+the running total.  Both sources give the same counts and the same
+log-masses bit for bit (recursive summation in one order, Higham 2002),
+and the b_j arithmetic is written once, in `upper_bound_telescoping`.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ def _scalar_counts(measure: BlockAssignment, ell_max: int, seed: int) -> tuple[l
 
     Position m pays golden_costs(p)[x_m + 2 x_(m/2)] (x_(m/2) = 0 at odd m),
     so a pair 11 is -inf from m on.  The costs add in position order, as
-    `logprob_prefix_grid`'s cumulative sum adds them.
+    `_batch_counts` adds them.
     """
     n = 2**ell_max
     x = sample_point(measure, n, seed).word.symbols.encode().translate(_BITS)
@@ -54,15 +54,26 @@ def _scalar_counts(measure: BlockAssignment, ell_max: int, seed: int) -> tuple[l
 
 
 def _batch_counts(measure: BlockAssignment, ell_max: int, seed: int) -> tuple[list[int], list[float]]:
-    """What `_scalar_counts` returns, from row 0 of the batch sampler and kernels."""
+    """What `_scalar_counts` returns, from row 0 of `sample_bits_batch`: the same costs added
+    in position order, in blocks of at most `measures._CHUNK` that start from the running sum."""
     import numpy as np
 
-    from .measures import logprob_prefix_grid, sample_bits_batch, zero_count_from_bits
+    from . import measures
 
-    bits = sample_bits_batch(measure, 2**ell_max, seed, np.array([0]))
-    grid = [2**j for j in range(ell_max + 1)]
-    return (zero_count_from_bits(bits, grid)[0].tolist(),
-            logprob_prefix_grid(measure, bits, grid)[0].tolist())
+    n, width = 2**ell_max, measures._CHUNK
+    x = measures.sample_bits_batch(measure, n, seed, np.array([0]))[0]  # x_m at m, x_0 = 0
+    cost = np.array(golden_costs(measure.p))
+    logmass, carry = [], 0.0
+    for lo in range(0, n, width):  # positions lo+1..hi
+        hi = min(lo + width, n)
+        index = x[lo + 1 : hi + 1].copy()  # x_m, then + 2 x_(m/2) at each even m
+        index[(lo + 1) % 2 :: 2] += 2 * x[lo // 2 + 1 : hi // 2 + 1]
+        prices = cost.take(index)
+        prices[0] += carry  # exact: 0.0 + c is c in the first block
+        np.cumsum(prices, out=prices)
+        carry = prices[-1]
+        logmass += prices[[2**j - 1 - lo for j in range(ell_max + 1) if lo < 2**j <= hi]].tolist()
+    return [2**j - int(np.count_nonzero(x[1 : 2**j + 1])) for j in range(ell_max + 1)], logmass
 
 
 class TelescopingReport(NamedTuple("TelescopingReport", [

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from mgms import experiments, telescoping
+from mgms import experiments, measures, telescoping
 from mgms.analytics import (
     Gauge,
     dim_minkowski,
@@ -116,6 +116,15 @@ class TestDensityTrajectory:
             density_trajectory(BlockAssignment(0.0), Gauge.pure(), n_grid=grid, seeds=[0])
         with pytest.raises(ValueError, match="grid points"):
             lower_bound_trajectory(0.05, 0.002, n_grid=grid, seeds=[0, 1])
+
+    @pytest.mark.parametrize("run", [
+        lambda: density_trajectory(BlockAssignment(0.0), Gauge.pure(), n_grid=[16, 64, 256], seeds=[]),
+        lambda: lower_bound_trajectory(0.05, 0.002, n_grid=[16, 64, 256], seeds=[]),
+    ], ids=["density", "lower"])
+    def test_no_seeds_rejected(self, run):
+        # the seedwise percentiles of no rows raised IndexError after a numpy RuntimeWarning
+        with pytest.raises(ValueError, match="seeds must name at least one seed"):
+            run()
 
     def test_half_word_counts_on_an_irregular_grid(self):
         # odd points, halves inside and outside the grid, a repeated point: the one counts
@@ -272,13 +281,24 @@ class TestTelescoping:
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     # the two sources of N0 and the log-masses: the scalar sampler with one pass over its word,
-    # and the batch sampler with the numpy kernels, which sums the same costs in the same order
+    # and the batch sampler with blocked cumulative sums of the same costs in the same order
     @pytest.mark.parametrize("seed", [0, 1, 9, -3])
     def test_scalar_and_batch_counts_are_identical(self, seed):
         measure = BlockAssignment(0.0)
         for ell_max in range(2, 19):
             assert telescoping._scalar_counts(measure, ell_max, seed) == \
                 telescoping._batch_counts(measure, ell_max, seed)
+
+    @pytest.mark.parametrize("chunk", [63, 64])
+    def test_batch_counts_carry_across_blocks(self, chunk, monkeypatch):
+        # 63-position blocks start at odd positions inside every dyadic range, so the
+        # even positions of a block start at its first or its second entry
+        monkeypatch.setattr(measures, "_CHUNK", chunk)
+        measure = BlockAssignment(0.0)
+        for seed in (0, 9, -3):
+            for ell_max in range(2, 13):
+                assert telescoping._batch_counts(measure, ell_max, seed) == \
+                    telescoping._scalar_counts(measure, ell_max, seed), (seed, ell_max)
 
     @pytest.mark.parametrize("exponent", [0.5, 1, 1.5, 2])
     @pytest.mark.parametrize("ell_max", [2, 5, 12, 16, 17])
@@ -428,8 +448,6 @@ class TestHoeffding:
     @pytest.mark.parametrize("n", [1, 77, 2049, 8193])
     def test_constant_depth_keeps_its_blocks(self, dist, width, trials, n, monkeypatch):
         # row blocks of `width` chains, rows outer: the float summation order the frozen sums pin
-        from mgms import measures
-
         seen = []
         walk = measures._chain_walk
 
@@ -452,7 +470,6 @@ class TestHoeffding:
     def test_sums_equal_a_scalar_walk(self, dist, n, monkeypatch):
         # summand j of trial tr walks the chain keyed fold(fold(fold(0, seed), tr), j) in
         # Python ints; 64-cell blocks split 5 trials by n summands into rows and columns
-        from mgms import measures
         from mgms.rng import fold, threshold
 
         monkeypatch.setattr(measures, "_CHUNK", 64)

@@ -18,14 +18,12 @@ from mgms.measures import (
     LogProb,
     MarkovParams,
     chain_breakdown,
-    logprob_prefix_grid,
     markov_cylinder_logprob,
     pdelta_logprob,
     sample_bits_batch,
     sample_point,
 )
 from mgms import measures
-from mgms.experiments import DEFAULT_N_GRID
 from mgms.rng import chain_keys, fold, threshold, uniform_grid
 
 from conftest import (
@@ -103,8 +101,8 @@ def reference_sample_point(assign, n, seed):
     return "".join(out)
 
 
-# Fancy-index forms of the batch sampler and the log-mass grid, kept as
-# oracles: sample_bits_batch and logprob_prefix_grid must equal them bit for bit.
+# The fancy-index form of the batch sampler, kept as an oracle:
+# sample_bits_batch must equal it bit for bit.
 
 
 def _reference_blocks(n: int) -> np.ndarray:
@@ -134,30 +132,6 @@ def reference_sample_bits_batch(assign, n, seed, trials):
             bits[:, pos] = draw & (1 - bits[:, pos >> 1])
         t += 1
     return bits
-
-
-def reference_logprob_prefix_grid(assign, bits, n_list):
-    n_max = bits.shape[1] - 1
-    block = _reference_blocks(n_max)
-    params = [assign.param(b) for b in range(int(block[1:].max()) + 1)]
-    log_r = np.array([math.log2(r) for r in params])  # the logs of the scalar walk
-    log_q = np.array([math.log2(1.0 - r) for r in params])
-    x = bits[:, 1:]
-    lb = block[1:]
-    m = np.arange(1, n_max + 1)
-    has_pred = m % 2 == 0
-    pred = np.where(has_pred, m // 2, 0)
-    forced = np.zeros(bits.shape, dtype=bool)[:, 1:]
-    forced[:, has_pred] = bits[:, pred[has_pred]] == 1
-    cost = np.where(x == 1, log_q[lb][None, :], log_r[lb][None, :])
-    cost[forced] = 0.0
-    forbidden = forced & (x == 1)
-    cums = np.cumsum(cost, axis=1)
-    bad = np.cumsum(forbidden, axis=1) > 0
-    idx = np.array([int(n) for n in n_list]) - 1
-    out = cums[:, idx].astype(np.float64)
-    out[bad[:, idx]] = -np.inf
-    return out
 
 
 # ids "mu", "delta" and "param_fn"; the last case takes the schedule at a p off the root
@@ -509,29 +483,6 @@ class TestSampling:
                 m, t = m << 1, t + 1
         assert np.array_equal(bits[1], manual)
 
-    def test_vector_logprob_matches_reference_and_flags_forbidden(self):
-        a = BlockAssignment(delta=0.06)
-        rng = np.random.default_rng(5)
-        rows = []
-        for _ in range(40):
-            rows.append(rng.integers(0, 2, size=33, dtype=np.uint8))
-        bits = np.concatenate([np.zeros((40, 1), np.uint8), np.array(rows)], axis=1)
-        lp = logprob_prefix_grid(a, bits, [33])[:, 0]
-        grid = logprob_prefix_grid(a, bits, [8, 16, 33])
-        for r in range(40):
-            u = BinaryWord.from_array(bits[r, 1:34])
-            ref = pdelta_logprob(a, u)
-            if ref.is_zero:
-                assert lp[r] == -np.inf
-            else:
-                assert lp[r] == pytest.approx(ref.value, abs=1e-10)
-            for j, n in enumerate([8, 16, 33]):
-                ref_n = pdelta_logprob(a, u.prefix(n))
-                if ref_n.is_zero:
-                    assert grid[r, j] == -np.inf
-                else:
-                    assert grid[r, j] == pytest.approx(ref_n.value, abs=1e-10)
-
     def test_sampled_zero_density_matches_expectation(self):
         a = BlockAssignment(delta=0.0)
         n = 2**10
@@ -601,22 +552,6 @@ class TestChainLaws:
 
 class TestBatchKernels:
     @pytest.mark.parametrize("assign", ORACLE_MEASURES, ids=["mu", "delta", "param_fn"])
-    @pytest.mark.parametrize("n", [1, 2, 3, 33, 1000, 1001])
-    def test_prefix_grid_equals_reference(self, assign, n):
-        rng = np.random.default_rng(n)
-        bits = np.zeros((8, n + 1), dtype=np.uint8)
-        bits[1, 1:] = 1  # forbidden pair at m = 2
-        bits[2:5, 1:] = rng.random((3, n)) < 0.15
-        bits[5:, 1:] = rng.random((3, n)) < 0.5
-        grids = [[1], [n], sorted({1, max(1, n // 3), max(1, n // 2), n})]
-        for grid in grids:
-            got = logprob_prefix_grid(assign, bits, grid)
-            assert np.array_equal(got, reference_logprob_prefix_grid(assign, bits, grid))
-            assert np.array_equal(logprob_prefix_grid(assign, bits.astype(bool), grid), got)
-        assert np.isfinite(got[0]).all()
-        assert np.isneginf(got[1, -1]) == (n >= 2)
-
-    @pytest.mark.parametrize("assign", ORACLE_MEASURES, ids=["mu", "delta", "param_fn"])
     @pytest.mark.parametrize("n", [1, 2, 255, 1024])
     @pytest.mark.parametrize("trials", [1, 7, 4096])
     def test_sampler_equals_reference(self, assign, n, trials):
@@ -627,19 +562,8 @@ class TestBatchKernels:
     @pytest.mark.parametrize("assign", ORACLE_MEASURES, ids=["mu", "delta", "param_fn"])
     @pytest.mark.parametrize("n", [1000, 1001])
     def test_blocked_kernels_equal_reference(self, assign, n, monkeypatch):
-        # a small block size splits both kernels into several blocks per call
+        # a small block size splits the sampler's walk into several blocks per call
         monkeypatch.setattr(measures, "_CHUNK", 64)
-        rng = np.random.default_rng(n)
-        bits = np.zeros((8, n + 1), dtype=np.uint8)
-        bits[1, [128, 256]] = 1  # first forbidden pair ends a block (positions 1..256)
-        bits[2, [129, 258]] = 1  # ... or sits in the second one
-        bits[3, [300, 600]] = 1  # ... or in the third
-        bits[4:, 1:] = rng.random((4, n)) < 0.15
-        grid = [1, 255, 256, 257, 511, 512, 600, n - 1, n]
-        got = logprob_prefix_grid(assign, bits, grid)
-        assert np.array_equal(got, reference_logprob_prefix_grid(assign, bits, grid))
-        assert np.isneginf(got[1]).tolist() == [g >= 256 for g in grid]
-        assert np.isneginf(got[3]).tolist() == [g >= 600 for g in grid]
         idx = np.arange(7) + 3
         assert np.array_equal(sample_bits_batch(assign, n, 17, idx),
                               reference_sample_bits_batch(assign, n, 17, idx))
@@ -688,25 +612,6 @@ class TestBatchKernels:
         assert len(sizes) <= 80
         assert sum(sizes) == 4096 * 1024  # one draw per symbol
 
-    def test_prefix_grid_adds_math_log2_costs_in_position_order(self):
-        # np.log2 and math.log2 differ by an ulp on about 1 double in 500, and
-        # 200 measures give 4000 logs, so a table from np.log2 would fail here
-        rng = np.random.default_rng(33)
-        n = 1023
-        for _ in range(200):
-            p = rng.uniform(0.05, 0.95)
-            assign = BlockAssignment(rng.uniform(0.0, 0.99 * min(0.3, 1.0 - p)), p=p)
-            bits = sample_bits_batch(assign, n, 1, [0, 1])
-            got = logprob_prefix_grid(assign, bits, range(1, n + 1))
-            for row, x in zip(got.tolist(), bits.tolist()):
-                total, want = 0.0, []
-                for m in range(1, n + 1):
-                    r = assign.param(block_of(m // (m & -m)))
-                    if not (m % 2 == 0 and x[m // 2]):  # a 0 forced by a 1 costs nothing
-                        total += math.log2(1.0 - r) if x[m] else math.log2(r)
-                    want.append(total)
-                assert row == want, assign
-
     def test_ldev2_shape_digest_is_frozen(self):
         # sha256 of the 4096-trial prefixes of length 1024 that ldev2 draws at
         # n = 512, as computed by the per-level sampler with float compares
@@ -714,49 +619,39 @@ class TestBatchKernels:
         assert hashlib.sha256(bits.tobytes()).hexdigest() == (
             "d27dd2779c9d3966009240602e96fb5f15143314018cc5bbce42cfe52c8efd77")
 
-    # sha256 of the 2^20-symbol trajectories and their log-mass grids, as
-    # computed by the fancy-index kernels: (delta, seed, bits, grid)
+    # sha256 of the 2^20-symbol trajectories, as computed by the fancy-index
+    # sampler: (delta, seed, bits)
     FROZEN = [
-        (0.05, 0, "b0b64218c7ed5b93090903e21e51194aba91f34448ccd38b234228d762f18360",
-         "5158d23c484a52256fc8b3dd04fd0f01ce625f9e859c4a38b8af1287088ad539"),
-        (0.05, 1, "4b5f0c87930eb7a7c7f8d09875c4f276c939ff1579221dca9e5b562279367590",
-         "d5d0cbdb767bb6eaae23a9716843d62a814f2f03c14844a98182ec2862ffc30f"),
-        (0.0, 0, "8e34108ef5ceabe36b7b08d3721926dce42d1b027d33bff405cf21503c0766f6",
-         "f42c28d8b3aa360d56bb6133ba2727c79a8407f97e04a12bd133698a3acda1bd"),
-        (0.0, 1, "9c983c1d2de8de45763d666733cbb67e9d7543dcb058feadab61e5d816e4137f",
-         "1eb9a867a66b8edb30db6c9e110c429c2c07a3e77a88c05037c4745a60d43d78"),
+        (0.05, 0, "b0b64218c7ed5b93090903e21e51194aba91f34448ccd38b234228d762f18360"),
+        (0.05, 1, "4b5f0c87930eb7a7c7f8d09875c4f276c939ff1579221dca9e5b562279367590"),
+        (0.0, 0, "8e34108ef5ceabe36b7b08d3721926dce42d1b027d33bff405cf21503c0766f6"),
+        (0.0, 1, "9c983c1d2de8de45763d666733cbb67e9d7543dcb058feadab61e5d816e4137f"),
     ]
 
-    @pytest.mark.parametrize("delta, seed, bits_sha, grid_sha", FROZEN)
-    def test_trajectory_digests_are_frozen(self, delta, seed, bits_sha, grid_sha):
-        a = BlockAssignment(delta)
-        bits = sample_bits_batch(a, 2**20, seed, [0])
+    @pytest.mark.parametrize("delta, seed, bits_sha", FROZEN)
+    def test_trajectory_digests_are_frozen(self, delta, seed, bits_sha):
+        bits = sample_bits_batch(BlockAssignment(delta), 2**20, seed, [0])
         assert hashlib.sha256(bits.tobytes()).hexdigest() == bits_sha
-        grid = logprob_prefix_grid(a, bits, DEFAULT_N_GRID)
-        assert hashlib.sha256(grid.tobytes()).hexdigest() == grid_sha
-
-    @staticmethod
-    def _python_blocks(n: int) -> list[int]:
-        # floor(log2) of the odd part of each position 1..n, on Python ints
-        return [0] + [(m >> ((m & -m).bit_length() - 1)).bit_length() - 1 for m in range(1, n + 1)]
 
     def test_block_table_equals_python_oracle(self):
+        # the block of chain 2c + 1 at index c, for every chain 2c + 1 <= n
         for n in (*range(1, 301), 2**16 + 3, 2**20):
-            table = measures._block_table.__wrapped__(n)
-            assert table.dtype == np.uint8 and table.tolist() == self._python_blocks(n), n
+            table = measures._chain_blocks.__wrapped__(n)
+            assert table.dtype == np.uint8 and not table.flags.writeable
+            assert table.tolist() == [block_of(2 * c + 1) for c in range((n + 1) // 2)], n
 
     def test_block_table_allocates_about_its_own_size(self):
-        # 2^20 one-byte entries: the table once, and no full-length int64 or float64 temporary
+        # 2^19 one-byte entries, one per chain: the table once, and no full-length temporary
         import tracemalloc
 
         n = 2**20
         tracemalloc.start()
         try:
-            measures._block_table.__wrapped__(n)
+            measures._chain_blocks.__wrapped__(n)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * n, peak
+        assert peak < n // 2 + 4096, peak
 
     def test_zero_counts_equal_python_count(self):
         rng = np.random.default_rng(5)

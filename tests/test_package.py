@@ -347,7 +347,7 @@ PROBE_ARGV = [
     "experiment density --seed 1 --seeds 2 --n-grid 16,64,256 --gauge pure --format json",
     "experiment lower --seed 1 --seeds 2 --n-grid 16,64,256 --format csv",
     "experiment telescope --seed 1 --ell-max 8",
-    "experiment telescope --seed 1 --ell-max 18",  # past the scalar sampler: the batch kernels
+    "experiment telescope --seed 1 --ell-max 18",  # past the scalar sampler: the batch sampler
     "experiment telescope --seed 1 --ell-max 8 --format csv",
     "experiment telescope --seed 1 --g t^1.5 --ell-max 8 --format json",
     "experiment hoeffding --seed 1 --trials 200 --n 20",
