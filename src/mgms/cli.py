@@ -190,6 +190,16 @@ def cmd_tau(args) -> int:
 # -- measure ---------------------------------------------------------------------
 
 
+def _log2_str(value: float, terms: int) -> str:
+    """A log2 mass summed in float from `terms` prices <= 0, to the decimals (at most 12) its
+    rounding supports: with each price within an ulp, it lies within gamma_k |s| of the mass s,
+    k = terms + 1 (Higham 2002), so d decimals hold while k u / (1 - 2 k u) |value| <= 10^-d / 2."""
+    k = terms + 1
+    a, b = abs(value).as_integer_ratio()
+    d = next((d for d in range(12, 0, -1) if 2 * k * a * 10**d <= ((1 << 53) - 2 * k) * b), 0)
+    return f"{value:.{d}f}"
+
+
 def cmd_measure(args) -> int:
     word_str = args.word
     if not word_str or any(c not in "01" for c in word_str):
@@ -217,9 +227,9 @@ def cmd_measure(args) -> int:
     if lp.is_zero:
         lines.append("log2 P[u] = ZERO (word not admissible)")
     else:
-        lines.append(f"log2 P[u] = {lp.value:.12f}   (P[u] = {lp.to_probability():.6e})")
+        lines.append(f"log2 P[u] = {_log2_str(lp.value, len(word_str))}   (P[u] = {lp.to_probability():.6e})")
     for c in breakdown:
-        mass = "ZERO" if c["log2_mass"] is None else f"{c['log2_mass']:.12f}"
+        mass = "ZERO" if c["log2_mass"] is None else _log2_str(c["log2_mass"], len(c["restriction"]))
         blk = f" block {c['block']}" if "block" in c else ""
         lines.append(f"  chain J({c['i']}): '{c['restriction']}'{blk}"
                      f" parameter {c['parameter']:.10f}  contribution {mass}")

@@ -451,9 +451,22 @@ class DeviationReport(_Report):
         return f"{self.experiment}: {len(self.rows)} cells, bounds {state}{extra}"
 
 
+def _level_ones(seed: int, trials: np.ndarray, n: int, q: float, k: int) -> np.ndarray:
+    """Ones per trial (rows) and level of n independent golden chains of k levels, a 1
+    after a 0 with probability q, keyed as chains 0..n-1 of `measures._chain_walk`: int64
+    (len(trials), k).  Blocks of 8192 chains keep a trial's temporaries near 0.25 MiB."""
+    ones = np.zeros((len(trials), k), dtype=np.int64)
+    below = np.array([threshold(q)], dtype=np.uint64)
+    for rows, _, levels in _chain_walk(seed, trials, range(n), below, np.broadcast_to(0, (n,)), [n] * k, 8192):
+        for t, one in enumerate(levels):
+            ones[rows, t] += np.count_nonzero(one, axis=1)
+    return ones
+
+
 @dataclass(frozen=True)
 class Rademacher:
-    """Independent uniform +-1 summands (C = 1), drawn on `measures._chain_walk`."""
+    """Independent uniform +-1 summands (C = 1): a summand is +1 when level 0 of its
+    chain in `_level_ones` holds a 1, so S_n = 2 N1 - n is an exact integer."""
 
     @property
     def bound_C(self) -> float:
@@ -463,12 +476,7 @@ class Rademacher:
         return {"distribution": "rademacher", "C": 1.0}
 
     def sample_sums(self, seed: int, trials: np.ndarray, n: int) -> np.ndarray:
-        out = np.zeros(len(trials), dtype=np.float64)
-        # level 0 of n chains at 1/2, 8192 summands a block: one trial's temporaries stay near 0.25 MiB
-        half = np.array([threshold(0.5)], dtype=np.uint64)
-        for rows, _, (one,) in _chain_walk(seed, trials, range(n), half, np.broadcast_to(0, (n,)), [n], 8192):
-            out[rows] += 2 * np.count_nonzero(one, axis=1) - one.shape[1]  # a 1 is +1: the exact sum
-        return out
+        return 2.0 * _level_ones(seed, trials, n, 0.5, 1)[:, 0] - n
 
 
 @dataclass(frozen=True)
@@ -476,7 +484,7 @@ class CenteredChainLogMass:
     """Centered log2 cylinder masses of golden Markov words of length k.
 
     X = log2 mu[u] + H^mu(alpha_k) has zero mean; |X| <= C with C the exact
-    maximum over the admissible cylinders; u is k levels of `measures._chain_walk`.
+    maximum over the admissible cylinders; u is one chain of `_level_ones`.
     """
 
     k: int
@@ -512,33 +520,13 @@ class CenteredChainLogMass:
         return {"distribution": "centered_log_mass", "k": self.k, "r": self.r, "C": self.bound_C}
 
     def sample_sums(self, seed: int, trials: np.ndarray, n: int) -> np.ndarray:
-        """Sum of n independent centered log-masses per trial: k levels of n chains.
-
-        A chain's first min(k, 8) symbols, level t in bit t, index one table
-        of their masses; each later level adds its cost.  Both add the costs
-        in level order, so the masses are those of a level-by-level sum.
-        """
-        # cost of a symbol at 2 prev + sym; the pair 11 (-inf) is never drawn
-        cost = np.array(golden_costs(self.r))
-        head = min(self.k, 8)
-        bits = [(np.arange(1 << head) >> t) & 1 for t in range(head)]
-        patterns = cost[bits[0]]
-        for prev, one in zip(bits, bits[1:]):
-            patterns += cost[2 * prev + one]
-        one_below = np.array([threshold(1.0 - self.r)], dtype=np.uint64)
-        H = self.entropy
-        out = np.zeros(len(trials), dtype=np.float64)
-        for rows, _, levels in _chain_walk(seed, trials, range(n), one_below, np.broadcast_to(0, (n,)),
-                                           [n] * self.k, 2048):  # tests pin this float summation order
-            x = [one.view(np.uint8) for one in levels]
-            code = x[0].copy()
-            for t in range(1, head):
-                code |= x[t] << t
-            mass = patterns.take(code)
-            for prev, one in zip(x[head - 1 :], x[head:]):
-                mass += cost.take(2 * prev + one)
-            out[rows] += (mass + H).sum(axis=1)
-        return out
+        """Sum of n centered log-masses per trial.  A word with N1 ones, ending in e, has
+        N1 - e forced zeros, so the sum prices the ones N1 over all levels and E at the last:
+        N1 log2(1-r) + (n k - 2 N1 + E) log2 r + n H."""
+        log_r, log_q, _, _ = golden_costs(self.r)
+        ones = _level_ones(seed, trials, n, 1.0 - self.r, self.k)
+        N1 = ones.sum(axis=1)
+        return N1 * log_q + (n * self.k - 2 * N1 + ones[:, -1]) * log_r + n * self.entropy
 
 
 def _tail_rows(statistic, bound, ts: Sequence[float], ns: Sequence[int], trials: int) -> list[DeviationRow]:

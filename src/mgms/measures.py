@@ -35,10 +35,10 @@ depth changes, and the few deep chains share one head block of every row,
 so each level is drawn in a few large calls (68 for 4096 prefixes of
 length 1024, where blocks of 129 rows by all 512 chains took 352).
 `sample_bits_batch` writes level t of chain J(i) to position i 2^t, and
-`experiments` adds its deviation sums, and the per-block one counts that
-trajectory log-masses come from, up from the levels with no bits array.
-A sampled word's log-masses are priced where they are read: `telescoping`
-adds the prices of its one row in position order.  The walk works in
+`experiments` counts ones off the levels with no bits array: per level for
+both deviation sums, per dyadic block for the trajectory log-masses.  Those
+integer counts are priced where they are read, and `telescoping` adds the
+prices of its one sampled row in position order.  The walk works in
 blocks of at most `_CHUNK` cells, so temporaries stay in cache whatever n
 is.  Every lookup through an index array is one `ndarray.take`, which
 gathers a block in about a third of the time of `table[idx]`, and a forced

@@ -123,6 +123,35 @@ def chain_law(r, L: int) -> dict[tuple[int, int], object]:
     return law
 
 
+# the seeds of every chi^2 test against an exact law, fixed before the first of them ran
+LAW_SEEDS = (101, 202, 303, 404, 505)
+
+
+def law_chi2(seen, law: dict, draws: int) -> tuple[float, int]:
+    """Pearson's chi^2 of the outcome counts `seen` of `draws` draws against `law`, with
+    its degrees of freedom.
+
+    Cells of expected count below 5 are pooled into one, which joins the smallest other
+    cell when it is still below 5.  An outcome of law probability 0 fails at once.
+    """
+    assert set(seen) <= set(law), f"drew outcomes of probability 0: {set(seen) - set(law)}"
+    cells = sorted((draws * q, seen.get(key, 0)) for key, q in law.items())
+    small = [c for c in cells if c[0] < 5]
+    cells = [c for c in cells if c[0] >= 5]
+    if small:
+        pooled = (sum(e for e, _ in small), sum(o for _, o in small))
+        if pooled[0] < 5:  # cells are sorted: this is the smallest one of 5 or more
+            e, o = cells.pop(0)
+            pooled = (pooled[0] + e, pooled[1] + o)
+        cells.append(pooled)
+    return sum((o - e) ** 2 / e for e, o in cells), len(cells) - 1
+
+
+def chi2_z(chi2: float, dof: int) -> float:
+    """(chi^2 - dof) / sqrt(2 dof): the chi^2 statistic on the scale of a standard normal."""
+    return (chi2 - dof) / math.sqrt(2 * dof)
+
+
 def block_of_positions(n: int) -> np.ndarray:
     """floor(log2 i) for the odd part i of each position 1..n (index m - 1)."""
     m = np.arange(1, n + 1, dtype=np.int64)

@@ -123,6 +123,33 @@ class TestMeasure:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("delta", [0.0, 0.05])
+    def test_long_word_prints_only_supported_decimals(self, capsys, delta):
+        # the float sum of 131000 prices lies about 1e-7 from the 50-digit sum over the
+        # same float parameters, so 12 decimals would print wrong digits; the printed
+        # value keeps 5 and lies within a unit of its last decimal of that sum
+        from mpmath import mp
+
+        from mgms.measures import BlockAssignment, chain_breakdown, sample_point
+
+        assign = BlockAssignment(delta)
+        word = sample_point(assign, 131000, 3).word
+        code, out = run(capsys, "measure", "--pdelta", str(delta), str(word))
+        assert code == 0
+        printed = out.splitlines()[1].split()[3]
+        decimals = len(printed.split(".")[1])
+        counts = {}  # parameter -> [ones, free zeros]
+        for *_, r, symbols, _ in chain_breakdown(assign, word):
+            ones, last = sum(symbols), symbols[-1]
+            c = counts.setdefault(r, [0, 0])
+            c[0], c[1] = c[0] + ones, c[1] + len(symbols) - 2 * ones + last
+        with mp.workdps(50):
+            exact = mp.fsum(ones * mp.log(mp.mpf(1.0 - r), 2) + free * mp.log(mp.mpf(r), 2)
+                            for r, (ones, free) in counts.items())
+            assert decimals == 5 and abs(mp.mpf(printed) - exact) <= mp.mpf(10) ** -decimals
+        contributions = [line.split()[-1] for line in out.splitlines()[2:] if "contribution" in line]
+        assert len(contributions) == 65500 and all(len(c.split(".")[1]) == 12 for c in contributions)
+
 
 class TestExperimentCommand:
     def test_stochastic_requires_seed(self, capsys):

@@ -1,8 +1,10 @@
 """Experiment harness: trends, telescoping, deviation bounds, reports."""
 
+import collections
 import hashlib
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -35,14 +37,17 @@ from mgms.experiments import (
     zero_count_bound,
     zero_count_deviation_check,
 )
-from mgms.measures import BlockAssignment, pdelta_logprob, sample_bits_batch, sample_point, zero_count_from_bits
+from mgms.measures import (BlockAssignment, golden_costs, pdelta_logprob, sample_bits_batch, sample_point,
+                           zero_count_from_bits)
 
-from conftest import bits_block_one_counts, block_of_positions, iter_golden_words
+from conftest import (LAW_SEEDS, bits_block_one_counts, block_of_positions, chain_law, chi2_z,
+                      iter_golden_words, law_chi2)
 
 
 def level_by_level_logmass_sums(dist, seed, trials, n):
-    """`CenteredChainLogMass.sample_sums` as one gather and one add per level:
-    the masses of the pattern table must equal these bit for bit."""
+    """`CenteredChainLogMass.sample_sums` as per-chain float masses, one gather and one add
+    per level on the walk, each plus H and summed over the chains: (sums, scale), with scale
+    the sum over the chains of |mass| + H, which bounds the rounding of either way to sum."""
     from mgms.measures import _chain_walk
     from mgms.rng import threshold
 
@@ -50,14 +55,15 @@ def level_by_level_logmass_sums(dist, seed, trials, n):
     table = np.array([math.log2(dist.r), math.log2(1.0 - dist.r), 0.0])
     one_below = np.array([threshold(1.0 - dist.r)], dtype=np.uint64)
     out = np.zeros(len(trials), dtype=np.float64)
-    for rows, _, levels in _chain_walk(seed, trials, range(n), one_below, np.broadcast_to(0, (n,)),
-                                       [n] * dist.k, 2048):
+    scale = np.zeros(len(trials), dtype=np.float64)
+    for rows, _, levels in _chain_walk(seed, trials, range(n), one_below, np.broadcast_to(0, (n,)), [n] * dist.k):
         x = [one.view(np.uint8) for one in levels]
         mass = table[x[0]]
         for prev, one in zip(x, x[1:]):
             mass += table[2 * prev + one]
         out[rows] += (mass + dist.entropy).sum(axis=1)
-    return out
+        scale[rows] += (dist.entropy - mass).sum(axis=1)
+    return out, scale
 
 GRID_SMALL = [2**j for j in range(4, 13)]
 SEEDS_SMALL = list(range(24))
@@ -387,32 +393,24 @@ class TestHoeffding:
         # E[S_64] = 0; sd ~ sqrt(64) * sd_per_chain
         assert abs(sums.mean()) < 5 * sums.std(ddof=1) / math.sqrt(len(sums))
 
-    # sha256 of sample_sums(7, trials 0..63, n) at r = p, as computed from two
-    # masks and a nested np.where per level: (k, n, digest).  k = 5 centres on
-    # the correctly rounded H(p) F_4(p), one ulp above the float-Horner value
-    # it was first frozen with (the next test checks that old digest)
+    # sha256 of sample_sums(7, trials 0..63, n) at r = p, priced from the walk's
+    # integer one counts: (k, n, digest).  The exact-law and Fraction tests
+    # below check the values these digests hold
     FROZEN_SUMS = [
         (1, 1, "73d9f8ea0a78923f0d51000636ade2cebb9cc0824bab4bfe4ec2da96599d9a7d"),
-        (1, 2049, "64dd532a77ad368cf836a18af1dd429a72d17fb05499b03c0c9efe1086f1d08c"),
-        (2, 77, "2e707c2bf0cfa549e62761f129947752b00d469edb9d236d1c3ef5e2eab59d3e"),
-        (3, 2048, "0672bdb6cb6d408539a46c6b6fddf140b87ee1e6e32ddc562ba1f981e094726b"),
-        (3, 2049, "23aac233a69a1a81ea7bcc8313a8dbbace38c65e140c15b95755446d4960dacf"),
-        (5, 5000, "f79d8b68bfdd8876920a9ce1f64bc9c5500fadd551731c305803f064811937d7"),
-        (8, 77, "0acae4b2fbdc2d3b161ae50fb5a01dc9866c8928b7890572ea37435043796446"),
-        (8, 2049, "e756f30ba8294a77cae5f65b87128dcf6954e6084086065fc6954fc02bfe59a8"),
+        (1, 2049, "7c72ce576413654d2796cb119c2d5cb3ea913b569f62339bfabd1aa4c6ecb93b"),
+        (2, 77, "8413f45a04355dd866d4882d4214fcfaac83389017341809973068ede8b8751d"),
+        (3, 2048, "46c6a5e62425b21ac869c6cb8532c907eb1e84093ed2e82b05fa294144090189"),
+        (3, 2049, "350694d81be4f100874a34eff3893be3c6f06f54a8070bf2191130a4814b3c48"),
+        (5, 5000, "e2493b5daa8561bbf36d67c6d21c9f71fb00c1328c83501461cdfe71ffd37e20"),
+        (8, 77, "063d6ad2fb4724aa73d45cf0831bcf2f9d8fdef79e0797bcb321bed8844bdc07"),
+        (8, 2049, "badf3bdc3d457ec64e62d5a00e2931374c4b8b54f12181de06137f1c6fb5d383"),
     ]
 
     @pytest.mark.parametrize("k, n, digest", FROZEN_SUMS)
     def test_logmass_sums_are_frozen(self, k, n, digest):
         sums = CenteredChainLogMass(k, p_float()).sample_sums(7, np.arange(64, dtype=np.uint64), n)
         assert hashlib.sha256(sums.tobytes()).hexdigest() == digest
-
-    def test_logmass_kernel_is_unchanged_under_the_old_k5_centring(self, monkeypatch):
-        # the float-Horner H(p) F_4(p) the k = 5 digest was first frozen with
-        monkeypatch.setattr(experiments, "partition_entropy", lambda r, k: 3.6571420815104747)
-        sums = CenteredChainLogMass(5, p_float()).sample_sums(7, np.arange(64, dtype=np.uint64), 5000)
-        assert hashlib.sha256(sums.tobytes()).hexdigest() == (
-            "c31181b71758651525bc6319cbbb32100763d51cb8cc778a6ad6cde6af0f2cbb")
 
     # sha256 of sample_sums(7, trials 0..T-1, n), as computed from float
     # uniforms in one (T, columns) array per chunk: (distribution, T, n, digest);
@@ -424,7 +422,7 @@ class TestHoeffding:
         ("rademacher", 64, 8193, "25aace2fb6d2946614b09178bb81accfe9a72864252211744a54b1c72c06530a"),
         ("rademacher", 64, 20000, "b774cce8fe7b156eb46250c8c37bc1a32c092594432941395b58af2d62b5acd6"),
         ("rademacher", 4096, 100, "abc540276bb877b497345e9bd0bf93a23413682d447db520e4cb6ad982aa5b2e"),
-        ("logmass3", 4096, 200, "0d76d36049a2d89dbd3b6eb49945f5e49a969b95b9a025988e043343da4e7aa8"),
+        ("logmass3", 4096, 200, "e7f35fcf4440e9dc333536dd1de8387b62b279d007580b25a1f63bf573db64b0"),
     ]
 
     @pytest.mark.parametrize("dist, trials, n, digest", FROZEN_BLOCKED_SUMS)
@@ -437,17 +435,19 @@ class TestHoeffding:
     @pytest.mark.parametrize("r", [p_float(), 0.3])
     @pytest.mark.parametrize("n", [1, 2047, 2049, 4100])
     def test_logmass_sums_equal_the_level_by_level_sum(self, k, r, n):
-        # n crosses the 2048-chain blocks; k = 9 and 20 add levels past the pattern table
+        # to rounding: per-chain sums lose at most gamma_(k+n) of the scale and the priced
+        # counts gamma_3, so the two lie within gamma_(k+n+3) (doubled for the float scale)
         dist = CenteredChainLogMass(k, r)
         trials = np.arange(40, dtype=np.uint64) * 3 + 1
-        assert np.array_equal(dist.sample_sums(5, trials, n), level_by_level_logmass_sums(dist, 5, trials, n))
+        want, scale = level_by_level_logmass_sums(dist, 5, trials, n)
+        assert np.all(np.abs(dist.sample_sums(5, trials, n) - want) <= 2 * (k + n + 3) * 2.0**-53 * scale)
 
-    @pytest.mark.parametrize("dist, width", [(Rademacher(), 8192), (CenteredChainLogMass(3, p_float()), 2048)],
+    @pytest.mark.parametrize("dist", [Rademacher(), CenteredChainLogMass(3, p_float())],
                              ids=["rademacher", "logmass3"])
     @pytest.mark.parametrize("trials", [1, 37, 4096])
     @pytest.mark.parametrize("n", [1, 77, 2049, 8193])
-    def test_constant_depth_keeps_its_blocks(self, dist, width, trials, n, monkeypatch):
-        # row blocks of `width` chains, rows outer: the float summation order the frozen sums pin
+    def test_constant_depth_keeps_its_blocks(self, dist, trials, n, monkeypatch):
+        # row blocks of 8192 chains, rows outer: one trial's temporaries stay small at any n
         seen = []
         walk = measures._chain_walk
 
@@ -458,7 +458,7 @@ class TestHoeffding:
 
         monkeypatch.setattr(experiments, "_chain_walk", recording)
         dist.sample_sums(7, np.arange(trials, dtype=np.uint64), n)
-        cols = min(n, width)
+        cols = min(n, 8192)
         height = measures._CHUNK // cols
         assert seen == [(r0, r0 + height, a, min(cols, n - a))
                         for r0 in range(0, trials, height) for a in range(0, n, cols)]
@@ -469,27 +469,71 @@ class TestHoeffding:
     @pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
     def test_sums_equal_a_scalar_walk(self, dist, n, monkeypatch):
         # summand j of trial tr walks the chain keyed fold(fold(fold(0, seed), tr), j) in
-        # Python ints; 64-cell blocks split 5 trials by n summands into rows and columns
+        # Python ints; 64-cell blocks split 5 trials by n summands into rows and columns.
+        # The walk's ones at each level equal the scalar walk's exactly
         from mgms.rng import fold, threshold
 
         monkeypatch.setattr(measures, "_CHUNK", 64)
         trials = np.arange(5, dtype=np.uint64) * 3 + 2
         got = dist.sample_sums(11, trials, n)
         rademacher = isinstance(dist, Rademacher)
-        k, below = (1, int(threshold(0.5))) if rademacher else (dist.k, int(threshold(1.0 - dist.r)))
-        for tr, value in zip(trials.tolist(), got):
-            terms = []
+        k, q = (1, 0.5) if rademacher else (dist.k, 1.0 - dist.r)
+        below = int(threshold(q))
+        ones = experiments._level_ones(11, trials, n, q, k)
+        for tr, value, level_ones in zip(trials.tolist(), got, ones.tolist()):
+            terms, counts = [], [0] * k
             for j in range(n):
                 key = fold(fold(fold(0, 11), tr), j)
                 symbols = [0]
                 for t in range(k):
                     symbols.append(int(symbols[-1] == 0 and fold(key, t) >> 11 < below))
+                    counts[t] += symbols[-1]
                 terms.append(2.0 * symbols[1] - 1.0 if rademacher
                              else measures._walk(dist.r, symbols[1:]) + dist.entropy)
+            assert level_ones == counts
             if rademacher:
                 assert value == sum(terms)  # exact integers
             else:
                 assert abs(value - math.fsum(terms)) <= 1e-12 * math.fsum(map(abs, terms))
+
+    @pytest.mark.parametrize("k, r, n", [(3, p_float(), 200), (8, p_float(), 500), (20, p_float(), 300),
+                                         (20, 0.3, 300)])
+    def test_logmass_sums_price_the_counts(self, k, r, n):
+        # N1 log2(1-r) + F log2 r + n H, F = n k - 2 N1 + E the free zeros, against the exact
+        # rational sum of the same float prices: three rounded products and two rounded sums
+        # lose at most gamma_3 = 3u / (1 - 3u) of the summed magnitudes (about 1.02 u seen)
+        dist, trials = CenteredChainLogMass(k, r), np.arange(64, dtype=np.uint64)
+        log_r, log_q = (Fraction(c) for c in golden_costs(r)[:2])
+        H = Fraction(dist.entropy)
+        ones = experiments._level_ones(7, trials, n, 1.0 - r, k)
+        for value, N1, E in zip(dist.sample_sums(7, trials, n), ones.sum(axis=1).tolist(), ones[:, -1].tolist()):
+            free = n * k - 2 * N1 + E
+            scale = N1 * -log_q + free * -log_r + n * H
+            assert abs(Fraction(value) - (N1 * log_q + free * log_r + n * H)) <= Fraction(3, 2**53 - 3) * scale
+
+    @pytest.mark.parametrize("seed", LAW_SEEDS)
+    def test_rademacher_sums_follow_the_binomial_law(self, seed):
+        # (S_n + n) / 2 is Binomial(n, 1/2): a threshold of 0.97 or 1.03 times 1/2 moves z past 40
+        n, trials = 100, 4096
+        sums = Rademacher().sample_sums(seed, np.arange(trials, dtype=np.uint64), n)
+        seen = collections.Counter(((sums + n) / 2).astype(np.int64).tolist())
+        chi2, dof = law_chi2(seen, {j: math.comb(n, j) / 2**n for j in range(n + 1)}, trials)
+        assert abs(chi2_z(chi2, dof)) < 5, (chi2, dof)
+
+    @pytest.mark.parametrize("seed", LAW_SEEDS)
+    def test_logmass_counts_follow_the_chain_law(self, seed, monkeypatch):
+        # one chain per trial: the (N1, E) that the statistic prices is one draw of
+        # chain_law(r, k); a threshold of 0.97 or 1.03 times 1 - r, or a walk without
+        # the forced zero, fails here
+        dist, trials = CenteredChainLogMass(8, p_float()), 1 << 15
+        drawn = []
+        level_ones = experiments._level_ones
+        monkeypatch.setattr(experiments, "_level_ones", lambda *args: drawn.append(level_ones(*args)) or drawn[-1])
+        dist.sample_sums(seed, np.arange(trials, dtype=np.uint64), 1)
+        (ones,) = drawn
+        seen = collections.Counter(zip(ones.sum(axis=1).tolist(), ones[:, -1].tolist()))
+        chi2, dof = law_chi2(seen, chain_law(dist.r, dist.k), trials)
+        assert abs(chi2_z(chi2, dof)) < 5, (chi2, dof)
 
     @pytest.mark.parametrize("dist", [Rademacher(), CenteredChainLogMass(3, p_float())],
                              ids=["rademacher", "logmass3"])

@@ -30,8 +30,11 @@ from conftest import (
     brute_is_multiplicative,
     chain_law,
     chains_of,
+    chi2_z,
     iter_golden_words,
     iter_multiplicative_prefixes,
+    LAW_SEEDS,
+    law_chi2,
     pmu_identity_gap,
     word,
 )
@@ -496,34 +499,19 @@ class TestSampling:
 
 # chains of blocks 0 to 7 and lengths 11 down to 3 in a prefix of length 1024
 CHI2_CHAINS = (1, 3, 5, 7, 9, 15, 33, 65, 129)
-CHI2_SEEDS = (101, 202, 303, 404, 505)  # fixed before the test first ran
 
 
 def chain_chi2(bits: np.ndarray, assign: BlockAssignment) -> tuple[float, int]:
-    """Pearson's chi^2 of the (N1, last symbol) counts of the chains CHI2_CHAINS of the
-    sampled rows against `chain_law`, summed over the chains, with its degrees of freedom.
-
-    Cells of expected count below 5 are pooled into one, which joins the smallest other
-    cell when it is still below 5.  An outcome of law probability 0 fails at once.
-    """
+    """Pearson's chi^2 (`law_chi2`) of the (N1, last symbol) counts of the chains
+    CHI2_CHAINS of the sampled rows against `chain_law`, summed over the chains, with its
+    degrees of freedom."""
     trials, n = len(bits), bits.shape[1] - 1
     chi2, dof = 0.0, 0
     for i in CHI2_CHAINS:
         chain = bits[:, [i << t for t in range((n // i).bit_length())]]
         seen = collections.Counter(zip(chain.sum(axis=1).tolist(), chain[:, -1].tolist()))
-        law = chain_law(assign.param(block_of(i)), chain.shape[1])
-        assert set(seen) <= set(law), f"chain J({i}) drew an outcome of probability 0: {set(seen) - set(law)}"
-        cells = sorted((trials * q, seen[key]) for key, q in law.items())
-        small = [c for c in cells if c[0] < 5]
-        cells = [c for c in cells if c[0] >= 5]
-        if small:
-            pooled = (sum(e for e, _ in small), sum(o for _, o in small))
-            if pooled[0] < 5:  # cells are sorted: this is the smallest one of 5 or more
-                e, o = cells.pop(0)
-                pooled = (pooled[0] + e, pooled[1] + o)
-            cells.append(pooled)
-        chi2 += sum((o - e) ** 2 / e for e, o in cells)
-        dof += len(cells) - 1
+        c, d = law_chi2(seen, chain_law(assign.param(block_of(i)), chain.shape[1]), trials)
+        chi2, dof = chi2 + c, dof + d
     return chi2, dof
 
 
@@ -541,13 +529,27 @@ class TestChainLaws:
             assert law == dict(brute) and sum(law.values()) == 1
             assert all(v == pytest.approx(float(law[k]), rel=1e-14) for k, v in chain_law(3 / 7, L).items())
 
-    @pytest.mark.parametrize("seed", CHI2_SEEDS)
+    @pytest.mark.parametrize("seed", LAW_SEEDS)
     def test_batch_sampler_follows_the_chain_laws(self, seed):
         # the walk that the trajectory counts read: a biased threshold moves |z| far past 5
         assign = BlockAssignment(0.05)
         chi2, dof = chain_chi2(sample_bits_batch(assign, 1024, seed, np.arange(4096)), assign)
-        z = (chi2 - dof) / math.sqrt(2 * dof)
-        assert abs(z) < 5, (chi2, dof, z)
+        assert abs(chi2_z(chi2, dof)) < 5, (chi2, dof)
+
+    @pytest.mark.parametrize("seed", LAW_SEEDS)
+    def test_scalar_sampler_follows_the_chain_laws_inside_one_word(self, seed):
+        # the 2^(b-1) chains of block b >= 1 of a 2^m word all have length m - b: blocks 8..17
+        # hold 128 to 65536 draws of one law each (z on the tree -0.46 to 0.57, at least 8.3
+        # with the threshold of 0.97 (1 - p_b) or 1.03 (1 - p_b))
+        assign, m = BlockAssignment(0.05), 18
+        word = np.frombuffer(str(sample_point(assign, 1 << m, seed).word).encode(), np.uint8) - ord("0")
+        chi2, dof = 0.0, 0
+        for b in range(8, m):
+            chains = word[(np.arange((1 << b) + 1, 2 << b, 2)[:, None] << np.arange(m - b)) - 1]
+            seen = collections.Counter(zip(chains.sum(axis=1).tolist(), chains[:, -1].tolist()))
+            c, d = law_chi2(seen, chain_law(assign.param(b), m - b), len(chains))
+            chi2, dof = chi2 + c, dof + d
+        assert abs(chi2_z(chi2, dof)) < 5, (chi2, dof)
 
 
 class TestBatchKernels:
